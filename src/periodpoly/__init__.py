@@ -4,63 +4,8 @@ Builds F_{p^s} for p = 3 or 5 (mod 8), computes reduced cyclotomic periods
 and their polynomial exactly (brute-force enumeration or the subfield lift
 oracle), emits closed-form factorizations driven by quadratic partitions of
 powers of p, and cross-checks everything against independent character-sum
-identities.
+identities. Import the submodules (periodpoly.fields, periodpoly.charsums,
+periodpoly.closed_form, ...) directly.
 """
-
-from .charsums import (
-    CharacterSpec,
-    GaussTable,
-    IdentityCheck,
-    gauss_sum,
-    gauss_table,
-    identity_report,
-    jacobi_sum,
-    lift_gauss_sum,
-    lifted_period_polynomial,
-    partition_sum_identity,
-    periods_from_gauss,
-    smallest_lift_base,
-    subfield_sums,
-)
-from .closed_form import (
-    CaseTag,
-    Factorization,
-    UnsupportedCase,
-    classify,
-    closed_form_factorization,
-    factorization_3mod8,
-    factorization_5mod8,
-    q_power,
-    semiprimitive_factorization,
-    small_order_factorization,
-)
-from .cyclotomic import (
-    CycElem,
-    IntPoly,
-    NotAnInteger,
-    cyclotomic_polynomial,
-    expand_factor_list,
-    frobenius_power_sum,
-    linear,
-    poly_from_roots,
-)
-from .fields import FieldCtx, FieldElem, FieldError, FieldParams, build_field, find_generator, is_irreducible
-from .partitions import (
-    PartitionRecord,
-    cornacchia,
-    enumerate_representations,
-    partition_a,
-    partition_c,
-    power_representation,
-)
-from .periods import (
-    DEFAULT_MAX_Q,
-    BudgetExceeded,
-    PeriodVector,
-    TraceSpectrum,
-    period_polynomial,
-    reduced_periods,
-    trace_spectrum,
-)
 
 __version__ = "0.1.0"

@@ -1,9 +1,14 @@
 """Gauss and Jacobi sums, classical identity checks, and the lift oracle.
 
 Characters are indexed against the fixed generator: lambda(gamma) = zeta_E for
-a character of order E, and psi = lambda^j. Gauss sums are assembled exactly
-from the same bucket counts as the period sweep (one multiplicative pass per
-(field, order)), as elements of Z[zeta_{lcm(E, p)}].
+a character of order E, and psi = lambda^j. Each quantity has one kernel:
+
+  * Gauss sums are assembled exactly from the same bucket counts as the
+    period sweep (one multiplicative pass per (field, order)), as elements of
+    Z[zeta_{lcm(E, p)}], by GaussTable.value; the subfield sums reuse it.
+  * Jacobi sums are read off one discrete-log map per cyclic group
+    (discrete_log_map, the only Python walk over a whole group): 1 - x is
+    formed on the coordinate tuple and looked up in the same map.
 
 Subfield sums are computed inside the ambient field: the subfield of size q0
 is walked as powers of gamma^d with d = (q-1)/(q0-1), and the subfield
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclotomic import CycElem, IntPoly
-from .fields import FieldCtx, FieldError
+from .fields import FieldCtx, FieldElem, FieldError
 from .intmath import legendre, ord2
 from .periods import (
     DEFAULT_MAX_Q,
@@ -41,28 +46,16 @@ from .periods import (
 DEFAULT_MAX_Q_JACOBI = 10**6
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
-    """psi = lambda^index where lambda has the given order and lambda(gamma) = zeta."""
-
-    ctx: FieldCtx
-    order: int
-    index: int = 1
-
-    def __post_init__(self):
-        if self.order < 1 or (self.ctx.q - 1) % self.order:
-            raise ValueError(f"order {self.order} does not divide q-1")
-
-
 class GaussTable:
     """All Gauss sums G(lambda^j) for one field and one character order E."""
 
     def __init__(self, ctx: FieldCtx, order: int, spectrum: TraceSpectrum):
-        assert spectrum.e == order
+        if spectrum.e != order:
+            raise ValueError(f"spectrum of order {spectrum.e} cannot give Gauss sums of order {order}")
         self.ctx = ctx
         self.order = order
         self.conductor = math.lcm(order, ctx.p)
-        self._counts = spectrum.counts
+        self.counts = spectrum.counts
 
     def value(self, j: int) -> CycElem:
         """G(lambda^j) as an exact element of Z[zeta_{lcm(E,p)}]."""
@@ -73,7 +66,7 @@ class GaussTable:
         ze, zp = n // e, n // p
         vec = [0] * n
         for k in range(e):
-            row = self._counts[k]
+            row = self.counts[k]
             base = j * k % e * ze
             for t in range(p):
                 c = row[t]
@@ -91,52 +84,47 @@ def gauss_table(
     return GaussTable(ctx, order, trace_spectrum(ctx, order, max_q=max_q, threads=threads))
 
 
-def gauss_sum(
-    spec: CharacterSpec, max_q: int = DEFAULT_MAX_Q, threads: int | None = None
-) -> CycElem:
-    """G(psi) = sum over x of psi(x) zeta_p^{Tr(x)}, exact."""
-    if spec.index % spec.order == 0:
-        raise ValueError("character must be nontrivial")
-    return gauss_table(spec.ctx, spec.order, max_q=max_q, threads=threads).value(spec.index)
+def discrete_log_map(
+    ctx: FieldCtx, base: FieldElem | None = None, length: int | None = None
+) -> dict[tuple[int, ...], int]:
+    """coords -> log_base for the `length` elements of the cyclic group <base>.
 
-
-def discrete_log_map(ctx: FieldCtx, max_q: int = DEFAULT_MAX_Q_JACOBI) -> dict[tuple[int, ...], int]:
-    """coords -> log_gamma, for every element of F_q^*. Small fields only."""
-    if ctx.q > max_q:
-        raise BudgetExceeded(f"q={ctx.q} exceeds the discrete-log budget {max_q}")
+    Defaults to gamma and q - 1. This is the only Python walk of a group here;
+    every Jacobi sum is read off the map it returns. Small groups only.
+    """
+    base = ctx.gamma if base is None else base
+    length = ctx.q - 1 if length is None else length
+    if length >= DEFAULT_MAX_Q_JACOBI:
+        raise BudgetExceeded(f"group of order {length} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
     out: dict[tuple[int, ...], int] = {}
     x = ctx.one()
-    for a in range(ctx.q - 1):
+    for a in range(length):
         out[x.coords] = a
-        x = x * ctx.gamma
+        x = x * base
     return out
 
 
-def jacobi_sum(
-    spec: CharacterSpec,
-    max_q: int = DEFAULT_MAX_Q_JACOBI,
-    dlog: dict[tuple[int, ...], int] | None = None,
-) -> CycElem:
-    """J(psi) = sum over x of psi(x) psi(1-x), exact in Z[zeta_order]."""
-    ctx, e, j = spec.ctx, spec.order, spec.index
-    if j % e == 0:
+def jacobi_sum(ctx: FieldCtx, order: int, j: int, dlog: dict[tuple[int, ...], int]) -> CycElem:
+    """J(psi) = sum over x of psi(x) psi(1-x) for psi = lambda^j, exact in Z[zeta_order].
+
+    lambda has the given order and sends the generator of the group that
+    `dlog` (from discrete_log_map) walks to zeta_order.
+    """
+    if j % order == 0:
         raise ValueError("character must be nontrivial")
-    if dlog is None:
-        dlog = discrete_log_map(ctx, max_q)
-    one = ctx.one()
-    buckets = [0] * e
-    x = one
-    for a in range(ctx.q - 1):
-        if a != 0:  # x = 1 makes 1 - x = 0, and psi(0) = 0
-            y = one - x
-            b = dlog[y.coords]
-            buckets[(a + b) % e] += 1
-        x = x * ctx.gamma
-    vec = [0] * e
+    if len(dlog) % order:
+        raise ValueError(f"order {order} does not divide the group order {len(dlog)}")
+    p = ctx.p
+    buckets = [0] * order
+    for x, a in dlog.items():
+        if a:  # x = 1 makes 1 - x = 0, and psi(0) = 0
+            one_minus_x = ((1 - x[0]) % p,) + tuple(-c % p for c in x[1:])
+            buckets[(a + dlog[one_minus_x]) % order] += 1
+    vec = [0] * order
     for k, c in enumerate(buckets):
         if c:
-            vec[j * k % e] += c
-    return CycElem(e, vec)
+            vec[j * k % order] += c
+    return CycElem(order, vec)
 
 
 def lift_gauss_sum(value: CycElem, r: int) -> CycElem:
@@ -158,36 +146,18 @@ def lift_gauss_sum(value: CycElem, r: int) -> CycElem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubfieldSums:
-    """Gauss (and optionally Jacobi) sums over F_{q0} inside F_q, gamma-normalized."""
+class SubfieldSums(GaussTable):
+    """Gauss sums G(chi^j) over F_{q0} inside F_q, chi(N(gamma)) = zeta_order."""
 
-    ctx: FieldCtx
-    s_sub: int
-    order: int
-    counts: tuple[tuple[int, ...], ...]
+    def __init__(self, ctx: FieldCtx, s_sub: int, spectrum: TraceSpectrum):
+        super().__init__(ctx, spectrum.e, spectrum)
+        self.s_sub = s_sub
 
     @property
     def q0(self) -> int:
         return self.ctx.p**self.s_sub
 
-    def gauss(self, j: int) -> CycElem:
-        """G(chi^j) over F_{q0}, chi(N(gamma)) = zeta_order."""
-        j %= self.order
-        if j == 0:
-            raise ValueError("trivial character has no Gauss sum here")
-        e, p = self.order, self.ctx.p
-        n = math.lcm(e, p)
-        ze, zp = n // e, n // p
-        vec = [0] * n
-        for k in range(e):
-            row = self.counts[k]
-            base = j * k % e * ze
-            for t in range(p):
-                c = row[t]
-                if c:
-                    vec[(base + t * zp) % n] += c
-        return CycElem(n, vec)
+    gauss = GaussTable.value
 
 
 def subfield_sums(
@@ -218,37 +188,14 @@ def subfield_sums(
         if direct != via_row:
             raise FieldError("subfield trace row disagrees with the Frobenius sum")
         x = x * g0
-    return SubfieldSums(ctx, s_sub, order, tuple(tuple(int(c) for c in row) for row in counts))
+    return SubfieldSums(ctx, s_sub, TraceSpectrum(order, tuple(tuple(int(c) for c in row) for row in counts)))
 
 
-def subfield_jacobi(
-    sums_ctx: SubfieldSums, j: int, max_q: int = DEFAULT_MAX_Q_JACOBI
-) -> CycElem:
+def subfield_jacobi(sums: SubfieldSums, j: int) -> CycElem:
     """J(chi^j) over the subfield, chi normalized as in subfield_sums."""
-    ctx, s_sub, e = sums_ctx.ctx, sums_ctx.s_sub, sums_ctx.order
-    q0 = sums_ctx.q0
-    if q0 > max_q:
-        raise BudgetExceeded(f"subfield size {q0} exceeds the Jacobi budget {max_q}")
-    d = (ctx.q - 1) // (q0 - 1)
-    g0 = ctx.gamma**d
-    one = ctx.one()
-    dlog: dict[tuple[int, ...], int] = {}
-    x = one
-    for a in range(q0 - 1):
-        dlog[x.coords] = a
-        x = x * g0
-    buckets = [0] * e
-    x = one
-    for a in range(q0 - 1):
-        if a != 0:
-            y = one - x
-            buckets[(a + dlog[y.coords]) % e] += 1
-        x = x * g0
-    vec = [0] * e
-    for k, c in enumerate(buckets):
-        if c:
-            vec[j * k % e] += c
-    return CycElem(e, vec)
+    ctx, q0 = sums.ctx, sums.q0
+    dlog = discrete_log_map(ctx, ctx.gamma ** ((ctx.q - 1) // (q0 - 1)), q0 - 1)
+    return jacobi_sum(ctx, sums.order, j, dlog)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +208,12 @@ def periods_from_gauss(p: int, s: int, m: int, table: dict[int, CycElem]) -> Per
 
     `table[j]` must hold G(lambda^j) for j = +/-2^{m-r} mod 2^m, r = 1..m,
     where lambda is the order-2^m character with lambda(gamma) = zeta_{2^m}.
-    Requires p = 3 or 5 (mod 8) and m >= 3.
+    Requires p = 3 or 5 (mod 8) and m >= 2.
     """
     if p % 8 not in (3, 5):
         raise ValueError("p must be 3 or 5 mod 8")
-    if m < 3:
-        raise ValueError("m must be >= 3")
+    if m < 2:
+        raise ValueError("m must be >= 2")
     e = 1 << m
     n = math.lcm(8, e, p)
 
@@ -502,7 +449,7 @@ def identity_report(
     checks: list[IdentityCheck] = []
 
     # values psi(c) need a discrete log; the suite runs on enumerable fields
-    dlog = discrete_log_map(ctx, max_q=max_q) if ctx.q <= DEFAULT_MAX_Q_JACOBI else None
+    dlog = discrete_log_map(ctx) if ctx.q <= DEFAULT_MAX_Q_JACOBI else None
 
     def chi_value(j: int, elem_log: int) -> CycElem:
         """lambda^j evaluated at gamma^{elem_log}, as a conductor-e root."""
@@ -535,7 +482,7 @@ def identity_report(
             checks.append(_check("9", {"r": r}, lhs, CycElem.integer(1, rhs_val)))
         if want("5") and dlog is not None:
             # order of psi^2 is 2^{r-1}; for r = 1 psi = rho is excluded anyway
-            jac = jacobi_sum(CharacterSpec(ctx, e, j), dlog=dlog)
+            jac = jacobi_sum(ctx, e, j, dlog)
             if 2 * j % e:
                 checks.append(_check("5", {"r": r}, g * g, table.value(2 * j) * jac))
 

@@ -8,9 +8,9 @@ p = 3 (mod 8) and p = 5 (mod 8), driven by the quadratic partition records of
                            T1c (4 || s, m = 4)
   p = 5 (mod 8), m >= 4:   T2a (2^m | s), T2b (2^{m-1} || s), T2c (2^{m-2} || s)
   m in {2, 3}:             SMALL_M2 / SMALL_M3 closed forms (p = 5 for m = 2;
-                           both classes for m = 3); these small degrees have
-                           their own formulas and are never routed to the
-                           m >= 4 cases.
+                           both classes for m = 3); the tag is never one of
+                           the m >= 4 cases, but for p = 5 (mod 8) with 4 | s
+                           the degree-8 list comes from the T2a/T2b builder.
   PROP20:                  the semiprimitive shortcut for e | p^l + 1, emitted
                            only on explicit request.
 
@@ -110,6 +110,13 @@ def q_power(p: int, s: int, num: int, den: int) -> int:
     return p ** (total // den)
 
 
+def _checked(out: Factorization, degree: int) -> Factorization:
+    """The emitted factor list must multiply out to the stated degree."""
+    if out.degree() != degree:
+        raise ArithmeticError(f"{out.case.case} factor list has degree {out.degree()}, expected {degree}")
+    return out
+
+
 def _canonical_factors(
     factors: list[tuple[IntPoly, int]],
 ) -> tuple[tuple[IntPoly, int], ...]:
@@ -207,8 +214,7 @@ def factorization_3mod8(
         factors=_canonical_factors(factors),
         partitions=tuple(records[r] for r in sorted(records)),
     )
-    assert out.degree() == 1 << m
-    return out
+    return _checked(out, 1 << m)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +225,15 @@ def factorization_3mod8(
 def factorization_5mod8(
     ctx: FieldCtx, m: int, records: dict[int, PartitionRecord] | None = None
 ) -> Factorization:
-    """Factor list for degree 2^m, p = 5 (mod 8), m >= 4."""
+    """Factor list for degree 2^m, p = 5 (mod 8), m >= 4, and m = 3 with 4 | s.
+
+    The degree-8 statements for 8 | s and 4 || s have the T2a and T2b shapes,
+    so the branches route on ord_2(s); m = 3 keeps its SMALL_M3 tag.
+    """
     p, s = ctx.p, ctx.s
     tag = classify(p, s, m)
-    if tag.case not in ("T2a", "T2b", "T2c"):
-        raise UnsupportedCase(f"m={m} routes to {tag.case}, outside the 5-mod-8 large-m cases")
+    if tag.p_class != 5 or m < 3 or tag.s2 < 2:
+        raise UnsupportedCase(f"m={m} routes to {tag.case}, outside the 5-mod-8 factor lists")
     r_top = m if tag.s2 >= m - 1 else m - 1  # C_m, D_m exist only when 2^{m-1} | s
     if records is None:
         records = partition_records(ctx, list(range(2, r_top + 1)))
@@ -247,13 +257,13 @@ def factorization_5mod8(
         (linear(-q2 + 2 * abs(D[2]) * q4), 1 << (m - 2)),
         (linear(-q2 - 2 * abs(D[2]) * q4), 1 << (m - 2)),
     ]
-    if tag.case == "T2a":
+    if tag.s2 >= m:  # T2a
         factors += [
             (linear(q2 + c_sum(m - 1) - (1 << (m - 1)) * C[m] * qp((1 << (m - 1)) - 1, 1 << m)), 1),
             (linear(q2 + c_sum(m)), 1),
         ]
         t_hi = m - 2
-    elif tag.case == "T2b":
+    elif tag.s2 == m - 1:  # T2b
         qm1 = qp((1 << (m - 1)) - 1, 1 << (m - 1))
         factors += [
             (_shifted_sq(q2 + c_sum(m - 1), -(1 << (2 * (m - 1))) * C[m] ** 2 * qm1), 1),
@@ -297,8 +307,7 @@ def factorization_5mod8(
         factors=_canonical_factors(factors),
         partitions=tuple(records[r] for r in sorted(records)),
     )
-    assert out.degree() == 1 << m
-    return out
+    return _checked(out, 1 << m)
 
 
 def _shifted_sq(c: int, k: int) -> IntPoly:
@@ -344,16 +353,11 @@ def small_order_factorization(ctx: FieldCtx, m: int) -> Factorization:
                 (_shifted_sq(q2, 16 * a3 * a3 * q2), 1),
                 (_shifted_sq(q2, 16 * b3 * b3 * q2), 2),
             ]
-        out = Factorization(tag, ctx.q, _canonical_factors(factors), (rec,))
-        assert out.degree() == 8
-        return out
-
-    # p = 5 (mod 8)
-    if m == 2:
+    elif m == 2:  # p = 5 (mod 8)
         if s2 == 0:
             return Factorization(tag, ctx.q, (), (), irreducible=True)
-        rec2 = partition_c(ctx, 2)
-        c2, d2 = rec2.first, abs(rec2.second)
+        rec = partition_c(ctx, 2)
+        c2, d2 = rec.first, abs(rec.second)
         q2 = qp(1, 2)
         if s2 >= 2:
             q4 = qp(1, 4)
@@ -368,60 +372,17 @@ def small_order_factorization(ctx: FieldCtx, m: int) -> Factorization:
                 (_shifted_sq(q2, -4 * c2 * c2 * q2), 1),
                 (_shifted_sq(-q2, -4 * d2 * d2 * q2), 1),
             ]
-        out = Factorization(tag, ctx.q, _canonical_factors(factors), (rec2,))
-        assert out.degree() == 4
-        return out
-
-    # m = 3, p = 5 (mod 8): the degree-8 statements match the m >= 4 shapes for
-    # 8 | s and 4 || s, so reuse those builders; 2 || s has its own formula.
-    if s2 >= 2:
-        out = _small_m3_5mod8_even(ctx, tag)
-        assert out.degree() == 8
-        return out
-    rec2 = partition_c(ctx, 2)
-    c2, d2 = rec2.first, abs(rec2.second)
-    q2 = qp(1, 2)
-    quad = _shifted_sq(-q2, -4 * d2 * d2 * q2)
-    inner = _shifted_sq(q2, 4 * c2 * c2 * q2 + 8 * ctx.q)
-    wing = linear(3 * q2)
-    quartic = inner * inner - 16 * c2 * c2 * q2 * (wing * wing)
-    out = Factorization(tag, ctx.q, _canonical_factors([(quad, 2), (quartic, 1)]), (rec2,))
-    assert out.degree() == 8
-    return out
-
-
-def _small_m3_5mod8_even(ctx: FieldCtx, tag: CaseTag) -> Factorization:
-    """m = 3, p = 5 (mod 8), 4 | s: the degree-8 analogues of the T2a/T2b shapes."""
-    p, s = ctx.p, ctx.s
-    s2 = tag.s2
-    r_top = 3 if s2 >= 2 else 2
-    records = partition_records(ctx, list(range(2, r_top + 1)))
-    c2, d2 = records[2].first, abs(records[2].second)
-    q2 = q_power(p, s, 1, 2)
-    q4 = q_power(p, s, 1, 4)
-    base = [
-        (linear(-q2 + 2 * d2 * q4), 2),
-        (linear(-q2 - 2 * d2 * q4), 2),
-    ]
-    if s2 >= 3:  # 8 | s
-        c3, d3 = records[3].first, abs(records[3].second)
-        q38 = q_power(p, s, 3, 8)
-        factors = base + [
-            (linear(q2 + 2 * c2 * q4 + 4 * c3 * q38), 1),
-            (linear(q2 + 2 * c2 * q4 - 4 * c3 * q38), 1),
-            (linear(q2 - 2 * c2 * q4 + 4 * d3 * q38), 1),
-            (linear(q2 - 2 * c2 * q4 - 4 * d3 * q38), 1),
-        ]
-    else:  # 4 || s
-        c3, d3 = records[3].first, abs(records[3].second)
-        q34 = q_power(p, s, 3, 4)
-        factors = base + [
-            (_shifted_sq(q2 + 2 * c2 * q4, -16 * c3 * c3 * q34), 1),
-            (_shifted_sq(q2 - 2 * c2 * q4, -16 * d3 * d3 * q34), 1),
-        ]
-    return Factorization(
-        tag, ctx.q, _canonical_factors(factors), tuple(records[r] for r in sorted(records))
-    )
+    elif s2 >= 2:  # m = 3, p = 5 (mod 8), 4 | s: the T2a / T2b shapes
+        return factorization_5mod8(ctx, m)
+    else:  # m = 3, p = 5 (mod 8), 2 || s
+        rec = partition_c(ctx, 2)
+        c2, d2 = rec.first, abs(rec.second)
+        q2 = qp(1, 2)
+        inner = _shifted_sq(q2, 4 * c2 * c2 * q2 + 8 * ctx.q)
+        wing = linear(3 * q2)
+        quartic = inner * inner - 16 * c2 * c2 * q2 * (wing * wing)
+        factors = [(_shifted_sq(-q2, -4 * d2 * d2 * q2), 2), (quartic, 1)]
+    return _checked(Factorization(tag, ctx.q, _canonical_factors(factors), (rec,)), 1 << m)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +416,7 @@ def semiprimitive_factorization(p: int, s: int, e: int, ell: int | None = None) 
     factors = _canonical_factors(
         [(linear(sign * (e - 1) * q2), 1), (linear(-sign * q2), e - 1)]
     )
-    out = Factorization(tag, p**s, factors)
-    assert out.degree() == e
-    return out
+    return _checked(Factorization(tag, p**s, factors), e)
 
 
 # ---------------------------------------------------------------------------

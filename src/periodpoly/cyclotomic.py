@@ -48,7 +48,8 @@ def _poly_divmod_exact(num: list[int], den: Sequence[int]) -> tuple[list[int], l
     """divmod in Z[x] for a monic divisor; exact integer arithmetic."""
     num = list(num)
     dden = len(den) - 1
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
     if len(num) - 1 < dden:
         return [], num
     quot = [0] * (len(num) - dden)

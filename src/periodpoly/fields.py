@@ -225,24 +225,15 @@ class FieldCtx:
         self.q = params.p**params.s
         self.q_minus_1_factorization = q_minus_1_factorization
         self.gamma = FieldElem(self, gamma_coords)
-        # Tr(x^i) for the basis powers, via the matrix-trace of multiplication maps
-        mat = self._companion()
+        # Tr(x^i) for the basis powers, via the matrix-trace of multiplication
+        # maps; from_packed(p) is x itself (0 for s = 1, where only Tr(1) is read)
+        mat = self.mul_matrix(self.from_packed(self.p))
         acc = np.eye(self.s, dtype=np.int64)
         row = []
         for _ in range(self.s):
             row.append(int(np.trace(acc)) % self.p)
             acc = acc @ mat % self.p
         self._trace_row = tuple(row)
-
-    def _companion(self) -> np.ndarray:
-        """Matrix of multiplication by x, columns over the polynomial basis."""
-        s, p = self.s, self.p
-        mat = np.zeros((s, s), dtype=np.int64)
-        for i in range(s - 1):
-            mat[i + 1, i] = 1
-        for j in range(s):
-            mat[j, s - 1] = (-self.params.modulus[j]) % p
-        return mat
 
     # -- element constructors -------------------------------------------------
     def elem(self, coords: Iterable[int]) -> FieldElem:

@@ -95,8 +95,8 @@ def power_representation(p: int, d: int, k: int) -> tuple[int, int]:
     ak, bk = a, b
     for _ in range(k - 1):
         ak, bk = ak * a - d * bk * b, ak * b + bk * a
-    assert ak * ak + d * bk * bk == p**k
-    assert ak % p != 0
+    if ak * ak + d * bk * bk != p**k or ak % p == 0:
+        raise ArithmeticError(f"({ak}, {bk}) is not a representation of {p}^{k} with p not dividing a")
     return ak, bk
 
 

@@ -158,6 +158,8 @@ def period_polynomial(periods: PeriodVector) -> IntPoly:
     """prod_k (X - eta*_k), expanded over Z[zeta_p]; coefficients must be integers."""
     coeffs = poly_from_roots(list(periods.eta_star))
     out = IntPoly(tuple(c.as_integer() for c in coeffs))
-    assert out.is_monic() and out.degree == periods.e
-    assert periods.e < 2 or out.coeffs[periods.e - 1] == 0  # sum of periods vanishes
+    if not out.is_monic() or out.degree != periods.e:
+        raise ArithmeticError(f"period polynomial is not monic of degree {periods.e}")
+    if periods.e >= 2 and out.coeffs[periods.e - 1] != 0:
+        raise ArithmeticError("the periods do not sum to zero")
     return out

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from periodpoly.charsums import (
-    CharacterSpec,
-    gauss_sum,
+    discrete_log_map,
     gauss_table,
     identity_report,
     jacobi_sum,
@@ -17,21 +16,21 @@ from periodpoly.charsums import (
 )
 from periodpoly.cyclotomic import CycElem
 from periodpoly.fields import build_field
-from periodpoly.periods import period_polynomial, reduced_periods, trace_spectrum
+from periodpoly.periods import BudgetExceeded, period_polynomial, reduced_periods, trace_spectrum
 
 ISQRT2 = CycElem.root(8, 1) + CycElem.root(8, 3)
 
 
 def test_gauss_sum_values():
     ctx9 = build_field(3, 2)
-    assert gauss_sum(CharacterSpec(ctx9, 2, 1)).as_integer() == 3
-    assert gauss_sum(CharacterSpec(ctx9, 4, 1)).as_integer() == -3
+    assert gauss_table(ctx9, 2).value(1).as_integer() == 3
+    assert gauss_table(ctx9, 4).value(1).as_integer() == -3
     ctx3 = build_field(3, 1)
-    assert gauss_sum(CharacterSpec(ctx3, 2, 1)) == CycElem(3, (1, 2, 0))  # i*sqrt(3)
+    assert gauss_table(ctx3, 2).value(1) == CycElem(3, (1, 2, 0))  # i*sqrt(3)
     with pytest.raises(ValueError):
-        gauss_sum(CharacterSpec(ctx9, 4, 0))
+        gauss_table(ctx9, 4).value(0)
     with pytest.raises(ValueError):
-        CharacterSpec(ctx9, 3, 1)  # 3 does not divide 8
+        gauss_table(ctx9, 3)  # 3 does not divide 8
 
 
 def test_conjugate_product_is_q():
@@ -49,13 +48,19 @@ def test_conjugate_product_is_q():
 
 def test_jacobi_values():
     ctx9 = build_field(3, 2)
-    jac = jacobi_sum(CharacterSpec(ctx9, 8, 1))
+    jac = jacobi_sum(ctx9, 8, 1, discrete_log_map(ctx9))
     assert jac == -1 + 2 * ISQRT2 or jac == -1 - 2 * ISQRT2
     ctx5 = build_field(5, 1)
-    j5 = jacobi_sum(CharacterSpec(ctx5, 4, 1))
+    j5 = jacobi_sum(ctx5, 4, 1, discrete_log_map(ctx5))
     c = j5.canonical()
     a, b = c[0], c[1] if len(c) > 1 else 0
     assert a * a + b * b == 5
+    with pytest.raises(ValueError):
+        jacobi_sum(ctx9, 8, 0, discrete_log_map(ctx9))  # trivial character
+    with pytest.raises(ValueError):
+        jacobi_sum(ctx9, 3, 1, discrete_log_map(ctx9))  # 3 does not divide 8
+    with pytest.raises(BudgetExceeded):
+        discrete_log_map(build_field(3, 13))  # q = 1594323 is over the discrete-log budget
 
 
 def test_gauss_jacobi_relation():
@@ -63,15 +68,16 @@ def test_gauss_jacobi_relation():
     for p, s, e in ((3, 2, 4), (3, 2, 8), (5, 2, 4), (5, 1, 4), (5, 2, 8), (13, 1, 4)):
         ctx = build_field(p, s)
         table = gauss_table(ctx, e)
+        dlog = discrete_log_map(ctx)
         for j in range(1, e):
             if 2 * j % e == 0:
                 continue
             g = table.value(j)
-            assert g * g == table.value(2 * j) * jacobi_sum(CharacterSpec(ctx, e, j))
+            assert g * g == table.value(2 * j) * jacobi_sum(ctx, e, j, dlog)
 
 
 def test_davenport_hasse_lift():
-    g3 = gauss_sum(CharacterSpec(build_field(3, 1), 2, 1))
+    g3 = gauss_table(build_field(3, 1), 2).value(1)
     assert lift_gauss_sum(g3, 1) == g3
     assert lift_gauss_sum(g3, 2).as_integer() == 3  # -(i sqrt3)^2
     # quartic over F_9 lifted to F_81 vs a direct sweep:
@@ -83,7 +89,7 @@ def test_davenport_hasse_lift():
     assert lifted == gauss_table(ctx81, 4).value(1)
     # the subfield sweep agrees with a native build of the base field up to
     # generator choice: |G|^2 = q0 either way
-    native = gauss_sum(CharacterSpec(ctx9, 4, 1))
+    native = gauss_table(ctx9, 4).value(1)
     assert native * native.conjugate() == 9
     assert direct_base * direct_base.conjugate() == 9
 
@@ -122,7 +128,8 @@ def test_periods_from_gauss_direct():
 
 def test_lift_oracle_matches_enumeration():
     # both oracles run and agree exactly, per index and as polynomials
-    for p, s, m in ((5, 8, 4), (3, 8, 4), (3, 4, 4), (5, 4, 3)):
+    m2_cases = ((5, 2, 2), (5, 4, 2), (5, 6, 2), (5, 8, 2), (13, 2, 2), (13, 4, 2), (29, 2, 2))
+    for p, s, m in ((5, 8, 4), (3, 8, 4), (3, 4, 4), (5, 4, 3)) + m2_cases:
         ctx = build_field(p, s)
         poly_lift, pv_lift, s_base = lifted_period_polynomial(ctx, m)
         bv = reduced_periods(trace_spectrum(ctx, 1 << m))

@@ -95,6 +95,14 @@ def test_verify_lift(tmp_path, capsys):
     assert rec["status"] == "verified" and rec["case"] == "T2a"
 
 
+def test_verify_lift_m2(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    code, out, _ = run(capsys, "verify", "--p", "5", "--s", "4", "--m", "2", "--oracle", "lift", "--cache", str(cache), "--format", "json")
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["status"] == "verified" and rec["case"] == "SMALL_M2"
+
+
 def test_verify_auto_picks_lift(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     # force brute out of budget; auto must fall back to the lift oracle

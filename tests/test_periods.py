@@ -8,6 +8,7 @@ from periodpoly.fields import build_field, is_irreducible
 from periodpoly.intmath import ord2
 from periodpoly.periods import (
     BudgetExceeded,
+    PeriodVector,
     period_polynomial,
     reduced_periods,
     trace_spectrum,
@@ -79,6 +80,15 @@ def test_period_polynomial_properties():
     poly = period_polynomial(pv)
     assert poly.is_monic() and poly.degree == 16
     assert poly.coeffs[15] == 0
+
+
+def test_inconsistent_periods_raise():
+    # the invariants are raised errors, so they hold under python -O too
+    one = CycElem.integer(1, 1)
+    with pytest.raises(ArithmeticError):
+        period_polynomial(PeriodVector(e=2, eta_star=(one, one)))  # periods do not sum to 0
+    with pytest.raises(ArithmeticError):
+        period_polynomial(PeriodVector(e=3, eta_star=(one, -one)))  # two periods for e = 3
 
 
 def test_multiplicity_structure_of_two_power_periods():
