@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import IntPoly, expand_factor_list, linear
-from .fields import FieldCtx
-from .intmath import ord2
+from .fields import FieldCtx, is_irreducible
+from .intmath import is_prime, ord2
 from .partitions import PartitionRecord, partition_a, partition_c, partition_records
 
 
@@ -55,6 +55,16 @@ class Factorization:
             raise UnsupportedCase("no closed-form factor list for this case")
         return expand_factor_list(self.factors)
 
+    def matches(self, poly: IntPoly) -> bool:
+        """Is the oracle polynomial poly the one this factorization describes?
+
+        For an irreducible case: poly is monic of degree 2^m and has an
+        irreducibility witness, which proves the claim over Q.
+        """
+        if not self.irreducible:
+            return self.expand() == poly
+        return poly.is_monic() and poly.degree == 1 << self.case.m and irreducibility_witness(poly) is not None
+
     def degree(self) -> int:
         return sum(poly.degree * mult for poly, mult in self.factors)
 
@@ -67,6 +77,21 @@ class Factorization:
             ],
             "partitions": [rec.to_json_dict() for rec in self.partitions],
         }
+
+
+_WITNESS_BOUND = 100
+
+
+def irreducibility_witness(poly: IntPoly) -> int | None:
+    """Smallest prime l < _WITNESS_BOUND modulo which the monic poly is irreducible.
+
+    A monic integer polynomial that is irreducible mod l is irreducible over Q.
+    None means no witness below the bound, not that poly is reducible.
+    """
+    for ell in range(2, _WITNESS_BOUND):
+        if is_prime(ell) and is_irreducible(tuple(c % ell for c in poly.coeffs), ell):
+            return ell
+    return None
 
 
 def classify(p: int, s: int, m: int) -> CaseTag:

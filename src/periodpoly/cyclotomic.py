@@ -10,7 +10,6 @@ the canonical form; no floating point is involved in any decision.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Iterable, Sequence
 
@@ -225,12 +224,7 @@ class CycElem:
     def __repr__(self) -> str:
         return f"CycElem(n={self.n}, canonical={list(self.canonical())})"
 
-    # -- diagnostics and serialization ---------------------------------------
-    def complex_value(self) -> complex:
-        """Floating-point embedding at exp(2*pi*i/n). Diagnostic only."""
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(c * z**j for j, c in enumerate(self.vec) if c)
-
+    # -- serialization ----------------------------------------------------------
     def to_json_dict(self) -> dict:
         return {"n": self.n, "canonical": [str(c) for c in self.canonical()]}
 

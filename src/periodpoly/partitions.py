@@ -174,21 +174,3 @@ def partition_records(ctx: FieldCtx, rs: list[int]) -> dict[int, PartitionRecord
     """All A-type (p = 3 mod 8) or C-type (p = 5 mod 8) records for the given r values."""
     fn = partition_a if ctx.p % 8 == 3 else partition_c
     return {r: fn(ctx, r) for r in rs}
-
-
-def enumerate_representations(n: int, d: int) -> list[tuple[int, int]]:
-    """All (a, b) with a^2 + d*b^2 = n and a, b >= 0, by exhaustive search.
-
-    Independent oracle for uniqueness tests; O(sqrt(n)).
-    """
-    out = []
-    a = 0
-    while a * a <= n:
-        rem = n - a * a
-        if rem % d == 0:
-            b2 = rem // d
-            b = math.isqrt(b2)
-            if b * b == b2:
-                out.append((a, b))
-        a += 1
-    return out

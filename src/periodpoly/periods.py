@@ -1,13 +1,23 @@
 """Brute-force ground truth: trace spectra, reduced periods, period polynomials.
 
-The enumeration walks the full multiplicative group once: gamma^{j+1} is
-obtained from gamma^j by a single multiplication, which over the polynomial
-basis is a fixed linear map. Blocks of consecutive powers are therefore
-columns of a matrix recurrence W -> M^B W (mod p), which numpy chews through
-at matrix-multiply speed; per-element work is one dot product for the trace
-plus a bucket increment. The sweep is partitioned into contiguous j-ranges
-(each seeded by gamma^{j_start}) with private count matrices merged by
-addition, so the result is bit-identical for any worker count.
+The enumeration walks a cyclic group once. Multiplication by the base is a
+fixed linear map M (mod p) over the polynomial basis, so Tr(base^j) is a
+linear recurring sequence. Write j = start + b*B + i with 0 <= i < B; then
+
+    Tr(base^j) = (trow . M^i) . (M^{bB} . seed),
+
+where seed holds the coordinates of base^start. The kernel builds R, the
+B x s block of rows trow . M^i, and W, the block of start states
+M^{bB} . seed, both by doubling, and reads every trace off the one product
+R . W, taken a bounded slice at a time: s multiply-adds per element. B is a
+multiple of e, so row i of R lies in coset (start + i) mod e for every start
+state, and one key vector buckets the whole product. The recurrences run
+in int64. The product runs in float64 (BLAS) while s*(p-1)^2 < 2^53, and in
+int64 above that or for sweeps too short to repay loading BLAS; at
+s*(p-1)^2 >= 2^63 the sweep raises OverflowError before it starts. The sweep is
+partitioned into contiguous j-ranges (each seeded by base^{j_start}) with
+private count vectors merged by addition, so the result is bit-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +32,9 @@ from .cyclotomic import CycElem, IntPoly, poly_from_roots
 from .fields import FieldCtx, FieldElem
 
 DEFAULT_MAX_Q = 10**8
-_BLOCK = 1 << 14
+_ROWS = 1 << 12  # rows of the trace block R, rounded down to a multiple of e
+_CHUNK = 1 << 15  # entries of one slice of the product R . W
+_MIN_RANGE = 1 << 16  # shortest j-range that gets its own worker
 
 
 class BudgetExceeded(RuntimeError):
@@ -54,6 +66,42 @@ class PeriodVector:
         return {"e": self.e, "eta_star": [v.to_json_dict() for v in self.eta_star]}
 
 
+def _exact_dtype(s: int, p: int) -> type:
+    """Dtype in which every length-s dot product of residues mod p is exact.
+
+    Raises OverflowError when not even int64 is: the recurrences run in int64 too.
+    """
+    bound = s * (p - 1) ** 2
+    if bound >= 1 << 63:
+        raise OverflowError(f"s*(p-1)^2 = {bound} >= 2^63: the sweep's int64 products would wrap")
+    return np.float64 if bound < 1 << 53 else np.int64
+
+
+def _orbit(first: np.ndarray, step: np.ndarray, n: int, p: int) -> np.ndarray:
+    """rows[i] = first . step^i (mod p) for i < n, by doubling: rows[k:2k] = rows[:k] . step^k."""
+    rows = np.empty((n, first.shape[0]), dtype=step.dtype)
+    rows[0] = first
+    k, power = 1, step
+    while k < n:
+        take = min(k, n - k)
+        np.matmul(rows[:take], power, out=rows[k : k + take])
+        rows[k : k + take] %= p
+        k += take
+        power = power @ power % p
+    return rows
+
+
+def _tally(counts: np.ndarray, product: np.ndarray, p: int, rowkey: np.ndarray) -> None:
+    """Add the bucket keys rowkey + (product mod p) of one slice of R . W to counts."""
+    keys = product.astype(np.int64, copy=False) % p  # int64 % is about 5x faster than float64 %
+    keys += rowkey
+    keys = keys.ravel()
+    if counts.size <= 4 * max(keys.size, _CHUNK):
+        counts += np.bincount(keys, minlength=counts.size)
+    else:  # few keys over many buckets (large p): no dense histogram per slice
+        np.add.at(counts, keys, 1)
+
+
 def _range_sweep(
     p: int,
     mult: np.ndarray,
@@ -62,29 +110,25 @@ def _range_sweep(
     start: int,
     stop: int,
     seed: np.ndarray,
-    block: int = _BLOCK,
+    dtype: type,
 ) -> np.ndarray:
-    """Bucket counts for j in [start, stop); seed holds the coords of base^start."""
-    s = mult.shape[0]
+    """Bucket counts for j in [start, stop); seed holds the coords of base^start.
+
+    mult, trow and seed are int64 residues mod p; the product R . W runs in dtype.
+    """
     length = stop - start
+    rows = min(length, max(1, _ROWS // e) * e)
+    full, tail = divmod(length, rows)
+    r = _orbit(trow, mult, rows, p).astype(dtype, copy=False)  # row i: trow . M^i
+    w = _orbit(seed, _mat_pow(mult, rows, p).T, full + (tail > 0), p).astype(dtype, copy=False)  # row b: M^{b*rows} . seed
+    # e | rows, so row i of every block lies in coset (start + i) mod e
+    rowkey = ((start + np.arange(rows, dtype=np.int64)) % e * p)[:, None]
     counts = np.zeros(e * p, dtype=np.int64)
-    width = min(block, length)
-    w = np.empty((s, width), dtype=np.int64)
-    col = seed.astype(np.int64) % p
-    for i in range(width):
-        w[:, i] = col
-        col = mult @ col % p
-    mult_block = _mat_pow(mult, width, p)
-    j = start
-    while j < stop:
-        nb = min(width, stop - j)
-        wb = w[:, :nb]
-        traces = trow @ wb % p
-        ks = (j + np.arange(nb, dtype=np.int64)) % e
-        counts += np.bincount(ks * p + traces, minlength=e * p)
-        j += nb
-        if j < stop:
-            w = mult_block @ w % p
+    step = max(1, _CHUNK // rows)
+    for b in range(0, full, step):
+        _tally(counts, r @ w[b : min(b + step, full)].T, p, rowkey)
+    if tail:
+        _tally(counts, r[:tail] @ w[full:].T, p, rowkey[:tail])
     return counts.reshape(e, p)
 
 
@@ -108,15 +152,20 @@ def bucket_sweep(
     threads: int | None = None,
 ) -> np.ndarray:
     """counts[k][t] over j in [0, length): bucket (j mod e, trow . coords(base^j))."""
+    p = ctx.p
+    dtype = _exact_dtype(ctx.s, p)
+    if length < _MIN_RANGE:  # too short to repay loading BLAS, which costs ~0.7 MB of RSS
+        dtype = np.int64
     mult = ctx.mul_matrix(base)
+    trow = np.asarray(trow, dtype=np.int64) % p
     threads = max(1, threads or os.cpu_count() or 1)
-    n_ranges = max(1, min(threads, length // (4 * _BLOCK)))
+    n_ranges = max(1, min(threads, length // _MIN_RANGE))
     bounds = [length * i // n_ranges for i in range(n_ranges)] + [length]
 
     def work(i: int) -> np.ndarray:
         start, stop = bounds[i], bounds[i + 1]
         seed = np.array((base**start).coords, dtype=np.int64)
-        return _range_sweep(ctx.p, mult, trow, e, start, stop, seed)
+        return _range_sweep(p, mult, trow, e, start, stop, seed, dtype)
 
     if n_ranges == 1:
         return work(0)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from periodpoly.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -103,6 +105,16 @@ def test_verify_lift_m2(tmp_path, capsys):
     assert rec["status"] == "verified" and rec["case"] == "SMALL_M2"
 
 
+@pytest.mark.parametrize("s, oracle", (("1", "brute"), ("3", "lift")))
+def test_verify_small_m2_irreducible(tmp_path, capsys, s, oracle):
+    # odd s: the closed form claims irreducibility; the oracle polynomial must carry a witness
+    cache = tmp_path / "cache.jsonl"
+    code, out, _ = run(capsys, "verify", "--p", "5", "--s", s, "--m", "2", "--oracle", oracle, "--cache", str(cache), "--format", "json")
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["status"] == "verified" and rec["case"] == "SMALL_M2" and rec["factorization"]["factors"] == []
+
+
 def test_verify_auto_picks_lift(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     # force brute out of budget; auto must fall back to the lift oracle
@@ -123,6 +135,12 @@ def test_verify_skipped_when_budget_too_small(tmp_path, capsys):
     )
     assert code == EXIT_BUDGET
     assert json.loads(out)["status"] == "skipped"
+
+
+def test_periods_beyond_int64_range(capsys):
+    # (p-1)^2 >= 2^63: the sweep refuses before it starts, as a budget failure
+    code, _, err = run(capsys, "periods", "--p", "3037000507", "--s", "1", "--e", "2", "--max-q", str(10**10))
+    assert code == EXIT_BUDGET and "2^63" in err
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -10,6 +9,7 @@ from periodpoly.closed_form import (
     closed_form_factorization,
     factorization_3mod8,
     factorization_5mod8,
+    irreducibility_witness,
     q_power,
     semiprimitive_factorization,
     small_order_factorization,
@@ -208,6 +208,15 @@ def test_small_m_cases():
     assert irr.irreducible and irr.factors == ()
     with pytest.raises(UnsupportedCase):
         irr.expand()
+    # the irreducible claim is checked by a witness prime, found below 8 on every odd-s case here
+    for p, s in ((5, 1), (5, 3), (5, 5), (13, 1), (13, 3), (29, 1), (37, 1), (53, 3), (61, 1)):
+        ctx = build_field(p, s)
+        poly = oracle_poly(ctx, 2)
+        assert irreducibility_witness(poly) <= 7
+        assert small_order_factorization(ctx, 2).matches(poly)
+    reducible = expand_factor_list([(IntPoly((1, 0, 1)), 1), (IntPoly((-2, 0, 1)), 1)])  # (X^2+1)(X^2-2)
+    assert irreducibility_witness(reducible) is None and not irr.matches(reducible)
+    assert not irr.matches(IntPoly((2, 1)))  # irreducible, but of the wrong degree
     with pytest.raises(UnsupportedCase):
         small_order_factorization(build_field(5, 4), 4)  # not a small case
 
@@ -251,10 +260,6 @@ def test_factor_ordering_is_canonical():
     assert keys == sorted(keys)
 
 
-@pytest.mark.skipif(
-    os.environ.get("PERIODPOLY_STRETCH") != "1",
-    reason="43M-element sweep; set PERIODPOLY_STRETCH=1 to enable",
-)
 def test_t1b_deep_pair_block_against_oracle():
     # m = 6 exercises the paired-linear blocks inside the 3-mod-8 mixed case
     ctx = build_field(3, 16)

@@ -6,11 +6,20 @@ import pytest
 from periodpoly.fields import build_field
 from periodpoly.partitions import (
     cornacchia,
-    enumerate_representations,
     partition_a,
     partition_c,
     power_representation,
 )
+
+
+def enumerate_representations(n: int, d: int) -> list[tuple[int, int]]:
+    """All (a, b) with a^2 + d*b^2 = n and a, b >= 0, by exhaustive search (an O(sqrt(n)) oracle)."""
+    out = []
+    for a in range(math.isqrt(n) + 1):
+        rem = n - a * a
+        if rem % d == 0 and math.isqrt(rem // d) ** 2 == rem // d:
+            out.append((a, math.isqrt(rem // d)))
+    return out
 
 
 def test_cornacchia_examples():

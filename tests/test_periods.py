@@ -1,14 +1,20 @@
+import functools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from periodpoly.cyclotomic import CycElem
 from periodpoly.fields import build_field, is_irreducible
 from periodpoly.intmath import ord2
 from periodpoly.periods import (
+    _MIN_RANGE,
+    _ROWS,
     BudgetExceeded,
     PeriodVector,
+    _exact_dtype,
+    bucket_sweep,
     period_polynomial,
     reduced_periods,
     trace_spectrum,
@@ -156,3 +162,68 @@ def test_budget():
         trace_spectrum(ctx, 16, max_q=80)
     with pytest.raises(ValueError):
         trace_spectrum(ctx, 7)  # 7 does not divide 80
+
+
+def walk_traces(ctx, base, trace, length):
+    """trace(base^j) for j < length, by direct FieldElem multiplication."""
+    out, x = [], ctx.one()
+    for _ in range(length):
+        out.append(trace(x))
+        x = x * base
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_case(name):
+    """(ctx, base, trow, traces over one period of base) for a bucket_sweep test case."""
+    if name == "subfield":  # gamma^d walks F_{3^4} inside F_{3^8}
+        ctx = build_field(3, 8)
+        period = 80
+        base, trow = ctx.gamma ** ((ctx.q - 1) // period), ctx.subfield_trace_row(4)
+        traces = walk_traces(ctx, base, lambda x: ctx.subfield_trace(x, 4), period)
+    else:
+        ctx = build_field(*{"s=1": (10007, 1), "s=6": (5, 6)}[name])
+        period = ctx.q - 1
+        base, trow = ctx.gamma, ctx.trace_row()
+        traces = walk_traces(ctx, base, ctx.trace, period)
+    assert base**period == ctx.one()
+    return ctx, base, trow, np.array(traces, dtype=np.int64)
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+@pytest.mark.parametrize("name", ("s=1", "s=6", "subfield"))
+def test_bucket_sweep_matches_direct_walk(name, threads):
+    ctx, base, trow, traces = sweep_case(name)
+    # lengths that are multiples of neither the block nor e; the two short ones take
+    # the int64 product, the long one the float64 product over up to three ranges
+    for length in (1, _ROWS + 1, 3 * _MIN_RANGE + 4099):
+        j = np.arange(length)
+        for e in (3, 8, 11):
+            direct = np.bincount(j % e * ctx.p + traces[j % len(traces)], minlength=e * ctx.p)
+            got = bucket_sweep(ctx, base, trow, e, length, threads)
+            assert got.shape == (e, ctx.p)
+            assert np.array_equal(got.ravel(), direct), (name, threads, length, e)
+
+
+def test_bucket_sweep_int64_route_is_exact():
+    # s*(p-1)^2 >= 2^53: float64 products could round here, int64 ones are exact
+    p = 94906297
+    assert _exact_dtype(1, p) is np.int64 and _exact_dtype(1, 94906249) is np.float64
+    assert _exact_dtype(4, 94906249) is np.int64
+    ctx = build_field(p, 1)
+    # an element of order 8 keeps the residues near p but the touched buckets few,
+    # so the 2p-bucket result stays a handful of pages
+    base = ctx.gamma ** ((p - 1) // 8)
+    length = 3 * _ROWS + 5
+    direct = {}
+    for j, t in enumerate(walk_traces(ctx, base, ctx.trace, length)):
+        direct[j % 2, t] = direct.get((j % 2, t), 0) + 1
+    got = bucket_sweep(ctx, base, ctx.trace_row(), 2, length, threads=1)
+    assert np.count_nonzero(got) == len(direct)
+    assert {key: int(got[key]) for key in direct} == direct
+
+
+def test_overflow_guard_raises_before_sweeping():
+    ctx = build_field(3037000507, 1)  # (p-1)^2 >= 2^63: int64 products would wrap
+    with pytest.raises(OverflowError):
+        trace_spectrum(ctx, 2, max_q=10**10)
