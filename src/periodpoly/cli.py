@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
                 status = "skipped"
             else:
                 oracle_poly, _, _ = lifted_period_polynomial(ctx, args.m, max_q=args.max_q, threads=args.threads)
-    except (BudgetExceeded, OverflowError):
+    except BudgetExceeded:
         status = "skipped"
 
     # an irreducible case has no factor list to expand: its content is the oracle's polynomial
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (BudgetExceeded, OverflowError) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (UnsupportedCase, FieldError, ValueError) as exc:

@@ -14,7 +14,7 @@ multiple of e, so row i of R lies in coset (start + i) mod e for every start
 state, and one key vector buckets the whole product. The recurrences run
 in int64. The product runs in float64 (BLAS) while s*(p-1)^2 < 2^53, and in
 int64 above that or for sweeps too short to repay loading BLAS; at
-s*(p-1)^2 >= 2^63 the sweep raises OverflowError before it starts. The sweep is
+s*(p-1)^2 >= 2^63 the sweep raises SweepOverflow before it starts. The sweep is
 partitioned into contiguous j-ranges (each seeded by base^{j_start}) with
 private count vectors merged by addition, so the result is bit-identical for
 any worker count.
@@ -33,12 +33,16 @@ from .fields import FieldCtx, FieldElem
 
 DEFAULT_MAX_Q = 10**8
 _ROWS = 1 << 12  # rows of the trace block R, rounded down to a multiple of e
-_CHUNK = 1 << 15  # entries of one slice of the product R . W
+_CHUNK = 1 << 15  # entries of one slice of the product R . W; also the most buckets counted densely
 _MIN_RANGE = 1 << 16  # shortest j-range that gets its own worker
 
 
 class BudgetExceeded(RuntimeError):
     """Enumeration would touch more than max_q field elements."""
+
+
+class SweepOverflow(BudgetExceeded, OverflowError):
+    """s*(p-1)^2 >= 2^63: the sweep's int64 arithmetic would wrap."""
 
 
 @dataclass(frozen=True)
@@ -69,11 +73,11 @@ class PeriodVector:
 def _exact_dtype(s: int, p: int) -> type:
     """Dtype in which every length-s dot product of residues mod p is exact.
 
-    Raises OverflowError when not even int64 is: the recurrences run in int64 too.
+    Raises SweepOverflow when not even int64 is: the recurrences run in int64 too.
     """
     bound = s * (p - 1) ** 2
     if bound >= 1 << 63:
-        raise OverflowError(f"s*(p-1)^2 = {bound} >= 2^63: the sweep's int64 products would wrap")
+        raise SweepOverflow(f"s*(p-1)^2 = {bound} >= 2^63: the sweep's int64 products would wrap")
     return np.float64 if bound < 1 << 53 else np.int64
 
 
@@ -96,9 +100,12 @@ def _tally(counts: np.ndarray, product: np.ndarray, p: int, rowkey: np.ndarray) 
     keys = product.astype(np.int64, copy=False) % p  # int64 % is about 5x faster than float64 %
     keys += rowkey
     keys = keys.ravel()
-    if counts.size <= 4 * max(keys.size, _CHUNK):
+    # measured (BENCH_rank_s_sweep.json, "tally"): up to 2^15 buckets bincount is as fast as
+    # add.at on one thread and about 15% faster on the 2-thread brute sweeps; above that its
+    # dense per-slice histogram makes it slower (1.4x at 1.6e5 buckets on F_{10007^2})
+    if counts.size <= _CHUNK:
         counts += np.bincount(keys, minlength=counts.size)
-    else:  # few keys over many buckets (large p): no dense histogram per slice
+    else:
         np.add.at(counts, keys, 1)
 
 

@@ -22,16 +22,6 @@ from periodpoly.partitions import (
 from periodpoly.periods import period_polynomial, reduced_periods, trace_spectrum
 
 
-def enumerate_representations(n: int, d: int) -> list[tuple[int, int]]:
-    """All (a, b) with a^2 + d*b^2 = n and a, b >= 0, by exhaustive search (an O(sqrt(n)) oracle)."""
-    out = []
-    for a in range(math.isqrt(n) + 1):
-        rem = n - a * a
-        if rem % d == 0 and math.isqrt(rem // d) ** 2 == rem // d:
-            out.append((a, math.isqrt(rem // d)))
-    return out
-
-
 def brute(ctx, m, threads=None):
     return period_polynomial(reduced_periods(trace_spectrum(ctx, 1 << m, threads=threads)))
 
@@ -215,7 +205,7 @@ def test_criterion_10b_generator_independence():
     print(f"criterion 10b: PASS (generator independence on {cases} generators)")
 
 
-def test_criterion_10c_partition_identities_and_uniqueness():
+def test_criterion_10c_partition_identities_and_uniqueness(enumerate_representations):
     cases = 0
     for p, s in ((3, 2), (3, 4), (3, 8), (3, 16), (11, 2), (11, 4), (11, 8), (19, 2), (19, 4), (19, 8), (43, 2), (43, 4), (59, 2), (67, 2)):
         ctx = build_field(p, s)

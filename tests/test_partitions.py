@@ -12,16 +12,6 @@ from periodpoly.partitions import (
 )
 
 
-def enumerate_representations(n: int, d: int) -> list[tuple[int, int]]:
-    """All (a, b) with a^2 + d*b^2 = n and a, b >= 0, by exhaustive search (an O(sqrt(n)) oracle)."""
-    out = []
-    for a in range(math.isqrt(n) + 1):
-        rem = n - a * a
-        if rem % d == 0 and math.isqrt(rem // d) ** 2 == rem // d:
-            out.append((a, math.isqrt(rem // d)))
-    return out
-
-
 def test_cornacchia_examples():
     assert cornacchia(3, 2) == (1, 1)
     assert cornacchia(5, 1) == (1, 2)
@@ -146,7 +136,7 @@ def test_defining_identities_and_congruences():
     assert cases >= 50
 
 
-def test_uniqueness_by_exhaustive_enumeration():
+def test_uniqueness_by_exhaustive_enumeration(enumerate_representations):
     # the congruence conditions pin exactly one representation (up to nothing)
     checked = 0
     for p, d, rmax in ((3, 2, 7), (11, 2, 4), (19, 2, 4), (43, 2, 3), (5, 1, 7), (13, 1, 5), (29, 1, 4), (37, 1, 3)):

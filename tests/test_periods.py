@@ -13,7 +13,9 @@ from periodpoly.periods import (
     _ROWS,
     BudgetExceeded,
     PeriodVector,
+    SweepOverflow,
     _exact_dtype,
+    _range_sweep,
     bucket_sweep,
     period_polynomial,
     reduced_periods,
@@ -205,25 +207,48 @@ def test_bucket_sweep_matches_direct_walk(name, threads):
             assert np.array_equal(got.ravel(), direct), (name, threads, length, e)
 
 
-def test_bucket_sweep_int64_route_is_exact():
-    # s*(p-1)^2 >= 2^53: float64 products could round here, int64 ones are exact
-    p = 94906297
-    assert _exact_dtype(1, p) is np.int64 and _exact_dtype(1, 94906249) is np.float64
+@pytest.mark.parametrize(
+    "p, dtype",
+    # the primes on either side of the float64 bound: s*(p-1)^2 < 2^53 <= s*(p'-1)^2
+    ((94906249, np.float64), (94906297, np.int64)),
+)
+def test_bucket_sweep_exact_near_float64_bound(p, dtype):
+    assert _exact_dtype(1, p) is dtype
     assert _exact_dtype(4, 94906249) is np.int64
     ctx = build_field(p, 1)
     # an element of order 8 keeps the residues near p but the touched buckets few,
     # so the 2p-bucket result stays a handful of pages
     base = ctx.gamma ** ((p - 1) // 8)
-    length = 3 * _ROWS + 5
+    traces = walk_traces(ctx, base, ctx.trace, 8)
+    length = 3 * _MIN_RANGE + 5  # long enough that the dtype is the exactness bound's choice
     direct = {}
-    for j, t in enumerate(walk_traces(ctx, base, ctx.trace, length)):
-        direct[j % 2, t] = direct.get((j % 2, t), 0) + 1
+    for j in range(length):
+        direct[j % 2, traces[j % 8]] = direct.get((j % 2, traces[j % 8]), 0) + 1
     got = bucket_sweep(ctx, base, ctx.trace_row(), 2, length, threads=1)
     assert np.count_nonzero(got) == len(direct)
     assert {key: int(got[key]) for key in direct} == direct
 
 
+def test_range_sweep_products_at_float64_bound():
+    # trow = seed = p-2 makes the products (p-2) * ((p-2) b^i mod p); at i = 0 that is
+    # (p-2)^2, odd and just above 2^53 for the larger prime, where float64 rounds it
+    for p, float_exact in ((94906249, True), (94906297, False)):
+        ctx = build_field(p, 1)
+        b = (ctx.gamma ** ((p - 1) // 8)).coords[0]  # order 8 divides the block, so W stays p-2
+        length = 3 * _ROWS + 5
+        direct = {}
+        for j in range(length):
+            t = (p - 2) ** 2 * pow(b, j, p) % p
+            direct[t] = direct.get(t, 0) + 1
+        res = np.array([p - 2], dtype=np.int64)
+        for dtype in (np.float64, np.int64):
+            got = _range_sweep(p, np.array([[b]], dtype=np.int64), res, 1, 0, length, res, dtype).ravel()
+            exact = np.count_nonzero(got) == len(direct) and {t: int(got[t]) for t in direct} == direct
+            assert exact == (dtype is np.int64 or float_exact), (p, dtype)
+
+
 def test_overflow_guard_raises_before_sweeping():
     ctx = build_field(3037000507, 1)  # (p-1)^2 >= 2^63: int64 products would wrap
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError) as info:
         trace_spectrum(ctx, 2, max_q=10**10)
+    assert isinstance(info.value, SweepOverflow)
