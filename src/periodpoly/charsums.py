@@ -6,9 +6,10 @@ a character of order E, and psi = lambda^j. Each quantity has one kernel:
   * Gauss sums are assembled exactly from the same bucket counts as the
     period sweep (one multiplicative pass per (field, order)), as elements of
     Z[zeta_{lcm(E, p)}], by GaussTable.value; the subfield sums reuse it.
-  * Jacobi sums are read off one discrete-log map per cyclic group
-    (discrete_log_map, the only Python walk over a whole group): 1 - x is
-    formed on the coordinate tuple and looked up in the same map.
+  * Jacobi sums are read off one discrete-log walk per cyclic group
+    (discrete_log_map): the sweep's orbit kernel lays out the coordinates of
+    base^a row by row, so the row index is the log. 1 - x is formed on the
+    whole block and every log is looked up at once by packed int64 keys.
 
 Subfield sums are computed inside the ambient field: the subfield of size q0
 is walked as powers of gamma^d with d = (q-1)/(q0-1), and the subfield
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cyclotomic import CycElem, IntPoly
 from .fields import FieldCtx, FieldElem, FieldError
 from .intmath import legendre, ord2
@@ -37,7 +40,10 @@ from .periods import (
     DEFAULT_MAX_Q,
     BudgetExceeded,
     PeriodVector,
+    SweepOverflow,
     TraceSpectrum,
+    _exact_dtype,
+    _orbit,
     bucket_sweep,
     period_polynomial,
     trace_spectrum,
@@ -86,25 +92,36 @@ def gauss_table(
 
 def discrete_log_map(
     ctx: FieldCtx, base: FieldElem | None = None, length: int | None = None
-) -> dict[tuple[int, ...], int]:
-    """coords -> log_base for the `length` elements of the cyclic group <base>.
+) -> np.ndarray:
+    """Row a holds the coords of base^a, for the `length` elements of the cyclic group <base>.
 
-    Defaults to gamma and q - 1. This is the only Python walk of a group here;
-    every Jacobi sum is read off the map it returns. Small groups only.
+    Defaults to gamma and q - 1. The row index is the discrete log; every
+    Jacobi sum is read off the block this returns. Small groups only.
     """
     base = ctx.gamma if base is None else base
     length = ctx.q - 1 if length is None else length
     if length >= DEFAULT_MAX_Q_JACOBI:
         raise BudgetExceeded(f"group of order {length} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
-    out: dict[tuple[int, ...], int] = {}
-    x = ctx.one()
-    for a in range(length):
-        out[x.coords] = a
-        x = x * base
-    return out
+    _exact_dtype(ctx.s, ctx.p)  # raises SweepOverflow where the orbit's int64 products would wrap
+    one = np.array(ctx.one().coords, dtype=np.int64)
+    return _orbit(one, ctx.mul_matrix(base).T, length, ctx.p)
 
 
-def jacobi_sum(ctx: FieldCtx, order: int, j: int, dlog: dict[tuple[int, ...], int]) -> CycElem:
+def _logs(ctx: FieldCtx, dlog: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The log in the walk `dlog` of each row of coords; raises FieldError for one outside the group."""
+    if ctx.q >= 1 << 63:
+        raise SweepOverflow(f"p^s = {ctx.q} >= 2^63: packed int64 keys would wrap")
+    weights = ctx.p ** np.arange(ctx.s, dtype=np.int64)
+    keys, wanted = dlog @ weights, coords @ weights
+    perm = np.argsort(keys)
+    at = perm[np.minimum(np.searchsorted(keys[perm], wanted), len(keys) - 1)]
+    missing = keys[at] != wanted
+    if missing.any():
+        raise FieldError(f"{coords[missing][0].tolist()} is not in the walked group")
+    return at
+
+
+def jacobi_sum(ctx: FieldCtx, order: int, j: int, dlog: np.ndarray) -> CycElem:
     """J(psi) = sum over x of psi(x) psi(1-x) for psi = lambda^j, exact in Z[zeta_order].
 
     lambda has the given order and sends the generator of the group that
@@ -114,17 +131,10 @@ def jacobi_sum(ctx: FieldCtx, order: int, j: int, dlog: dict[tuple[int, ...], in
         raise ValueError("character must be nontrivial")
     if len(dlog) % order:
         raise ValueError(f"order {order} does not divide the group order {len(dlog)}")
-    p = ctx.p
-    buckets = [0] * order
-    for x, a in dlog.items():
-        if a:  # x = 1 makes 1 - x = 0, and psi(0) = 0
-            one_minus_x = ((1 - x[0]) % p,) + tuple(-c % p for c in x[1:])
-            buckets[(a + dlog[one_minus_x]) % order] += 1
-    vec = [0] * order
-    for k, c in enumerate(buckets):
-        if c:
-            vec[j * k % order] += c
-    return CycElem(order, vec)
+    one_minus_x = -dlog[1:] % ctx.p  # row 0 is x = 1, where psi(1 - x) = psi(0) = 0
+    one_minus_x[:, 0] = (1 - dlog[1:, 0]) % ctx.p
+    logs = np.arange(1, len(dlog)) + _logs(ctx, dlog, one_minus_x)
+    return CycElem(order, np.bincount(j % order * logs % order, minlength=order))
 
 
 def lift_gauss_sum(value: CycElem, r: int) -> CycElem:
@@ -450,6 +460,8 @@ def identity_report(
 
     # values psi(c) need a discrete log; the suite runs on enumerable fields
     dlog = discrete_log_map(ctx) if ctx.q <= DEFAULT_MAX_Q_JACOBI else None
+    if dlog is not None:
+        log4 = int(_logs(ctx, dlog, np.array([ctx.from_int(4 % p).coords]))[0])
 
     def chi_value(j: int, elem_log: int) -> CycElem:
         """lambda^j evaluated at gamma^{elem_log}, as a conductor-e root."""
@@ -467,7 +479,6 @@ def identity_report(
         if want("2b"):
             checks.append(_check("2b", {"r": r}, g, table.value(j * p)))
         if want("2c") and dlog is not None:
-            log4 = dlog[ctx.from_int(4 % p).coords]
             lhs = g * table.value(j + rho_idx)
             rhs = chi_value(-j, log4) * table.value(2 * j) * table.value(rho_idx)
             checks.append(_check("2c", {"r": r}, lhs, rhs))
@@ -476,7 +487,6 @@ def identity_report(
             if r >= r_min:
                 checks.append(_check("8", {"r": r}, g, table.value(j + rho_idx)))
         if want("9") and r >= 3 and dlog is not None:
-            log4 = dlog[ctx.from_int(4 % p).coords]
             lhs = chi_value(j, log4)
             rhs_val = 1 if p % 8 == 3 else (-1) ** (s // (1 << (r - 2)))
             checks.append(_check("9", {"r": r}, lhs, CycElem.integer(1, rhs_val)))

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from .charsums import identity_report, lifted_period_polynomial, smallest_lift_base
+from .charsums import identity_report, lifted_period_polynomial
 from .closed_form import (
     Factorization,
     UnsupportedCase,
@@ -89,7 +89,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_semiprimitive(args) -> int:
-    fac = semiprimitive_factorization(args.p, args.s, args.e, args.l)
+    fac = semiprimitive_factorization(args.p, args.s, args.e)
     _print_factorization(fac, args.format)
     return EXIT_OK
 
@@ -168,11 +168,7 @@ def cmd_verify(args) -> int:
         if oracle == "brute":
             oracle_poly = period_polynomial(reduced_periods(trace_spectrum(ctx, e, max_q=args.max_q, threads=args.threads)))
         else:
-            base = smallest_lift_base(ctx.p, ctx.s, args.m)
-            if ctx.p**base > args.max_q:
-                status = "skipped"
-            else:
-                oracle_poly, _, _ = lifted_period_polynomial(ctx, args.m, max_q=args.max_q, threads=args.threads)
+            oracle_poly, _, _ = lifted_period_polynomial(ctx, args.m, max_q=args.max_q, threads=args.threads)
     except BudgetExceeded:
         status = "skipped"
 
@@ -216,7 +212,7 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
-def _add_common(sub, *, m=False, e=False, r=False, type_=False, oracle=False):
+def _add_common(sub, *, m=False, e=False, r=False, type_=False, oracle=False, sweep=False):
     sub.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     sub.add_argument("--s", type=int, required=True, help="extension degree")
     if m:
@@ -232,8 +228,9 @@ def _add_common(sub, *, m=False, e=False, r=False, type_=False, oracle=False):
         sub.add_argument("--cache", default=None, help="JSONL cache path (or env PERIODPOLY_CACHE)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--json", dest="format", action="store_const", const="json", help="shorthand for --format json")
-    sub.add_argument("--max-q", dest="max_q", type=int, default=DEFAULT_MAX_Q, help="enumeration budget (elements)")
-    sub.add_argument("--threads", type=int, default=None, help="sweep worker count (default: all cores)")
+    if sweep:
+        sub.add_argument("--max-q", dest="max_q", type=int, default=DEFAULT_MAX_Q, help="enumeration budget (elements)")
+        sub.add_argument("--threads", type=int, default=None, help="sweep worker count (default: all cores)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -246,15 +243,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_semi = subs.add_parser("semiprimitive", help="two-factor form for e | p^l + 1 (explicit request)")
     _add_common(p_semi, e=True)
-    p_semi.add_argument("--l", type=int, default=None, help="minimal l with e | p^l + 1 (checked)")
     p_semi.set_defaults(fn=cmd_semiprimitive)
 
     p_verify = subs.add_parser("verify", help="factor and check against an independent oracle")
-    _add_common(p_verify, m=True, oracle=True)
+    _add_common(p_verify, m=True, oracle=True, sweep=True)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_periods = subs.add_parser("periods", help="brute-force reduced periods and P*_e")
-    _add_common(p_periods, e=True)
+    _add_common(p_periods, e=True, sweep=True)
     p_periods.set_defaults(fn=cmd_periods)
 
     p_part = subs.add_parser("partition", help="normalized quadratic partition record")
@@ -262,7 +258,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_part.set_defaults(fn=cmd_partition)
 
     p_lem = subs.add_parser("lemmas", help="classical identity checks on Gauss/Jacobi sums")
-    _add_common(p_lem, m=True)
+    _add_common(p_lem, m=True, sweep=True)
     p_lem.add_argument("--only", default=None, help="comma list, e.g. lemma2a,lemma15 or bare ids 2a,15")
     p_lem.set_defaults(fn=cmd_lemmas)
 

@@ -415,7 +415,7 @@ def small_order_factorization(ctx: FieldCtx, m: int) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
-def semiprimitive_factorization(p: int, s: int, e: int, ell: int | None = None) -> Factorization:
+def semiprimitive_factorization(p: int, s: int, e: int) -> Factorization:
     """The two-factor form for e | p^ell + 1 (ell minimal, 2*ell | s), any odd p.
 
     P_e* = (X + sign*(e-1)*sqrt(q)) * (X - sign*sqrt(q))^{e-1} with
@@ -423,16 +423,13 @@ def semiprimitive_factorization(p: int, s: int, e: int, ell: int | None = None) 
     """
     if e <= 2:
         raise UnsupportedCase("e must be > 2")
-    found = None
+    ell = None
     for cand in range(1, s + 1):
         if (pow(p, cand, e) + 1) % e == 0:
-            found = cand
+            ell = cand
             break
-    if found is None:
+    if ell is None:
         raise UnsupportedCase(f"e={e} does not divide p^l + 1 for any l <= s")
-    if ell is not None and ell != found:
-        raise UnsupportedCase(f"minimal l for e={e} is {found}, not {ell}")
-    ell = found
     if s % (2 * ell):
         raise UnsupportedCase(f"2l = {2 * ell} does not divide s = {s}")
     sign = (-1) ** (s // (2 * ell))

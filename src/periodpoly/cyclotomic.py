@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .intmath import factorize, is_prime
+from .intmath import is_prime
 
 
 class NotAnInteger(ValueError):
@@ -34,13 +34,6 @@ def _supported_conductor(n: int) -> tuple[int, int]:
     if not is_prime(m):
         raise ValueError(f"unsupported conductor {n}: odd part {m} is not prime")
     return a, m
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def _poly_divmod_exact(num: list[int], den: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -100,16 +100,6 @@ def power_representation(p: int, d: int, k: int) -> tuple[int, int]:
     return ak, bk
 
 
-def _prime_field_value(ctx: FieldCtx, exponent: int) -> int:
-    elem = ctx.gamma**exponent
-    if not elem.in_prime_field():
-        raise FieldError(
-            f"gamma^{exponent} = {elem.coords} is not in the prime field; "
-            "this contradicts the theory and indicates a field arithmetic bug"
-        )
-    return elem.coords[0]
-
-
 def partition_a(ctx: FieldCtx, r: int) -> PartitionRecord:
     """A-type record: p^{s/2^{r-2}} = A_r^2 + 2B_r^2, A_r = -1 (mod 4), p | A_r never,
     2B_r = A_r(gamma^{(q-1)/8} + gamma^{3(q-1)/8}) (mod p).

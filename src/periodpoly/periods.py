@@ -42,7 +42,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class SweepOverflow(BudgetExceeded, OverflowError):
-    """s*(p-1)^2 >= 2^63: the sweep's int64 arithmetic would wrap."""
+    """The int64 arithmetic of the sweep or of a discrete-log walk would wrap."""
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class TraceSpectrum:
     @property
     def p(self) -> int:
         return len(self.counts[0])
-
-    @property
-    def f(self) -> int:
-        return sum(self.counts[0])
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,6 @@ def bucket_sweep(
 def trace_spectrum(
     ctx: FieldCtx,
     e: int,
-    generator: FieldElem | None = None,
     max_q: int = DEFAULT_MAX_Q,
     threads: int | None = None,
 ) -> TraceSpectrum:
@@ -193,8 +188,7 @@ def trace_spectrum(
         raise ValueError(f"e={e} does not divide q-1={ctx.q - 1}")
     if ctx.q > max_q:
         raise BudgetExceeded(f"q={ctx.q} exceeds the enumeration budget {max_q}")
-    g = generator if generator is not None else ctx.gamma
-    counts = bucket_sweep(ctx, g, ctx.trace_row(), e, ctx.q - 1, threads)
+    counts = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads)
     return TraceSpectrum(e=e, counts=tuple(tuple(int(c) for c in row) for row in counts))
 
 

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from periodpoly.charsums import (
+    _logs,
     discrete_log_map,
     gauss_table,
     identity_report,
@@ -15,8 +17,8 @@ from periodpoly.charsums import (
     subfield_sums,
 )
 from periodpoly.cyclotomic import CycElem
-from periodpoly.fields import build_field
-from periodpoly.periods import BudgetExceeded, period_polynomial, reduced_periods, trace_spectrum
+from periodpoly.fields import FieldError, build_field
+from periodpoly.periods import BudgetExceeded, SweepOverflow, period_polynomial, reduced_periods, trace_spectrum
 
 ISQRT2 = CycElem.root(8, 1) + CycElem.root(8, 3)
 
@@ -61,6 +63,48 @@ def test_jacobi_values():
         jacobi_sum(ctx9, 3, 1, discrete_log_map(ctx9))  # 3 does not divide 8
     with pytest.raises(BudgetExceeded):
         discrete_log_map(build_field(3, 13))  # q = 1594323 is over the discrete-log budget
+    # the walk against direct FieldElem multiplication, on whole groups and on the
+    # subfield F_81 inside F_{3^8}, walked as powers of gamma^82; odd orders included
+    for p, s, d, orders in ((3, 4, 1, (5, 16)), (5, 4, 1, (3, 16)), (13, 2, 1, (3, 8)), (3, 8, 82, (5, 16))):
+        ctx = build_field(p, s)
+        base, length = ctx.gamma**d, (ctx.q - 1) // d
+        dlog = discrete_log_map(ctx, base, length)
+        assert len(dlog) == length
+        x = ctx.one()
+        for row in dlog:
+            assert tuple(row) == x.coords
+            x = x * base
+        for order in orders:
+            for j in range(1, order):
+                assert jacobi_sum(ctx, order, j, dlog) == dict_walk_jacobi(ctx, base, length, order, j)
+    # gamma is not a square, so it is not in the walk of <gamma^2>
+    ctx9 = build_field(3, 2)
+    squares = discrete_log_map(ctx9, ctx9.gamma**2, 4)
+    with pytest.raises(FieldError):
+        _logs(ctx9, squares, np.array([ctx9.gamma.coords]))
+    assert _logs(ctx9, squares, np.array([(ctx9.gamma**6).coords])).tolist() == [3]
+    # s*(p-1)^2 >= 2^63: the orbit's int64 products would wrap
+    with pytest.raises(SweepOverflow):
+        discrete_log_map(build_field(3037000507, 1), length=2)
+    # p^s >= 2^63: the packed keys would wrap, though the orbit itself is exact
+    ctx340 = build_field(3, 40)
+    small = discrete_log_map(ctx340, ctx340.gamma ** ((ctx340.q - 1) // 8), 8)
+    with pytest.raises(SweepOverflow):
+        jacobi_sum(ctx340, 4, 1, small)
+
+
+def dict_walk_jacobi(ctx, base, length, order, j):
+    """Reference Jacobi sum: a dict of coords -> log filled by FieldElem multiplication."""
+    dlog, x = {}, ctx.one()
+    for a in range(length):
+        dlog[x.coords] = a
+        x = x * base
+    buckets = [0] * order
+    for x, a in dlog.items():
+        if a:  # x = 1 makes 1 - x = 0, and psi(0) = 0
+            one_minus_x = ((1 - x[0]) % ctx.p,) + tuple(-c % ctx.p for c in x[1:])
+            buckets[j * (a + dlog[one_minus_x]) % order] += 1
+    return CycElem(order, buckets)
 
 
 def test_gauss_jacobi_relation():

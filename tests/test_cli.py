@@ -152,9 +152,10 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_json_byte_identical(capsys):
+    # q - 1 = 531440 is long enough for 4 sweep ranges of at least 2^16 elements
     outs = set()
     for threads in ("1", "2", "4"):
-        code, out, _ = run(capsys, "factor", "--p", "5", "--s", "8", "--m", "4", "--format", "json")
+        code, out, _ = run(capsys, "periods", "--p", "3", "--s", "12", "--e", "16", "--json", "--threads", threads)
         assert code == EXIT_OK
         outs.add(out)
     assert len(outs) == 1
@@ -166,6 +167,16 @@ def test_semiprimitive_cli(capsys):
     d = json.loads(out)
     assert d["case"] == "PROP20"
     assert {"coeffs": ["3", "1"], "mult": 3} in d["factors"]
+
+
+def test_options_only_where_read(capsys):
+    # the budget and worker count belong to the sweeping commands; semiprimitive finds l itself
+    for argv in (
+        ("factor", "--p", "3", "--s", "4", "--m", "4", "--threads", "2"),
+        ("partition", "--p", "3", "--s", "8", "--type", "A", "--r", "3", "--max-q", "100"),
+        ("semiprimitive", "--p", "3", "--s", "4", "--e", "5", "--l", "2"),
+    ):
+        assert run(capsys, *argv)[0] == EXIT_USAGE
 
 
 def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):

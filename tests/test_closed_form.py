@@ -224,13 +224,11 @@ def test_small_m_cases():
 def test_semiprimitive():
     fac = semiprimitive_factorization(3, 2, 4)
     assert {(f.coeffs, m) for f, m in fac.factors} == {((-9, 1), 1), ((3, 1), 3)}
-    fac5 = semiprimitive_factorization(3, 4, 5, ell=2)
+    fac5 = semiprimitive_factorization(3, 4, 5)
     assert {(f.coeffs, m) for f, m in fac5.factors} == {((-36, 1), 1), ((9, 1), 4)}
     assert fac5.degree() == 5
     ctx = build_field(3, 4)
     assert fac5.expand() == period_polynomial(reduced_periods(trace_spectrum(ctx, 5)))
-    with pytest.raises(UnsupportedCase):
-        semiprimitive_factorization(3, 2, 4, ell=2)  # minimal l is 1
     with pytest.raises(UnsupportedCase):
         semiprimitive_factorization(3, 3, 4)  # 2l = 2 does not divide 3
     with pytest.raises(UnsupportedCase):

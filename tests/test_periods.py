@@ -151,11 +151,22 @@ def test_modulus_independence():
         assert period_polynomial(reduced_periods(trace_spectrum(alt, 16))) == base
 
 
-def test_worker_count_determinism():
-    ctx = build_field(5, 6)  # q = 15625
-    base = trace_spectrum(ctx, 8, threads=1)
+def test_worker_count_determinism(monkeypatch):
+    import periodpoly.periods as periods
+
+    ctx = build_field(3, 12)  # q - 1 = 531440, about 8.1 * _MIN_RANGE
+    base = trace_spectrum(ctx, 16, threads=1)
+    starts = []
+
+    def recording_sweep(p, mult, trow, e, start, *rest):
+        starts.append(start)
+        return _range_sweep(p, mult, trow, e, start, *rest)
+
+    monkeypatch.setattr(periods, "_range_sweep", recording_sweep)
     for threads in (2, 3, 7):
-        assert trace_spectrum(ctx, 8, threads=threads).counts == base.counts
+        starts.clear()
+        assert trace_spectrum(ctx, 16, threads=threads).counts == base.counts
+        assert len(starts) == threads  # one range per worker, each swept
 
 
 def test_budget():
