@@ -185,6 +185,8 @@ def subfield_sums(
         raise ValueError(f"order {order} does not divide q0-1 = {q0 - 1}")
     if q0 > max_q:
         raise BudgetExceeded(f"subfield size {q0} exceeds the enumeration budget {max_q}")
+    if order * ctx.p > max_q:
+        raise BudgetExceeded(f"the {order}x{ctx.p} count table exceeds the enumeration budget {max_q}")
     d = (ctx.q - 1) // (q0 - 1)
     g0 = ctx.gamma**d
     trow = ctx.subfield_trace_row(s_sub)

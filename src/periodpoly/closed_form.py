@@ -10,7 +10,8 @@ p = 3 (mod 8) and p = 5 (mod 8), driven by the quadratic partition records of
   m in {2, 3}:             SMALL_M2 / SMALL_M3 closed forms (p = 5 for m = 2;
                            both classes for m = 3); the tag is never one of
                            the m >= 4 cases, but for p = 5 (mod 8) with 4 | s
-                           the degree-8 list comes from the T2a/T2b builder.
+                           the degree-4 and degree-8 lists come from the
+                           T2a/T2b builder.
   PROP20:                  the semiprimitive shortcut for e | p^l + 1, emitted
                            only on explicit request.
 
@@ -250,14 +251,15 @@ def factorization_3mod8(
 def factorization_5mod8(
     ctx: FieldCtx, m: int, records: dict[int, PartitionRecord] | None = None
 ) -> Factorization:
-    """Factor list for degree 2^m, p = 5 (mod 8), m >= 4, and m = 3 with 4 | s.
+    """Factor list for degree 2^m, p = 5 (mod 8), m >= 4, and m in {2, 3} with 4 | s.
 
-    The degree-8 statements for 8 | s and 4 || s have the T2a and T2b shapes,
-    so the branches route on ord_2(s); m = 3 keeps its SMALL_M3 tag.
+    The degree-4 statement for 4 | s and the degree-8 statements for 8 | s and
+    4 || s have the T2a and T2b shapes, so the branches route on ord_2(s);
+    m = 2 and m = 3 keep their SMALL_M2 and SMALL_M3 tags.
     """
     p, s = ctx.p, ctx.s
     tag = classify(p, s, m)
-    if tag.p_class != 5 or m < 3 or tag.s2 < 2:
+    if tag.p_class != 5 or tag.s2 < 2:
         raise UnsupportedCase(f"m={m} routes to {tag.case}, outside the 5-mod-8 factor lists")
     r_top = m if tag.s2 >= m - 1 else m - 1  # C_m, D_m exist only when 2^{m-1} | s
     if records is None:
@@ -378,27 +380,18 @@ def small_order_factorization(ctx: FieldCtx, m: int) -> Factorization:
                 (_shifted_sq(q2, 16 * a3 * a3 * q2), 1),
                 (_shifted_sq(q2, 16 * b3 * b3 * q2), 2),
             ]
-    elif m == 2:  # p = 5 (mod 8)
+    elif s2 >= 2:  # p = 5 (mod 8), 4 | s: the T2a / T2b shapes
+        return factorization_5mod8(ctx, m)
+    elif m == 2:  # p = 5 (mod 8), s odd or 2 || s
         if s2 == 0:
             return Factorization(tag, ctx.q, (), (), irreducible=True)
         rec = partition_c(ctx, 2)
         c2, d2 = rec.first, abs(rec.second)
         q2 = qp(1, 2)
-        if s2 >= 2:
-            q4 = qp(1, 4)
-            factors = [
-                (linear(q2 + 2 * c2 * q4), 1),
-                (linear(q2 - 2 * c2 * q4), 1),
-                (linear(-q2 + 2 * d2 * q4), 1),
-                (linear(-q2 - 2 * d2 * q4), 1),
-            ]
-        else:  # 2 || s
-            factors = [
-                (_shifted_sq(q2, -4 * c2 * c2 * q2), 1),
-                (_shifted_sq(-q2, -4 * d2 * d2 * q2), 1),
-            ]
-    elif s2 >= 2:  # m = 3, p = 5 (mod 8), 4 | s: the T2a / T2b shapes
-        return factorization_5mod8(ctx, m)
+        factors = [
+            (_shifted_sq(q2, -4 * c2 * c2 * q2), 1),
+            (_shifted_sq(-q2, -4 * d2 * d2 * q2), 1),
+        ]
     else:  # m = 3, p = 5 (mod 8), 2 || s
         rec = partition_c(ctx, 2)
         c2, d2 = rec.first, abs(rec.second)

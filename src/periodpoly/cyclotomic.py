@@ -196,13 +196,6 @@ class CycElem:
             e >>= 1
         return result
 
-    def conjugate(self) -> "CycElem":
-        """Complex conjugation, zeta_n -> zeta_n^{-1}."""
-        v = [0] * self.n
-        for j, c in enumerate(self.vec):
-            v[(-j) % self.n] += c
-        return CycElem(self.n, v)
-
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -220,10 +213,6 @@ class CycElem:
     # -- serialization ----------------------------------------------------------
     def to_json_dict(self) -> dict:
         return {"n": self.n, "canonical": [str(c) for c in self.canonical()]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CycElem":
-        return cls(d["n"], [int(c) for c in d["canonical"]])
 
 
 def frobenius_power_sum(p: int, n: int, r: int) -> CycElem:
@@ -303,12 +292,6 @@ class IntPoly:
             e >>= 1
         return result
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -322,10 +305,6 @@ class IntPoly:
 
     def to_json_list(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json_list(cls, lst: Sequence[str]) -> "IntPoly":
-        return cls(int(c) for c in lst)
 
 
 def linear(c: int) -> IntPoly:

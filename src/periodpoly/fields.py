@@ -1,4 +1,4 @@
-"""Finite field F_{p^s}: construction, element arithmetic, trace and norm.
+"""Finite field F_{p^s}: construction, element arithmetic and trace.
 
 Elements are dense coordinate vectors in the polynomial basis of
 F_p[x]/(modulus). Construction is fully deterministic: the modulus is the
@@ -89,30 +89,19 @@ def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Monic degree-s polynomial irreducible over F_p?
+    """Monic degree-s polynomial irreducible over F_p? (Ben-Or's test)
 
-    Checks x^{p^s} = x (mod f) and gcd(x^{p^{s/l}} - x, f) = 1 for every
-    prime l | s.
+    f is reducible exactly when it has an irreducible factor of degree i <= s/2,
+    that is when gcd(x^{p^i} - x, f) != 1 for some such i.
     """
     s = len(modulus) - 1
     if s < 1 or modulus[-1] != 1:
         raise FieldError("modulus must be monic of positive degree")
-    if s == 1:
-        return True
     x = [0, 1] + [0] * (s - 2)
-
-    def frob_iter(k: int) -> list[int]:
-        # x^{p^k} mod f by k successive p-th powers
-        r = list(x)
-        for _ in range(k):
-            r = _poly_powmod(r, p, modulus, p)
-        return r
-
-    if frob_iter(s) != x:
-        return False
-    for ell in {q for q, _ in factorize(s)}:
-        diff = [(u - v) % p for u, v in zip(frob_iter(s // ell), x)]
-        if not _poly_gcd_is_one(diff, list(modulus), p):
+    r = x
+    for _ in range(s // 2):
+        r = _poly_powmod(r, p, modulus, p)  # x^{p^i} mod f
+        if not _poly_gcd_is_one([(u - v) % p for u, v in zip(r, x)], list(modulus), p):
             return False
     return True
 
@@ -225,20 +214,9 @@ class FieldCtx:
         self.q = params.p**params.s
         self.q_minus_1_factorization = q_minus_1_factorization
         self.gamma = FieldElem(self, gamma_coords)
-        # Tr(x^i) for the basis powers, via the matrix-trace of multiplication
-        # maps; from_packed(p) is x itself (0 for s = 1, where only Tr(1) is read)
-        mat = self.mul_matrix(self.from_packed(self.p))
-        acc = np.eye(self.s, dtype=np.int64)
-        row = []
-        for _ in range(self.s):
-            row.append(int(np.trace(acc)) % self.p)
-            acc = acc @ mat % self.p
-        self._trace_row = tuple(row)
+        self._trace_row = tuple(int(t) for t in self.subfield_trace_row(self.s))
 
     # -- element constructors -------------------------------------------------
-    def elem(self, coords: Iterable[int]) -> FieldElem:
-        return FieldElem(self, coords)
-
     def zero(self) -> FieldElem:
         return FieldElem(self, (0,) * self.s)
 
@@ -272,13 +250,6 @@ class FieldCtx:
             img = img**self.p
             acc = acc + img
         return acc.prime_field_value()
-
-    def subfield_norm(self, x: FieldElem, s_sub: int) -> FieldElem:
-        """Norm from F_{p^s} onto the subfield of size p^{s_sub}."""
-        if self.s % s_sub:
-            raise FieldError(f"{s_sub} does not divide {self.s}")
-        e = (self.q - 1) // (self.p**s_sub - 1)
-        return x**e
 
     # -- sweep support ------------------------------------------------------------
     def mul_matrix(self, x: FieldElem) -> np.ndarray:
@@ -321,10 +292,9 @@ class FieldCtx:
             raise FieldError("generator belongs to a different field")
         if g.is_zero():
             raise FieldError("zero cannot generate the multiplicative group")
-        one = self.one()
-        for ell, _ in self.q_minus_1_factorization:
-            if g ** ((self.q - 1) // ell) == one:
-                raise FieldError(f"element has order dividing (q-1)/{ell}")
+        ell = _order_defect(g)
+        if ell is not None:
+            raise FieldError(f"element has order dividing (q-1)/{ell}")
         return FieldCtx(self.params, g.coords, self.q_minus_1_factorization)
 
     def gamma_fingerprint(self) -> str:
@@ -335,13 +305,21 @@ class FieldCtx:
         return f"FieldCtx(F_{self.p}^{self.s}, modulus={list(self.params.modulus)}, gamma={list(self.gamma.coords)})"
 
 
+def _order_defect(g: FieldElem) -> int | None:
+    """First prime l | q-1 with g^{(q-1)/l} = 1, or None when the nonzero g generates F_q^*."""
+    ctx = g.ctx
+    one = ctx.one()
+    for ell, _ in ctx.q_minus_1_factorization:
+        if g ** ((ctx.q - 1) // ell) == one:
+            return ell
+    return None
+
+
 def find_generator(ctx: FieldCtx) -> FieldElem:
     """First generator of F_q^* in ascending packed-key order."""
-    one = ctx.one()
-    checks = [(ctx.q - 1) // ell for ell, _ in ctx.q_minus_1_factorization]
     for key in range(1, ctx.q):
         g = ctx.from_packed(key)
-        if all(g**e != one for e in checks):
+        if _order_defect(g) is None:
             return g
     raise FieldError("no generator found")  # unreachable: the group is cyclic
 

@@ -36,12 +36,6 @@ class PartitionRecord:
     def pk(self) -> int:
         return self.p**self.exponent
 
-    def flipped(self) -> "PartitionRecord":
-        """Same record with the gamma-dependent sign reversed (for invariance tests)."""
-        return PartitionRecord(
-            self.kind, self.r, self.exponent, self.first, -self.second, self.p, "flipped"
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -118,8 +112,9 @@ def partition_a(ctx: FieldCtx, r: int) -> PartitionRecord:
     a, b = power_representation(p, 2, k)
     if a % 4 != 3:
         a = -a
-    # u = gamma^{(q-1)/8} + gamma^{3(q-1)/8} is a square root of -2 in F_p
-    u = ctx.gamma ** ((q - 1) // 8) + ctx.gamma ** (3 * (q - 1) // 8)
+    # u = zeta8 + zeta8^3 with zeta8 = gamma^{(q-1)/8} is a square root of -2 in F_p
+    zeta8 = ctx.gamma ** ((q - 1) // 8)
+    u = zeta8 + zeta8 * zeta8 * zeta8
     if not u.in_prime_field():
         raise FieldError(f"gamma^((q-1)/8)+gamma^(3(q-1)/8) = {u.coords} not in F_p")
     u0 = u.coords[0]

@@ -38,7 +38,7 @@ _MIN_RANGE = 1 << 16  # shortest j-range that gets its own worker
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration would touch more than max_q field elements."""
+    """Enumeration would touch more than max_q field elements or fill more than max_q counts."""
 
 
 class SweepOverflow(BudgetExceeded, OverflowError):
@@ -188,6 +188,8 @@ def trace_spectrum(
         raise ValueError(f"e={e} does not divide q-1={ctx.q - 1}")
     if ctx.q > max_q:
         raise BudgetExceeded(f"q={ctx.q} exceeds the enumeration budget {max_q}")
+    if e * ctx.p > max_q:
+        raise BudgetExceeded(f"the {e}x{ctx.p} count table exceeds the enumeration budget {max_q}")
     counts = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads)
     return TraceSpectrum(e=e, counts=tuple(tuple(int(c) for c in row) for row in counts))
 

@@ -30,8 +30,8 @@ def test_factor_errors(capsys):
     assert code == EXIT_USAGE and "p mod 8" in err
     code, _, err = run(capsys, "factor", "--p", "3", "--s", "2", "--m", "4")
     assert code == EXIT_USAGE and "does not divide" in err
-    code, _, _ = run(capsys, "factor", "--p", "3", "--s", "2")  # missing --m
-    assert code == EXIT_USAGE
+    code, _, err = run(capsys, "factor", "--p", "3", "--s", "4")  # missing --m
+    assert code == EXIT_USAGE and "--m" in err
     code, _, _ = run(capsys, "nonsense")
     assert code == EXIT_USAGE
 
@@ -54,6 +54,9 @@ def test_periods_json(capsys):
 def test_periods_budget(capsys):
     code, _, err = run(capsys, "periods", "--p", "3", "--s", "4", "--e", "16", "--max-q", "80")
     assert code == EXIT_BUDGET and "budget" in err.lower()
+    # q = 10007 is in budget, but the e x p count table is not
+    code, _, err = run(capsys, "periods", "--p", "10007", "--s", "1", "--e", "2", "--max-q", "15000")
+    assert code == EXIT_BUDGET and "count table" in err
 
 
 def test_partition_cli(capsys):
@@ -176,7 +179,8 @@ def test_options_only_where_read(capsys):
         ("partition", "--p", "3", "--s", "8", "--type", "A", "--r", "3", "--max-q", "100"),
         ("semiprimitive", "--p", "3", "--s", "4", "--e", "5", "--l", "2"),
     ):
-        assert run(capsys, *argv)[0] == EXIT_USAGE
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):

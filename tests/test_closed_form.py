@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -154,7 +155,7 @@ def test_sign_flip_invariance():
         base = build(ctx, m, records=records)
         for r in records:
             flipped = dict(records)
-            flipped[r] = records[r].flipped()
+            flipped[r] = replace(records[r], second=-records[r].second)
             assert build(ctx, m, records=flipped).factors == base.factors
             count += 1
     assert count >= 15

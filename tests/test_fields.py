@@ -1,8 +1,39 @@
+import itertools
 import random
 
 import pytest
 
-from periodpoly.fields import FieldError, build_field, find_irreducible_modulus, is_irreducible
+from periodpoly.fields import (
+    FieldElem,
+    FieldError,
+    _poly_gcd_is_one,
+    _poly_powmod,
+    build_field,
+    find_generator,
+    find_irreducible_modulus,
+    is_irreducible,
+)
+from periodpoly.intmath import factorize
+
+
+def frobenius_irreducible(f, p):
+    """Reference test: x^{p^s} = x (mod f) and gcd(x^{p^{s/l}} - x, f) = 1 for every prime l | s."""
+    s = len(f) - 1
+    x = [0, 1] + [0] * (s - 2)
+
+    def frob_iter(k):
+        r = list(x)
+        for _ in range(k):
+            r = _poly_powmod(r, p, f, p)
+        return r
+
+    if s == 1:
+        return True
+    if frob_iter(s) != x:
+        return False
+    return all(
+        _poly_gcd_is_one([(u - v) % p for u, v in zip(frob_iter(s // ell), x)], list(f), p) for ell, _ in factorize(s)
+    )
 
 
 def test_build_prime_field():
@@ -39,6 +70,43 @@ def test_build_rejects_bad_input():
         build_field(3, 2, modulus=(2, 0, 1))  # x^2 + 2 = x^2 - 1 reducible
 
 
+def test_is_irreducible_matches_frobenius_reference():
+    # every monic polynomial of degree <= 5 over F_3, <= 4 over F_5, <= 3 over F_7, F_11, F_13
+    checked = 0
+    for p, top in ((3, 5), (5, 4), (7, 3), (11, 3), (13, 3)):
+        for s in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=s):
+                f = low + (1,)
+                assert is_irreducible(f, p) == frobenius_irreducible(f, p), (p, f)
+                checked += 1
+    assert checked == 5384
+    with pytest.raises(FieldError):
+        is_irreducible((1, 2), 3)  # not monic
+    with pytest.raises(FieldError):
+        is_irreducible((1,), 3)  # degree 0
+
+
+def sparse(coords):
+    return {i: c for i, c in enumerate(coords) if c}
+
+
+# (p, s) -> nonzero coefficients of the modulus and of gamma's coordinates
+PINNED_FIELDS = {
+    (3, 5): ({0: 1, 1: 2, 5: 1}, {1: 1}),
+    (7, 3): ({0: 2, 3: 1}, {0: 1, 1: 3}),
+    (11, 16): ({0: 2, 4: 1, 16: 1}, {0: 4, 1: 1, 2: 1}),
+    (13, 32): ({0: 2, 32: 1}, {0: 2, 1: 1}),
+    (3, 64): ({0: 2, 3: 1, 64: 1}, {1: 1}),
+}
+
+
+@pytest.mark.parametrize("p, s", sorted(PINNED_FIELDS))
+def test_pinned_modulus_and_generator(p, s):
+    # the digests carry gamma's fingerprint, so construction must not drift
+    ctx = build_field(p, s)
+    assert (sparse(ctx.params.modulus), sparse(ctx.gamma.coords)) == PINNED_FIELDS[p, s]
+
+
 def test_modulus_search_deterministic():
     assert find_irreducible_modulus(3, 2) == (1, 0, 1)
     assert find_irreducible_modulus(3, 4) == find_irreducible_modulus(3, 4)
@@ -46,7 +114,7 @@ def test_modulus_search_deterministic():
 
 def test_mul_example_f9():
     ctx = build_field(3, 2)
-    x = ctx.elem((0, 1))
+    x = FieldElem(ctx, (0, 1))
     assert (x * x) == ctx.from_int(-1)  # modulus relation x^2 = -1
 
 
@@ -73,20 +141,20 @@ def test_trace_basics():
         assert ctx.trace(ctx.one()) == s % p
         rng = random.Random(p * s)
         for _ in range(10):
-            x = ctx.elem([rng.randrange(p) for _ in range(s)])
-            y = ctx.elem([rng.randrange(p) for _ in range(s)])
+            x = FieldElem(ctx, [rng.randrange(p) for _ in range(s)])
+            y = FieldElem(ctx, [rng.randrange(p) for _ in range(s)])
             # Frobenius invariance and linearity
             assert ctx.trace(x**p) == ctx.trace(x)
             assert (ctx.trace(x) + ctx.trace(y)) % p == ctx.trace(x + y)
 
 
 def test_trace_against_frobenius_sum():
-    # matrix-trace shortcut vs the defining sum x + x^p + ... + x^{p^{s-1}}
+    # the trace row vs the defining sum x + x^p + ... + x^{p^{s-1}}
     for p, s in ((3, 3), (5, 2), (7, 2), (3, 4)):
         ctx = build_field(p, s)
         rng = random.Random(s + p)
         for _ in range(12):
-            x = ctx.elem([rng.randrange(p) for _ in range(s)])
+            x = FieldElem(ctx, [rng.randrange(p) for _ in range(s)])
             acc = x
             img = x
             for _ in range(s - 1):
@@ -106,20 +174,19 @@ def test_trace_spectrum_balanced():
 
 
 def test_subfield_norm():
+    # the norm onto F_{p^k} is the power (q-1)/(p^k-1)
     ctx = build_field(3, 2)
-    x = ctx.elem((0, 1))
-    assert ctx.subfield_norm(x, 1) == ctx.one()  # x * x^3 = x^4 = 1
-    assert ctx.subfield_norm(ctx.one(), 1) == ctx.one()
+    x = FieldElem(ctx, (0, 1))
+    assert x**4 == ctx.one()  # x * x^3 = x^4 = 1
+    assert ctx.one() ** 4 == ctx.one()
     ctx54 = build_field(5, 4)
-    n = ctx54.subfield_norm(ctx54.gamma, 2)
+    n = ctx54.gamma ** ((5**4 - 1) // (5**2 - 1))
     # the norm of a generator generates the subfield's multiplicative group
     q_sub = 25
     assert n ** (q_sub - 1) == ctx54.one()
     assert all(n ** ((q_sub - 1) // ell) != ctx54.one() for ell in (2, 3))
     # lands in the subfield: fixed by the p^{s_sub} power map
     assert n ** (5**2) == n
-    with pytest.raises(FieldError):
-        ctx54.subfield_norm(ctx54.gamma, 3)
 
 
 def test_with_generator():
@@ -129,6 +196,9 @@ def test_with_generator():
     assert ctx2.gamma == g2
     with pytest.raises(FieldError):
         ctx.with_generator(ctx.gamma**2)  # order 40, not a generator
+    with pytest.raises(FieldError, match=r"\(q-1\)/5"):
+        ctx.with_generator(ctx.gamma**5)  # order 16
+    assert find_generator(ctx) == ctx.gamma and isinstance(ctx.gamma, FieldElem)
     with pytest.raises(FieldError):
         ctx.with_generator(ctx.zero())
 

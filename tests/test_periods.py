@@ -173,6 +173,8 @@ def test_budget():
     ctx = build_field(3, 4)
     with pytest.raises(BudgetExceeded):
         trace_spectrum(ctx, 16, max_q=80)
+    with pytest.raises(BudgetExceeded):
+        trace_spectrum(build_field(10007, 1), 2, max_q=15000)  # q is in budget, the 2x10007 table is not
     with pytest.raises(ValueError):
         trace_spectrum(ctx, 7)  # 7 does not divide 80
 
