@@ -18,12 +18,14 @@ norm of gamma, the lift of chi is exactly the gamma-normalized character of
 the big field, which makes lifted Gauss sums and reconstructed periods
 per-index exact rather than merely correct as multisets.
 
-The reconstruction of all reduced periods from the m Gauss-sum pairs of
-2-power order uses the Fourier expansion specialized to p = 3, 5 (mod 8),
-where the inner root-of-unity sums collapse to 0, +/-2^t, 2^t i, or
-2^t i*sqrt2 (see frobenius_power_sum); together with the Davenport-Hasse
-relation this gives the "lift oracle": period polynomials for fields far
-beyond enumeration reach, from an enumeration of a small base subfield only.
+The lift oracle reassembles the reduced periods by Fourier inversion,
+eta*_k = sum_{j=1}^{e-1} zeta_e^{-jk} G(lambda^j), and projects the result
+from Z[zeta_{ep}] into Z[zeta_p], the ring of the brute-force periods
+(periods_from_gauss). Frobenius invariance, G(lambda^{jp}) = G(lambda^j),
+means one Davenport-Hasse lift per orbit of j -> jp gives the whole table:
+period polynomials for fields far beyond enumeration reach, from an
+enumeration of a small base subfield only. Nothing in it depends on p mod 8,
+so it shares no formula with the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -215,81 +217,37 @@ def subfield_jacobi(sums: SubfieldSums, j: int) -> CycElem:
 # ---------------------------------------------------------------------------
 
 
-def periods_from_gauss(p: int, s: int, m: int, table: dict[int, CycElem]) -> PeriodVector:
-    """All 2^m reduced periods from the Gauss sums of the 2-power-order characters.
+def periods_from_gauss(p: int, m: int, table: dict[int, CycElem]) -> PeriodVector:
+    """All 2^m reduced periods eta*_k = sum_{j=1}^{e-1} zeta_e^{-jk} G(lambda^j), in Z[zeta_p].
 
-    `table[j]` must hold G(lambda^j) for j = +/-2^{m-r} mod 2^m, r = 1..m,
-    where lambda is the order-2^m character with lambda(gamma) = zeta_{2^m}.
-    Requires p = 3 or 5 (mod 8) and m >= 2.
+    `table[j]` must hold G(lambda^j) for j = 1 .. e-1 (e = 2^m, m >= 1), where
+    lambda is the order-e character with lambda(gamma) = zeta_e. Each term lives
+    in Z[zeta_{ep}], where zeta_{ep}^a = zeta_e^u zeta_p^t with u = a/p mod e and
+    t = a/e mod p. Over Q(zeta_p) the zeta_e^u with u < e/2 are a basis and
+    zeta_e^{e/2} = -1, so each sum is folded onto the rows u < e/2: row 0 is
+    the period, and every other row must vanish in Z[zeta_p], that is, be a
+    constant vector. A row that does not raises ArithmeticError.
     """
-    if p % 8 not in (3, 5):
-        raise ValueError("p must be 3 or 5 mod 8")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    e = 1 << m
-    n = math.lcm(8, e, p)
-
-    def gp(r: int) -> CycElem:
-        return table[(1 << (m - r)) % e].embed(n)
-
-    def gm(r: int) -> CycElem:
-        return table[(-(1 << (m - r))) % e].embed(n)
-
-    for r in range(1, m + 1):
-        for key in ((1 << (m - r)) % e, (-(1 << (m - r))) % e):
-            if key not in table:
-                raise ValueError(f"table is missing G(lambda^{key})")
-
-    g_rho = gp(1)
-    pair: list = [None, None] + [gp(r) + gm(r) for r in range(2, m + 1)]
-    diff: list = [None, None] + [gp(r) - gm(r) for r in range(2, m + 1)]
-
-    i_unit = CycElem.root(4, 1).embed(n)
-    isqrt2 = (CycElem.root(8, 1) + CycElem.root(8, 3)).embed(n)
-
-    eta = [CycElem.zero(n) for _ in range(e)]
-    total = g_rho
-    for r in range(2, m + 1):
-        total = total + (1 << (r - 2)) * pair[r]
-    eta[0] = total
-    half = g_rho
-    for r in range(2, m):
-        half = half + (1 << (r - 2)) * pair[r]
-    eta[e // 2] = half - (1 << (m - 2)) * pair[m]
-
-    plus_minus: dict[int, tuple[CycElem, CycElem]] = {}
-    for t in range(0, m - 1):
-        base = CycElem.zero(n)
-        for r in range(2, t + 1):
-            base = base + (1 << (r - 2)) * pair[r]
-        if t == 0:
-            base = base - g_rho
-        else:
-            base = base + g_rho - (1 << (t - 1)) * pair[t + 1]
-        corr = CycElem.zero(n)
-        if p % 8 == 5:
-            corr = corr + (1 << t) * (i_unit * diff[t + 2])
-        if p % 8 == 3 and t <= m - 3:
-            corr = corr + (1 << t) * (isqrt2 * diff[t + 3])
-        plus_minus[t] = (base - corr, base + corr)
-
-    for k in range(1, e):
-        if k == e // 2:
-            continue
-        t = ord2(k)
-        k0 = (k >> t) % (1 << (m - t))
-        sign_set = set()
-        v = 1
-        for _ in range(1 << max(0, m - t - 2)):
-            sign_set.add(v)
-            v = v * p % (1 << (m - t))
-        if k0 in sign_set:
-            eta[k] = plus_minus[t][0]
-        elif (-k0) % (1 << (m - t)) in sign_set:
-            eta[k] = plus_minus[t][1]
-        else:  # p generates too little of the residue classes: cannot happen
-            raise ArithmeticError(f"index {k} not reachable from +/- powers of p")
-
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    e, half, n = 1 << m, 1 << (m - 1), p << m
+    missing = [j for j in range(1, e) if j not in table]
+    if missing:
+        raise ValueError(f"table is missing G(lambda^{missing[0]})")
+    a = np.arange(n)
+    u, t = a * pow(p, -1, e) % e, a * pow(e, -1, p) % p
+    coeffs = np.zeros((e, e, p), dtype=object)  # [j, u, t]; Python ints, as the lifted sums pass 2^63
+    for j in range(1, e):
+        coeffs[j, u, t] = np.array(table[j].embed(n).vec, dtype=object)
+    folded = coeffs[:, :half] - coeffs[:, half:]
+    signed = np.concatenate((folded, -folded), axis=1)  # row w holds the coefficient of zeta_e^w, w < e
+    js = np.arange(e)[:, None]
+    eta = []
+    for k in range(e):
+        rows = signed[js, (np.arange(half) + js * k) % e].sum(axis=0)  # zeta_e^{-jk} zeta_e^{u+jk} = zeta_e^u
+        if (rows[1:] != rows[1:, :1]).any():
+            raise ArithmeticError(f"eta*_{k} is not in Z[zeta_{p}]")
+        eta.append(CycElem(p, rows[0]))
     return PeriodVector(e=e, eta_star=tuple(eta))
 
 
@@ -321,11 +279,13 @@ def lifted_period_polynomial(
     r = s // s_base
     sums = subfield_sums(ctx, s_base, e, max_q=max_q, threads=threads)
     table: dict[int, CycElem] = {}
-    for rr in range(1, m + 1):
-        for key in ((1 << (m - rr)) % e, (-(1 << (m - rr))) % e):
-            if key not in table:
-                table[key] = lift_gauss_sum(sums.gauss(key), r)
-    periods = periods_from_gauss(p, s, m, table)
+    for j in range(1, e):
+        if j not in table:  # G(lambda^{jp}) = G(lambda^j): one lift per Frobenius orbit
+            value, k = lift_gauss_sum(sums.gauss(j), r), j
+            while k not in table:
+                table[k] = value
+                k = k * p % e
+    periods = periods_from_gauss(p, m, table)
     return period_polynomial(periods), periods, s_base
 
 
@@ -386,8 +346,6 @@ def partition_sum_identity(
     m: int,
     r: int,
     table: GaussTable | None = None,
-    max_q: int = DEFAULT_MAX_Q,
-    threads: int | None = None,
 ) -> list[IdentityCheck]:
     """G(lambda^{2^{m-r}}) +/- G(conjugate) against the quadratic partition values.
 
@@ -403,7 +361,7 @@ def partition_sum_identity(
     p, s = ctx.p, ctx.s
     e = 1 << m
     if table is None:
-        table = gauss_table(ctx, e, max_q=max_q, threads=threads)
+        table = gauss_table(ctx, e)
     j = 1 << (m - r)
     g_plus = table.value(j)
     g_minus = table.value(-j)
@@ -469,7 +427,6 @@ def identity_report(
         """lambda^j evaluated at gamma^{elem_log}, as a conductor-e root."""
         return CycElem.root(e, j * elem_log % e)
 
-    s2 = ord2(s)
     for r in range(2, m + 1):
         j = 1 << (m - r)
         order_r = 1 << r

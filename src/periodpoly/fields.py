@@ -171,8 +171,7 @@ class FieldElem:
 
     def __pow__(self, e: int) -> "FieldElem":
         if e < 0:
-            inv = self ** (self.ctx.q - 2)
-            return inv ** (-e)
+            raise ValueError("negative powers are not supported; invert with x ** (q - 2)")
         return FieldElem(self.ctx, _poly_powmod(self.coords, e, self.ctx.params.modulus, self.ctx.p))
 
     def __eq__(self, other: object) -> bool:
@@ -214,7 +213,6 @@ class FieldCtx:
         self.q = params.p**params.s
         self.q_minus_1_factorization = q_minus_1_factorization
         self.gamma = FieldElem(self, gamma_coords)
-        self._trace_row = tuple(int(t) for t in self.subfield_trace_row(self.s))
 
     # -- element constructors -------------------------------------------------
     def zero(self) -> FieldElem:
@@ -234,14 +232,10 @@ class FieldCtx:
         return FieldElem(self, coords)
 
     # -- maps -------------------------------------------------------------------
-    def trace(self, x: FieldElem) -> int:
-        """Tr(x) = x + x^p + ... + x^{p^{s-1}}, returned as an element of F_p."""
-        if x.ctx.params != self.params:
-            raise FieldError("element belongs to a different field")
-        return sum(c * t for c, t in zip(x.coords, self._trace_row)) % self.p
-
     def subfield_trace(self, x: FieldElem, s_sub: int) -> int:
         """Trace from the subfield F_{p^{s_sub}} down to F_p, for x in that subfield."""
+        if x.ctx.params != self.params:
+            raise FieldError("element belongs to a different field")
         if self.s % s_sub:
             raise FieldError(f"{s_sub} does not divide {self.s}")
         acc = x
@@ -264,9 +258,6 @@ class FieldCtx:
             mat[:, j] = col
         return mat
 
-    def trace_row(self) -> np.ndarray:
-        return np.array(self._trace_row, dtype=np.int64)
-
     def subfield_trace_row(self, s_sub: int) -> np.ndarray:
         """Row vector t with t . coords(y) = Tr_{F_{p^{s_sub}}/F_p}(y) for subfield y."""
         if self.s % s_sub:
@@ -285,17 +276,6 @@ class FieldCtx:
             total = (total + acc) % self.p
             acc = acc @ frob % self.p
         return total[0, :].copy()
-
-    def with_generator(self, g: FieldElem) -> "FieldCtx":
-        """Same field, different (validated) generator."""
-        if g.ctx.params != self.params:
-            raise FieldError("generator belongs to a different field")
-        if g.is_zero():
-            raise FieldError("zero cannot generate the multiplicative group")
-        ell = _order_defect(g)
-        if ell is not None:
-            raise FieldError(f"element has order dividing (q-1)/{ell}")
-        return FieldCtx(self.params, g.coords, self.q_minus_1_factorization)
 
     def gamma_fingerprint(self) -> str:
         text = f"{self.p},{self.s},{self.params.modulus},{self.gamma.coords}"

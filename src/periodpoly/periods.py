@@ -190,7 +190,7 @@ def trace_spectrum(
         raise BudgetExceeded(f"q={ctx.q} exceeds the enumeration budget {max_q}")
     if e * ctx.p > max_q:
         raise BudgetExceeded(f"the {e}x{ctx.p} count table exceeds the enumeration budget {max_q}")
-    counts = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads)
+    counts = bucket_sweep(ctx, ctx.gamma, ctx.subfield_trace_row(ctx.s), e, ctx.q - 1, threads)
     return TraceSpectrum(e=e, counts=tuple(tuple(int(c) for c in row) for row in counts))
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from periodpoly.cyclotomic import CycElem
+from periodpoly.fields import FieldCtx, FieldError, _order_defect
 
 
 def _enumerate_representations(n: int, d: int) -> list[tuple[int, int]]:
@@ -33,3 +34,33 @@ def _conjugate(a: CycElem) -> CycElem:
 def conjugate():
     """Complex conjugation on Z[zeta_n], for the |G|^2 = q checks."""
     return _conjugate
+
+
+def _field_trace(ctx: FieldCtx):
+    """x -> Tr(x) in F_p for elements of ctx, through the trace row taken once."""
+    row = [int(t) for t in ctx.subfield_trace_row(ctx.s)]
+    return lambda x: sum(c * t for c, t in zip(x.coords, row)) % ctx.p
+
+
+@pytest.fixture
+def field_trace():
+    """The absolute trace of a field as a function, for tests that take many traces."""
+    return _field_trace
+
+
+def _with_generator(ctx: FieldCtx, g) -> FieldCtx:
+    """The same field with the validated generator g."""
+    if g.ctx.params != ctx.params:
+        raise FieldError("generator belongs to a different field")
+    if g.is_zero():
+        raise FieldError("zero cannot generate the multiplicative group")
+    ell = _order_defect(g)
+    if ell is not None:
+        raise FieldError(f"element has order dividing (q-1)/{ell}")
+    return FieldCtx(ctx.params, g.coords, ctx.q_minus_1_factorization)
+
+
+@pytest.fixture
+def with_generator():
+    """Rebuild a field around another generator, for the generator-independence checks."""
+    return _with_generator

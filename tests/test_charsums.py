@@ -18,6 +18,7 @@ from periodpoly.charsums import (
 )
 from periodpoly.cyclotomic import CycElem
 from periodpoly.fields import FieldError, build_field
+from periodpoly.intmath import ord2
 from periodpoly.periods import BudgetExceeded, SweepOverflow, period_polynomial, reduced_periods, trace_spectrum
 
 ISQRT2 = CycElem.root(8, 1) + CycElem.root(8, 3)
@@ -154,33 +155,129 @@ def test_fourier_expansion_of_periods():
             assert acc == pv.eta_star[k]
 
 
+def full_gauss_table(ctx, m):
+    """{j: G(lambda^j)} for j = 1 .. 2^m - 1, from one sweep of ctx."""
+    tab = gauss_table(ctx, 1 << m)
+    return {j: tab.value(j) for j in range(1, 1 << m)}
+
+
 def test_periods_from_gauss_direct():
-    for p, s, m in ((3, 4, 4), (5, 4, 4), (5, 2, 3), (3, 2, 3)):
+    # p = 7 and 17 (7 and 1 mod 8) too: the transform assumes nothing about p mod 8
+    for p, s, m in ((3, 4, 4), (5, 4, 4), (5, 2, 3), (3, 2, 3), (3, 2, 1), (7, 2, 4), (17, 1, 4)):
         ctx = build_field(p, s)
-        e = 1 << m
-        tab = gauss_table(ctx, e)
-        table = {}
-        for r in range(1, m + 1):
-            for key in ((1 << (m - r)) % e, (-(1 << (m - r))) % e):
-                table[key] = tab.value(key)
-        pv = periods_from_gauss(p, s, m, table)
-        bv = reduced_periods(trace_spectrum(ctx, e))
-        assert all(a == b for a, b in zip(pv.eta_star, bv.eta_star))
+        pv = periods_from_gauss(p, m, full_gauss_table(ctx, m))
+        bv = reduced_periods(trace_spectrum(ctx, 1 << m))
+        assert all(a.n == p for a in pv.eta_star)
+        assert all(a == b for a, b in zip(pv.eta_star, bv.eta_star, strict=True))
     with pytest.raises(ValueError):
-        periods_from_gauss(3, 4, 4, {})
+        periods_from_gauss(3, 4, {})
+    table = full_gauss_table(build_field(3, 4), 4)
+    del table[5]
+    with pytest.raises(ValueError, match="lambda\\^5"):
+        periods_from_gauss(3, 4, table)
     with pytest.raises(ValueError):
-        periods_from_gauss(7, 4, 4, {})
+        periods_from_gauss(3, 0, {})
+
+
+def test_periods_from_gauss_rejects_corrupted_table():
+    # a table that is not the Gauss sums of one field gives sums outside Z[zeta_p]
+    good = full_gauss_table(build_field(5, 4), 4)
+    for j, factor in ((1, CycElem.root(16, 1)), (3, CycElem.root(4, 1)), (6, CycElem.root(5, 1))):
+        table = dict(good)
+        table[j] = good[j] * factor
+        with pytest.raises(ArithmeticError, match="not in Z\\[zeta_5\\]"):
+            periods_from_gauss(5, 4, table)
+    table = dict(good)
+    table[1], table[15] = good[15], good[1]  # breaks G(lambda^{5j}) = G(lambda^j)
+    with pytest.raises(ArithmeticError):
+        periods_from_gauss(5, 4, table)
+
+
+def paper_periods_from_gauss(p, m, table):
+    """The paper's expansion of the periods, specialised to p = 3, 5 (mod 8), as a reference.
+
+    Reads only G(lambda^j) for j = +/-2^{m-r} mod 2^m, r = 1..m: for p = 3, 5 (mod 8)
+    the inner root-of-unity sums collapse to 0, +/-2^t, 2^t i or 2^t i*sqrt2.
+    """
+    e = 1 << m
+    n = math.lcm(8, e, p)
+
+    def gp(r):
+        return table[(1 << (m - r)) % e].embed(n)
+
+    def gm(r):
+        return table[(-(1 << (m - r))) % e].embed(n)
+
+    g_rho = gp(1)
+    pair = [None, None] + [gp(r) + gm(r) for r in range(2, m + 1)]
+    diff = [None, None] + [gp(r) - gm(r) for r in range(2, m + 1)]
+    i_unit = CycElem.root(4, 1).embed(n)
+    isqrt2 = ISQRT2.embed(n)
+
+    eta = [CycElem.zero(n) for _ in range(e)]
+    total = g_rho
+    for r in range(2, m + 1):
+        total = total + (1 << (r - 2)) * pair[r]
+    eta[0] = total
+    half = g_rho
+    for r in range(2, m):
+        half = half + (1 << (r - 2)) * pair[r]
+    eta[e // 2] = half - (1 << (m - 2)) * pair[m]
+
+    plus_minus = {}
+    for t in range(0, m - 1):
+        base = CycElem.zero(n)
+        for r in range(2, t + 1):
+            base = base + (1 << (r - 2)) * pair[r]
+        if t == 0:
+            base = base - g_rho
+        else:
+            base = base + g_rho - (1 << (t - 1)) * pair[t + 1]
+        corr = CycElem.zero(n)
+        if p % 8 == 5:
+            corr = corr + (1 << t) * (i_unit * diff[t + 2])
+        if p % 8 == 3 and t <= m - 3:
+            corr = corr + (1 << t) * (isqrt2 * diff[t + 3])
+        plus_minus[t] = (base - corr, base + corr)
+
+    for k in range(1, e):
+        if k == e // 2:
+            continue
+        t = ord2(k)
+        k0 = (k >> t) % (1 << (m - t))
+        sign_set = set()
+        v = 1
+        for _ in range(1 << max(0, m - t - 2)):
+            sign_set.add(v)
+            v = v * p % (1 << (m - t))
+        if k0 in sign_set:
+            eta[k] = plus_minus[t][0]
+        else:
+            assert (-k0) % (1 << (m - t)) in sign_set
+            eta[k] = plus_minus[t][1]
+    return eta
+
+
+@pytest.mark.parametrize(
+    "p, s, m", ((5, 1, 2), (3, 2, 2), (3, 2, 3), (5, 2, 3), (3, 4, 4), (5, 4, 4), (3, 8, 5), (5, 8, 5), (3, 16, 6))
+)
+def test_transform_matches_paper_expansion(p, s, m):
+    table = full_gauss_table(build_field(p, s), m)
+    paper = paper_periods_from_gauss(p, m, table)
+    assert all(a == b for a, b in zip(periods_from_gauss(p, m, table).eta_star, paper, strict=True))
 
 
 def test_lift_oracle_matches_enumeration():
     # both oracles run and agree exactly, per index and as polynomials
+    # (3, 16, 5): m = 5 lifted from F_{3^8} (r = 2); p = 7 and 17 need no p mod 8 case
     m2_cases = ((5, 2, 2), (5, 4, 2), (5, 6, 2), (5, 8, 2), (13, 2, 2), (13, 4, 2), (29, 2, 2))
-    for p, s, m in ((5, 8, 4), (3, 8, 4), (3, 4, 4), (5, 4, 3)) + m2_cases:
+    for p, s, m in ((5, 8, 4), (3, 8, 4), (3, 4, 4), (5, 4, 3), (3, 16, 5), (7, 4, 4), (17, 2, 4), (3, 2, 1)) + m2_cases:
         ctx = build_field(p, s)
         poly_lift, pv_lift, s_base = lifted_period_polynomial(ctx, m)
         bv = reduced_periods(trace_spectrum(ctx, 1 << m))
         assert poly_lift == period_polynomial(bv)
-        assert all(a == b for a, b in zip(pv_lift.eta_star, bv.eta_star))
+        assert all(a.n == p for a in pv_lift.eta_star)  # the brute oracle's ring, Z[zeta_p]
+        assert all(a == b for a, b in zip(pv_lift.eta_star, bv.eta_star, strict=True))
         assert s_base == smallest_lift_base(p, s, m)
 
 

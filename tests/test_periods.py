@@ -23,21 +23,21 @@ from periodpoly.periods import (
 )
 
 
-def naive_spectrum(ctx, e):
+def naive_spectrum(ctx, e, trace):
     """Pure-python reference sweep (independent of the numpy block path)."""
     counts = [[0] * ctx.p for _ in range(e)]
     x = ctx.one()
     for j in range(ctx.q - 1):
-        counts[j % e][ctx.trace(x)] += 1
+        counts[j % e][trace(x)] += 1
         x = x * ctx.gamma
     return counts
 
 
-def test_sweep_matches_naive_reference():
+def test_sweep_matches_naive_reference(field_trace):
     for p, s, e in ((3, 2, 4), (3, 2, 8), (5, 2, 4), (5, 2, 12), (3, 3, 13), (7, 2, 6), (3, 4, 16)):
         ctx = build_field(p, s)
         spec = trace_spectrum(ctx, e)
-        assert [list(r) for r in spec.counts] == naive_spectrum(ctx, e)
+        assert [list(r) for r in spec.counts] == naive_spectrum(ctx, e, field_trace(ctx))
 
 
 def test_row_and_column_sums():
@@ -112,7 +112,7 @@ def test_multiplicity_structure_of_two_power_periods():
             assert pv.eta_star[k] == pv.eta_star[1 << t] or pv.eta_star[k] == pv.eta_star[(e - (1 << t)) % e]
 
 
-def test_generator_independence():
+def test_generator_independence(with_generator):
     checked = 0
     for p, s, e in ((3, 4, 16), (5, 4, 16), (3, 2, 8), (5, 2, 8), (13, 2, 4)):
         ctx = build_field(p, s)
@@ -123,7 +123,7 @@ def test_generator_independence():
             c = rng.randrange(3, ctx.q - 1)
             if math.gcd(c, ctx.q - 1) != 1:
                 continue
-            alt = ctx.with_generator(ctx.gamma**c)
+            alt = with_generator(ctx, ctx.gamma**c)
             assert period_polynomial(reduced_periods(trace_spectrum(alt, e))) == base
             tried += 1
             checked += 1
@@ -189,7 +189,7 @@ def walk_traces(ctx, base, trace, length):
 
 
 @functools.lru_cache(maxsize=None)
-def sweep_case(name):
+def sweep_case(name, field_trace):
     """(ctx, base, trow, traces over one period of base) for a bucket_sweep test case."""
     if name == "subfield":  # gamma^d walks F_{3^4} inside F_{3^8}
         ctx = build_field(3, 8)
@@ -199,16 +199,16 @@ def sweep_case(name):
     else:
         ctx = build_field(*{"s=1": (10007, 1), "s=6": (5, 6)}[name])
         period = ctx.q - 1
-        base, trow = ctx.gamma, ctx.trace_row()
-        traces = walk_traces(ctx, base, ctx.trace, period)
+        base, trow = ctx.gamma, ctx.subfield_trace_row(ctx.s)
+        traces = walk_traces(ctx, base, field_trace(ctx), period)
     assert base**period == ctx.one()
     return ctx, base, trow, np.array(traces, dtype=np.int64)
 
 
 @pytest.mark.parametrize("threads", (1, 2, 3))
 @pytest.mark.parametrize("name", ("s=1", "s=6", "subfield"))
-def test_bucket_sweep_matches_direct_walk(name, threads):
-    ctx, base, trow, traces = sweep_case(name)
+def test_bucket_sweep_matches_direct_walk(name, threads, field_trace):
+    ctx, base, trow, traces = sweep_case(name, field_trace)
     # lengths that are multiples of neither the block nor e; the two short ones take
     # the int64 product, the long one the float64 product over up to three ranges
     for length in (1, _ROWS + 1, 3 * _MIN_RANGE + 4099):
@@ -225,19 +225,19 @@ def test_bucket_sweep_matches_direct_walk(name, threads):
     # the primes on either side of the float64 bound: s*(p-1)^2 < 2^53 <= s*(p'-1)^2
     ((94906249, np.float64), (94906297, np.int64)),
 )
-def test_bucket_sweep_exact_near_float64_bound(p, dtype):
+def test_bucket_sweep_exact_near_float64_bound(p, dtype, field_trace):
     assert _exact_dtype(1, p) is dtype
     assert _exact_dtype(4, 94906249) is np.int64
     ctx = build_field(p, 1)
     # an element of order 8 keeps the residues near p but the touched buckets few,
     # so the 2p-bucket result stays a handful of pages
     base = ctx.gamma ** ((p - 1) // 8)
-    traces = walk_traces(ctx, base, ctx.trace, 8)
+    traces = walk_traces(ctx, base, field_trace(ctx), 8)
     length = 3 * _MIN_RANGE + 5  # long enough that the dtype is the exactness bound's choice
     direct = {}
     for j in range(length):
         direct[j % 2, traces[j % 8]] = direct.get((j % 2, traces[j % 8]), 0) + 1
-    got = bucket_sweep(ctx, base, ctx.trace_row(), 2, length, threads=1)
+    got = bucket_sweep(ctx, base, ctx.subfield_trace_row(1), 2, length, threads=1)
     assert np.count_nonzero(got) == len(direct)
     assert {key: int(got[key]) for key in direct} == direct
 
