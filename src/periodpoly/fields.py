@@ -7,6 +7,9 @@ trinomials x^s+b*x^t+c ordered by (t,b,c), then all monic polynomials by
 ascending packed key), and the generator is the first element of full order
 when elements are enumerated by ascending packed key sum(c_i * p^i).
 
+Every product in the field goes through one kernel, `_poly_mulmod`, which
+multiplies by Kronecker substitution (one big-int product per multiply).
+
 A FieldCtx is immutable after construction; element operations are pure, so
 everything here is safe for concurrent use.
 """
@@ -37,21 +40,45 @@ class FieldParams:
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    """(a * b) mod modulus over F_p; inputs have length <= s, modulus monic of degree s."""
+    """(a * b) mod modulus over F_p, by Kronecker substitution.
+
+    The modulus is monic of degree s; a and b have at most s coefficients each
+    and may be shorter. Each operand, reduced into [0, p), is packed into one
+    Python int with w = bitlen(s*(p-1)^2) bits per slot: A = sum a_i 2^{w*i}.
+    One big-int product A*B (a square when b is a) then holds the product
+    polynomial's coefficients c_k = sum_{i+j=k} a_i b_j in its slots.
+
+    The slots never carry into each other. c_k is a sum of at most s terms,
+    since one factor has at most s coefficients, and each term is at most
+    (p-1)^2. So 0 <= c_k <= s*(p-1)^2 < 2^w, and A*B = sum c_k 2^{w*k} with
+    every c_k below the slot size. Reading slot k therefore gives c_k exactly.
+
+    The slots k >= s are then folded down, from the top, through
+    x^s = -(the modulus's nonzero terms below degree s), and every
+    coefficient is reduced mod p. Exact for any p: Python ints only.
+    """
     s = len(modulus) - 1
-    out = [0] * (2 * s - 1) if s > 1 else [0]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
+    w = (s * (p - 1) ** 2).bit_length()
+    packed = 0
+    for c in reversed(a):
+        packed = (packed << w) | c % p
+    if b is a:
+        product = packed * packed
+    else:
+        other = 0
+        for c in reversed(b):
+            other = (other << w) | c % p
+        product = packed * other
+    mask = (1 << w) - 1
+    out = [(product >> i) & mask for i in range(0, (len(a) + len(b) - 1) * w, w)]
+    out += [0] * (s - len(out))
+    low = [(j, p - m) for j, m in enumerate(modulus[:s]) if m % p]
     for i in range(len(out) - 1, s - 1, -1):
-        c = out[i]
+        c = out[i] % p
         if c:
-            out[i] = 0
-            for j in range(s):
-                out[i - s + j] = (out[i - s + j] - c * modulus[j]) % p
-    return out[:s]
+            for j, m in low:
+                out[i - s + j] += c * m
+    return [c % p for c in out[:s]]
 
 
 def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:

@@ -94,11 +94,9 @@ def power_representation(p: int, d: int, k: int) -> tuple[int, int]:
     return ak, bk
 
 
-def partition_a(ctx: FieldCtx, r: int) -> PartitionRecord:
-    """A-type record: p^{s/2^{r-2}} = A_r^2 + 2B_r^2, A_r = -1 (mod 4), p | A_r never,
-    2B_r = A_r(gamma^{(q-1)/8} + gamma^{3(q-1)/8}) (mod p).
-    """
-    p, s, q = ctx.p, ctx.s, ctx.q
+def _a_exponent(ctx: FieldCtx, r: int) -> int:
+    """k with p^k = A_r^2 + 2B_r^2, after checking that the A-type record exists."""
+    p, s = ctx.p, ctx.s
     if p % 8 != 3:
         raise ValueError(f"p mod 8 = {p % 8}, need 3")
     if r < 3:
@@ -106,18 +104,25 @@ def partition_a(ctx: FieldCtx, r: int) -> PartitionRecord:
     step = 1 << (r - 2)
     if s % step:
         raise ValueError(f"2^{r - 2} does not divide s={s}")
-    if (q - 1) % 8:
+    if (ctx.q - 1) % 8:
         raise ValueError("8 does not divide q-1")
-    k = s // step
-    a, b = power_representation(p, 2, k)
-    if a % 4 != 3:
-        a = -a
-    # u = zeta8 + zeta8^3 with zeta8 = gamma^{(q-1)/8} is a square root of -2 in F_p
-    zeta8 = ctx.gamma ** ((q - 1) // 8)
+    return s // step
+
+
+def _a_root(ctx: FieldCtx) -> int:
+    """u = zeta8 + zeta8^3 with zeta8 = gamma^{(q-1)/8}, a square root of -2 in F_p."""
+    zeta8 = ctx.gamma ** ((ctx.q - 1) // 8)
     u = zeta8 + zeta8 * zeta8 * zeta8
     if not u.in_prime_field():
         raise FieldError(f"gamma^((q-1)/8)+gamma^(3(q-1)/8) = {u.coords} not in F_p")
-    u0 = u.coords[0]
+    return u.coords[0]
+
+
+def _a_record(ctx: FieldCtx, r: int, k: int, u0: int) -> PartitionRecord:
+    p = ctx.p
+    a, b = power_representation(p, 2, k)
+    if a % 4 != 3:
+        a = -a
     b = abs(b)
     if (2 * b - a * u0) % p != 0:
         b = -b
@@ -126,11 +131,17 @@ def partition_a(ctx: FieldCtx, r: int) -> PartitionRecord:
     return PartitionRecord("A", r, k, a, b, p, ctx.gamma_fingerprint())
 
 
-def partition_c(ctx: FieldCtx, r: int) -> PartitionRecord:
-    """C-type record: p^{s/2^{r-1}} = C_r^2 + D_r^2, C_r = 1 (mod 4), p | C_r never,
-    D_r * gamma^{(q-1)/4} = C_r (mod p).
+def partition_a(ctx: FieldCtx, r: int) -> PartitionRecord:
+    """A-type record: p^{s/2^{r-2}} = A_r^2 + 2B_r^2, A_r = -1 (mod 4), p | A_r never,
+    2B_r = A_r(gamma^{(q-1)/8} + gamma^{3(q-1)/8}) (mod p).
     """
-    p, s, q = ctx.p, ctx.s, ctx.q
+    k = _a_exponent(ctx, r)
+    return _a_record(ctx, r, k, _a_root(ctx))
+
+
+def _c_exponent(ctx: FieldCtx, r: int) -> int:
+    """k with p^k = C_r^2 + D_r^2, after checking that the C-type record exists."""
+    p, s = ctx.p, ctx.s
     if p % 8 != 5:
         raise ValueError(f"p mod 8 = {p % 8}, need 5")
     if r < 2:
@@ -138,15 +149,22 @@ def partition_c(ctx: FieldCtx, r: int) -> PartitionRecord:
     step = 1 << (r - 1)
     if s % step:
         raise ValueError(f"2^{r - 1} does not divide s={s}")
-    k = s // step
+    return s // step
+
+
+def _c_root(ctx: FieldCtx) -> int:
+    """v = gamma^{(q-1)/4}, a square root of -1 in F_p."""
+    v = ctx.gamma ** ((ctx.q - 1) // 4)
+    if not v.in_prime_field():
+        raise FieldError(f"gamma^((q-1)/4) = {v.coords} not in F_p")
+    return v.coords[0]
+
+
+def _c_record(ctx: FieldCtx, r: int, k: int, v0: int) -> PartitionRecord:
+    p = ctx.p
     c, d = power_representation(p, 1, k)
     if c % 4 != 1:
         c = -c
-    # v = gamma^{(q-1)/4} is a square root of -1 in F_p
-    v = ctx.gamma ** ((q - 1) // 4)
-    if not v.in_prime_field():
-        raise FieldError(f"gamma^((q-1)/4) = {v.coords} not in F_p")
-    v0 = v.coords[0]
     d = abs(d)
     if (d * v0 - c) % p != 0:
         d = -d
@@ -155,7 +173,25 @@ def partition_c(ctx: FieldCtx, r: int) -> PartitionRecord:
     return PartitionRecord("C", r, k, c, d, p, ctx.gamma_fingerprint())
 
 
+def partition_c(ctx: FieldCtx, r: int) -> PartitionRecord:
+    """C-type record: p^{s/2^{r-1}} = C_r^2 + D_r^2, C_r = 1 (mod 4), p | C_r never,
+    D_r * gamma^{(q-1)/4} = C_r (mod p).
+    """
+    k = _c_exponent(ctx, r)
+    return _c_record(ctx, r, k, _c_root(ctx))
+
+
 def partition_records(ctx: FieldCtx, rs: list[int]) -> dict[int, PartitionRecord]:
-    """All A-type (p = 3 mod 8) or C-type (p = 5 mod 8) records for the given r values."""
-    fn = partition_a if ctx.p % 8 == 3 else partition_c
-    return {r: fn(ctx, r) for r in rs}
+    """All A-type (p = 3 mod 8) or C-type (p = 5 mod 8) records for the given r values.
+
+    The signing root depends only on the field, so it is computed once for all r.
+    """
+    if ctx.p % 8 == 3:
+        exponent, root, record = _a_exponent, _a_root, _a_record
+    else:
+        exponent, root, record = _c_exponent, _c_root, _c_record
+    ks = {r: exponent(ctx, r) for r in rs}
+    if not ks:
+        return {}
+    signing_root = root(ctx)
+    return {r: record(ctx, r, k, signing_root) for r, k in ks.items()}

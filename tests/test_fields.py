@@ -7,6 +7,7 @@ from periodpoly.fields import (
     FieldElem,
     FieldError,
     _poly_gcd_is_one,
+    _poly_mulmod,
     _poly_powmod,
     build_field,
     find_generator,
@@ -34,6 +35,71 @@ def frobenius_irreducible(f, p):
     return all(
         _poly_gcd_is_one([(u - v) % p for u, v in zip(frob_iter(s // ell), x)], list(f), p) for ell, _ in factorize(s)
     )
+
+
+def schoolbook_mulmod(a, b, modulus, p):
+    """Reference product: (a * b) mod modulus over F_p, schoolbook, reducing mod p on every add."""
+    s = len(modulus) - 1
+    out = [0] * (2 * s - 1) if s > 1 else [0]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = (out[i + j] + ai * bj) % p
+    for i in range(len(out) - 1, s - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(s):
+                out[i - s + j] = (out[i - s + j] - c * modulus[j]) % p
+    return out[:s]
+
+
+def dense_irreducible(p, s, seed):
+    """A monic irreducible of degree s over F_p with every coefficient nonzero."""
+    rng = random.Random(seed)
+    while True:
+        f = tuple(rng.randrange(1, p) for _ in range(s)) + (1,)
+        if is_irreducible(f, p):
+            return f
+
+
+MERSENNE_31 = 2**31 - 1
+
+# (p, modulus): s = 1 and s = 2, binomials, trinomials and dense moduli, small and large p
+KERNEL_MODULI = [
+    (3, (1, 1)),
+    (13, (11, 1)),
+    (5, (2, 0, 1)),
+    (3, (2, 1, 1)),
+    (5, find_irreducible_modulus(5, 16)),  # binomial
+    (13, find_irreducible_modulus(13, 32)),  # binomial
+    (3, find_irreducible_modulus(3, 14)),  # trinomial x^14 + x + 2
+    (11, find_irreducible_modulus(11, 64)),  # trinomial x^64 + x^3 + 8
+    (7, dense_irreducible(7, 9, seed=1)),
+    (3, dense_irreducible(3, 20, seed=2)),
+    (MERSENNE_31, (7, 1)),
+    (MERSENNE_31, dense_irreducible(MERSENNE_31, 2, seed=3)),
+    (MERSENNE_31, dense_irreducible(MERSENNE_31, 5, seed=4)),
+]
+
+
+@pytest.mark.parametrize("p, modulus", KERNEL_MODULI, ids=[f"{p}-{len(f) - 1}" for p, f in KERNEL_MODULI])
+def test_kronecker_kernel_matches_schoolbook(p, modulus):
+    s = len(modulus) - 1
+    rng = random.Random(p * s)
+    top = [p - 1] * s  # top * top has the coefficient s*(p-1)^2 at degree s-1, the largest a slot holds
+    pairs = [(top, list(top)), (top, [1] + [0] * (s - 1)), ([0] * s, top)]
+    for _ in range(60):
+        pairs.append(([rng.randrange(p) for _ in range(s)], [rng.randrange(p) for _ in range(s)]))
+        # operands shorter than s, as Ben-Or's test and mul_matrix pass x = [0, 1, ...]
+        pairs.append(tuple([rng.randrange(p) for _ in range(rng.randint(1, s))] for _ in range(2)))
+        # coefficients outside [0, p), negative ones too, act as their residues
+        pairs.append(tuple([rng.randrange(-3 * p, 3 * p) for _ in range(rng.randint(1, s))] for _ in range(2)))
+    for a, b in pairs:
+        want = schoolbook_mulmod(a, b, modulus, p)
+        assert _poly_mulmod(a, b, modulus, p) == want, (a, b)
+        assert _poly_mulmod(a, a, modulus, p) == schoolbook_mulmod(a, a, modulus, p), a  # the squaring path
 
 
 def test_build_prime_field():

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from periodpoly import partitions
 from periodpoly.fields import build_field
 from periodpoly.partitions import (
     cornacchia,
     partition_a,
     partition_c,
+    partition_records,
     power_representation,
 )
 
@@ -208,6 +210,23 @@ def test_squaring_consistency():
             second_sq = 2 * hi.first * hi.second
             assert abs(lo.first) == abs(first_sq)
             assert abs(lo.second) == abs(second_sq)
+
+
+@pytest.mark.parametrize("p, s, rs", [(3, 8, [3, 4, 5]), (11, 4, [3, 4]), (5, 8, [2, 3, 4]), (13, 4, [2, 3])])
+def test_partition_records_take_one_root_per_field(p, s, rs, monkeypatch):
+    # the signing root depends only on the field: one power of gamma for all r, the same records as one call per r
+    ctx = build_field(p, s)
+    fn = partition_a if p % 8 == 3 else partition_c
+    name = "_a_root" if p % 8 == 3 else "_c_root"
+    root = getattr(partitions, name)
+    calls = []
+    monkeypatch.setattr(partitions, name, lambda c: calls.append(c) or root(c))
+    assert partition_records(ctx, rs) == {r: fn(ctx, r) for r in rs}
+    assert len(calls) == 1 + len(rs)  # one for the records, one per direct call
+    assert partition_records(ctx, []) == {}
+    with pytest.raises(ValueError):
+        partition_records(ctx, rs + [rs[-1] + 1])  # 2^{r-2} or 2^{r-1} no longer divides s
+    assert len(calls) == 1 + len(rs)  # the range is checked before the root is taken
 
 
 def test_record_serialization():
