@@ -70,14 +70,17 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: 
             other = (other << w) | c % p
         product = packed * other
     mask = (1 << w) - 1
-    out = [(product >> i) & mask for i in range(0, (len(a) + len(b) - 1) * w, w)]
+    out = []
+    while product:
+        out.append(product & mask)
+        product >>= w
     out += [0] * (s - len(out))
-    low = [(j, p - m) for j, m in enumerate(modulus[:s]) if m % p]
+    low = [(j - s, p - m) for j, m in enumerate(modulus[:s]) if m % p]
     for i in range(len(out) - 1, s - 1, -1):
         c = out[i] % p
         if c:
             for j, m in low:
-                out[i - s + j] += c * m
+                out[i + j] += c * m
     return [c % p for c in out[:s]]
 
 
