@@ -57,12 +57,10 @@ DEFAULT_MAX_Q_JACOBI = 10**6
 class GaussTable:
     """All Gauss sums G(lambda^j) for one field and one character order E."""
 
-    def __init__(self, ctx: FieldCtx, order: int, spectrum: TraceSpectrum):
-        if spectrum.e != order:
-            raise ValueError(f"spectrum of order {spectrum.e} cannot give Gauss sums of order {order}")
+    def __init__(self, ctx: FieldCtx, spectrum: TraceSpectrum):
         self.ctx = ctx
-        self.order = order
-        self.conductor = math.lcm(order, ctx.p)
+        self.order = spectrum.e
+        self.conductor = math.lcm(spectrum.e, ctx.p)
         self.counts = spectrum.counts
 
     def value(self, j: int) -> CycElem:
@@ -89,7 +87,7 @@ def gauss_table(
     max_q: int = DEFAULT_MAX_Q,
     threads: int | None = None,
 ) -> GaussTable:
-    return GaussTable(ctx, order, trace_spectrum(ctx, order, max_q=max_q, threads=threads))
+    return GaussTable(ctx, trace_spectrum(ctx, order, max_q=max_q, threads=threads))
 
 
 def discrete_log_map(
@@ -162,7 +160,7 @@ class SubfieldSums(GaussTable):
     """Gauss sums G(chi^j) over F_{q0} inside F_q, chi(N(gamma)) = zeta_order."""
 
     def __init__(self, ctx: FieldCtx, s_sub: int, spectrum: TraceSpectrum):
-        super().__init__(ctx, spectrum.e, spectrum)
+        super().__init__(ctx, spectrum)
         self.s_sub = s_sub
 
     @property

@@ -114,10 +114,10 @@ def cmd_periods(args) -> int:
 
 def cmd_partition(args) -> int:
     ctx = _build(args)
-    if args.type == "A":
-        rec = partition_a(ctx, args.r)
-    else:
-        rec = partition_c(ctx, args.r)
+    partition = {3: partition_a, 5: partition_c}.get(ctx.p % 8)
+    if partition is None:
+        raise ValueError(f"p mod 8 = {ctx.p % 8}, need 3 (A type) or 5 (C type)")
+    rec = partition(ctx, args.r)
     if args.format == "json":
         print(_canonical_json(rec.to_json_dict()))
     else:
@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
-def _add_common(sub, *, m=False, e=False, r=False, type_=False, oracle=False, sweep=False):
+def _add_common(sub, *, m=False, e=False, r=False, oracle=False, sweep=False):
     sub.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     sub.add_argument("--s", type=int, required=True, help="extension degree")
     if m:
@@ -222,8 +222,6 @@ def _add_common(sub, *, m=False, e=False, r=False, type_=False, oracle=False, sw
         sub.add_argument("--e", type=int, required=True, help="order e dividing q-1")
     if r:
         sub.add_argument("--r", type=int, required=True, help="partition index r")
-    if type_:
-        sub.add_argument("--type", choices=("A", "C"), required=True)
     if oracle:
         sub.add_argument("--oracle", choices=("auto", "brute", "lift"), default="auto")
         sub.add_argument("--cache", default=None, help="JSONL cache path (or env PERIODPOLY_CACHE)")
@@ -255,7 +253,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_periods.set_defaults(fn=cmd_periods)
 
     p_part = subs.add_parser("partition", help="normalized quadratic partition record")
-    _add_common(p_part, r=True, type_=True)
+    _add_common(p_part, r=True)
     p_part.set_defaults(fn=cmd_partition)
 
     p_lem = subs.add_parser("lemmas", help="classical identity checks on Gauss/Jacobi sums")

@@ -11,9 +11,10 @@ the canonical form; no floating point is involved in any decision.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
-from .intmath import is_prime
+from .intmath import is_prime, power
 
 
 class NotAnInteger(ValueError):
@@ -187,14 +188,7 @@ class CycElem:
     def __pow__(self, e: int) -> "CycElem":
         if e < 0:
             raise ValueError("negative powers are not defined in the ring")
-        result = CycElem.integer(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul, CycElem.integer(self.n, 1))
 
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -283,14 +277,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "IntPoly":
-        result = IntPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul, IntPoly((1,)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPoly):

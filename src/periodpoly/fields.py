@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .intmath import factorize, is_prime
+from .intmath import factorize, is_prime, power
 
 
 class FieldError(ValueError):
@@ -85,37 +85,30 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: 
 
 
 def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
+    """a^e mod modulus over F_p, as a fresh length-s list of residues, for e >= 0."""
     s = len(modulus) - 1
-    result = [1] + [0] * (s - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
+    x = [c % p for c in a] + [0] * (s - len(a))
+    return power(x, e, lambda u, v: _poly_mulmod(u, v, modulus, p), [1] + [0] * (s - 1))
 
 
 def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
-    """gcd over F_p[x] is constant?"""
-
-    def deg(u: list[int]) -> int:
-        d = len(u) - 1
-        while d >= 0 and u[d] == 0:
-            d -= 1
-        return d
-
-    a, b = list(a), list(b)
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        inv = pow(b[db], p - 2, p)
-        while da >= db:
-            c = a[da] * inv % p
-            for j in range(db + 1):
-                a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-            da = deg(a)
+    """gcd over F_p[x] is constant? Euclid on coefficient lists kept free of trailing zeros."""
+    a, b = [c % p for c in a], [c % p for c in b]
+    for u in (a, b):
+        while u and not u[-1]:
+            u.pop()
+    while b:
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        while len(a) > db:
+            c = a.pop() * inv % p  # the leading term cancels; only the rest of b is subtracted
+            shift = len(a) - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - c * b[j]) % p
+            while a and not a[-1]:
+                a.pop()
         a, b = b, a
-    return deg(a) <= 0
+    return len(a) <= 1
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:

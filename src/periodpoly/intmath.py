@@ -1,17 +1,45 @@
-"""Deterministic integer routines: primality, factoring, modular square roots.
+"""Deterministic integer routines: powers, primality, factoring, modular square roots.
 
 Everything here is exact and reproducible: Miller-Rabin uses a fixed witness
 set that is provably correct below 3.3e24 (far beyond desk scale), Pollard rho
 uses a fixed parameter schedule, and Tonelli-Shanks picks the smallest
 quadratic non-residue.
+
+`power` is the package's one square-and-multiply kernel: every power in
+F_q, Z[zeta_n], Z[X], Z[sqrt(-d)] and of the sweep's step matrix goes through it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 # Deterministic for n < 3,317,044,064,679,887,385,961,981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_BOUND = 100_000  # factorize divides out every prime below this before Pollard rho
+
+
+def power(x: T, e: int, mul: Callable[[T, T], T], one: T) -> T:
+    """x^e for e >= 0 under the associative product mul, whose identity is one.
+
+    Left-to-right binary method (Knuth, TAOCP Vol. 2, 4.6.3): one squaring per
+    bit below the top one, each as mul(y, y) with the same object twice, and one
+    product by x per set bit below the top one. So x^e costs bitlen(e) - 1
+    squarings and popcount(e) - 1 products; one is never multiplied, and is
+    returned as is for e = 0.
+    """
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    if e == 0:
+        return one
+    y = x
+    for bit in bin(e)[3:]:
+        y = mul(y, y)
+        if bit == "1":
+            y = mul(y, x)
+    return y
 
 
 def is_prime(n: int) -> bool:
@@ -55,12 +83,12 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")  # unreachable at desk scale
 
 
-def factorize(n: int, trial_bound: int = 100_000) -> tuple[tuple[int, int], ...]:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Full factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
-    for d in range(2, trial_bound):
+    for d in range(2, _TRIAL_BOUND):
         if d * d > n:
             break
         while n % d == 0:

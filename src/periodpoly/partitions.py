@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import FieldCtx, FieldError
-from .intmath import sqrt_mod_prime
+from .intmath import power, sqrt_mod_prime
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,11 @@ def power_representation(p: int, d: int, k: int) -> tuple[int, int]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a, b = cornacchia(p, d)
-    ak, bk = a, b
-    for _ in range(k - 1):
-        ak, bk = ak * a - d * bk * b, ak * b + bk * a
+
+    def mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+        return u[0] * v[0] - d * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    ak, bk = power(cornacchia(p, d), k, mul, (1, 0))
     if ak * ak + d * bk * bk != p**k or ak % p == 0:
         raise ArithmeticError(f"({ak}, {bk}) is not a representation of {p}^{k} with p not dividing a")
     return ak, bk

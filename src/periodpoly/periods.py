@@ -30,6 +30,7 @@ import numpy as np
 
 from .cyclotomic import CycElem, IntPoly, poly_from_roots
 from .fields import FieldCtx, FieldElem
+from .intmath import power
 
 DEFAULT_MAX_Q = 10**8
 _ROWS = 1 << 12  # rows of the trace block R, rounded down to a multiple of e
@@ -123,7 +124,8 @@ def _range_sweep(
     rows = min(length, max(1, _ROWS // e) * e)
     full, tail = divmod(length, rows)
     r = _orbit(trow, mult, rows, p).astype(dtype, copy=False)  # row i: trow . M^i
-    w = _orbit(seed, _mat_pow(mult, rows, p).T, full + (tail > 0), p).astype(dtype, copy=False)  # row b: M^{b*rows} . seed
+    jump = power(mult, rows, lambda a, b: a @ b % p, np.eye(len(mult), dtype=np.int64))  # M^rows
+    w = _orbit(seed, jump.T, full + (tail > 0), p).astype(dtype, copy=False)  # row b: M^{b*rows} . seed
     # e | rows, so row i of every block lies in coset (start + i) mod e
     rowkey = ((start + np.arange(rows, dtype=np.int64)) % e * p)[:, None]
     counts = np.zeros(e * p, dtype=np.int64)
@@ -133,17 +135,6 @@ def _range_sweep(
     if tail:
         _tally(counts, r[:tail] @ w[full:].T, p, rowkey[:tail])
     return counts.reshape(e, p)
-
-
-def _mat_pow(mat: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.eye(mat.shape[0], dtype=np.int64)
-    base = mat % p
-    while e:
-        if e & 1:
-            out = out @ base % p
-        base = base @ base % p
-        e >>= 1
-    return out
 
 
 def bucket_sweep(

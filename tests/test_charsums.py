@@ -141,6 +141,17 @@ def test_davenport_hasse_lift(conjugate):
     assert direct_base * conjugate(direct_base) == 9
 
 
+def test_davenport_hasse_square_is_one_product(monkeypatch):
+    # G^2 is one squaring in Z[zeta_{ep}]: no product by one and no squaring past the top bit
+    g = subfield_sums(build_field(5, 4), 2, 8).gauss(1)
+    want = g * g
+    products = []
+    mul = CycElem.__mul__
+    monkeypatch.setattr(CycElem, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
+    assert lift_gauss_sum(g, 2) == -want
+    assert len(products) == 1 and products[0][0] is products[0][1] is g
+
+
 def test_fourier_expansion_of_periods():
     # eta*_k = sum_j G(lambda^j) zeta_e^{-jk}
     for p, s, e in ((3, 2, 8), (5, 2, 4), (3, 4, 16)):

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -60,13 +62,20 @@ def test_periods_budget(capsys):
 
 
 def test_partition_cli(capsys):
-    code, out, _ = run(capsys, "partition", "--p", "3", "--s", "8", "--type", "A", "--r", "3", "--json")
+    # p mod 8 picks the type: A for 3, C for 5
+    code, out, _ = run(capsys, "partition", "--p", "3", "--s", "8", "--r", "3", "--json")
     assert code == EXIT_OK
     d = json.loads(out)
     assert d["kind"] == "A" and d["first"] == "7" and d["pk"] == "81"
     assert d["second"] in ("4", "-4")
-    code, _, err = run(capsys, "partition", "--p", "5", "--s", "8", "--type", "A", "--r", "3")
-    assert code == EXIT_USAGE
+    code, out, _ = run(capsys, "partition", "--p", "5", "--s", "8", "--r", "3", "--json")
+    assert code == EXIT_OK
+    d = json.loads(out)
+    assert d["kind"] == "C" and d["pk"] == "25" and d["first"] == "-3" and d["second"] in ("4", "-4")
+    code, _, err = run(capsys, "partition", "--p", "7", "--s", "2", "--r", "3")
+    assert code == EXIT_USAGE and "p mod 8 = 7" in err
+    code, _, err = run(capsys, "partition", "--p", "5", "--s", "8", "--type", "C", "--r", "3")
+    assert code == EXIT_USAGE and "unrecognized arguments: --type C" in err
 
 
 def test_lemmas_cli(capsys):
@@ -176,7 +185,7 @@ def test_options_only_where_read(capsys):
     # the budget and worker count belong to the sweeping commands; semiprimitive finds l itself
     for argv in (
         ("factor", "--p", "3", "--s", "4", "--m", "4", "--threads", "2"),
-        ("partition", "--p", "3", "--s", "8", "--type", "A", "--r", "3", "--max-q", "100"),
+        ("partition", "--p", "3", "--s", "8", "--r", "3", "--max-q", "100"),
         ("semiprimitive", "--p", "3", "--s", "4", "--e", "5", "--l", "2"),
     ):
         code, _, err = run(capsys, *argv)
@@ -199,3 +208,23 @@ def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--p", "3", "--s", "4", "--m", "4", "--cache", str(cache), "--format", "json")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["status"] == "failed"
+
+
+def readme_examples():
+    """(argv, expected stdout) for each `$ periodpoly ...` example in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [
+        (shlex.split(command)[1:], output)
+        for command, output in (chunk.split("\n", 1) for chunk in block.split("$ ")[1:])
+    ]
+
+
+def test_readme_examples(tmp_path, capsys):
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["factor", "verify"]
+    for argv, want in examples:
+        if argv[0] == "verify":
+            argv += ["--cache", str(tmp_path / "cache.jsonl")]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and out.strip() == want.strip(), argv

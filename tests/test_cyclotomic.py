@@ -160,6 +160,25 @@ def test_intpoly_basics():
     assert linear(-5).to_json_list() == ["-5", "1"]
 
 
+def test_powers_match_repeated_products():
+    rng = random.Random(12)
+    x = CycElem(24, [rng.randrange(-3, 4) for _ in range(24)])
+    f = IntPoly((2, -1, 3))
+    want_x, want_f = CycElem.integer(24, 1), IntPoly((1,))
+    for e in range(9):
+        assert x**e == want_x and (x**e).n == 24
+        assert f**e == want_f
+        want_x, want_f = want_x * x, want_f * f
+
+
+def test_negative_powers_raise():
+    with pytest.raises(ValueError, match="not defined in the ring"):
+        CycElem.root(8, 1) ** -1
+    # a right-shift loop never ends here: e >>= 1 keeps e = -1 while the operand grows
+    with pytest.raises(ValueError):
+        IntPoly((1, 1)) ** -1
+
+
 def test_poly_from_roots_matches_direct():
     roots = [CycElem.integer(3, 2), CycElem.root(3, 1), CycElem.root(3, 2)]
     coeffs = poly_from_roots(roots)

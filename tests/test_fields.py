@@ -102,6 +102,23 @@ def test_kronecker_kernel_matches_schoolbook(p, modulus):
         assert _poly_mulmod(a, a, modulus, p) == schoolbook_mulmod(a, a, modulus, p), a  # the squaring path
 
 
+@pytest.mark.parametrize("p, modulus", KERNEL_MODULI, ids=[f"{p}-{len(f) - 1}" for p, f in KERNEL_MODULI])
+def test_poly_powmod_matches_repeated_schoolbook(p, modulus):
+    s = len(modulus) - 1
+    rng = random.Random(p + s)
+    one = [1] + [0] * (s - 1)
+    exponents = (0, 1, 2, 3) + ((p,) if p < 100 else ())  # e = p is Ben-Or's and the Frobenius's power
+    for length in sorted({1, max(1, s // 2), s}):  # inputs shorter than s, as Ben-Or's x = [0, 1, ...]
+        a = [rng.randrange(-p, 2 * p) for _ in range(length)]
+        want = one
+        for e in range(max(exponents) + 1):
+            if e in exponents:
+                got = _poly_powmod(a, e, modulus, p)
+                assert got == want and got is not a, (a, e)
+                assert len(got) == s and all(0 <= c < p for c in got)
+            want = schoolbook_mulmod(want, [c % p for c in a], modulus, p)
+
+
 def test_build_prime_field():
     ctx = build_field(3, 1)
     assert ctx.params.modulus == (0, 1)
