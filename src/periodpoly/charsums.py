@@ -8,12 +8,15 @@ a character of order E, and psi = lambda^j. Each quantity has one kernel:
     Z[zeta_{lcm(E, p)}], by GaussTable.value; the subfield sums reuse it.
   * Jacobi sums are read off one discrete-log walk per cyclic group
     (discrete_log_map): the sweep's orbit kernel lays out the coordinates of
-    base^a row by row, so the row index is the log. 1 - x is formed on the
-    whole block and every log is looked up at once by packed int64 keys.
+    g^a row by row, so the row index is the log. zech_logs forms 1 - x on the
+    whole block, looks every log up at once by packed int64 keys, and returns
+    the Zech vector a + log(1 - x_a); every J(lambda^j) on that group is then
+    one bincount of j times it (jacobi_sum), so a field pays one search.
 
-Subfield sums are computed inside the ambient field: the subfield of size q0
-is walked as powers of gamma^d with d = (q-1)/(q0-1), and the subfield
-character chi is normalized by chi(gamma^d) = zeta_E. Since gamma^d is the
+Subfield sums are computed inside the ambient field: subfield_sums is one
+trace_spectrum call that walks the subfield of size q0 as powers of
+gamma^d with d = (q-1)/(q0-1) (FieldCtx.subfield_generator), and the
+subfield character chi is normalized by chi(gamma^d) = zeta_E. Since gamma^d is the
 norm of gamma, the lift of chi is exactly the gamma-normalized character of
 the big field, which makes lifted Gauss sums and reconstructed periods
 per-index exact rather than merely correct as multisets.
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycElem, IntPoly
-from .fields import FieldCtx, FieldElem, FieldError
+from .fields import FieldCtx, FieldError
 from .intmath import legendre, ord2
 from .periods import (
     DEFAULT_MAX_Q,
@@ -46,7 +49,6 @@ from .periods import (
     TraceSpectrum,
     _exact_dtype,
     _orbit,
-    bucket_sweep,
     period_polynomial,
     trace_spectrum,
 )
@@ -90,19 +92,19 @@ def gauss_table(
     return GaussTable(ctx, trace_spectrum(ctx, order, max_q=max_q, threads=threads))
 
 
-def discrete_log_map(
-    ctx: FieldCtx, base: FieldElem | None = None, length: int | None = None
-) -> np.ndarray:
-    """Row a holds the coords of base^a, for the `length` elements of the cyclic group <base>.
+def discrete_log_map(ctx: FieldCtx, s_sub: int | None = None) -> np.ndarray:
+    """Row a holds the coords of g^a for the p^{s_sub} - 1 elements of F_{p^{s_sub}}^*.
 
-    Defaults to gamma and q - 1. The row index is the discrete log; every
-    Jacobi sum is read off the block this returns. Small groups only.
+    g = ctx.subfield_generator(s_sub), the generator trace_spectrum walks; the
+    default is the whole field, g = gamma. The row index is the discrete log;
+    every Jacobi sum is read off the block this returns. Small groups only.
     """
-    base = ctx.gamma if base is None else base
-    length = ctx.q - 1 if length is None else length
+    s_sub = ctx.s if s_sub is None else s_sub
+    _exact_dtype(ctx.s, ctx.p)  # raises SweepOverflow where the orbit's int64 products would wrap
+    base = ctx.subfield_generator(s_sub)
+    length = ctx.p**s_sub - 1
     if length >= DEFAULT_MAX_Q_JACOBI:
         raise BudgetExceeded(f"group of order {length} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
-    _exact_dtype(ctx.s, ctx.p)  # raises SweepOverflow where the orbit's int64 products would wrap
     one = np.array(ctx.one().coords, dtype=np.int64)
     return _orbit(one, ctx.mul_matrix(base).T, length, ctx.p)
 
@@ -121,20 +123,28 @@ def _logs(ctx: FieldCtx, dlog: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return at
 
 
-def jacobi_sum(ctx: FieldCtx, order: int, j: int, dlog: np.ndarray) -> CycElem:
+def zech_logs(ctx: FieldCtx, dlog: np.ndarray) -> np.ndarray:
+    """a + log(1 - x_a) for the rows a >= 1 of the walk `dlog` (from discrete_log_map).
+
+    Row 0 is x = 1, where psi(1 - x) = psi(0) = 0. This is the part of every
+    Jacobi sum on the walked group that does not depend on the character.
+    """
+    one_minus_x = -dlog[1:] % ctx.p
+    one_minus_x[:, 0] = (1 - dlog[1:, 0]) % ctx.p
+    return np.arange(1, len(dlog)) + _logs(ctx, dlog, one_minus_x)
+
+
+def jacobi_sum(order: int, j: int, zech: np.ndarray) -> CycElem:
     """J(psi) = sum over x of psi(x) psi(1-x) for psi = lambda^j, exact in Z[zeta_order].
 
-    lambda has the given order and sends the generator of the group that
-    `dlog` (from discrete_log_map) walks to zeta_order.
+    lambda has the given order and sends the generator of the walked group to
+    zeta_order; zech comes from zech_logs on that walk.
     """
     if j % order == 0:
         raise ValueError("character must be nontrivial")
-    if len(dlog) % order:
-        raise ValueError(f"order {order} does not divide the group order {len(dlog)}")
-    one_minus_x = -dlog[1:] % ctx.p  # row 0 is x = 1, where psi(1 - x) = psi(0) = 0
-    one_minus_x[:, 0] = (1 - dlog[1:, 0]) % ctx.p
-    logs = np.arange(1, len(dlog)) + _logs(ctx, dlog, one_minus_x)
-    return CycElem(order, np.bincount(j % order * logs % order, minlength=order))
+    if (len(zech) + 1) % order:
+        raise ValueError(f"order {order} does not divide the group order {len(zech) + 1}")
+    return CycElem(order, np.bincount(j % order * zech % order, minlength=order))
 
 
 def lift_gauss_sum(value: CycElem, r: int) -> CycElem:
@@ -163,10 +173,6 @@ class SubfieldSums(GaussTable):
         super().__init__(ctx, spectrum)
         self.s_sub = s_sub
 
-    @property
-    def q0(self) -> int:
-        return self.ctx.p**self.s_sub
-
     gauss = GaussTable.value
 
 
@@ -177,37 +183,13 @@ def subfield_sums(
     max_q: int = DEFAULT_MAX_Q,
     threads: int | None = None,
 ) -> SubfieldSums:
-    """Bucket counts over the subfield F_{p^{s_sub}} walked as powers of gamma^d."""
-    if ctx.s % s_sub:
-        raise FieldError(f"{s_sub} does not divide {ctx.s}")
-    q0 = ctx.p**s_sub
-    if (q0 - 1) % order:
-        raise ValueError(f"order {order} does not divide q0-1 = {q0 - 1}")
-    if q0 > max_q:
-        raise BudgetExceeded(f"subfield size {q0} exceeds the enumeration budget {max_q}")
-    if order * ctx.p > max_q:
-        raise BudgetExceeded(f"the {order}x{ctx.p} count table exceeds the enumeration budget {max_q}")
-    d = (ctx.q - 1) // (q0 - 1)
-    g0 = ctx.gamma**d
-    trow = ctx.subfield_trace_row(s_sub)
-    counts = bucket_sweep(ctx, g0, trow, order, q0 - 1, threads)
-    # Tripwire: the subfield trace of a few walked elements must satisfy the
-    # prime-field identity Tr = coords . trow and land where the sweep put it.
-    x = ctx.one()
-    for _ in range(min(q0 - 1, 8)):
-        direct = ctx.subfield_trace(x, s_sub)
-        via_row = sum(int(t) * c for t, c in zip(trow, x.coords)) % ctx.p
-        if direct != via_row:
-            raise FieldError("subfield trace row disagrees with the Frobenius sum")
-        x = x * g0
-    return SubfieldSums(ctx, s_sub, TraceSpectrum(order, tuple(tuple(int(c) for c in row) for row in counts)))
+    """Gauss sums over the subfield F_{p^{s_sub}}, from one sweep of it inside F_q."""
+    return SubfieldSums(ctx, s_sub, trace_spectrum(ctx, order, max_q=max_q, threads=threads, s_sub=s_sub))
 
 
 def subfield_jacobi(sums: SubfieldSums, j: int) -> CycElem:
     """J(chi^j) over the subfield, chi normalized as in subfield_sums."""
-    ctx, q0 = sums.ctx, sums.q0
-    dlog = discrete_log_map(ctx, ctx.gamma ** ((ctx.q - 1) // (q0 - 1)), q0 - 1)
-    return jacobi_sum(ctx, sums.order, j, dlog)
+    return jacobi_sum(sums.order, j, zech_logs(sums.ctx, discrete_log_map(sums.ctx, sums.s_sub)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +402,7 @@ def identity_report(
     dlog = discrete_log_map(ctx) if ctx.q <= DEFAULT_MAX_Q_JACOBI else None
     if dlog is not None:
         log4 = int(_logs(ctx, dlog, np.array([ctx.from_int(4 % p).coords]))[0])
+    zech = zech_logs(ctx, dlog) if dlog is not None and want("5") else None
 
     def chi_value(j: int, elem_log: int) -> CycElem:
         """lambda^j evaluated at gamma^{elem_log}, as a conductor-e root."""
@@ -447,9 +430,9 @@ def identity_report(
             lhs = chi_value(j, log4)
             rhs_val = 1 if p % 8 == 3 else (-1) ** (s // (1 << (r - 2)))
             checks.append(_check("9", {"r": r}, lhs, CycElem.integer(1, rhs_val)))
-        if want("5") and dlog is not None:
+        if zech is not None:
             # order of psi^2 is 2^{r-1}; for r = 1 psi = rho is excluded anyway
-            jac = jacobi_sum(ctx, e, j, dlog)
+            jac = jacobi_sum(e, j, zech)
             if 2 * j % e:
                 checks.append(_check("5", {"r": r}, g * g, table.value(2 * j) * jac))
 

@@ -2,18 +2,18 @@
 
 Emits exact integer-coefficient factor lists for the two residue classes
 p = 3 (mod 8) and p = 5 (mod 8), driven by the quadratic partition records of
-`partitions`. Case routing:
+`partitions`. classify tags the case; closed_form_factorization then routes
+on p mod 8 alone, to one builder per residue class:
 
-  p = 3 (mod 8), m >= 4:   T1a (2^{m-1} | s), T1b (2^{m-2} || s, m >= 5),
-                           T1c (4 || s, m = 4)
-  p = 5 (mod 8), m >= 4:   T2a (2^m | s), T2b (2^{m-1} || s), T2c (2^{m-2} || s)
-  m in {2, 3}:             SMALL_M2 / SMALL_M3 closed forms (p = 5 for m = 2;
-                           both classes for m = 3); the tag is never one of
-                           the m >= 4 cases, but for p = 5 (mod 8) with 4 | s
-                           the degree-4 and degree-8 lists come from the
-                           T2a/T2b builder.
-  PROP20:                  the semiprimitive shortcut for e | p^l + 1, emitted
-                           only on explicit request.
+  factorization_3mod8:  m = 2 has no closed form (UnsupportedCase);
+                        SMALL_M3 (m = 3: 4 | s, 2 || s);
+                        T1a (2^{m-1} | s), T1b (2^{m-2} || s, m >= 5),
+                        T1c (4 || s, m = 4)
+  factorization_5mod8:  SMALL_M2 (m = 2: odd s is irreducible, 2 || s, 4 | s),
+                        SMALL_M3 (m = 3: 2 || s, 4 | s);
+                        T2a (2^m | s), T2b (2^{m-1} || s), T2c (2^{m-2} || s)
+  PROP20:               semiprimitive_factorization, the shortcut for
+                        e | p^l + 1, emitted only on explicit request.
 
 Every coefficient is assembled from exact integer powers q^{num/den} (the
 exponent must come out integral, enforced by q_power); there is no rounding
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .cyclotomic import IntPoly, expand_factor_list, linear
 from .fields import FieldCtx, is_irreducible
 from .intmath import is_prime, ord2
-from .partitions import PartitionRecord, partition_a, partition_c, partition_records
+from .partitions import PartitionRecord, partition_records
 
 
 class UnsupportedCase(ValueError):
@@ -164,11 +164,16 @@ def _canonical_factors(
 def factorization_3mod8(
     ctx: FieldCtx, m: int, records: dict[int, PartitionRecord] | None = None
 ) -> Factorization:
-    """Factor list for degree 2^m, p = 3 (mod 8), m >= 4."""
+    """Factor list for degree 2^m, p = 3 (mod 8), every m >= 2.
+
+    m = 2 has no closed form; m = 3 has the two SMALL_M3 lists (4 | s and 2 || s).
+    """
     p, s = ctx.p, ctx.s
     tag = classify(p, s, m)
-    if tag.case not in ("T1a", "T1b", "T1c"):
-        raise UnsupportedCase(f"m={m} routes to {tag.case}, outside the 3-mod-8 large-m cases")
+    if tag.p_class != 3:
+        raise UnsupportedCase(f"p mod 8 = {tag.p_class}, outside the 3-mod-8 factor lists")
+    if m == 2:
+        raise UnsupportedCase("no closed form for degree 4 with p = 3 (mod 8)")
     if records is None:
         records = partition_records(ctx, list(range(3, m + 1)))
     A = {r: records[r].first for r in records}
@@ -187,7 +192,22 @@ def factorization_3mod8(
         return sum(a_term(r) for r in range(3, upper + 1))
 
     factors: list[tuple[IntPoly, int]] = []
-    if tag.case == "T1c":
+    if m == 3 and tag.s2 >= 2:
+        q4 = qp(1, 4)
+        factors += [
+            (linear(-q2), 2),
+            (linear(-q2 + 4 * abs(B[3]) * q4), 2),
+            (linear(-q2 - 4 * abs(B[3]) * q4), 2),
+            (linear(3 * q2 + 4 * A[3] * q4), 1),
+            (linear(3 * q2 - 4 * A[3] * q4), 1),
+        ]
+    elif m == 3:  # 2 || s
+        factors += [
+            (linear(-3 * q2), 2),
+            (_shifted_sq(q2, 16 * A[3] ** 2 * q2), 1),
+            (_shifted_sq(q2, 16 * B[3] ** 2 * q2), 2),
+        ]
+    elif tag.case == "T1c":
         q4 = qp(1, 4)
         q34 = qp(3, 4)
         factors += [
@@ -251,16 +271,21 @@ def factorization_3mod8(
 def factorization_5mod8(
     ctx: FieldCtx, m: int, records: dict[int, PartitionRecord] | None = None
 ) -> Factorization:
-    """Factor list for degree 2^m, p = 5 (mod 8), m >= 4, and m in {2, 3} with 4 | s.
+    """Factor list for degree 2^m, p = 5 (mod 8), every m >= 2.
 
-    The degree-4 statement for 4 | s and the degree-8 statements for 8 | s and
-    4 || s have the T2a and T2b shapes, so the branches route on ord_2(s);
-    m = 2 and m = 3 keep their SMALL_M2 and SMALL_M3 tags.
+    The branches route on ord_2(s) against m, and m = 2 and m = 3 keep their
+    SMALL_M2 and SMALL_M3 tags. Odd s (m = 2 only) is irreducible: no factor
+    list. The degree-4 statement for 4 | s and the degree-8 statements for
+    8 | s and 4 || s have the T2a and T2b shapes. At 2 || s, q^{1/4} is not an
+    integer, so the D_2 pair is one quadratic; the rest of the degree-4 list is
+    the first T2b quadratic and the rest of the degree-8 list is the T2c quartic.
     """
     p, s = ctx.p, ctx.s
     tag = classify(p, s, m)
-    if tag.p_class != 5 or tag.s2 < 2:
-        raise UnsupportedCase(f"m={m} routes to {tag.case}, outside the 5-mod-8 factor lists")
+    if tag.p_class != 5:
+        raise UnsupportedCase(f"p mod 8 = {tag.p_class}, outside the 5-mod-8 factor lists")
+    if tag.s2 == 0:
+        return Factorization(tag, ctx.q, (), (), irreducible=True)
     r_top = m if tag.s2 >= m - 1 else m - 1  # C_m, D_m exist only when 2^{m-1} | s
     if records is None:
         records = partition_records(ctx, list(range(2, r_top + 1)))
@@ -271,7 +296,6 @@ def factorization_5mod8(
         return q_power(p, s, num, den)
 
     q2 = qp(1, 2)
-    q4 = qp(1, 4)
 
     def c_term(r: int) -> int:
         # 2^{r-1} C_r q^{(2^{r-1}-1)/2^r}
@@ -280,10 +304,14 @@ def factorization_5mod8(
     def c_sum(upper: int) -> int:
         return sum(c_term(r) for r in range(2, upper + 1))
 
-    factors: list[tuple[IntPoly, int]] = [
-        (linear(-q2 + 2 * abs(D[2]) * q4), 1 << (m - 2)),
-        (linear(-q2 - 2 * abs(D[2]) * q4), 1 << (m - 2)),
-    ]
+    if tag.s2 == 1:  # m in {2, 3}
+        factors = [(_shifted_sq(-q2, -4 * D[2] ** 2 * q2), 1 << (m - 2))]
+    else:
+        q4 = qp(1, 4)
+        factors = [
+            (linear(-q2 + 2 * abs(D[2]) * q4), 1 << (m - 2)),
+            (linear(-q2 - 2 * abs(D[2]) * q4), 1 << (m - 2)),
+        ]
     if tag.s2 >= m:  # T2a
         factors += [
             (linear(q2 + c_sum(m - 1) - (1 << (m - 1)) * C[m] * qp((1 << (m - 1)) - 1, 1 << m)), 1),
@@ -292,28 +320,30 @@ def factorization_5mod8(
         t_hi = m - 2
     elif tag.s2 == m - 1:  # T2b
         qm1 = qp((1 << (m - 1)) - 1, 1 << (m - 1))
-        factors += [
-            (_shifted_sq(q2 + c_sum(m - 1), -(1 << (2 * (m - 1))) * C[m] ** 2 * qm1), 1),
-            (
-                _shifted_sq(
-                    q2 + c_sum(m - 2) - (1 << (m - 2)) * C[m - 1] * qp((1 << (m - 2)) - 1, 1 << (m - 1)),
-                    -(1 << (2 * (m - 1))) * D[m] ** 2 * qm1,
-                ),
-                1,
-            ),
-        ]
+        factors.append((_shifted_sq(q2 + c_sum(m - 1), -(1 << (2 * (m - 1))) * C[m] ** 2 * qm1), 1))
+        if m > 2:  # C_{m-1} is C_1 at m = 2, which does not exist
+            factors.append(
+                (
+                    _shifted_sq(
+                        q2 + c_sum(m - 2) - (1 << (m - 2)) * C[m - 1] * qp((1 << (m - 2)) - 1, 1 << (m - 1)),
+                        -(1 << (2 * (m - 1))) * D[m] ** 2 * qm1,
+                    ),
+                    1,
+                )
+            )
         t_hi = m - 3
     else:  # T2c
         qm2 = qp((1 << (m - 2)) - 1, 1 << (m - 2))
-        factors.append(
-            (
-                _shifted_sq(
-                    q2 + c_sum(m - 3) - (1 << (m - 3)) * C[m - 2] * qp((1 << (m - 3)) - 1, 1 << (m - 2)),
-                    -(1 << (2 * (m - 2))) * D[m - 1] ** 2 * qm2,
-                ),
-                2,
+        if m > 3:  # C_{m-2} is C_1 at m = 3, which does not exist
+            factors.append(
+                (
+                    _shifted_sq(
+                        q2 + c_sum(m - 3) - (1 << (m - 3)) * C[m - 2] * qp((1 << (m - 3)) - 1, 1 << (m - 2)),
+                        -(1 << (2 * (m - 2))) * D[m - 1] ** 2 * qm2,
+                    ),
+                    2,
+                )
             )
-        )
         inner = _shifted_sq(q2 + c_sum(m - 2), (1 << (2 * (m - 2))) * C[m - 1] ** 2 * qm2 + (1 << (2 * m - 3)) * ctx.q)
         wing = linear(((1 << (m - 2)) + 1) * q2 + c_sum(m - 2))
         quartic = inner * inner - (1 << (2 * (m - 1))) * C[m - 1] ** 2 * qm2 * (wing * wing)
@@ -343,67 +373,6 @@ def _shifted_sq(c: int, k: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# m = 2 and m = 3
-# ---------------------------------------------------------------------------
-
-
-def small_order_factorization(ctx: FieldCtx, m: int) -> Factorization:
-    """Degree-4 and degree-8 closed forms (m = 2 only for p = 5 mod 8)."""
-    p, s = ctx.p, ctx.s
-    tag = classify(p, s, m)
-    if tag.case not in ("SMALL_M2", "SMALL_M3"):
-        raise UnsupportedCase(f"m={m} is not a small-order case")
-    s2 = tag.s2
-
-    def qp(num: int, den: int) -> int:
-        return q_power(p, s, num, den)
-
-    if p % 8 == 3:
-        if m == 2:
-            raise UnsupportedCase("no closed form for degree 4 with p = 3 (mod 8)")
-        # m = 3
-        rec = partition_a(ctx, 3)
-        a3, b3 = rec.first, abs(rec.second)
-        q2 = qp(1, 2)
-        if s2 >= 2:
-            q4 = qp(1, 4)
-            factors = [
-                (linear(-q2), 2),
-                (linear(-q2 + 4 * b3 * q4), 2),
-                (linear(-q2 - 4 * b3 * q4), 2),
-                (linear(3 * q2 + 4 * a3 * q4), 1),
-                (linear(3 * q2 - 4 * a3 * q4), 1),
-            ]
-        else:  # 2 || s
-            factors = [
-                (linear(-3 * q2), 2),
-                (_shifted_sq(q2, 16 * a3 * a3 * q2), 1),
-                (_shifted_sq(q2, 16 * b3 * b3 * q2), 2),
-            ]
-    elif s2 >= 2:  # p = 5 (mod 8), 4 | s: the T2a / T2b shapes
-        return factorization_5mod8(ctx, m)
-    elif m == 2:  # p = 5 (mod 8), s odd or 2 || s
-        if s2 == 0:
-            return Factorization(tag, ctx.q, (), (), irreducible=True)
-        rec = partition_c(ctx, 2)
-        c2, d2 = rec.first, abs(rec.second)
-        q2 = qp(1, 2)
-        factors = [
-            (_shifted_sq(q2, -4 * c2 * c2 * q2), 1),
-            (_shifted_sq(-q2, -4 * d2 * d2 * q2), 1),
-        ]
-    else:  # m = 3, p = 5 (mod 8), 2 || s
-        rec = partition_c(ctx, 2)
-        c2, d2 = rec.first, abs(rec.second)
-        q2 = qp(1, 2)
-        inner = _shifted_sq(q2, 4 * c2 * c2 * q2 + 8 * ctx.q)
-        wing = linear(3 * q2)
-        quartic = inner * inner - 16 * c2 * c2 * q2 * (wing * wing)
-        factors = [(_shifted_sq(-q2, -4 * d2 * d2 * q2), 2), (quartic, 1)]
-    return _checked(Factorization(tag, ctx.q, _canonical_factors(factors), (rec,)), 1 << m)
-
-
-# ---------------------------------------------------------------------------
 # semiprimitive shortcut
 # ---------------------------------------------------------------------------
 
@@ -416,6 +385,10 @@ def semiprimitive_factorization(p: int, s: int, e: int) -> Factorization:
     """
     if e <= 2:
         raise UnsupportedCase("e must be > 2")
+    if s < 1:
+        raise UnsupportedCase("s must be >= 1")
+    if not is_prime(p) or p == 2:
+        raise UnsupportedCase(f"{p} is not an odd prime")
     ell = None
     for cand in range(1, s + 1):
         if (pow(p, cand, e) + 1) % e == 0:
@@ -441,9 +414,5 @@ def semiprimitive_factorization(p: int, s: int, e: int) -> Factorization:
 
 def closed_form_factorization(ctx: FieldCtx, m: int) -> Factorization:
     """The factorization of the reduced period polynomial of degree 2^m for ctx."""
-    tag = classify(ctx.p, ctx.s, m)
-    if tag.case.startswith("T1"):
-        return factorization_3mod8(ctx, m)
-    if tag.case.startswith("T2"):
-        return factorization_5mod8(ctx, m)
-    return small_order_factorization(ctx, m)
+    builder = factorization_3mod8 if classify(ctx.p, ctx.s, m).p_class == 3 else factorization_5mod8
+    return builder(ctx, m)

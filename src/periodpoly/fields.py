@@ -269,6 +269,12 @@ class FieldCtx:
         return acc.prime_field_value()
 
     # -- sweep support ------------------------------------------------------------
+    def subfield_generator(self, s_sub: int) -> FieldElem:
+        """gamma^{(q-1)/(p^{s_sub}-1)}, the norm of gamma: it generates F_{p^{s_sub}}^*."""
+        if s_sub < 1 or self.s % s_sub:
+            raise FieldError(f"{s_sub} does not divide {self.s}")
+        return self.gamma ** ((self.q - 1) // (self.p**s_sub - 1))
+
     def mul_matrix(self, x: FieldElem) -> np.ndarray:
         """Matrix (mod p) of multiplication by x over the polynomial basis."""
         s = self.s

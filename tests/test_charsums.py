@@ -15,6 +15,7 @@ from periodpoly.charsums import (
     periods_from_gauss,
     smallest_lift_base,
     subfield_sums,
+    zech_logs,
 )
 from periodpoly.cyclotomic import CycElem
 from periodpoly.fields import FieldError, build_field
@@ -51,47 +52,48 @@ def test_conjugate_product_is_q():
 
 def test_jacobi_values():
     ctx9 = build_field(3, 2)
-    jac = jacobi_sum(ctx9, 8, 1, discrete_log_map(ctx9))
+    zech9 = zech_logs(ctx9, discrete_log_map(ctx9))
+    jac = jacobi_sum(8, 1, zech9)
     assert jac == -1 + 2 * ISQRT2 or jac == -1 - 2 * ISQRT2
     ctx5 = build_field(5, 1)
-    j5 = jacobi_sum(ctx5, 4, 1, discrete_log_map(ctx5))
+    j5 = jacobi_sum(4, 1, zech_logs(ctx5, discrete_log_map(ctx5)))
     c = j5.canonical()
     a, b = c[0], c[1] if len(c) > 1 else 0
     assert a * a + b * b == 5
     with pytest.raises(ValueError):
-        jacobi_sum(ctx9, 8, 0, discrete_log_map(ctx9))  # trivial character
+        jacobi_sum(8, 0, zech9)  # trivial character
     with pytest.raises(ValueError):
-        jacobi_sum(ctx9, 3, 1, discrete_log_map(ctx9))  # 3 does not divide 8
+        jacobi_sum(3, 1, zech9)  # 3 does not divide 8
     with pytest.raises(BudgetExceeded):
         discrete_log_map(build_field(3, 13))  # q = 1594323 is over the discrete-log budget
     # the walk against direct FieldElem multiplication, on whole groups and on the
     # subfield F_81 inside F_{3^8}, walked as powers of gamma^82; odd orders included
-    for p, s, d, orders in ((3, 4, 1, (5, 16)), (5, 4, 1, (3, 16)), (13, 2, 1, (3, 8)), (3, 8, 82, (5, 16))):
+    for p, s, s_sub, orders in ((3, 4, 4, (5, 16)), (5, 4, 4, (3, 16)), (13, 2, 2, (3, 8)), (3, 8, 4, (5, 16))):
         ctx = build_field(p, s)
-        base, length = ctx.gamma**d, (ctx.q - 1) // d
-        dlog = discrete_log_map(ctx, base, length)
+        base, length = ctx.gamma ** ((ctx.q - 1) // (p**s_sub - 1)), p**s_sub - 1
+        dlog = discrete_log_map(ctx, s_sub)
         assert len(dlog) == length
         x = ctx.one()
         for row in dlog:
             assert tuple(row) == x.coords
             x = x * base
+        zech = zech_logs(ctx, dlog)
         for order in orders:
             for j in range(1, order):
-                assert jacobi_sum(ctx, order, j, dlog) == dict_walk_jacobi(ctx, base, length, order, j)
-    # gamma is not a square, so it is not in the walk of <gamma^2>
-    ctx9 = build_field(3, 2)
-    squares = discrete_log_map(ctx9, ctx9.gamma**2, 4)
+                assert jacobi_sum(order, j, zech) == dict_walk_jacobi(ctx, base, length, order, j)
+    # gamma is not in the prime field, so it is not in the walk of F_3^* = <gamma^4>
+    prime = discrete_log_map(ctx9, 1)
     with pytest.raises(FieldError):
-        _logs(ctx9, squares, np.array([ctx9.gamma.coords]))
-    assert _logs(ctx9, squares, np.array([(ctx9.gamma**6).coords])).tolist() == [3]
-    # s*(p-1)^2 >= 2^63: the orbit's int64 products would wrap
+        _logs(ctx9, prime, np.array([ctx9.gamma.coords]))
+    assert _logs(ctx9, prime, np.array([(ctx9.gamma**4).coords])).tolist() == [1]
+    # s*(p-1)^2 >= 2^63: the orbit's int64 products would wrap; this is checked before
+    # the discrete-log budget, as the field has no subfield but itself
     with pytest.raises(SweepOverflow):
-        discrete_log_map(build_field(3037000507, 1), length=2)
+        discrete_log_map(build_field(3037000507, 1))
     # p^s >= 2^63: the packed keys would wrap, though the orbit itself is exact
     ctx340 = build_field(3, 40)
-    small = discrete_log_map(ctx340, ctx340.gamma ** ((ctx340.q - 1) // 8), 8)
     with pytest.raises(SweepOverflow):
-        jacobi_sum(ctx340, 4, 1, small)
+        zech_logs(ctx340, discrete_log_map(ctx340, 1))
 
 
 def dict_walk_jacobi(ctx, base, length, order, j):
@@ -113,12 +115,12 @@ def test_gauss_jacobi_relation():
     for p, s, e in ((3, 2, 4), (3, 2, 8), (5, 2, 4), (5, 1, 4), (5, 2, 8), (13, 1, 4)):
         ctx = build_field(p, s)
         table = gauss_table(ctx, e)
-        dlog = discrete_log_map(ctx)
+        zech = zech_logs(ctx, discrete_log_map(ctx))
         for j in range(1, e):
             if 2 * j % e == 0:
                 continue
             g = table.value(j)
-            assert g * g == table.value(2 * j) * jacobi_sum(ctx, e, j, dlog)
+            assert g * g == table.value(2 * j) * jacobi_sum(e, j, zech)
 
 
 def test_davenport_hasse_lift(conjugate):

@@ -61,6 +61,12 @@ def test_periods_budget(capsys):
     assert code == EXIT_BUDGET and "count table" in err
 
 
+@pytest.mark.parametrize("e", ("0", "-1", "-4"))
+def test_periods_rejects_e_below_one(capsys, e):
+    code, _, err = run(capsys, "periods", "--p", "3", "--s", "2", "--e", e)
+    assert code == EXIT_USAGE and "e must be >= 1" in err
+
+
 def test_partition_cli(capsys):
     # p mod 8 picks the type: A for 3, C for 5
     code, out, _ = run(capsys, "partition", "--p", "3", "--s", "8", "--r", "3", "--json")
@@ -179,6 +185,11 @@ def test_semiprimitive_cli(capsys):
     d = json.loads(out)
     assert d["case"] == "PROP20"
     assert {"coeffs": ["3", "1"], "mult": 3} in d["factors"]
+    # the same field checks as every other command: p an odd prime, s >= 1
+    code, _, err = run(capsys, "semiprimitive", "--p", "4", "--s", "4", "--e", "5")
+    assert code == EXIT_USAGE and "4 is not an odd prime" in err
+    code, _, err = run(capsys, "semiprimitive", "--p", "3", "--s", "0", "--e", "4")
+    assert code == EXIT_USAGE and "s must be >= 1" in err
 
 
 def test_options_only_where_read(capsys):

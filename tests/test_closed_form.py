@@ -13,7 +13,6 @@ from periodpoly.closed_form import (
     irreducibility_witness,
     q_power,
     semiprimitive_factorization,
-    small_order_factorization,
 )
 from periodpoly.cyclotomic import IntPoly, expand_factor_list, linear
 from periodpoly.fields import build_field
@@ -204,8 +203,8 @@ def test_emitted_quadratics_are_irreducible():
 def test_small_m_cases():
     assert closed_form_factorization(build_field(5, 2), 2).case.case == "SMALL_M2"
     with pytest.raises(UnsupportedCase):
-        small_order_factorization(build_field(3, 2), 2)  # no closed form for p = 3 mod 8
-    irr = small_order_factorization(build_field(5, 1), 2)
+        factorization_3mod8(build_field(3, 2), 2)  # no closed form for p = 3 mod 8
+    irr = factorization_5mod8(build_field(5, 1), 2)
     assert irr.irreducible and irr.factors == ()
     with pytest.raises(UnsupportedCase):
         irr.expand()
@@ -214,12 +213,12 @@ def test_small_m_cases():
         ctx = build_field(p, s)
         poly = oracle_poly(ctx, 2)
         assert irreducibility_witness(poly) <= 7
-        assert small_order_factorization(ctx, 2).matches(poly)
+        assert factorization_5mod8(ctx, 2).matches(poly)
     reducible = expand_factor_list([(IntPoly((1, 0, 1)), 1), (IntPoly((-2, 0, 1)), 1)])  # (X^2+1)(X^2-2)
     assert irreducibility_witness(reducible) is None and not irr.matches(reducible)
     assert not irr.matches(IntPoly((2, 1)))  # irreducible, but of the wrong degree
     with pytest.raises(UnsupportedCase):
-        small_order_factorization(build_field(5, 4), 4)  # not a small case
+        factorization_3mod8(build_field(5, 4), 4)  # p = 5 mod 8 is the other class's builder
 
 
 def test_semiprimitive():

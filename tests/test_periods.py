@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from periodpoly.cyclotomic import CycElem
-from periodpoly.fields import build_field, is_irreducible
+from periodpoly.fields import FieldCtx, FieldError, build_field, is_irreducible
 from periodpoly.intmath import ord2
 from periodpoly.periods import (
     _MIN_RANGE,
@@ -190,25 +190,25 @@ def walk_traces(ctx, base, trace, length):
 
 @functools.lru_cache(maxsize=None)
 def sweep_case(name, field_trace):
-    """(ctx, base, trow, traces over one period of base) for a bucket_sweep test case."""
+    """(ctx, s_sub, base, trow, traces over one period of base) for a bucket_sweep test case."""
     if name == "subfield":  # gamma^d walks F_{3^4} inside F_{3^8}
-        ctx = build_field(3, 8)
+        ctx, s_sub = build_field(3, 8), 4
         period = 80
         base, trow = ctx.gamma ** ((ctx.q - 1) // period), ctx.subfield_trace_row(4)
         traces = walk_traces(ctx, base, lambda x: ctx.subfield_trace(x, 4), period)
     else:
         ctx = build_field(*{"s=1": (10007, 1), "s=6": (5, 6)}[name])
-        period = ctx.q - 1
+        s_sub, period = ctx.s, ctx.q - 1
         base, trow = ctx.gamma, ctx.subfield_trace_row(ctx.s)
         traces = walk_traces(ctx, base, field_trace(ctx), period)
     assert base**period == ctx.one()
-    return ctx, base, trow, np.array(traces, dtype=np.int64)
+    return ctx, s_sub, base, trow, np.array(traces, dtype=np.int64)
 
 
 @pytest.mark.parametrize("threads", (1, 2, 3))
 @pytest.mark.parametrize("name", ("s=1", "s=6", "subfield"))
 def test_bucket_sweep_matches_direct_walk(name, threads, field_trace):
-    ctx, base, trow, traces = sweep_case(name, field_trace)
+    ctx, s_sub, base, trow, traces = sweep_case(name, field_trace)
     # lengths that are multiples of neither the block nor e; the two short ones take
     # the int64 product, the long one the float64 product over up to three ranges
     for length in (1, _ROWS + 1, 3 * _MIN_RANGE + 4099):
@@ -218,6 +218,13 @@ def test_bucket_sweep_matches_direct_walk(name, threads, field_trace):
             got = bucket_sweep(ctx, base, trow, e, length, threads)
             assert got.shape == (e, ctx.p)
             assert np.array_equal(got.ravel(), direct), (name, threads, length, e)
+    # trace_spectrum sweeps one period of the same walk, for each e that divides it
+    j = np.arange(len(traces))
+    for e in (3, 8, 11):
+        if len(traces) % e == 0:
+            direct = np.bincount(j % e * ctx.p + traces, minlength=e * ctx.p)
+            got = trace_spectrum(ctx, e, threads=threads, s_sub=s_sub)
+            assert np.array_equal(np.array(got.counts).ravel(), direct), (name, threads, e)
 
 
 @pytest.mark.parametrize(
@@ -258,6 +265,16 @@ def test_range_sweep_products_at_float64_bound():
             got = _range_sweep(p, np.array([[b]], dtype=np.int64), res, 1, 0, length, res, dtype).ravel()
             exact = np.count_nonzero(got) == len(direct) and {t: int(got[t]) for t in direct} == direct
             assert exact == (dtype is np.int64 or float_exact), (p, dtype)
+
+
+@pytest.mark.parametrize("s_sub", (None, 2))
+def test_corrupted_trace_row_raises(monkeypatch, s_sub):
+    # the tripwire compares the row with the Frobenius sum, on the whole field and on a
+    # subfield; unchecked, this rolled row gives wrong whole-field counts on 3^4
+    row = FieldCtx.subfield_trace_row
+    monkeypatch.setattr(FieldCtx, "subfield_trace_row", lambda ctx, k: np.roll(row(ctx, k), 1))
+    with pytest.raises(FieldError):
+        trace_spectrum(build_field(3, 4), 4, s_sub=s_sub)
 
 
 def test_overflow_guard_raises_before_sweeping():
