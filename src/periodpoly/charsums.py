@@ -14,9 +14,9 @@ a character of order E, and psi = lambda^j. Each quantity has one kernel:
     one bincount of j times it (jacobi_sum), so a field pays one search.
 
 Subfield sums are computed inside the ambient field: subfield_sums is one
-trace_spectrum call that walks the subfield of size q0 as powers of
-gamma^d with d = (q-1)/(q0-1) (FieldCtx.subfield_generator), and the
-subfield character chi is normalized by chi(gamma^d) = zeta_E. Since gamma^d is the
+trace_spectrum call that walks the subfield of size q0 as powers of gamma^d
+with d = (q-1)/(q0-1) (FieldCtx.subfield_generator), and the subfield
+character chi is normalized by chi(gamma^d) = zeta_E. Since gamma^d is the
 norm of gamma, the lift of chi is exactly the gamma-normalized character of
 the big field, which makes lifted Gauss sums and reconstructed periods
 per-index exact rather than merely correct as multisets.
