@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycElem, IntPoly
+from .cyclotomic import CycElem, IntPoly, frobenius_power_sum
 from .fields import FieldCtx, FieldError
 from .intmath import legendre, ord2
 from .periods import (
@@ -54,6 +54,7 @@ from .periods import (
 )
 
 DEFAULT_MAX_Q_JACOBI = 10**6
+_CHECK_IDS = ("2a", "2b", "2c", "3", "4", "5", "7", "8", "9", "10", "11", "15", "16")
 
 
 class GaussTable:
@@ -327,14 +328,16 @@ def partition_sum_identity(
     r: int,
     table: GaussTable | None = None,
 ) -> list[IdentityCheck]:
-    """G(lambda^{2^{m-r}}) +/- G(conjugate) against the quadratic partition values.
+    """G(lambda^j) +/- G(lambda^{-j}), j = 2^{m-r}, against the quadratic partition values.
 
-    For p = 3 (mod 8) (needs 2^{r-1} | s, 3 <= r <= m):
-        sum  = 2 A_r q^{(2^{r-2}-1)/2^{r-1}}
-        diff = 2 B_r q^{(2^{r-2}-1)/2^{r-1}} i sqrt2
-    For p = 5 (mod 8) (needs 2^{r-1} | s, 2 <= r <= m):
-        sum  = -2 C_r q^{...}        (2^r | s)      diff = 2 D_r q^{...} i
-        sum  = (-1)^r 2 C_r q^{...}  (2^{r-1} || s) diff = (-1)^{r-1} 2 D_r q^{...} i
+    With the record p^k = first^2 + d*second^2 of `partitions` (lemma 15: A type,
+    p = 3 mod 8, d = 2, 3 <= r; lemma 16: C type, p = 5 mod 8, d = 1, 2 <= r),
+    for r <= m and 2^{r-1} | s:
+        sum  = +/- 2 first  sqrt(q/p^k)
+        diff = +/- 2 second sqrt(q/p^k) sqrt(-d)
+    with sqrt(-2) = zeta8 + zeta8^3 and sqrt(-1) = zeta4. Both signs are + for
+    the A type; for the C type they are (-, +) when 2^r | s and
+    ((-1)^r, (-1)^{r-1}) when 2^{r-1} || s.
     """
     from .partitions import partition_a, partition_c
 
@@ -345,31 +348,18 @@ def partition_sum_identity(
     j = 1 << (m - r)
     g_plus = table.value(j)
     g_minus = table.value(-j)
-    total, delta = g_plus + g_minus, g_plus - g_minus
-    checks = []
     if p % 8 == 3:
-        if r < 3 or s % (1 << (r - 1)):
-            raise ValueError("need 3 <= r and 2^{r-1} | s")
-        rec = partition_a(ctx, r)
-        scale = _q_fractional(p, s, (1 << (r - 2)) - 1, 1 << (r - 1))
-        isqrt2 = CycElem.root(8, 1) + CycElem.root(8, 3)
-        checks.append(_check("15", {"r": r, "side": "sum"}, total, (2 * rec.first) * scale))
-        checks.append(_check("15", {"r": r, "side": "diff"}, delta, (2 * rec.second) * scale * isqrt2))
+        lemma, rec, sqrt_minus_d, signs = "15", partition_a(ctx, r), CycElem.root(8, 1) + CycElem.root(8, 3), (1, 1)
     else:
-        if r < 2 or s % (1 << (r - 1)):
-            raise ValueError("need 2 <= r and 2^{r-1} | s")
-        rec = partition_c(ctx, r)
-        scale = _q_fractional(p, s, (1 << (r - 1)) - 1, 1 << r)
-        i_unit = CycElem.root(4, 1)
-        if s % (1 << r) == 0:
-            sum_sign, diff_sign = -1, 1
-        else:
-            sum_sign, diff_sign = (-1) ** r, (-1) ** (r - 1)
-        checks.append(_check("16", {"r": r, "side": "sum"}, total, (sum_sign * 2 * rec.first) * scale))
-        checks.append(
-            _check("16", {"r": r, "side": "diff"}, delta, (diff_sign * 2 * rec.second) * scale * i_unit)
-        )
-    return checks
+        lemma, rec, sqrt_minus_d = "16", partition_c(ctx, r), CycElem.root(4, 1)
+        signs = (-1, 1) if s % (1 << r) == 0 else ((-1) ** r, (-1) ** (r - 1))
+    if s % (1 << (r - 1)):
+        raise ValueError(f"lemma {lemma} needs 2^{r - 1} | s={s}")
+    scale = _q_fractional(p, s - rec.exponent, 1, 2)  # sqrt(q/p^k)
+    return [
+        _check(lemma, {"r": r, "side": "sum"}, g_plus + g_minus, (signs[0] * 2 * rec.first) * scale),
+        _check(lemma, {"r": r, "side": "diff"}, g_plus - g_minus, (signs[1] * 2 * rec.second) * scale * sqrt_minus_d),
+    ]
 
 
 def identity_report(
@@ -381,11 +371,15 @@ def identity_report(
 ) -> list[IdentityCheck]:
     """Run the classical-identity suite on the order-2^r characters of ctx.
 
-    Check ids: 2a, 2b, 2c, 3, 4, 5, 7, 8, 9, 10, 11, 15, 16. A failure always
-    indicates an artifact bug, never valid data.
+    Check ids: 2a, 2b, 2c, 3, 4, 5, 7, 8, 9, 10, 11, 15, 16 (_CHECK_IDS); `only`
+    picks some of them, and an unknown id raises. A failure always indicates an
+    artifact bug, never valid data.
     """
-    from .closed_form import q_power
-
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    unknown = sorted(set(only or ()) - set(_CHECK_IDS))
+    if unknown:
+        raise ValueError(f"unknown identity id {unknown[0]!r}; known ids: {' '.join(_CHECK_IDS)}")
     p, s, q = ctx.p, ctx.s, ctx.q
     e = 1 << m
     if (q - 1) % e:
@@ -437,26 +431,14 @@ def identity_report(
                 checks.append(_check("5", {"r": r}, g * g, table.value(2 * j) * jac))
 
     if want("3"):
-        g_rho = table.value(rho_idx)
-        if s % 2 == 0:
-            val = q_power(p, s, 1, 2)
-            if p % 4 == 1:
-                rhs = CycElem.integer(1, (-1) ** (s - 1) * val)
-            else:
-                rhs = CycElem.integer(1, (-1) ** (s - 1) * (-1) ** (s // 2) * val)
-            checks.append(_check("3", {"s": s}, g_rho, rhs))
-        else:
-            lsum = _legendre_gauss_sum(p)
-            scale = p ** ((s - 1) // 2)
-            if p % 4 == 1:
-                rhs = scale * lsum
-            else:
-                rhs = ((-1) ** ((s - 1) // 2) * scale) * lsum
-            checks.append(_check("3", {"s": s}, g_rho, rhs))
+        # G(rho) = (-1)^{s-1} g^s with g = sum_t (t|p) zeta_p^t and g^2 = p* = (-1)^{(p-1)/2} p
+        scale = (-1) ** (s - 1) * (p if p % 4 == 1 else -p) ** (s // 2)
+        rhs = scale * _legendre_gauss_sum(p) if s % 2 else CycElem.integer(1, scale)
+        checks.append(_check("3", {"s": s}, table.value(rho_idx), rhs))
 
     if want("4") and p % 8 == 3 and s % 2 == 0 and m >= 2:
         g4 = table.value(e // 4)
-        checks.append(_check("4", {}, g4, CycElem.integer(1, -q_power(p, s, 1, 2))))
+        checks.append(_check("4", {}, g4, CycElem.integer(1, -(p ** (s // 2)))))
 
     if want("7"):
         # direct Gauss sums vs squared-and-negated subfield sums, for every
@@ -472,8 +454,6 @@ def identity_report(
                     checks.append(_check("7", {"r": r}, table.value(j_big), lifted))
 
     if want("10"):
-        from .cyclotomic import frobenius_power_sum
-
         for n in (1, 2, 3):
             for rr in range(3, 7):
                 if rr < n:
@@ -512,12 +492,9 @@ def identity_report(
             lhs = table.value(1 << (m - r))
             checks.append(_check("11", {"r": r}, lhs, rhs))
 
-    if want("15") and p % 8 == 3:
-        for r in range(3, m + 1):
-            if s % (1 << (r - 1)) == 0:
-                checks.extend(partition_sum_identity(ctx, m, r, table=table))
-    if want("16") and p % 8 == 5:
-        for r in range(2, m + 1):
+    lemma, r_min = {3: ("15", 3), 5: ("16", 2)}.get(p % 8, ("", 0))
+    if lemma and want(lemma):
+        for r in range(r_min, m + 1):
             if s % (1 << (r - 1)) == 0:
                 checks.extend(partition_sum_identity(ctx, m, r, table=table))
 

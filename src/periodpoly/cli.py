@@ -20,14 +20,9 @@ import sys
 import time
 
 from .charsums import identity_report, lifted_period_polynomial
-from .closed_form import (
-    Factorization,
-    UnsupportedCase,
-    closed_form_factorization,
-    semiprimitive_factorization,
-)
-from .fields import FieldCtx, FieldError, build_field
-from .partitions import partition_a, partition_c
+from .closed_form import Factorization, closed_form_factorization, semiprimitive_factorization
+from .fields import FieldCtx, build_field
+from .partitions import partition_records
 from .periods import (
     DEFAULT_MAX_Q,
     BudgetExceeded,
@@ -114,17 +109,13 @@ def cmd_periods(args) -> int:
 
 def cmd_partition(args) -> int:
     ctx = _build(args)
-    partition = {3: partition_a, 5: partition_c}.get(ctx.p % 8)
-    if partition is None:
-        raise ValueError(f"p mod 8 = {ctx.p % 8}, need 3 (A type) or 5 (C type)")
-    rec = partition(ctx, args.r)
+    rec = partition_records(ctx, [args.r])[args.r]
     if args.format == "json":
         print(_canonical_json(rec.to_json_dict()))
     else:
-        d = 2 if rec.kind == "A" else 1
         print(
             f"{rec.kind}_{rec.r} = {rec.first}, second = {rec.second}: "
-            f"{rec.first}^2 + {d}*{rec.second}^2 = {rec.pk} (gamma {rec.gamma_fingerprint})"
+            f"{rec.first}^2 + {rec.d}*{rec.second}^2 = {rec.pk} (gamma {rec.gamma_fingerprint})"
         )
     return EXIT_OK
 
@@ -275,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UnsupportedCase, FieldError, ValueError) as exc:
+    except ValueError as exc:  # UnsupportedCase and FieldError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

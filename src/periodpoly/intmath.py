@@ -130,8 +130,6 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         return a
     if legendre(a, p) != 1:
         raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     q = p - 1
     s = 0
     while q % 2 == 0:

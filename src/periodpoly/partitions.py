@@ -1,12 +1,18 @@
 """Quadratic partitions p^k = A^2 + 2B^2 and p^k = C^2 + D^2, normalized.
 
+Both families run through one path, parametrised by a table keyed by p mod 8:
+the A type (p = 3 mod 8) has d = 2, first r = 3 and first coordinate = 3
+(mod 4); the C type (p = 5 mod 8) has d = 1, first r = 2 and first
+coordinate = 1 (mod 4). The record for r has k = s/2^{r - r_min + 1}.
+
 The base prime representation comes from Cornacchia's algorithm seeded with a
-deterministic square root of -d mod p; powers are taken exactly in Z[sqrt(-d)]
-(resp. Z[i]), which keeps the first coordinate coprime to p. Sign
-normalization follows the defining congruences: the first coordinate by a
-residue condition mod 4, the second through a congruence against a power of
-the field generator gamma, evaluated in F_q and checked to land in the prime
-field (a deliberate runtime tripwire on the field arithmetic).
+deterministic square root of -d mod p; powers are taken exactly in Z[sqrt(-d)],
+which keeps the first coordinate coprime to p. The first coordinate is signed
+by its residue mod 4, the second by the congruence second * w = first (mod p),
+where w is a square root of -d taken from the field generator gamma:
+w = -(gamma^{(q-1)/8} + gamma^{3(q-1)/8}) for the A type, w = gamma^{(q-1)/4}
+for the C type. w is evaluated in F_q and checked to land in the prime field
+(a deliberate runtime tripwire on the field arithmetic).
 """
 
 from __future__ import annotations
@@ -95,104 +101,81 @@ def power_representation(p: int, d: int, k: int) -> tuple[int, int]:
     return ak, bk
 
 
-def _a_exponent(ctx: FieldCtx, r: int) -> int:
-    """k with p^k = A_r^2 + 2B_r^2, after checking that the A-type record exists."""
-    p, s = ctx.p, ctx.s
-    if p % 8 != 3:
-        raise ValueError(f"p mod 8 = {p % 8}, need 3")
-    if r < 3:
-        raise ValueError("r must be >= 3")
-    step = 1 << (r - 2)
-    if s % step:
-        raise ValueError(f"2^{r - 2} does not divide s={s}")
-    if (ctx.q - 1) % 8:
-        raise ValueError("8 does not divide q-1")
-    return s // step
+# p mod 8 -> kind, d, smallest r, and the residue of the first coordinate mod 4
+_FAMILIES = {3: ("A", 2, 3, 3), 5: ("C", 1, 2, 1)}
 
 
-def _a_root(ctx: FieldCtx) -> int:
-    """u = zeta8 + zeta8^3 with zeta8 = gamma^{(q-1)/8}, a square root of -2 in F_p."""
-    zeta8 = ctx.gamma ** ((ctx.q - 1) // 8)
-    u = zeta8 + zeta8 * zeta8 * zeta8
-    if not u.in_prime_field():
-        raise FieldError(f"gamma^((q-1)/8)+gamma^(3(q-1)/8) = {u.coords} not in F_p")
-    return u.coords[0]
+def _family(p: int) -> tuple[str, int, int, int]:
+    family = _FAMILIES.get(p % 8)
+    if family is None:
+        raise ValueError(f"p mod 8 = {p % 8}, need 3 (A type) or 5 (C type)")
+    return family
 
 
-def _a_record(ctx: FieldCtx, r: int, k: int, u0: int) -> PartitionRecord:
+def _exponent(ctx: FieldCtx, r: int) -> int:
+    """k = s/2^{r - r_min + 1} with p^k = first^2 + d*second^2, after checking that the record exists."""
+    r_min = _family(ctx.p)[2]
+    if r < r_min:
+        raise ValueError(f"r must be >= {r_min}")
+    shift = r - r_min + 1
+    if ctx.s % (1 << shift):
+        raise ValueError(f"2^{shift} does not divide s={ctx.s}")
+    return ctx.s >> shift
+
+
+def _signing_root(ctx: FieldCtx) -> int:
+    """w in F_p with w^2 = -d: -(zeta8 + zeta8^3) for the A type, zeta4 for the C type.
+
+    zeta_n = gamma^{(q-1)/n}; since (zeta8 + zeta8^3)^2 = -2, the A-type
+    congruence 2B = A(zeta8 + zeta8^3) is B*w = A, the same form as D*w = C.
+    """
+    kind = _family(ctx.p)[0]
+    zeta = ctx.gamma ** ((ctx.q - 1) // (8 if kind == "A" else 4))
+    w = -(zeta + zeta * zeta * zeta) if kind == "A" else zeta
+    if not w.in_prime_field():
+        raise FieldError(f"the {kind}-type signing root {w.coords} is not in F_p")
+    return w.coords[0]
+
+
+def _record(ctx: FieldCtx, r: int, k: int, w: int) -> PartitionRecord:
+    kind, d, _, first_mod4 = _family(ctx.p)
     p = ctx.p
-    a, b = power_representation(p, 2, k)
-    if a % 4 != 3:
-        a = -a
-    b = abs(b)
-    if (2 * b - a * u0) % p != 0:
-        b = -b
-    if (2 * b - a * u0) % p != 0:
-        raise ArithmeticError("no sign of B satisfies the congruence")  # can't happen
-    return PartitionRecord("A", r, k, a, b, p, ctx.gamma_fingerprint())
+    first, second = power_representation(p, d, k)
+    if first % 4 != first_mod4:
+        first = -first
+    second = abs(second)
+    if (second * w - first) % p != 0:
+        second = -second
+    if (second * w - first) % p != 0:
+        raise ArithmeticError("no sign of the second coordinate satisfies the congruence")  # can't happen
+    return PartitionRecord(kind, r, k, first, second, p, ctx.gamma_fingerprint())
+
+
+def partition_records(ctx: FieldCtx, rs: list[int]) -> dict[int, PartitionRecord]:
+    """The A-type (p = 3 mod 8) or C-type (p = 5 mod 8) records for the given r values.
+
+    The signing root depends only on the field, so it is computed once for all r.
+    """
+    ks = {r: _exponent(ctx, r) for r in rs}
+    if not ks:
+        return {}
+    w = _signing_root(ctx)
+    return {r: _record(ctx, r, k, w) for r, k in ks.items()}
 
 
 def partition_a(ctx: FieldCtx, r: int) -> PartitionRecord:
     """A-type record: p^{s/2^{r-2}} = A_r^2 + 2B_r^2, A_r = -1 (mod 4), p | A_r never,
     2B_r = A_r(gamma^{(q-1)/8} + gamma^{3(q-1)/8}) (mod p).
     """
-    k = _a_exponent(ctx, r)
-    return _a_record(ctx, r, k, _a_root(ctx))
-
-
-def _c_exponent(ctx: FieldCtx, r: int) -> int:
-    """k with p^k = C_r^2 + D_r^2, after checking that the C-type record exists."""
-    p, s = ctx.p, ctx.s
-    if p % 8 != 5:
-        raise ValueError(f"p mod 8 = {p % 8}, need 5")
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    step = 1 << (r - 1)
-    if s % step:
-        raise ValueError(f"2^{r - 1} does not divide s={s}")
-    return s // step
-
-
-def _c_root(ctx: FieldCtx) -> int:
-    """v = gamma^{(q-1)/4}, a square root of -1 in F_p."""
-    v = ctx.gamma ** ((ctx.q - 1) // 4)
-    if not v.in_prime_field():
-        raise FieldError(f"gamma^((q-1)/4) = {v.coords} not in F_p")
-    return v.coords[0]
-
-
-def _c_record(ctx: FieldCtx, r: int, k: int, v0: int) -> PartitionRecord:
-    p = ctx.p
-    c, d = power_representation(p, 1, k)
-    if c % 4 != 1:
-        c = -c
-    d = abs(d)
-    if (d * v0 - c) % p != 0:
-        d = -d
-    if (d * v0 - c) % p != 0:
-        raise ArithmeticError("no sign of D satisfies the congruence")  # can't happen
-    return PartitionRecord("C", r, k, c, d, p, ctx.gamma_fingerprint())
+    if ctx.p % 8 != 3:
+        raise ValueError(f"p mod 8 = {ctx.p % 8}, need 3")
+    return partition_records(ctx, [r])[r]
 
 
 def partition_c(ctx: FieldCtx, r: int) -> PartitionRecord:
     """C-type record: p^{s/2^{r-1}} = C_r^2 + D_r^2, C_r = 1 (mod 4), p | C_r never,
     D_r * gamma^{(q-1)/4} = C_r (mod p).
     """
-    k = _c_exponent(ctx, r)
-    return _c_record(ctx, r, k, _c_root(ctx))
-
-
-def partition_records(ctx: FieldCtx, rs: list[int]) -> dict[int, PartitionRecord]:
-    """All A-type (p = 3 mod 8) or C-type (p = 5 mod 8) records for the given r values.
-
-    The signing root depends only on the field, so it is computed once for all r.
-    """
-    if ctx.p % 8 == 3:
-        exponent, root, record = _a_exponent, _a_root, _a_record
-    else:
-        exponent, root, record = _c_exponent, _c_root, _c_record
-    ks = {r: exponent(ctx, r) for r in rs}
-    if not ks:
-        return {}
-    signing_root = root(ctx)
-    return {r: record(ctx, r, k, signing_root) for r, k in ks.items()}
+    if ctx.p % 8 != 5:
+        raise ValueError(f"p mod 8 = {ctx.p % 8}, need 5")
+    return partition_records(ctx, [r])[r]

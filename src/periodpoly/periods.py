@@ -185,10 +185,13 @@ def trace_spectrum(
 
     The subfield (default: the whole field) is walked inside F_q as powers of
     its generator gamma^{(q-1)/(q0-1)} and traced down to F_p, so the cosets are
-    those of the character with chi(gamma^{(q-1)/(q0-1)}) = zeta_e.
+    those of the character with chi(gamma^{(q-1)/(q0-1)}) = zeta_e. threads is
+    the sweep's worker count, at least 1; None means all cores.
     """
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
     s_sub = ctx.s if s_sub is None else s_sub
     base = ctx.subfield_generator(s_sub)
     q0, name = ctx.p**s_sub, "q" if s_sub == ctx.s else "q0"

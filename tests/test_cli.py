@@ -93,6 +93,44 @@ def test_lemmas_cli(capsys):
     assert any(rec["lemma"] == "16" for rec in lines)
 
 
+@pytest.mark.parametrize("m", ("0", "-1"))
+def test_lemmas_rejects_m_below_one(capsys, m):
+    code, out, err = run(capsys, "lemmas", "--p", "5", "--s", "1", "--m", m)
+    assert code == EXIT_USAGE and out == "" and "m must be >= 1" in err
+
+
+def test_lemmas_m_one(capsys):
+    code, out, _ = run(capsys, "lemmas", "--p", "5", "--s", "4", "--m", "1")
+    assert code == EXIT_OK and out.endswith(" identities hold\n")
+
+
+@pytest.mark.parametrize("only", ("99", "2a,lemma17", "lemma3x"))
+def test_lemmas_rejects_unknown_ids(capsys, only):
+    code, out, err = run(capsys, "lemmas", "--p", "5", "--s", "4", "--m", "2", "--only", only)
+    bad = only.split(",")[-1].removeprefix("lemma")
+    assert code == EXIT_USAGE and out == "" and f"unknown identity id '{bad}'" in err
+    # a known id that does not apply to the field selects nothing and passes
+    code, out, _ = run(capsys, "lemmas", "--p", "5", "--s", "4", "--m", "2", "--only", "15")
+    assert code == EXIT_OK and out == "0/0 identities hold\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("periods", "--p", "3", "--s", "4", "--e", "16", "--threads", "0"),
+        ("verify", "--p", "3", "--s", "4", "--m", "4", "--oracle", "brute", "--threads", "-1"),
+        ("verify", "--p", "3", "--s", "8", "--m", "4", "--oracle", "lift", "--threads", "0"),
+        ("lemmas", "--p", "5", "--s", "4", "--m", "2", "--threads", "-2"),
+    ),
+)
+def test_threads_below_one_rejected(tmp_path, capsys, argv):
+    cache = tmp_path / "cache.jsonl"
+    extra = ("--cache", str(cache)) if argv[0] == "verify" else ()
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == EXIT_USAGE and out == "" and "threads must be >= 1" in err
+    assert not cache.exists()
+
+
 def test_verify_and_cache(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     code, out, _ = run(capsys, "verify", "--p", "3", "--s", "4", "--m", "4", "--cache", str(cache), "--format", "json")

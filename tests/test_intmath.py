@@ -123,6 +123,19 @@ def test_sqrt_mod_prime():
         sqrt_mod_prime(2, 5)  # 2 is a non-residue mod 5
 
 
+def test_sqrt_mod_prime_3mod4_root():
+    # for p = 3 (mod 4) Tonelli-Shanks has one round and returns a^{(p+1)/4}
+    count = 0
+    for p in range(3, 3000, 4):
+        if not is_prime(p):
+            continue
+        for x in range(1, (p + 1) // 2):
+            a = x * x % p
+            assert sqrt_mod_prime(a, p) == pow(a, (p + 1) // 4, p)
+            count += 1
+    assert count == 149_100
+
+
 def test_sqrt_deterministic():
     assert sqrt_mod_prime(2, 7) == sqrt_mod_prime(2, 7)
     vals = {sqrt_mod_prime(4, 13) for _ in range(5)}

@@ -217,7 +217,7 @@ def test_partition_records_take_one_root_per_field(p, s, rs, monkeypatch):
     # the signing root depends only on the field: one power of gamma for all r, the same records as one call per r
     ctx = build_field(p, s)
     fn = partition_a if p % 8 == 3 else partition_c
-    name = "_a_root" if p % 8 == 3 else "_c_root"
+    name = "_signing_root"
     root = getattr(partitions, name)
     calls = []
     monkeypatch.setattr(partitions, name, lambda c: calls.append(c) or root(c))
