@@ -13,13 +13,13 @@ a character of order E, and psi = lambda^j. Each quantity has one kernel:
     the Zech vector a + log(1 - x_a); every J(lambda^j) on that group is then
     one bincount of j times it (jacobi_sum), so a field pays one search.
 
-Subfield sums are computed inside the ambient field: subfield_sums is one
-trace_spectrum call that walks the subfield of size q0 as powers of gamma^d
-with d = (q-1)/(q0-1) (FieldCtx.subfield_generator), and the subfield
-character chi is normalized by chi(gamma^d) = zeta_E. Since gamma^d is the
-norm of gamma, the lift of chi is exactly the gamma-normalized character of
-the big field, which makes lifted Gauss sums and reconstructed periods
-per-index exact rather than merely correct as multisets.
+A subfield is swept as its own field: subfield_sums is one trace_spectrum call
+on ctx.subfield(k), F_p[x]/(f0) with f0 the minimal polynomial of gamma^d,
+d = (q-1)/(q0-1), and generator x, which traces and walks exactly as gamma^d
+does inside F_q. The subfield character chi has chi(x) = zeta_E. Since gamma^d
+is the norm of gamma, the lift of chi is exactly the gamma-normalized
+character of the big field, which makes lifted Gauss sums and reconstructed
+periods per-index exact rather than merely correct as multisets.
 
 The lift oracle reassembles the reduced periods by Fourier inversion,
 eta*_k = sum_{j=1}^{e-1} zeta_e^{-jk} G(lambda^j), and projects the result
@@ -93,21 +93,17 @@ def gauss_table(
     return GaussTable(ctx, trace_spectrum(ctx, order, max_q=max_q, threads=threads))
 
 
-def discrete_log_map(ctx: FieldCtx, s_sub: int | None = None) -> np.ndarray:
-    """Row a holds the coords of g^a for the p^{s_sub} - 1 elements of F_{p^{s_sub}}^*.
+def discrete_log_map(ctx: FieldCtx) -> np.ndarray:
+    """Row a holds the coords of gamma^a for the q - 1 elements of F_q^*.
 
-    g = ctx.subfield_generator(s_sub), the generator trace_spectrum walks; the
-    default is the whole field, g = gamma. The row index is the discrete log;
-    every Jacobi sum is read off the block this returns. Small groups only.
+    The row index is the discrete log; every Jacobi sum is read off the block
+    this returns. Small groups only; a subfield is walked as ctx.subfield(k).
     """
-    s_sub = ctx.s if s_sub is None else s_sub
     _exact_dtype(ctx.s, ctx.p)  # raises SweepOverflow where the orbit's int64 products would wrap
-    base = ctx.subfield_generator(s_sub)
-    length = ctx.p**s_sub - 1
-    if length >= DEFAULT_MAX_Q_JACOBI:
-        raise BudgetExceeded(f"group of order {length} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
+    if ctx.q - 1 >= DEFAULT_MAX_Q_JACOBI:
+        raise BudgetExceeded(f"group of order {ctx.q - 1} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
     one = np.array(ctx.one().coords, dtype=np.int64)
-    return _orbit(one, ctx.mul_matrix(base).T, length, ctx.p)
+    return _orbit(one, ctx.mul_matrix(ctx.gamma).T, ctx.q - 1, ctx.p)
 
 
 def _logs(ctx: FieldCtx, dlog: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -163,16 +159,12 @@ def lift_gauss_sum(value: CycElem, r: int) -> CycElem:
 
 
 # ---------------------------------------------------------------------------
-# subfield sums inside the ambient field
+# subfield sums, each subfield swept as its own field
 # ---------------------------------------------------------------------------
 
 
 class SubfieldSums(GaussTable):
-    """Gauss sums G(chi^j) over F_{q0} inside F_q, chi(N(gamma)) = zeta_order."""
-
-    def __init__(self, ctx: FieldCtx, s_sub: int, spectrum: TraceSpectrum):
-        super().__init__(ctx, spectrum)
-        self.s_sub = s_sub
+    """Gauss sums G(chi^j) over a subfield sub = ctx.subfield(k), chi(sub.gamma) = zeta_order."""
 
     gauss = GaussTable.value
 
@@ -184,13 +176,14 @@ def subfield_sums(
     max_q: int = DEFAULT_MAX_Q,
     threads: int | None = None,
 ) -> SubfieldSums:
-    """Gauss sums over the subfield F_{p^{s_sub}}, from one sweep of it inside F_q."""
-    return SubfieldSums(ctx, s_sub, trace_spectrum(ctx, order, max_q=max_q, threads=threads, s_sub=s_sub))
+    """Gauss sums over the subfield F_{p^{s_sub}}, from one sweep of it as its own field."""
+    sub = ctx.subfield(s_sub)
+    return SubfieldSums(sub, trace_spectrum(sub, order, max_q=max_q, threads=threads))
 
 
 def subfield_jacobi(sums: SubfieldSums, j: int) -> CycElem:
     """J(chi^j) over the subfield, chi normalized as in subfield_sums."""
-    return jacobi_sum(sums.order, j, zech_logs(sums.ctx, discrete_log_map(sums.ctx, sums.s_sub)))
+    return jacobi_sum(sums.order, j, zech_logs(sums.ctx, discrete_log_map(sums.ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +365,9 @@ def identity_report(
     """Run the classical-identity suite on the order-2^r characters of ctx.
 
     Check ids: 2a, 2b, 2c, 3, 4, 5, 7, 8, 9, 10, 11, 15, 16 (_CHECK_IDS); `only`
-    picks some of them, and an unknown id raises. A failure always indicates an
-    artifact bug, never valid data.
+    picks some of them. An unknown id raises, and so does a selection under
+    which no check applies to ctx and m. A failure always indicates an artifact
+    bug, never valid data.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -498,4 +492,6 @@ def identity_report(
             if s % (1 << (r - 1)) == 0:
                 checks.extend(partition_sum_identity(ctx, m, r, table=table))
 
+    if not checks:
+        raise ValueError(f"no selected identity check applies to p={p}, s={s}, m={m}")
     return checks

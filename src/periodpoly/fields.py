@@ -9,6 +9,8 @@ when elements are enumerated by ascending packed key sum(c_i * p^i).
 
 Every product in the field goes through one kernel, `_poly_mulmod`, which
 multiplies by Kronecker substitution (one big-int product per multiply).
+A subfield is a FieldCtx of its own (FieldCtx.subfield), so every kernel sees
+whole fields only; the trace row comes from Newton's identities on the modulus.
 
 A FieldCtx is immutable after construction; element operations are pure, so
 everything here is safe for concurrent use.
@@ -255,56 +257,64 @@ class FieldCtx:
         return FieldElem(self, coords)
 
     # -- maps -------------------------------------------------------------------
-    def subfield_trace(self, x: FieldElem, s_sub: int) -> int:
-        """Trace from the subfield F_{p^{s_sub}} down to F_p, for x in that subfield."""
+    def trace(self, x: FieldElem) -> int:
+        """Tr(x) = x + x^p + ... + x^{p^{s-1}}, the Frobenius sum, in F_p."""
         if x.ctx.params != self.params:
             raise FieldError("element belongs to a different field")
-        if self.s % s_sub:
-            raise FieldError(f"{s_sub} does not divide {self.s}")
-        acc = x
-        img = x
-        for _ in range(s_sub - 1):
+        acc = img = x
+        for _ in range(self.s - 1):
             img = img**self.p
             acc = acc + img
         return acc.prime_field_value()
 
-    # -- sweep support ------------------------------------------------------------
-    def subfield_generator(self, s_sub: int) -> FieldElem:
-        """gamma^{(q-1)/(p^{s_sub}-1)}, the norm of gamma: it generates F_{p^{s_sub}}^*."""
-        if s_sub < 1 or self.s % s_sub:
-            raise FieldError(f"{s_sub} does not divide {self.s}")
-        return self.gamma ** ((self.q - 1) // (self.p**s_sub - 1))
+    def trace_row(self) -> np.ndarray:
+        """Row vector t with t . coords(y) = Tr(y): t_k = Tr(x^k), by Newton's identities.
 
+        For the modulus x^s + c_{s-1} x^{s-1} + ... + c_0, the power sums of its
+        roots are t_0 = s and t_k = -(k c_{s-k} + sum_{0<i<k} c_{s-i} t_{k-i})
+        (Lidl & Niederreiter, Finite Fields, Thm 1.75).
+        """
+        s, p, c = self.s, self.p, self.params.modulus
+        row = [s % p]
+        for k in range(1, s):
+            row.append(-(k * c[s - k] + sum(c[s - i] * row[k - i] for i in range(1, k))) % p)
+        return np.array(row, dtype=np.int64)
+
+    def subfield(self, k: int) -> "FieldCtx":
+        """F_{p^k} as its own field F_p[x]/(f0), with generator gamma0 = x mod f0.
+
+        f0 = prod_{i<k} (X - g0^{p^i}) is the minimal polynomial of the norm
+        g0 = gamma^{(q-1)/(p^k-1)} (Lidl & Niederreiter, ch. 2); x -> g0 embeds
+        the field, so its traces, discrete logs and counts are those of g0's powers.
+        """
+        if k < 1 or self.s % k:
+            raise FieldError(f"{k} does not divide {self.s}")
+        p, q0 = self.p, self.p**k
+        f0, conj = [self.one()], self.gamma ** ((self.q - 1) // (q0 - 1))  # f0 little-endian, over F_q
+        for _ in range(k):
+            f0 = [-(conj * f0[0])] + [a - conj * b for a, b in zip(f0[:-1], f0[1:])] + [f0[-1]]
+            conj = conj**p
+        modulus = tuple(c.prime_field_value() for c in f0)
+        if not is_irreducible(modulus, p):
+            raise FieldError(f"the minimal polynomial {list(modulus)} of the norm is reducible")
+        fac = []  # every prime of p^k - 1 divides q - 1, with at most its multiplicity v there
+        for ell, v in self.q_minus_1_factorization:
+            w = next(w for w in range(v, -1, -1) if (q0 - 1) % ell**w == 0)
+            fac += [(ell, w)] if w else []
+        gamma0 = (-modulus[0] % p,) if k == 1 else (0, 1) + (0,) * (k - 2)
+        return FieldCtx(FieldParams(p, k, modulus), gamma0, tuple(fac))
+
+    # -- sweep support ------------------------------------------------------------
     def mul_matrix(self, x: FieldElem) -> np.ndarray:
         """Matrix (mod p) of multiplication by x over the polynomial basis."""
         s = self.s
         mat = np.zeros((s, s), dtype=np.int64)
-        basis = list(x.coords)
-        col = basis
+        col = list(x.coords)
         mat[:, 0] = col
         for j in range(1, s):
-            col = _poly_mulmod(col, [0, 1] + [0] * (s - 2) if s > 1 else [1], self.params.modulus, self.p)
+            col = _poly_mulmod(col, [0, 1], self.params.modulus, self.p)
             mat[:, j] = col
         return mat
-
-    def subfield_trace_row(self, s_sub: int) -> np.ndarray:
-        """Row vector t with t . coords(y) = Tr_{F_{p^{s_sub}}/F_p}(y) for subfield y."""
-        if self.s % s_sub:
-            raise FieldError(f"{s_sub} does not divide {self.s}")
-        # Matrix of the p-power Frobenius: columns are coords of (x^i)^p
-        s = self.s
-        frob = np.zeros((s, s), dtype=np.int64)
-        xpow = _poly_powmod([0, 1] + [0] * (s - 2) if s > 1 else [1], self.p, self.params.modulus, self.p)
-        col = [1] + [0] * (s - 1)
-        for j in range(s):
-            frob[:, j] = col
-            col = _poly_mulmod(col, xpow, self.params.modulus, self.p)
-        total = np.zeros((s, s), dtype=np.int64)
-        acc = np.eye(s, dtype=np.int64)
-        for _ in range(s_sub):
-            total = (total + acc) % self.p
-            acc = acc @ frob % self.p
-        return total[0, :].copy()
 
     def gamma_fingerprint(self) -> str:
         text = f"{self.p},{self.s},{self.params.modulus},{self.gamma.coords}"

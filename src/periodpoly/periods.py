@@ -1,10 +1,10 @@
 """Brute-force ground truth: trace spectra, reduced periods, period polynomials.
 
-trace_spectrum is the one sweep entry: it counts F_{q0}^* for the whole field
-or any subfield F_{q0}, q0 = p^{s_sub}, walked inside F_q as powers of its
-generator gamma^{(q-1)/(q0-1)} and traced down to F_p. It alone checks the
-budgets and checks the trace row against the Frobenius sum on a few walked
-elements before it sweeps.
+trace_spectrum is the one sweep entry: it counts F_q^* by coset and absolute
+trace, walked as powers of gamma. A subfield is swept as its own field,
+FieldCtx.subfield(k), so the budgets and int64 guards see its size and degree.
+trace_spectrum alone checks the budgets and checks the trace row against the
+Frobenius sum on a few walked elements before it sweeps.
 
 The enumeration walks a cyclic group once. Multiplication by the base is a
 fixed linear map M (mod p) over the polynomial basis, so Tr(base^j) is a
@@ -54,7 +54,7 @@ class SweepOverflow(BudgetExceeded, OverflowError):
 
 @dataclass(frozen=True)
 class TraceSpectrum:
-    """counts[k][t] = #{j in [0, q0-1) : j = k (mod e), Tr(g^j) = t}, g generating the swept F_{q0}^*."""
+    """counts[k][t] = #{j in [0, q-1) : j = k (mod e), Tr(gamma^j) = t}, gamma generating the swept F_q^*."""
 
     e: int
     counts: tuple[tuple[int, ...], ...]
@@ -179,38 +179,32 @@ def trace_spectrum(
     e: int,
     max_q: int = DEFAULT_MAX_Q,
     threads: int | None = None,
-    s_sub: int | None = None,
 ) -> TraceSpectrum:
-    """Exact coset-by-trace counts from one multiplicative sweep of F_{q0}^*, q0 = p^{s_sub}.
+    """Exact coset-by-trace counts from one multiplicative sweep of F_q^*.
 
-    The subfield (default: the whole field) is walked inside F_q as powers of
-    its generator gamma^{(q-1)/(q0-1)} and traced down to F_p, so the cosets are
-    those of the character with chi(gamma^{(q-1)/(q0-1)}) = zeta_e. threads is
-    the sweep's worker count, at least 1; None means all cores.
+    The field is walked as powers of gamma, so the cosets are those of the
+    character with chi(gamma) = zeta_e. threads is the sweep's worker count, at
+    least 1; None means all cores.
     """
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
-    s_sub = ctx.s if s_sub is None else s_sub
-    base = ctx.subfield_generator(s_sub)
-    q0, name = ctx.p**s_sub, "q" if s_sub == ctx.s else "q0"
-    if (q0 - 1) % e:
-        raise ValueError(f"e={e} does not divide {name}-1={q0 - 1}")
-    if q0 > max_q:
-        raise BudgetExceeded(f"{name}={q0} exceeds the enumeration budget {max_q}")
+    if (ctx.q - 1) % e:
+        raise ValueError(f"e={e} does not divide q-1={ctx.q - 1}")
+    if ctx.q > max_q:
+        raise BudgetExceeded(f"q={ctx.q} exceeds the enumeration budget {max_q}")
     if e * ctx.p > max_q:
         raise BudgetExceeded(f"the {e}x{ctx.p} count table exceeds the enumeration budget {max_q}")
-    trow = ctx.subfield_trace_row(s_sub)
+    trow = ctx.trace_row()
     # Tripwire: on a few walked elements the trace row must give the Frobenius sum.
     x = ctx.one()
-    for _ in range(min(q0 - 1, 8)):
-        direct = ctx.subfield_trace(x, s_sub)
+    for _ in range(min(ctx.q - 1, 8)):
         via_row = sum(int(t) * c for t, c in zip(trow, x.coords)) % ctx.p
-        if direct != via_row:
-            raise FieldError("subfield trace row disagrees with the Frobenius sum")
-        x = x * base
-    counts = bucket_sweep(ctx, base, trow, e, q0 - 1, threads)
+        if ctx.trace(x) != via_row:
+            raise FieldError("trace row disagrees with the Frobenius sum")
+        x = x * ctx.gamma
+    counts = bucket_sweep(ctx, ctx.gamma, trow, e, ctx.q - 1, threads)
     return TraceSpectrum(e=e, counts=tuple(tuple(int(c) for c in row) for row in counts))
 
 

@@ -38,7 +38,7 @@ def conjugate():
 
 def _field_trace(ctx: FieldCtx):
     """x -> Tr(x) in F_p for elements of ctx, through the trace row taken once."""
-    row = [int(t) for t in ctx.subfield_trace_row(ctx.s)]
+    row = [int(t) for t in ctx.trace_row()]
     return lambda x: sum(c * t for c, t in zip(x.coords, row)) % ctx.p
 
 

@@ -67,33 +67,52 @@ def test_jacobi_values():
     with pytest.raises(BudgetExceeded):
         discrete_log_map(build_field(3, 13))  # q = 1594323 is over the discrete-log budget
     # the walk against direct FieldElem multiplication, on whole groups and on the
-    # subfield F_81 inside F_{3^8}, walked as powers of gamma^82; odd orders included
+    # subfield F_81 of F_{3^8} as its own field; its Jacobi sums against a walk of
+    # gamma^82 inside F_{3^8}; odd orders included
     for p, s, s_sub, orders in ((3, 4, 4, (5, 16)), (5, 4, 4, (3, 16)), (13, 2, 2, (3, 8)), (3, 8, 4, (5, 16))):
         ctx = build_field(p, s)
+        field = ctx if s_sub == s else ctx.subfield(s_sub)
         base, length = ctx.gamma ** ((ctx.q - 1) // (p**s_sub - 1)), p**s_sub - 1
-        dlog = discrete_log_map(ctx, s_sub)
+        dlog = discrete_log_map(field)
         assert len(dlog) == length
-        x = ctx.one()
+        x = field.one()
         for row in dlog:
             assert tuple(row) == x.coords
-            x = x * base
-        zech = zech_logs(ctx, dlog)
+            x = x * field.gamma
+        zech = zech_logs(field, dlog)
         for order in orders:
             for j in range(1, order):
                 assert jacobi_sum(order, j, zech) == dict_walk_jacobi(ctx, base, length, order, j)
-    # gamma is not in the prime field, so it is not in the walk of F_3^* = <gamma^4>
-    prime = discrete_log_map(ctx9, 1)
+    # 0 is not in the walk of F_3^*; gamma0 = gamma^4 is its step
+    prime = discrete_log_map(ctx9.subfield(1))
     with pytest.raises(FieldError):
-        _logs(ctx9, prime, np.array([ctx9.gamma.coords]))
-    assert _logs(ctx9, prime, np.array([(ctx9.gamma**4).coords])).tolist() == [1]
+        _logs(ctx9.subfield(1), prime, np.array([[0]]))
+    assert _logs(ctx9.subfield(1), prime, np.array([[(ctx9.gamma**4).prime_field_value()]])).tolist() == [1]
     # s*(p-1)^2 >= 2^63: the orbit's int64 products would wrap; this is checked before
-    # the discrete-log budget, as the field has no subfield but itself
+    # the discrete-log budget
     with pytest.raises(SweepOverflow):
         discrete_log_map(build_field(3037000507, 1))
-    # p^s >= 2^63: the packed keys would wrap, though the orbit itself is exact
+    # p^s >= 2^63: the packed keys would wrap, though a walk (here of F_3^*) is exact
     ctx340 = build_field(3, 40)
     with pytest.raises(SweepOverflow):
-        zech_logs(ctx340, discrete_log_map(ctx340, 1))
+        zech_logs(ctx340, np.array([ctx340.one().coords, (-ctx340.one()).coords]))
+
+
+def test_subfield_walk_sees_the_subfield_bounds():
+    # F_{13^4} inside F_{13^32}: 13^32 >= 2^63, but the subfield's own walk and its
+    # packed keys are small; its Zech vector against a FieldElem walk of g0 in F_{13^32}
+    ctx = build_field(13, 32)
+    sub = ctx.subfield(4)
+    zech = zech_logs(sub, discrete_log_map(sub))
+    assert len(zech) == 28559
+    g0 = ctx.gamma ** ((ctx.q - 1) // (sub.q - 1))
+    logs, x = {}, ctx.one()
+    for a in range(sub.q - 1):
+        logs[x.coords] = a
+        x = x * g0
+    assert x == ctx.one() and len(logs) == sub.q - 1
+    want = [a + logs[((1 - y[0]) % 13,) + tuple(-c % 13 for c in y[1:])] for y, a in logs.items() if a]
+    assert zech.tolist() == want
 
 
 def dict_walk_jacobi(ctx, base, length, order, j):

@@ -109,9 +109,17 @@ def test_lemmas_rejects_unknown_ids(capsys, only):
     code, out, err = run(capsys, "lemmas", "--p", "5", "--s", "4", "--m", "2", "--only", only)
     bad = only.split(",")[-1].removeprefix("lemma")
     assert code == EXIT_USAGE and out == "" and f"unknown identity id '{bad}'" in err
-    # a known id that does not apply to the field selects nothing and passes
-    code, out, _ = run(capsys, "lemmas", "--p", "5", "--s", "4", "--m", "2", "--only", "15")
-    assert code == EXIT_OK and out == "0/0 identities hold\n"
+    # a known id that does not apply to the field selects nothing and is rejected too
+    code, out, err = run(capsys, "lemmas", "--p", "5", "--s", "4", "--m", "2", "--only", "15")
+    assert code == EXIT_USAGE and out == "" and "no selected identity check applies" in err
+
+
+@pytest.mark.parametrize("only", (",", "lemma", "4"))
+def test_lemmas_rejects_an_empty_selection(capsys, only):
+    # empty items name nothing, and lemma 4 is for p = 3 (mod 8) only: no check would run
+    code, out, err = run(capsys, "lemmas", "--p", "5", "--s", "4", "--m", "2", "--only", only)
+    assert code == EXIT_USAGE and out == ""
+    assert "no selected identity check applies to p=5, s=4, m=2" in err
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from periodpoly.fields import (
+    FieldCtx,
     FieldElem,
     FieldError,
+    _order_defect,
     _poly_gcd_is_one,
     _poly_mulmod,
     _poly_powmod,
@@ -14,7 +17,8 @@ from periodpoly.fields import (
     find_irreducible_modulus,
     is_irreducible,
 )
-from periodpoly.intmath import factorize
+from periodpoly.intmath import factorize, ord2
+from periodpoly.periods import trace_spectrum
 
 
 def frobenius_irreducible(f, p):
@@ -215,7 +219,7 @@ def test_context_mismatch_errors():
     with pytest.raises(FieldError):
         _ = a.gamma * b.gamma
     with pytest.raises(FieldError):
-        a.subfield_trace(b.gamma, a.s)
+        a.trace(b.gamma)
 
 
 def test_negative_power_rejected():
@@ -254,7 +258,39 @@ def test_trace_against_frobenius_sum(field_trace):
                 img = img**p
                 acc = acc + img
             assert acc.in_prime_field()
-            assert trace(x) == acc.coords[0] == ctx.subfield_trace(x, s)
+            assert trace(x) == acc.coords[0] == ctx.trace(x)
+
+
+def frobenius_trace_row(ctx):
+    """Reference trace row: row 0 of sum_{i<s} F^i, F the matrix of the p-power Frobenius."""
+    s, p, modulus = ctx.s, ctx.p, ctx.params.modulus
+    # Matrix of the p-power Frobenius: columns are coords of (x^i)^p
+    frob = np.zeros((s, s), dtype=np.int64)
+    xpow = _poly_powmod([0, 1] + [0] * (s - 2) if s > 1 else [1], p, modulus, p)
+    col = [1] + [0] * (s - 1)
+    for j in range(s):
+        frob[:, j] = col
+        col = _poly_mulmod(col, xpow, modulus, p)
+    total = np.zeros((s, s), dtype=np.int64)
+    acc = np.eye(s, dtype=np.int64)
+    for _ in range(s):
+        total = (total + acc) % p
+        acc = acc @ frob % p
+    return total[0, :].copy()
+
+
+def test_newton_trace_row_matches_frobenius_reference():
+    # fields and every subfield of them, so the row is checked on the minimal polynomials too
+    checked = 0
+    for p, s in itertools.product((3, 5, 7, 13), (1, 2, 3, 4, 6, 8, 12)):
+        ctx = build_field(p, s)
+        for k in (k for k in range(1, s + 1) if s % k == 0):
+            field = ctx.subfield(k)
+            for f in (field, ctx) if k == s else (field,):
+                row = f.trace_row()
+                assert row.dtype == np.int64 and row.tolist() == frobenius_trace_row(f).tolist(), (p, s, k)
+                checked += 1
+    assert checked == 116
 
 
 def test_trace_spectrum_balanced(field_trace):
@@ -281,6 +317,66 @@ def test_subfield_norm():
     assert all(n ** ((q_sub - 1) // ell) != ctx54.one() for ell in (2, 3))
     # lands in the subfield: fixed by the p^{s_sub} power map
     assert n ** (5**2) == n
+
+
+SUBFIELD_FIELDS = ((13, 4), (5, 6), (3, 8), (3, 64))
+
+
+@pytest.mark.parametrize("p, s", SUBFIELD_FIELDS)
+def test_subfield_is_the_field_of_the_norm(p, s):
+    # x -> g0 = gamma^{(q-1)/(p^k-1)} embeds ctx.subfield(k) into ctx as a field,
+    # and sends its generator gamma0 to g0
+    ctx = build_field(p, s)
+    rng = random.Random(p * s)
+    for k in sorted({1, 2, s // 2, s}):
+        sub = ctx.subfield(k)
+        assert (sub.p, sub.s, sub.q) == (p, k, p**k)
+        assert is_irreducible(sub.params.modulus, p)
+        assert sub.q_minus_1_factorization == tuple(factorize(sub.q - 1))
+        assert _order_defect(sub.gamma) is None
+        g0 = ctx.gamma ** ((ctx.q - 1) // (sub.q - 1))
+        powers = [ctx.one()]
+        for _ in range(k - 1):
+            powers.append(powers[-1] * g0)
+
+        def embed(y):
+            acc = ctx.zero()
+            for c, g in zip(y.coords, powers):
+                acc = acc + FieldElem(ctx, (c * u for u in g.coords))
+            return acc
+
+        for _ in range(6):
+            a, b = (FieldElem(sub, [rng.randrange(p) for _ in range(k)]) for _ in range(2))
+            assert embed(a * b) == embed(a) * embed(b), (k, a, b)
+        for a in (0, 1, 2, p, rng.randrange(sub.q - 1)):
+            assert embed(sub.gamma**a) == g0**a, (k, a)
+
+
+@pytest.mark.parametrize("p, s", SUBFIELD_FIELDS[:3])
+def test_whole_field_as_subfield_has_the_same_spectrum(p, s):
+    # the minimal polynomial of gamma is another modulus for the same field and gamma
+    ctx = build_field(p, s)
+    whole = ctx.subfield(s)
+    assert whole.q == ctx.q
+    e = 1 << min(4, ord2(ctx.q - 1))
+    assert trace_spectrum(whole, e) == trace_spectrum(ctx, e)
+
+
+@pytest.mark.parametrize("p, s", SUBFIELD_FIELDS)
+def test_subfield_rejects_bad_degrees(p, s):
+    ctx = build_field(p, s)
+    for k in (0, -1, 3 if s % 3 else 4, s + 1, 2 * s):
+        with pytest.raises(FieldError, match="does not divide"):
+            ctx.subfield(k)
+
+
+@pytest.mark.parametrize("p, s", SUBFIELD_FIELDS[:3])
+def test_subfield_of_a_prime_field_gamma_raises(p, s):
+    # gamma = 2 lies in F_p, so g0 does too and f0 = (X - g0)^2 is reducible
+    ctx = build_field(p, s)
+    bad = FieldCtx(ctx.params, ctx.from_int(2).coords, ctx.q_minus_1_factorization)
+    with pytest.raises(FieldError, match="reducible"):
+        bad.subfield(2)
 
 
 def test_with_generator(with_generator):

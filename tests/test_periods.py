@@ -188,34 +188,45 @@ def walk_traces(ctx, base, trace, length):
     return out
 
 
+def subfield_trace(ctx, k):
+    """x -> Tr_{F_{p^k}/F_p}(x) for x in the degree-k subfield of ctx, by the Frobenius sum."""
+
+    def trace(x):
+        acc, img = x, x
+        for _ in range(k - 1):
+            img = img**ctx.p
+            acc = acc + img
+        return acc.prime_field_value()
+
+    return trace
+
+
 @functools.lru_cache(maxsize=None)
 def sweep_case(name, field_trace):
-    """(ctx, s_sub, base, trow, traces over one period of base) for a bucket_sweep test case."""
-    if name == "subfield":  # gamma^d walks F_{3^4} inside F_{3^8}
-        ctx, s_sub = build_field(3, 8), 4
-        period = 80
-        base, trow = ctx.gamma ** ((ctx.q - 1) // period), ctx.subfield_trace_row(4)
-        traces = walk_traces(ctx, base, lambda x: ctx.subfield_trace(x, 4), period)
+    """(field, traces over one period of its gamma) for a bucket_sweep test case."""
+    if name == "subfield":  # F_{3^4} as its own field; the traces come from gamma^82 inside F_{3^8}
+        ctx = build_field(3, 8)
+        field, period = ctx.subfield(4), 80
+        traces = walk_traces(ctx, ctx.gamma ** ((ctx.q - 1) // period), subfield_trace(ctx, 4), period)
     else:
-        ctx = build_field(*{"s=1": (10007, 1), "s=6": (5, 6)}[name])
-        s_sub, period = ctx.s, ctx.q - 1
-        base, trow = ctx.gamma, ctx.subfield_trace_row(ctx.s)
-        traces = walk_traces(ctx, base, field_trace(ctx), period)
-    assert base**period == ctx.one()
-    return ctx, s_sub, base, trow, np.array(traces, dtype=np.int64)
+        field = build_field(*{"s=1": (10007, 1), "s=6": (5, 6)}[name])
+        period = field.q - 1
+        traces = walk_traces(field, field.gamma, field_trace(field), period)
+    assert field.gamma**period == field.one()
+    return field, np.array(traces, dtype=np.int64)
 
 
 @pytest.mark.parametrize("threads", (1, 2, 3))
 @pytest.mark.parametrize("name", ("s=1", "s=6", "subfield"))
 def test_bucket_sweep_matches_direct_walk(name, threads, field_trace):
-    ctx, s_sub, base, trow, traces = sweep_case(name, field_trace)
+    ctx, traces = sweep_case(name, field_trace)
     # lengths that are multiples of neither the block nor e; the two short ones take
     # the int64 product, the long one the float64 product over up to three ranges
     for length in (1, _ROWS + 1, 3 * _MIN_RANGE + 4099):
         j = np.arange(length)
         for e in (3, 8, 11):
             direct = np.bincount(j % e * ctx.p + traces[j % len(traces)], minlength=e * ctx.p)
-            got = bucket_sweep(ctx, base, trow, e, length, threads)
+            got = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, length, threads)
             assert got.shape == (e, ctx.p)
             assert np.array_equal(got.ravel(), direct), (name, threads, length, e)
     # trace_spectrum sweeps one period of the same walk, for each e that divides it
@@ -223,7 +234,7 @@ def test_bucket_sweep_matches_direct_walk(name, threads, field_trace):
     for e in (3, 8, 11):
         if len(traces) % e == 0:
             direct = np.bincount(j % e * ctx.p + traces, minlength=e * ctx.p)
-            got = trace_spectrum(ctx, e, threads=threads, s_sub=s_sub)
+            got = trace_spectrum(ctx, e, threads=threads)
             assert np.array_equal(np.array(got.counts).ravel(), direct), (name, threads, e)
 
 
@@ -244,7 +255,7 @@ def test_bucket_sweep_exact_near_float64_bound(p, dtype, field_trace):
     direct = {}
     for j in range(length):
         direct[j % 2, traces[j % 8]] = direct.get((j % 2, traces[j % 8]), 0) + 1
-    got = bucket_sweep(ctx, base, ctx.subfield_trace_row(1), 2, length, threads=1)
+    got = bucket_sweep(ctx, base, ctx.trace_row(), 2, length, threads=1)
     assert np.count_nonzero(got) == len(direct)
     assert {key: int(got[key]) for key in direct} == direct
 
@@ -267,14 +278,16 @@ def test_range_sweep_products_at_float64_bound():
             assert exact == (dtype is np.int64 or float_exact), (p, dtype)
 
 
-@pytest.mark.parametrize("s_sub", (None, 2))
-def test_corrupted_trace_row_raises(monkeypatch, s_sub):
+@pytest.mark.parametrize("k", (None, 2))
+def test_corrupted_trace_row_raises(monkeypatch, k):
     # the tripwire compares the row with the Frobenius sum, on the whole field and on a
-    # subfield; unchecked, this rolled row gives wrong whole-field counts on 3^4
-    row = FieldCtx.subfield_trace_row
-    monkeypatch.setattr(FieldCtx, "subfield_trace_row", lambda ctx, k: np.roll(row(ctx, k), 1))
+    # subfield; unchecked, this row gives wrong counts on both. It is the true row with
+    # its top entry moved by one, as rolling leaves the F_9 row (2, 2) unchanged
+    field = build_field(3, 4) if k is None else build_field(3, 4).subfield(k)
+    row = FieldCtx.trace_row
+    monkeypatch.setattr(FieldCtx, "trace_row", lambda ctx: row(ctx) + np.eye(1, ctx.s, ctx.s - 1, dtype=np.int64)[0])
     with pytest.raises(FieldError):
-        trace_spectrum(build_field(3, 4), 4, s_sub=s_sub)
+        trace_spectrum(field, 4)
 
 
 def test_overflow_guard_raises_before_sweeping():
