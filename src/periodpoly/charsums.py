@@ -33,6 +33,7 @@ so it shares no formula with the closed forms it checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -382,15 +383,32 @@ def identity_report(
     def want(lemma_id: str) -> bool:
         return only is None or lemma_id in only
 
-    table = gauss_table(ctx, e, max_q=max_q, threads=threads)
+    # the sweep and the walk run on first use, so a selection that applies to no check sweeps nothing
+    @functools.cache
+    def table() -> GaussTable:
+        return gauss_table(ctx, e, max_q=max_q, threads=threads)
+
+    @functools.cache
+    def gauss(j: int) -> CycElem:
+        return table().value(j)
+
+    # values psi(c) need a discrete log; the suite walks enumerable fields only
+    walkable = q <= DEFAULT_MAX_Q_JACOBI
+
+    @functools.cache
+    def walk() -> tuple[np.ndarray, int]:
+        """The discrete-log walk of F_q^* and the log of 4."""
+        if q > max_q:
+            raise BudgetExceeded(f"q={q} exceeds the enumeration budget {max_q}")
+        dlog = discrete_log_map(ctx)
+        return dlog, int(_logs(ctx, dlog, np.array([ctx.from_int(4 % p).coords]))[0])
+
+    @functools.cache
+    def zech() -> np.ndarray:
+        return zech_logs(ctx, walk()[0])
+
     rho_idx = e // 2
     checks: list[IdentityCheck] = []
-
-    # values psi(c) need a discrete log; the suite runs on enumerable fields
-    dlog = discrete_log_map(ctx) if ctx.q <= DEFAULT_MAX_Q_JACOBI else None
-    if dlog is not None:
-        log4 = int(_logs(ctx, dlog, np.array([ctx.from_int(4 % p).coords]))[0])
-    zech = zech_logs(ctx, dlog) if dlog is not None and want("5") else None
 
     def chi_value(j: int, elem_log: int) -> CycElem:
         """lambda^j evaluated at gamma^{elem_log}, as a conductor-e root."""
@@ -398,41 +416,36 @@ def identity_report(
 
     for r in range(2, m + 1):
         j = 1 << (m - r)
-        order_r = 1 << r
-        g = table.value(j)
-        gbar = table.value(-j)
         if want("2a"):
             sign = 1 if (j * ((q - 1) // 2)) % e == 0 else -1  # psi(-1)
-            checks.append(_check("2a", {"r": r}, g * gbar, CycElem.integer(1, sign * q)))
+            checks.append(_check("2a", {"r": r}, gauss(j) * gauss(-j), CycElem.integer(1, sign * q)))
         if want("2b"):
-            checks.append(_check("2b", {"r": r}, g, table.value(j * p)))
-        if want("2c") and dlog is not None:
-            lhs = g * table.value(j + rho_idx)
-            rhs = chi_value(-j, log4) * table.value(2 * j) * table.value(rho_idx)
+            checks.append(_check("2b", {"r": r}, gauss(j), gauss(j * p)))
+        if want("2c") and walkable:
+            lhs = gauss(j) * gauss(j + rho_idx)
+            rhs = chi_value(-j, walk()[1]) * gauss(2 * j) * gauss(rho_idx)
             checks.append(_check("2c", {"r": r}, lhs, rhs))
         if want("8"):
             r_min = 4 if p % 8 == 3 else 3
             if r >= r_min:
-                checks.append(_check("8", {"r": r}, g, table.value(j + rho_idx)))
-        if want("9") and r >= 3 and dlog is not None:
-            lhs = chi_value(j, log4)
+                checks.append(_check("8", {"r": r}, gauss(j), gauss(j + rho_idx)))
+        if want("9") and r >= 3 and walkable:
+            lhs = chi_value(j, walk()[1])
             rhs_val = 1 if p % 8 == 3 else (-1) ** (s // (1 << (r - 2)))
             checks.append(_check("9", {"r": r}, lhs, CycElem.integer(1, rhs_val)))
-        if zech is not None:
+        if want("5") and walkable and 2 * j % e:
             # order of psi^2 is 2^{r-1}; for r = 1 psi = rho is excluded anyway
-            jac = jacobi_sum(e, j, zech)
-            if 2 * j % e:
-                checks.append(_check("5", {"r": r}, g * g, table.value(2 * j) * jac))
+            jac = jacobi_sum(e, j, zech())
+            checks.append(_check("5", {"r": r}, gauss(j) * gauss(j), gauss(2 * j) * jac))
 
     if want("3"):
         # G(rho) = (-1)^{s-1} g^s with g = sum_t (t|p) zeta_p^t and g^2 = p* = (-1)^{(p-1)/2} p
         scale = (-1) ** (s - 1) * (p if p % 4 == 1 else -p) ** (s // 2)
         rhs = scale * _legendre_gauss_sum(p) if s % 2 else CycElem.integer(1, scale)
-        checks.append(_check("3", {"s": s}, table.value(rho_idx), rhs))
+        checks.append(_check("3", {"s": s}, gauss(rho_idx), rhs))
 
     if want("4") and p % 8 == 3 and s % 2 == 0 and m >= 2:
-        g4 = table.value(e // 4)
-        checks.append(_check("4", {}, g4, CycElem.integer(1, -(p ** (s // 2)))))
+        checks.append(_check("4", {}, gauss(e // 4), CycElem.integer(1, -(p ** (s // 2)))))
 
     if want("7"):
         # direct Gauss sums vs squared-and-negated subfield sums, for every
@@ -440,12 +453,13 @@ def identity_report(
         if s % 2 == 0:
             r_max = min(m, ord2(p ** (s // 2) - 1))
             if r_max >= 1:
+                table()  # the whole-field budget is checked before the subfield is swept
                 sums = subfield_sums(ctx, s // 2, 1 << r_max, max_q=max_q, threads=threads)
                 for r in range(1, r_max + 1):
                     j_small = 1 << (r_max - r)
                     j_big = (1 << (m - r)) % e
                     lifted = lift_gauss_sum(sums.gauss(j_small), 2)
-                    checks.append(_check("7", {"r": r}, table.value(j_big), lifted))
+                    checks.append(_check("7", {"r": r}, gauss(j_big), lifted))
 
     if want("10"):
         for n in (1, 2, 3):
@@ -478,19 +492,19 @@ def identity_report(
             if (s * (r - 1)) % (1 << (r - 1)):
                 raise ArithmeticError("non-integral sign exponent under the stated hypothesis")
             s_chi = s // (1 << (r - n_cls + 1))
+            lhs = gauss(1 << (m - r))
             sums = subfield_sums(ctx, s_chi, 1 << n_cls, max_q=max_q, threads=threads)
             jac = subfield_jacobi(sums, 1)
             sign = 1 if p % 8 == 3 else (-1) ** ((s * (r - 1)) // (1 << (r - 1)))
             scale = _q_fractional(p, s, (1 << (r - n_cls + 1)) - 1, 1 << (r - n_cls + 2))
             rhs = sign * scale * jac
-            lhs = table.value(1 << (m - r))
             checks.append(_check("11", {"r": r}, lhs, rhs))
 
     lemma, r_min = {3: ("15", 3), 5: ("16", 2)}.get(p % 8, ("", 0))
     if lemma and want(lemma):
         for r in range(r_min, m + 1):
             if s % (1 << (r - 1)) == 0:
-                checks.extend(partition_sum_identity(ctx, m, r, table=table))
+                checks.extend(partition_sum_identity(ctx, m, r, table=table()))
 
     if not checks:
         raise ValueError(f"no selected identity check applies to p={p}, s={s}, m={m}")

@@ -335,8 +335,12 @@ def _order_defect(g: FieldElem) -> int | None:
 
 
 def find_generator(ctx: FieldCtx) -> FieldElem:
-    """First generator of F_q^* in ascending packed-key order."""
-    for key in range(1, ctx.q):
+    """First generator of F_q^* in ascending packed-key order.
+
+    For s > 1 the keys 1 .. p-1 are F_p^*, which has no generator of F_q^*,
+    so the search starts at key p.
+    """
+    for key in range(ctx.p if ctx.s > 1 else 1, ctx.q):
         g = ctx.from_packed(key)
         if _order_defect(g) is None:
             return g

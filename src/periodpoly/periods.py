@@ -6,9 +6,25 @@ FieldCtx.subfield(k), so the budgets and int64 guards see its size and degree.
 trace_spectrum alone checks the budgets and checks the trace row against the
 Frobenius sum on a few walked elements before it sweeps.
 
-The enumeration walks a cyclic group once. Multiplication by the base is a
-fixed linear map M (mod p) over the polynomial basis, so Tr(base^j) is a
-linear recurring sequence. Write j = start + b*B + i with 0 <= i < B; then
+It sweeps one element per F_p-line, the quotient F_q^*/F_p^*. With
+L = (q-1)/(p-1), g0 = gamma^L is the norm of gamma; it has order p-1, so it is
+a primitive root of F_p (checked: a gamma whose g0 is not raises FieldError).
+Each j < q-1 is j' + iL with j' < L and i < p-1, so gamma^j = g0^i gamma^j',
+and since the trace is F_p-linear, Tr(gamma^j) = g0^i Tr(gamma^j'). The sweep
+counts part[k'][t'] over j' < L only, and the fold rebuilds the counts over
+j < q-1 exactly. Because e | q-1 = (p-1)L, the coset shift iL mod e depends on
+i mod (p-1) alone; it has period r = e/gcd(L, e), and r | p-1. So
+
+    counts[k][0]      = ((p-1)/r) * sum_{b<r} part[(k - bL) mod e][0],
+    counts[k][g0^a]   = S[(k - aL) mod e],
+    S[c]              = sum of part[k'][g0^a'] over k' - a'L = c (mod e),
+
+all of it O(e*p) int64 reductions over the power table of g0.
+
+The kernel, bucket_sweep, walks the first powers of a base once.
+Multiplication by the base is a fixed linear map M (mod p) over the
+polynomial basis, so Tr(base^j) is a linear recurring sequence. Write
+j = start + b*B + i with 0 <= i < B; then
 
     Tr(base^j) = (trow . M^i) . (M^{bB} . seed),
 
@@ -28,6 +44,7 @@ any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -174,13 +191,32 @@ def bucket_sweep(
     return sum(parts)
 
 
+def _fold(part: np.ndarray, g0: int, span: int, p: int) -> np.ndarray:
+    """The e x p counts over j < q-1 from part, the counts over j < span = (q-1)/(p-1).
+
+    g0 = gamma^span must be a primitive root of F_p; the formulas are in the
+    module docstring.
+    """
+    e = part.shape[0]
+    r = e // math.gcd(span, e)  # period of a -> a*span mod e; r | p-1 since e | (p-1)*span
+    shift = np.arange(r, dtype=np.int64) * (span % e) % e  # b*span mod e
+    k = np.arange(e, dtype=np.int64)[:, None]
+    power_of = _orbit(np.ones(1, dtype=np.int64), np.array([[g0]], dtype=np.int64), p - 1, p)[:, 0]  # g0^a
+    counts = np.empty_like(part)
+    counts[:, 0] = part[(k - shift) % e, 0].sum(axis=1) * ((p - 1) // r)
+    by_class = part[:, power_of].reshape(e, -1, r).sum(axis=1)  # [k', b]: the g0^a' with a' = b (mod r)
+    total = by_class[(k + shift) % e, np.arange(r)].sum(axis=1)  # S[c]
+    counts[:, power_of] = np.tile(total[(k - shift) % e], (p - 1) // r)
+    return counts
+
+
 def trace_spectrum(
     ctx: FieldCtx,
     e: int,
     max_q: int = DEFAULT_MAX_Q,
     threads: int | None = None,
 ) -> TraceSpectrum:
-    """Exact coset-by-trace counts from one multiplicative sweep of F_q^*.
+    """Exact coset-by-trace counts of F_q^*, from one sweep of F_q^*/F_p^* and a fold.
 
     The field is walked as powers of gamma, so the cosets are those of the
     character with chi(gamma) = zeta_e. threads is the sweep's worker count, at
@@ -196,16 +232,24 @@ def trace_spectrum(
         raise BudgetExceeded(f"q={ctx.q} exceeds the enumeration budget {max_q}")
     if e * ctx.p > max_q:
         raise BudgetExceeded(f"the {e}x{ctx.p} count table exceeds the enumeration budget {max_q}")
+    p = ctx.p
     trow = ctx.trace_row()
     # Tripwire: on a few walked elements the trace row must give the Frobenius sum.
     x = ctx.one()
     for _ in range(min(ctx.q - 1, 8)):
-        via_row = sum(int(t) * c for t, c in zip(trow, x.coords)) % ctx.p
+        via_row = sum(int(t) * c for t, c in zip(trow, x.coords)) % p
         if ctx.trace(x) != via_row:
             raise FieldError("trace row disagrees with the Frobenius sum")
         x = x * ctx.gamma
-    counts = bucket_sweep(ctx, ctx.gamma, trow, e, ctx.q - 1, threads)
-    return TraceSpectrum(e=e, counts=tuple(tuple(int(c) for c in row) for row in counts))
+    span = (ctx.q - 1) // (p - 1)
+    g0 = (ctx.gamma**span).prime_field_value()  # the norm of gamma
+    cofactors = [(p - 1) // ell for ell, _ in ctx.q_minus_1_factorization if (p - 1) % ell == 0]
+    if g0 == 0 or any(pow(g0, d, p) == 1 for d in cofactors):
+        raise FieldError(f"gamma^{span} = {g0} is not a primitive root of F_{p}")
+    # bucket_sweep raises SweepOverflow where (p-1)^2 would wrap, before the fold's O(p) tables
+    part = bucket_sweep(ctx, ctx.gamma, trow, e, span, threads)
+    counts = _fold(part, g0, span, p)
+    return TraceSpectrum(e=e, counts=tuple(map(tuple, counts.tolist())))
 
 
 def reduced_periods(spectrum: TraceSpectrum) -> PeriodVector:

@@ -357,3 +357,25 @@ def test_identity_report_filter_and_json():
     assert checks and all(c.lemma in ("16", "11") for c in checks)
     d = checks[0].to_json_dict()
     assert d["lemma"] in ("16", "11") and "pass" in d and "lhs" in d and "rhs" in d
+
+
+def test_identity_report_sweeps_only_for_a_selected_check(monkeypatch):
+    # a selection that applies to no check raises before the whole-field sweep or the
+    # discrete-log walk, and check 10 needs neither
+    import periodpoly.charsums as charsums
+    import periodpoly.periods as periods
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the field was enumerated")
+
+    monkeypatch.setattr(periods, "bucket_sweep", refuse)
+    monkeypatch.setattr(charsums, "discrete_log_map", refuse)
+    ctx = build_field(3, 4)
+    with pytest.raises(ValueError, match="no selected identity check applies"):
+        identity_report(ctx, 2, only={"16"})  # p = 3 (mod 8) has no lemma 16
+    checks = identity_report(ctx, 4, only={"10"})
+    assert checks and all(c.lemma == "10" and c.passed for c in checks)
+    with pytest.raises(RuntimeError, match="enumerated"):
+        identity_report(ctx, 4, only={"9"})
+    with pytest.raises(BudgetExceeded):  # the walk of F_81^* is held to the enumeration budget too
+        identity_report(ctx, 4, only={"9"}, max_q=50)

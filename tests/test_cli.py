@@ -216,7 +216,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_json_byte_identical(capsys):
-    # q - 1 = 531440 is long enough for 4 sweep ranges of at least 2^16 elements
+    # the sweep walks (q - 1)/(p - 1) = 265720 elements, enough for 4 ranges of at least 2^16
     outs = set()
     for threads in ("1", "2", "4"):
         code, out, _ = run(capsys, "periods", "--p", "3", "--s", "12", "--e", "16", "--json", "--threads", threads)

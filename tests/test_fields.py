@@ -379,6 +379,24 @@ def test_subfield_of_a_prime_field_gamma_raises(p, s):
         bad.subfield(2)
 
 
+def first_generator_from_key_one(ctx):
+    """Reference search: every packed key from 1 up, F_p^* included."""
+    for key in range(1, ctx.q):
+        g = ctx.from_packed(key)
+        if _order_defect(g) is None:
+            return g
+
+
+@pytest.mark.parametrize(
+    "p, s",
+    ((3, 1), (1019, 1), (3, 2), (1019, 2), (5, 3), (13, 3), (3, 4), (29, 4), (1019, 4), (3, 8), (5, 8)),
+)
+def test_find_generator_skips_the_prime_field(p, s):
+    # no key below p generates F_q^* when s > 1, so skipping them leaves gamma as it was
+    ctx = build_field(p, s)
+    assert find_generator(ctx) == first_generator_from_key_one(ctx) == ctx.gamma
+
+
 def test_with_generator(with_generator):
     ctx = build_field(3, 4)
     g2 = ctx.gamma**7  # 7 coprime to 80

@@ -154,8 +154,8 @@ def test_modulus_independence():
 def test_worker_count_determinism(monkeypatch):
     import periodpoly.periods as periods
 
-    ctx = build_field(3, 12)  # q - 1 = 531440, about 8.1 * _MIN_RANGE
-    base = trace_spectrum(ctx, 16, threads=1)
+    ctx = build_field(5, 10)  # the sweep walks (q - 1)/(p - 1) = 2441406 elements, about 37 * _MIN_RANGE
+    base = trace_spectrum(ctx, 8, threads=1)
     starts = []
 
     def recording_sweep(p, mult, trow, e, start, *rest):
@@ -165,7 +165,7 @@ def test_worker_count_determinism(monkeypatch):
     monkeypatch.setattr(periods, "_range_sweep", recording_sweep)
     for threads in (2, 3, 7):
         starts.clear()
-        assert trace_spectrum(ctx, 16, threads=threads).counts == base.counts
+        assert trace_spectrum(ctx, 8, threads=threads).counts == base.counts
         assert len(starts) == threads  # one range per worker, each swept
 
 
@@ -288,6 +288,47 @@ def test_corrupted_trace_row_raises(monkeypatch, k):
     monkeypatch.setattr(FieldCtx, "trace_row", lambda ctx: row(ctx) + np.eye(1, ctx.s, ctx.s - 1, dtype=np.int64)[0])
     with pytest.raises(FieldError):
         trace_spectrum(field, 4)
+
+
+def fold_case(name):
+    """The field named "p^s", or "subfield" for F_{3^4} as ctx.subfield(4) of F_{3^8}."""
+    if name == "subfield":
+        return build_field(3, 8).subfield(4)
+    p, s = map(int, name.split("^"))
+    return build_field(p, s)
+
+
+@pytest.mark.parametrize(
+    "name, e",
+    (
+        ("7^2", 16),  # L = 8: a -> aL mod e has period 2 < p - 1 = 6, and e does not divide p - 1
+        ("13^2", 8),  # L = 14: period 4 < 12
+        ("5^2", 24),  # e = q - 1: period p - 1
+        ("3^4", 16),  # p = 3, e does not divide p - 1
+        ("3^5", 11),  # e odd and prime to p - 1: period 1
+        ("13^1", 12),  # s = 1: L = 1, so the fold is all of the work
+        ("13^1", 4),
+        ("10007^1", 2),
+        ("subfield", 16),  # F_{3^4} as its own field
+    ),
+)
+def test_trace_spectrum_fold_matches_full_sweep(name, e):
+    # the reference walks all q - 1 powers of gamma; trace_spectrum walks (q - 1)/(p - 1) and folds
+    ctx = fold_case(name)
+    full = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads=1)
+    for threads in (1, 2):
+        assert np.array_equal(np.array(trace_spectrum(ctx, e, threads=threads).counts), full), (name, e)
+
+
+def test_fold_rejects_a_gamma_whose_norm_is_not_primitive():
+    # gamma^2 walks only the squares: its norm gamma^{2L} is a square in F_p, not a primitive root
+    ctx = build_field(5, 2)
+    square = FieldCtx(ctx.params, (ctx.gamma**2).coords, ctx.q_minus_1_factorization)
+    with pytest.raises(FieldError, match="not a primitive root"):
+        trace_spectrum(square, 4)
+    zero = FieldCtx(ctx.params, (0, 0), ctx.q_minus_1_factorization)  # its norm is 0
+    with pytest.raises(FieldError, match="not a primitive root"):
+        trace_spectrum(zero, 4)
 
 
 def test_overflow_guard_raises_before_sweeping():
