@@ -7,6 +7,14 @@ trinomials x^s+b*x^t+c ordered by (t,b,c), then all monic polynomials by
 ascending packed key), and the generator is the first element of full order
 when elements are enumerated by ascending packed key sum(c_i * p^i).
 
+A binomial x^s - a is decided by its exact rule (Lidl & Niederreiter, Thm
+3.75): it is irreducible iff every prime r | s divides ord(a) but not
+(p-1)/ord(a), and p = 1 (mod 4) when 4 | s; every other candidate goes
+through Ben-Or's test. q - 1 is factored as the product of the Phi_d(p),
+d | s. A generator candidate g is tested first by its norm N(g) = Res(modulus,
+g) in F_p, which decides every prime l | p-1 (g^{(q-1)/l} = N(g)^{(p-1)/l}),
+and then by one product tree over the remaining primes of q - 1.
+
 Every product in the field goes through one kernel, `_poly_mulmod`, which
 multiplies by Kronecker substitution (one big-int product per multiply).
 A subfield is a FieldCtx of its own (FieldCtx.subfield), so every kernel sees
@@ -19,8 +27,9 @@ everything here is safe for concurrent use.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,14 +102,23 @@ def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> li
     return power(x, e, lambda u, v: _poly_mulmod(u, v, modulus, p), [1] + [0] * (s - 1))
 
 
-def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
-    """gcd over F_p[x] is constant? Euclid on coefficient lists kept free of trailing zeros."""
+def _resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """Res(a, b) in F_p, by Euclid on coefficient lists kept free of trailing zeros.
+
+    For monic a it is the product of b over the roots of a, so it is 0 exactly when
+    gcd(a, b) is not constant. With a = u*b + r: Res(a, b) = (-1)^{deg a deg b}
+    lc(b)^{deg a - deg r} Res(b, r); Res(a, c) = c^{deg a} for a constant c != 0, and
+    Res(a, 0) = 0.
+    """
     a, b = [c % p for c in a], [c % p for c in b]
     for u in (a, b):
         while u and not u[-1]:
             u.pop()
-    while b:
-        db = len(b) - 1
+    if not a or not b:
+        return 0
+    res = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
         inv = pow(b[-1], -1, p)
         while len(a) > db:
             c = a.pop() * inv % p  # the leading term cancels; only the rest of b is subtracted
@@ -109,15 +127,18 @@ def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
                 a[shift + j] = (a[shift + j] - c * b[j]) % p
             while a and not a[-1]:
                 a.pop()
+        if not a:
+            return 0
+        res = res * (-1) ** (da * db) * pow(b[-1], da - len(a) + 1, p) % p
         a, b = b, a
-    return len(a) <= 1
+    return res * pow(b[0], len(a) - 1, p) % p
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
     """Monic degree-s polynomial irreducible over F_p? (Ben-Or's test)
 
     f is reducible exactly when it has an irreducible factor of degree i <= s/2,
-    that is when gcd(x^{p^i} - x, f) != 1 for some such i.
+    that is when gcd(x^{p^i} - x, f) != 1, or Res(f, x^{p^i} - x) = 0, for some such i.
     """
     s = len(modulus) - 1
     if s < 1 or modulus[-1] != 1:
@@ -126,19 +147,34 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
     r = x
     for _ in range(s // 2):
         r = _poly_powmod(r, p, modulus, p)  # x^{p^i} mod f
-        if not _poly_gcd_is_one([(u - v) % p for u, v in zip(r, x)], list(modulus), p):
+        if not _resultant(modulus, [u - v for u, v in zip(r, x)], p):
             return False
     return True
+
+
+def _irreducible_binomials(s: int, p: int) -> Iterator[int]:
+    """Every c in 1 .. p-1, ascending, with x^s + c irreducible over F_p.
+
+    For s >= 2, x^s - a is irreducible exactly when every prime r | s divides
+    ord(a) but not (p-1)/ord(a), and p = 1 (mod 4) when 4 | s (Lidl &
+    Niederreiter, Thm 3.75). For a prime r the first part says v_r(ord a) =
+    v_r(p-1) >= 1: r | p-1 and a^{(p-1)/r} != 1. So when some r does not divide
+    p-1, or 4 | s and p = 3 (mod 4), no c qualifies and nothing is scanned.
+    """
+    rs = [r for r, _ in factorize(s)]
+    if any((p - 1) % r for r in rs) or (s % 4 == 0 and p % 4 != 1):
+        return
+    for c in range(1, p):
+        if all(pow(p - c, (p - 1) // r, p) != 1 for r in rs):
+            yield c
 
 
 def find_irreducible_modulus(p: int, s: int) -> tuple[int, ...]:
     """First irreducible monic degree-s polynomial in the documented scan order."""
     if s == 1:
         return (0, 1)
-    for c in range(1, p):
-        f = (c,) + (0,) * (s - 1) + (1,)
-        if is_irreducible(f, p):
-            return f
+    for c in _irreducible_binomials(s, p):
+        return (c,) + (0,) * (s - 1) + (1,)
     for t in range(1, s):
         for b in range(1, p):
             for c in range(1, p):
@@ -324,14 +360,53 @@ class FieldCtx:
         return f"FieldCtx(F_{self.p}^{self.s}, modulus={list(self.params.modulus)}, gamma={list(self.gamma.coords)})"
 
 
+def _norm(g: FieldElem) -> int:
+    """N(g) = g^{(q-1)/(p-1)} in F_p, as the resultant of the modulus and g.
+
+    The norm is the product of the conjugates g(x^{p^i}), i < s, that is of g(a)
+    over the roots a of the modulus (Lidl & Niederreiter, ch. 2); zero has norm 0.
+    """
+    return _resultant(g.ctx.params.modulus, g.coords, g.ctx.p)
+
+
+def _first_unit_leaf(h: FieldElem, primes: list[int]) -> int | None:
+    """First l in primes with h^{P/l} = 1, P the product of primes; None when there is none.
+
+    A halving tree (von zur Gathen & Gerhard, Modern Computer Algebra, 10.1): the
+    left half of the primes sees h raised to the product of the right half, and
+    the right half sees h raised to the product of the left. The left half is
+    searched first, so leaves are visited in the order of primes.
+    """
+    if h == h.ctx.one():
+        return primes[0]
+    if len(primes) == 1:
+        return None
+    left, right = primes[: len(primes) // 2], primes[len(primes) // 2 :]
+    return _first_unit_leaf(h ** math.prod(right), left) or _first_unit_leaf(h ** math.prod(left), right)
+
+
 def _order_defect(g: FieldElem) -> int | None:
-    """First prime l | q-1 with g^{(q-1)/l} = 1, or None when the nonzero g generates F_q^*."""
+    """A prime l | q-1 with g^{(q-1)/l} = 1, or None when g generates F_q^*.
+
+    The primes l | p-1 are decided in F_p, in ascending order, by the norm:
+    g^{(q-1)/l} = N(g)^{(p-1)/l}. The others, l_1 < ... < l_k, go down one
+    product tree from h = g^{(q-1)/(l_1...l_k)}, and the first l found is returned.
+    Zero raises FieldError.
+    """
     ctx = g.ctx
-    one = ctx.one()
+    p = ctx.p
+    norm = _norm(g)
+    if norm == 0:
+        raise FieldError("zero is not in the multiplicative group")
+    rest = []
     for ell, _ in ctx.q_minus_1_factorization:
-        if g ** ((ctx.q - 1) // ell) == one:
+        if (p - 1) % ell:
+            rest.append(ell)
+        elif pow(norm, (p - 1) // ell, p) == 1:
             return ell
-    return None
+    if not rest:
+        return None
+    return _first_unit_leaf(g ** ((ctx.q - 1) // math.prod(rest)), rest)
 
 
 def find_generator(ctx: FieldCtx) -> FieldElem:
@@ -345,6 +420,22 @@ def find_generator(ctx: FieldCtx) -> FieldElem:
         if _order_defect(g) is None:
             return g
     raise FieldError("no generator found")  # unreachable: the group is cyclic
+
+
+def _factor_q_minus_1(p: int, s: int) -> tuple[tuple[int, int], ...]:
+    """factorize(p^s - 1), merged from the factorizations of the Phi_d(p), d | s.
+
+    p^s - 1 = prod_{d | s} Phi_d(p) (Lidl & Niederreiter, ch. 2, section 4), and each
+    Phi_d(p) = (p^d - 1) / prod_{e | d, e < d} Phi_e(p) is factored on its own:
+    it has about phi(d) log2(p) bits, where p^s - 1 has s log2(p).
+    """
+    phi: dict[int, int] = {}
+    exponents: dict[int, int] = {}
+    for d in (d for d in range(1, s + 1) if s % d == 0):
+        phi[d] = (p**d - 1) // math.prod(v for e, v in phi.items() if d % e == 0)
+        for ell, k in factorize(phi[d]):
+            exponents[ell] = exponents.get(ell, 0) + k
+    return tuple(sorted(exponents.items()))
 
 
 def build_field(p: int, s: int, modulus: Sequence[int] | None = None) -> FieldCtx:
@@ -366,7 +457,7 @@ def build_field(p: int, s: int, modulus: Sequence[int] | None = None) -> FieldCt
             raise FieldError("modulus must be monic of degree s")
         if not is_irreducible(modulus, p):
             raise FieldError("modulus is not irreducible")
-    fac = factorize(p**s - 1)
+    fac = _factor_q_minus_1(p, s)
     # Bootstrap: a throwaway ctx with gamma=1 just to run the generator search.
     boot = FieldCtx(FieldParams(p, s, tuple(modulus)), (1,) + (0,) * (s - 1), fac)
     gamma = find_generator(boot)

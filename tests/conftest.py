@@ -52,9 +52,7 @@ def _with_generator(ctx: FieldCtx, g) -> FieldCtx:
     """The same field with the validated generator g."""
     if g.ctx.params != ctx.params:
         raise FieldError("generator belongs to a different field")
-    if g.is_zero():
-        raise FieldError("zero cannot generate the multiplicative group")
-    ell = _order_defect(g)
+    ell = _order_defect(g)  # raises FieldError on zero
     if ell is not None:
         raise FieldError(f"element has order dividing (q-1)/{ell}")
     return FieldCtx(ctx.params, g.coords, ctx.q_minus_1_factorization)

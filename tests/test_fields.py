@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -8,10 +9,13 @@ from periodpoly.fields import (
     FieldCtx,
     FieldElem,
     FieldError,
+    _factor_q_minus_1,
+    _irreducible_binomials,
+    _norm,
     _order_defect,
-    _poly_gcd_is_one,
     _poly_mulmod,
     _poly_powmod,
+    _resultant,
     build_field,
     find_generator,
     find_irreducible_modulus,
@@ -37,7 +41,7 @@ def frobenius_irreducible(f, p):
     if frob_iter(s) != x:
         return False
     return all(
-        _poly_gcd_is_one([(u - v) % p for u, v in zip(frob_iter(s // ell), x)], list(f), p) for ell, _ in factorize(s)
+        _resultant(f, [u - v for u, v in zip(frob_iter(s // ell), x)], p) for ell, _ in factorize(s)
     )
 
 
@@ -184,6 +188,14 @@ PINNED_FIELDS = {
     (11, 16): ({0: 2, 4: 1, 16: 1}, {0: 4, 1: 1, 2: 1}),
     (13, 32): ({0: 2, 32: 1}, {0: 2, 1: 1}),
     (3, 64): ({0: 2, 3: 1, 64: 1}, {1: 1}),
+    (13, 6): ({0: 2, 6: 1}, {1: 1, 2: 1}),
+    (3, 16): ({0: 2, 4: 1, 16: 1}, {0: 2, 2: 1, 3: 1}),
+    (5, 16): ({0: 2, 16: 1}, {0: 1, 1: 1}),
+    (13, 8): ({0: 2, 8: 1}, {0: 2, 1: 1}),
+    (3, 128): ({0: 2, 6: 1, 128: 1}, {1: 1, 2: 1}),
+    # reach fields: 29^64 - 1 has large factors; no binomial of degree 4 is irreducible mod 1000003 = 3 (mod 4)
+    (29, 64): ({0: 2, 64: 1}, {0: 1, 1: 1}),
+    (1000003, 4): ({0: 1, 1: 1, 4: 1}, {0: 8, 1: 1}),
 }
 
 
@@ -192,6 +204,8 @@ def test_pinned_modulus_and_generator(p, s):
     # the digests carry gamma's fingerprint, so construction must not drift
     ctx = build_field(p, s)
     assert (sparse(ctx.params.modulus), sparse(ctx.gamma.coords)) == PINNED_FIELDS[p, s]
+    assert is_irreducible(ctx.params.modulus, p)
+    assert order_defect_reference(ctx.gamma) is None
 
 
 def test_modulus_search_deterministic():
@@ -379,12 +393,77 @@ def test_subfield_of_a_prime_field_gamma_raises(p, s):
         bad.subfield(2)
 
 
+def order_defect_reference(g):
+    """Reference order test: the first prime l | q-1 with g^{(q-1)/l} = 1, one power per l."""
+    ctx = g.ctx
+    for ell, _ in ctx.q_minus_1_factorization:
+        if g ** ((ctx.q - 1) // ell) == ctx.one():
+            return ell
+    return None
+
+
 def first_generator_from_key_one(ctx):
     """Reference search: every packed key from 1 up, F_p^* included."""
     for key in range(1, ctx.q):
         g = ctx.from_packed(key)
-        if _order_defect(g) is None:
+        if order_defect_reference(g) is None:
             return g
+
+
+# every nonzero element of these fields goes through both order tests
+ORDER_FIELDS = ((3, 2), (3, 3), (3, 4), (5, 3), (7, 3), (11, 2), (13, 2), (3, 6), (5, 4), (29, 1), (1019, 1))
+
+
+@pytest.mark.parametrize("p, s", ORDER_FIELDS)
+def test_order_defect_matches_one_power_per_prime(p, s):
+    ctx = build_field(p, s)
+    primes = [ell for ell, _ in ctx.q_minus_1_factorization]
+    generators = 0
+    for key in range(1, ctx.q):
+        g = ctx.from_packed(key)
+        ell = _order_defect(g)
+        assert (ell is None) == (order_defect_reference(g) is None), g
+        if ell is None:
+            generators += 1
+        else:
+            assert ell in primes and g ** ((ctx.q - 1) // ell) == ctx.one(), (g, ell)
+    assert generators == math.prod(ell ** (v - 1) * (ell - 1) for ell, v in ctx.q_minus_1_factorization)  # phi(q-1)
+
+
+@pytest.mark.parametrize("p, s", ORDER_FIELDS + ((11, 16), (13, 32), (3, 64)))
+def test_norm_is_the_power_onto_the_prime_field(p, s):
+    ctx = build_field(p, s)
+    rng = random.Random(p * s)
+    if ctx.q <= 1100:
+        elems = [ctx.from_packed(key) for key in range(ctx.q)]
+    else:  # zero, F_p and random elements
+        elems = [ctx.zero(), ctx.one(), ctx.from_int(-1), ctx.from_int(rng.randrange(2, p)), ctx.gamma]
+        elems += [FieldElem(ctx, [rng.randrange(p) for _ in range(s)]) for _ in range(12)]
+    for g in elems:
+        assert _norm(g) == (g ** ((ctx.q - 1) // (p - 1))).prime_field_value(), g
+
+
+@pytest.mark.parametrize("p, s", ((3, 1), (3, 4), (13, 2), (3, 64)))
+def test_zero_has_no_order(p, s):
+    ctx = build_field(p, s)
+    with pytest.raises(FieldError, match="zero"):
+        _order_defect(ctx.zero())
+
+
+def test_binomial_criterion_matches_ben_or():
+    # Lidl & Niederreiter Thm 3.75 against Ben-Or's test on every x^s + c with p <= 43 and s <= 12
+    checked = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        for s in range(1, 13):
+            want = [c for c in range(1, p) if is_irreducible((c,) + (0,) * (s - 1) + (1,), p)]
+            assert list(_irreducible_binomials(s, p)) == want, (p, s)
+            checked += p - 1
+    assert checked == 3192
+
+
+@pytest.mark.parametrize("p, s", ((3, 1), (5, 6), (7, 12), (3, 30), (13, 32), (3, 64), (11, 64), (13, 64)))
+def test_q_minus_1_from_cyclotomic_values(p, s):
+    assert _factor_q_minus_1(p, s) == factorize(p**s - 1)
 
 
 @pytest.mark.parametrize(
