@@ -6,10 +6,44 @@ group-ring vector modulo x^n - 1 (multiplication is a cyclic convolution),
 with a lazily computed canonical form: the remainder modulo the cyclotomic
 polynomial Phi_n. Equality, integrality and serialization always go through
 the canonical form; no floating point is involved in any decision.
+
+Every product in Z[zeta_n] goes through one kernel, `_kron_mul`, which
+multiplies two polynomials in X with coefficients in Z[x]/(x^n - 1) by
+Kronecker substitution: one big-int product per call (von zur Gathen and
+Gerhard, Modern Computer Algebra, 8.4). `CycElem.__mul__` calls it on
+polynomials of degree 0; `poly_from_roots` calls it once per node of a
+balanced product tree.
+
+The packing. Each X-coefficient of f (a vector a_0 .. a_{n-1}) fills a block
+of 2n - 1 slots, n for its entries and n - 1 zero slots, so block i of f starts
+at slot i*(2n - 1). Each slot is wb bytes wide and holds a signed entry:
+F = sum over i, t of f_i[t] * 2^{8*wb*(i*(2n - 1) + t)}, likewise G. In F*G,
+slot k*(2n - 1) + t with t <= 2n - 2 collects exactly
+
+    c = sum over i + j = k of sum over a + b = t of f_i[a] * g_j[b],
+
+since a + b <= 2n - 2 never reaches the next block. There are at most
+min(len f, len g) pairs (i, j) and at most n pairs (a, b), so with
+A = max|f_i[a]| and B = max|g_j[b]|
+
+    |c| <= min(len f, len g) * n * A * B = M.
+
+The kernel takes wb = ceil((bitlen(M') + 2) / 8) with M' = M computed with
+max(A, 1) and max(B, 1), so that M' >= M, M' >= A and M' >= B. Then
+2^{8*wb - 1} >= 2^{bitlen(M') + 1} > M', so every entry of the operands and
+every slot c of the product lies strictly inside (-2^{8*wb - 1}, 2^{8*wb - 1}).
+Adding the bias 2^{8*wb - 1} to every slot therefore gives digits in
+[0, 2^{8*wb}): the base-2^{8*wb} digits of F*G + (bias in every slot) are
+exactly c + bias, with no borrow or carry between slots. One `to_bytes` of
+that sum and one `int.from_bytes` per slot read every c exactly. Operands are
+packed the same way, biased digits from one `to_bytes` each, and the packed
+bias is subtracted. The ring is Z[x]/(x^n - 1), so slot t >= n of each block
+is folded onto t - n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterable, Sequence
@@ -21,6 +55,7 @@ class NotAnInteger(ValueError):
     """Raised when a cyclotomic integer is asked for its rational value but has none."""
 
 
+@functools.cache
 def _supported_conductor(n: int) -> tuple[int, int]:
     """Validate n = 2^a * p^eps (p odd prime, eps <= 1); return (a, p or 1)."""
     if n < 1:
@@ -57,6 +92,7 @@ def _poly_divmod_exact(num: list[int], den: Sequence[int]) -> tuple[list[int], l
     return quot, num
 
 
+@functools.cache
 def cyclotomic_polynomial(n: int) -> "IntPoly":
     """Phi_n for n of the form p, 2^a, or 2^a*p."""
     a, p = _supported_conductor(n)
@@ -75,6 +111,58 @@ def cyclotomic_polynomial(n: int) -> "IntPoly":
     for k, c in enumerate(base):
         coeffs[k * step] = c
     return IntPoly(tuple(coeffs))
+
+
+def _height(poly: Sequence[Sequence[int]]) -> int:
+    """max(1, the largest |entry| of poly's X-coefficients)."""
+    return max(1, max(max(max(v), -min(v)) for v in poly))
+
+
+def _biases(wb: int, slots: int) -> int:
+    """The int with the bias 2^{8*wb - 1} in each of `slots` wb-byte slots."""
+    return int.from_bytes((1 << (8 * wb - 1)).to_bytes(wb, "little") * slots, "little")
+
+
+def _pack(poly: Sequence[Sequence[int]], n: int, wb: int) -> int:
+    """The int whose wb-byte slots hold poly's X-coefficients, one block of 2n - 1 slots each."""
+    bias = 1 << (8 * wb - 1)
+    gap = bias.to_bytes(wb, "little") * (n - 1)
+    raw = gap.join(b"".join([(c + bias).to_bytes(wb, "little") for c in vec]) for vec in poly)
+    return int.from_bytes(raw, "little") - _biases(wb, len(raw) // wb)
+
+
+def _kron_mul(f: Sequence[Sequence[int]], g: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """f * g for f, g polynomials in X over Z[x]/(x^n - 1), by one big-int product.
+
+    f and g are non-empty lists of X-coefficients, each a vector of n ints; the
+    result has len f + len g - 1 of them. Pass the same object twice for a
+    square. The packing and its slot bound are in the module docstring.
+    """
+    height = _height(f)
+    big = min(len(f), len(g)) * n * height * (height if g is f else _height(g))
+    wb = (big.bit_length() + 9) // 8
+    packed = _pack(f, n, wb)
+    product = packed * (packed if g is f else _pack(g, n, wb))
+    stride = 2 * n - 1
+    slots = (len(f) + len(g) - 1) * stride
+    bias = 1 << (8 * wb - 1)
+    raw = (product + _biases(wb, slots)).to_bytes(wb * slots, "little")
+    c = [int.from_bytes(raw[i : i + wb], "little") - bias for i in range(0, wb * slots, wb)]
+    out = []
+    for start in range(0, slots, stride):
+        block = c[start : start + stride]
+        vec = list(map(operator.add, block[: n - 1], block[n:]))
+        vec.append(block[n - 1])
+        out.append(vec)
+    return out
+
+
+def _scalar(x: object) -> int | None:
+    """x as an int if it is an integral scalar (int, bool, a numpy integer), else None."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
 
 
 class CycElem:
@@ -151,9 +239,12 @@ class CycElem:
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "CycElem | int") -> "CycElem":
-        if isinstance(other, int):
+        if not isinstance(other, CycElem):
+            k = _scalar(other)
+            if k is None:
+                return NotImplemented
             v = list(self.vec)
-            v[0] += other
+            v[0] += k
             return CycElem(self.n, v)
         a, b = self._common(other)
         return CycElem(a.n, tuple(x + y for x, y in zip(a.vec, b.vec)))
@@ -161,6 +252,9 @@ class CycElem:
     __radd__ = __add__
 
     def __sub__(self, other: "CycElem | int") -> "CycElem":
+        if not isinstance(other, CycElem):
+            k = _scalar(other)
+            return NotImplemented if k is None else self + (-k)
         return self + (-other)
 
     def __rsub__(self, other: int) -> "CycElem":
@@ -170,18 +264,15 @@ class CycElem:
         return CycElem(self.n, tuple(-x for x in self.vec))
 
     def __mul__(self, other: "CycElem | int") -> "CycElem":
-        if isinstance(other, int):
-            return CycElem(self.n, tuple(other * x for x in self.vec))
+        if not isinstance(other, CycElem):
+            k = _scalar(other)
+            if k is None:
+                return NotImplemented
+            return CycElem(self.n, tuple(k * x for x in self.vec))
         a, b = self._common(other)
-        n = a.n
-        out = [0] * n
-        for i, x in enumerate(a.vec):
-            if x:
-                for j, y in enumerate(b.vec):
-                    if y:
-                        k = i + j
-                        out[k - n if k >= n else k] += x * y
-        return CycElem(n, out)
+        f = [a.vec]
+        (vec,) = _kron_mul(f, f if b is a else [b.vec], a.n)
+        return CycElem(a.n, vec)
 
     __rmul__ = __mul__
 
@@ -192,10 +283,11 @@ class CycElem:
 
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.is_integer() and self.as_integer() == other
         if not isinstance(other, CycElem):
-            return NotImplemented
+            k = _scalar(other)
+            if k is None:
+                return NotImplemented
+            return self.is_integer() and self.as_integer() == k
         a, b = self._common(other)
         return a.canonical() == b.canonical()
 
@@ -308,15 +400,19 @@ def expand_factor_list(factors: Iterable[tuple[IntPoly, int]]) -> IntPoly:
 
 
 def poly_from_roots(roots: Sequence[CycElem]) -> list[CycElem]:
-    """Coefficients (little-endian, over Z[zeta_n]) of prod (X - root)."""
+    """Coefficients (little-endian) of prod (X - root), over Z[zeta_N] for N the lcm of the roots' conductors.
+
+    A balanced product tree of the linear factors: one `_kron_mul` per internal node.
+    """
     if not roots:
         raise ValueError("need at least one root")
-    n = roots[0].n
-    coeffs = [CycElem.integer(n, 1)]
-    for root in roots:
-        nxt = [CycElem.zero(n) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * root
-        coeffs = nxt
-    return coeffs
+    n = math.lcm(*(root.n for root in roots))
+    one = (1,) + (0,) * (n - 1)
+
+    def product(lo: int, hi: int) -> list:
+        if hi - lo == 1:
+            return [[-c for c in roots[lo].embed(n).vec], one]
+        mid = (lo + hi) // 2
+        return _kron_mul(product(lo, mid), product(mid, hi), n)
+
+    return [CycElem(n, vec) for vec in product(0, len(roots))]

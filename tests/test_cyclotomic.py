@@ -1,18 +1,60 @@
 import cmath
+import math
 import random
 
+import numpy as np
 import pytest
 
 from periodpoly.cyclotomic import (
     CycElem,
     IntPoly,
     NotAnInteger,
+    _kron_mul,
+    _supported_conductor,
     cyclotomic_polynomial,
     expand_factor_list,
     frobenius_power_sum,
     linear,
     poly_from_roots,
 )
+
+CONDUCTORS = (1, 2, 4, 8, 3, 5, 6, 24, 29, 96, 208, 1013)
+
+
+def schoolbook_mul(a: CycElem, b: CycElem) -> CycElem:
+    """Reference product in Z[zeta_n]: the cyclic convolution mod x^n - 1, as a double loop."""
+    n = a.n
+    out = [0] * n
+    for i, x in enumerate(a.vec):
+        if x:
+            for j, y in enumerate(b.vec):
+                if y:
+                    k = i + j
+                    out[k - n if k >= n else k] += x * y
+    return CycElem(n, out)
+
+
+def schoolbook_poly_mul(f: list, g: list, n: int) -> list:
+    """Reference product of polynomials in X over Z[x]/(x^n - 1), coefficient by coefficient."""
+    out = [CycElem.zero(n) for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + schoolbook_mul(CycElem(n, a), CycElem(n, b))
+    return [list(c.vec) for c in out]
+
+
+def sequential_poly_from_roots(roots: list) -> list:
+    """Reference expansion of prod (X - root): one linear factor at a time, schoolbook products."""
+    n = math.lcm(*(r.n for r in roots))
+    coeffs = [CycElem.integer(n, 1)]
+    for root in roots:
+        root = root.embed(n)
+        nxt = [CycElem.zero(n) for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - schoolbook_mul(c, root)
+        coeffs = nxt
+    return coeffs
 
 
 def test_cyclotomic_polynomials():
@@ -191,3 +233,125 @@ def test_poly_from_roots_matches_direct():
             power = power * r
         assert acc.is_zero()
     assert coeffs[-1] == 1
+
+
+HEIGHTS = (1, 2**7 - 1, 2**31 - 1, 2**63 + 1, 2**300 + 7)
+
+
+def kernel_operands(n: int, rng: random.Random) -> list:
+    """Vectors at conductor n: zero, one nonzero slot, all +max and all -max at several
+    heights (the slot-bound edge), and random entries past 2^63 and 2^300."""
+    single = [0] * n
+    single[rng.randrange(n)] = -rng.randrange(1, 1 << 40)
+    out = [[0] * n, single]
+    for height in HEIGHTS:
+        out += [[height] * n, [-height] * n]
+    for bits in (64, 301):
+        out.append([rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_kernel_matches_schoolbook(n):
+    rng = random.Random(n)
+    ops = [CycElem(n, v) for v in kernel_operands(n, rng)]
+    pairs = [(i, j) for i in range(len(ops)) for j in (i ^ 1, rng.randrange(len(ops)), -1)]
+    if n > 300:  # dense schoolbook products are slow here; test_kernel_at_the_slot_bound has the edges
+        pairs = [(0, -1), (1, -1), (-2, -1)]
+    for i, j in pairs:
+        assert (ops[i] * ops[j]).vec == schoolbook_mul(ops[i], ops[j]).vec, (n, i, j)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_kernel_at_the_slot_bound(n):
+    # constant vectors: every slot of the product is n * a * b, the largest magnitude the bound allows
+    for height in HEIGHTS:
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            a, b = CycElem(n, [sa * height] * n), CycElem(n, [sb * height] * n)
+            want = (n * sa * sb * height * height,) * n
+            assert (a * b).vec == want
+            if sa == sb:
+                assert (a * a).vec == want
+            if n < 300 and sa == 1:
+                assert want == schoolbook_mul(a, b).vec
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_kernel_square_same_object_and_copy(n):
+    rng = random.Random(100 + n)
+    for v in kernel_operands(n, rng)[1 if n < 300 else -1 :]:
+        a, copy = CycElem(n, v), CycElem(n, list(v))
+        want = schoolbook_mul(a, copy).vec
+        assert (a * a).vec == want
+        assert (a * copy).vec == want
+        assert _kron_mul([a.vec], [a.vec], n) == [list(want)]
+
+
+@pytest.mark.parametrize("n", (1, 3, 8, 24, 29))
+def test_kernel_polynomials_of_unequal_length(n):
+    rng = random.Random(200 + n)
+    for lf, lg in ((1, 4), (3, 5), (4, 4), (6, 2)):
+        for height in (1, 2**63 + 1, 2**300 + 7):
+            edge_f = [[height] * n for _ in range(lf)]  # every middle slot of the product reaches the bound
+            edge_g = [[-height] * n for _ in range(lg)]
+            assert _kron_mul(edge_f, edge_g, n) == schoolbook_poly_mul(edge_f, edge_g, n)
+            assert _kron_mul(edge_f, edge_f, n) == schoolbook_poly_mul(edge_f, edge_f, n)
+        f = [[rng.randrange(-(1 << 70), 1 << 70) for _ in range(n)] for _ in range(lf)]
+        g = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(lg)]
+        assert _kron_mul(f, g, n) == schoolbook_poly_mul(f, g, n)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS[:-3])
+@pytest.mark.parametrize("count", (1, 2, 3, 4, 7, 8, 16))
+def test_product_tree_matches_sequential_expansion(n, count):
+    rng = random.Random(300 + 17 * n + count)
+    height = rng.choice((5, 2**64, 2**301))
+    roots = [CycElem(n, [rng.randrange(-height, height + 1) for _ in range(n)]) for _ in range(count)]
+    got = poly_from_roots(roots)
+    want = sequential_poly_from_roots(roots)
+    assert [c.vec for c in got] == [c.vec for c in want]
+    assert all(c.n == n for c in got)
+
+
+@pytest.mark.parametrize("n, count", ((96, 5), (96, 8), (208, 3), (208, 4), (1013, 2), (1013, 3)))
+def test_product_tree_at_large_conductor(n, count):
+    rng = random.Random(400 + n + count)
+    roots = [CycElem(n, [rng.randrange(-3, 4) for _ in range(n)]) for _ in range(count)]
+    assert [c.vec for c in poly_from_roots(roots)] == [c.vec for c in sequential_poly_from_roots(roots)]
+
+
+def test_poly_from_roots_embeds_mixed_conductors():
+    roots = [CycElem(4, [1]), CycElem(8, [0, 1])]
+    coeffs = poly_from_roots(roots)
+    assert [c.n for c in coeffs] == [8, 8, 8]
+    assert [c.vec for c in coeffs] == [c.vec for c in sequential_poly_from_roots(roots)]
+    # (X - 1)(X - zeta_8) = X^2 - (1 + zeta_8) X + zeta_8
+    assert coeffs == [CycElem.root(8, 1), -(1 + CycElem.root(8, 1)), 1]
+    mixed = poly_from_roots([CycElem.root(3, 1), CycElem.root(4, 1), CycElem.integer(2, 5)])
+    assert {c.n for c in mixed} == {12}
+
+
+def test_integral_scalars_and_non_integral_operands():
+    a = CycElem(8, [3, 1, 0, -2])
+    assert a * np.int64(2) == a * 2 and (a * np.int64(2)).n == 8
+    assert np.int64(2) * a == a * 2
+    assert a + np.int64(2) == a + 2
+    assert a - np.int64(2) == a - 2
+    assert CycElem.integer(8, 5) == np.int64(5)
+    with pytest.raises(TypeError):
+        a * 2.0
+    with pytest.raises(TypeError):
+        a + 2.0
+    with pytest.raises(TypeError):
+        a - 2.0
+    with pytest.raises(TypeError):
+        2.5 * a
+    assert (a == 2.0) is False
+
+
+def test_conductor_tables_are_memoised():
+    assert cyclotomic_polynomial(1013) is cyclotomic_polynomial(1013)
+    _supported_conductor(208)
+    hits = _supported_conductor.cache_info().hits
+    CycElem.root(208, 3)
+    assert _supported_conductor.cache_info().hits == hits + 1
