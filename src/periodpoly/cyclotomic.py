@@ -252,9 +252,6 @@ class CycElem:
     __radd__ = __add__
 
     def __sub__(self, other: "CycElem | int") -> "CycElem":
-        if not isinstance(other, CycElem):
-            k = _scalar(other)
-            return NotImplemented if k is None else self + (-k)
         return self + (-other)
 
     def __rsub__(self, other: int) -> "CycElem":
