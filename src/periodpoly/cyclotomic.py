@@ -73,20 +73,24 @@ def _supported_conductor(n: int) -> tuple[int, int]:
 
 
 def _poly_divmod_exact(num: list[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """divmod in Z[x] for a monic divisor; exact integer arithmetic."""
+    """divmod in Z[x] for a monic divisor; exact integer arithmetic.
+
+    Each step subtracts only the divisor's nonzero terms below its leading one:
+    Phi_{2^a p} has p nonzero terms of 2^{a-1}(p-1) + 1, and Phi_{2^a} has 2.
+    """
     num = list(num)
     dden = len(den) - 1
     if den[-1] != 1:
         raise ValueError("divisor must be monic")
-    if len(num) - 1 < dden:
-        return [], num
+    terms = [(j - dden, d) for j, d in enumerate(den[:-1]) if d]
     quot = [0] * (len(num) - dden)
     for i in range(len(num) - 1, dden - 1, -1):
         c = num[i]
         if c:
             quot[i - dden] = c
-            for j in range(dden + 1):
-                num[i - dden + j] -= c * den[j]
+            num[i] = 0
+            for off, d in terms:
+                num[i + off] -= c * d
     while num and num[-1] == 0:
         num.pop()
     return quot, num
@@ -197,10 +201,18 @@ class CycElem:
 
     # -- canonical form ----------------------------------------------------
     def canonical(self) -> tuple[int, ...]:
-        """Coefficients of the residue modulo Phi_n (degree < phi(n))."""
+        """Coefficients of the residue modulo Phi_n (degree < phi(n)).
+
+        For even n, Phi_n divides x^{n/2} + 1, so the top half of the vector is
+        folded onto the bottom half with its sign flipped before the division.
+        """
         if self._canon is None:
             phi = cyclotomic_polynomial(self.n).coeffs
-            _, rem = _poly_divmod_exact(list(self.vec), phi)
+            vec = list(self.vec)
+            if self.n % 2 == 0:
+                half = self.n // 2
+                vec = list(map(operator.sub, vec[:half], vec[half:]))
+            _, rem = _poly_divmod_exact(vec, phi)
             self._canon = tuple(rem)
         return self._canon
 
@@ -400,15 +412,25 @@ def poly_from_roots(roots: Sequence[CycElem]) -> list[CycElem]:
     """Coefficients (little-endian) of prod (X - root), over Z[zeta_N] for N the lcm of the roots' conductors.
 
     A balanced product tree of the linear factors: one `_kron_mul` per internal node.
+    Each root at a conductor n > 1 is first centered: its rounded mean entry is
+    subtracted from every entry, which is exact since sum_{t<n} zeta_n^t = 0, and
+    narrows every Kronecker slot. So the coefficients are equal in Z[zeta_N] to
+    those of the uncentered product, though their vectors mod x^N - 1 may differ.
     """
     if not roots:
         raise ValueError("need at least one root")
     n = math.lcm(*(root.n for root in roots))
     one = (1,) + (0,) * (n - 1)
 
+    def centered(root: CycElem) -> CycElem:
+        if root.n == 1:
+            return root
+        shift = (2 * sum(root.vec) + root.n) // (2 * root.n)  # round(mean), exactly
+        return CycElem(root.n, [c - shift for c in root.vec])
+
     def product(lo: int, hi: int) -> list:
         if hi - lo == 1:
-            return [[-c for c in roots[lo].embed(n).vec], one]
+            return [[-c for c in centered(roots[lo]).embed(n).vec], one]
         mid = (lo + hi) // 2
         return _kron_mul(product(lo, mid), product(mid, hi), n)
 

@@ -9,11 +9,15 @@ when elements are enumerated by ascending packed key sum(c_i * p^i).
 
 A binomial x^s - a is decided by its exact rule (Lidl & Niederreiter, Thm
 3.75): it is irreducible iff every prime r | s divides ord(a) but not
-(p-1)/ord(a), and p = 1 (mod 4) when 4 | s; every other candidate goes
-through Ben-Or's test. q - 1 is factored as the product of the Phi_d(p),
-d | s. A generator candidate g is tested first by its norm N(g) = Res(modulus,
-g) in F_p, which decides every prime l | p-1 (g^{(q-1)/l} = N(g)^{(p-1)/l}),
-and then by one product tree over the remaining primes of q - 1.
+(p-1)/ord(a), and p = 1 (mod 4) when 4 | s. Every other candidate goes
+through `is_irreducible`, which first checks the parity of the number of
+irreducible factors by the discriminant (Stickelberger's theorem; R. G. Swan,
+Pacific J. Math. 12, 1962): an irreducible f of degree s over odd p has
+(disc f | p) = (-1)^{s-1}. Only a candidate that passes runs Ben-Or's test.
+q - 1 is factored as the product of the Phi_d(p), d | s. A generator
+candidate g is tested first by its norm N(g) = Res(modulus, g) in F_p, which
+decides every prime l | p-1 (g^{(q-1)/l} = N(g)^{(p-1)/l}), and then by one
+product tree over the remaining primes of q - 1.
 
 Every product in the field goes through one kernel, `_poly_mulmod`, which
 multiplies by Kronecker substitution (one big-int product per multiply).
@@ -134,15 +138,35 @@ def _resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
     return res * pow(b[0], len(a) - 1, p) % p
 
 
-def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Monic degree-s polynomial irreducible over F_p? (Ben-Or's test)
+def _discriminant(f: Sequence[int], p: int) -> int:
+    """disc f in F_p for monic f of degree s: (-1)^{s(s-1)/2} Res(f, f').
 
-    f is reducible exactly when it has an irreducible factor of degree i <= s/2,
-    that is when gcd(x^{p^i} - x, f) != 1, or Res(f, x^{p^i} - x) = 0, for some such i.
+    f' may drop degree, or vanish, when p | s; Res(f, f') is still the product of
+    f' over the roots of f, and it is 0 exactly when f has a repeated factor.
+    """
+    s = len(f) - 1
+    return (-1) ** (s * (s - 1) // 2) * _resultant(f, [k * c for k, c in enumerate(f)][1:], p) % p
+
+
+def is_irreducible(modulus: Sequence[int], p: int) -> bool:
+    """Monic degree-s polynomial irreducible over F_p? (discriminant parity, then Ben-Or's test)
+
+    Pre-test (Stickelberger's theorem; R. G. Swan, Factorization of polynomials over
+    finite fields, Pacific J. Math. 12, 1962): a squarefree f with r irreducible
+    factors over odd p has (disc f | p) = (-1)^{s-r}. So an irreducible f has
+    disc f != 0 and disc^{(p-1)/2} = (-1)^{s-1}, and any f that fails this is
+    reducible. At p = 2 the test is disc f != 0, which every irreducible f passes.
+
+    Ben-Or's test then decides: f is reducible exactly when it has an irreducible factor
+    of degree i <= s/2, that is when gcd(x^{p^i} - x, f) != 1, or Res(f, x^{p^i} - x) = 0,
+    for some such i.
     """
     s = len(modulus) - 1
     if s < 1 or modulus[-1] != 1:
         raise FieldError("modulus must be monic of positive degree")
+    disc = _discriminant(modulus, p)
+    if not disc or pow(disc, (p - 1) // 2, p) != (-1) ** (s - 1) % p:
+        return False
     x = [0, 1] + [0] * (s - 2)
     r = x
     for _ in range(s // 2):

@@ -18,7 +18,7 @@ T = TypeVar("T")
 
 # Deterministic for n < 3,317,044,064,679,887,385,961,981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_BOUND = 100_000  # factorize divides out every prime below this before Pollard rho
+_TRIAL_BOUND = 2_000  # factorize divides out every prime below this before Pollard rho
 
 
 def power(x: T, e: int, mul: Callable[[T, T], T], one: T) -> T:

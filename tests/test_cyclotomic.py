@@ -10,6 +10,7 @@ from periodpoly.cyclotomic import (
     IntPoly,
     NotAnInteger,
     _kron_mul,
+    _poly_divmod_exact,
     _supported_conductor,
     cyclotomic_polynomial,
     expand_factor_list,
@@ -32,6 +33,20 @@ def schoolbook_mul(a: CycElem, b: CycElem) -> CycElem:
                     k = i + j
                     out[k - n if k >= n else k] += x * y
     return CycElem(n, out)
+
+
+def dense_divmod_exact(num: list, den: tuple) -> tuple:
+    """Reference divmod in Z[x] by a monic divisor: every step walks every term of it, zeros included."""
+    num, dden = list(num), len(den) - 1
+    quot = [0] * (len(num) - dden)
+    for i in range(len(num) - 1, dden - 1, -1):
+        c = quot[i - dden] = num[i]
+        if c:
+            for j in range(dden + 1):
+                num[i - dden + j] -= c * den[j]
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
 
 
 def schoolbook_poly_mul(f: list, g: list, n: int) -> list:
@@ -148,6 +163,29 @@ def test_canonical_is_idempotent_and_multiplicative():
         ca = CycElem(n, a.canonical())
         assert ca.canonical() == a.canonical()
         assert (a * b) == CycElem(n, a.canonical()) * CycElem(n, b.canonical())
+
+
+@pytest.mark.parametrize("n", (2, 16, 64, 29, 8 * 13, 1019, 16 * 1019, 8152))
+def test_canonical_matches_dense_divmod(n):
+    # the canonical form is the remainder mod Phi_n, however it is reached: the sparse
+    # walk over Phi_n's nonzero terms, after folding x^{n/2} = -1 for even n
+    rng = random.Random(500 + n)
+    phi = cyclotomic_polynomial(n).coeffs
+    dden = len(phi) - 1
+    if n < 2000:
+        vecs = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)] for bits in (4, 4, 70, 300)]
+    else:  # the dense walk over a full vector takes seconds here; fill windows at both ends and around n/2
+        window = [*range(40), *range(dden - 40, n // 2 + 40), *range(n - 40, n)]
+        vecs = []
+        for bits in (4, 70):
+            v = [0] * n
+            for t in window:
+                v[t] = rng.randrange(-(1 << bits), 1 << bits)
+            vecs.append(v)
+    for v in vecs:
+        want = dense_divmod_exact(v, phi)
+        assert CycElem(n, v).canonical() == tuple(want[1])
+        assert _poly_divmod_exact(v, phi) == want
 
 
 def test_prime_root_sum_vanishes():
@@ -309,7 +347,7 @@ def test_product_tree_matches_sequential_expansion(n, count):
     roots = [CycElem(n, [rng.randrange(-height, height + 1) for _ in range(n)]) for _ in range(count)]
     got = poly_from_roots(roots)
     want = sequential_poly_from_roots(roots)
-    assert [c.vec for c in got] == [c.vec for c in want]
+    assert [c.canonical() for c in got] == [c.canonical() for c in want]
     assert all(c.n == n for c in got)
 
 
@@ -317,14 +355,30 @@ def test_product_tree_matches_sequential_expansion(n, count):
 def test_product_tree_at_large_conductor(n, count):
     rng = random.Random(400 + n + count)
     roots = [CycElem(n, [rng.randrange(-3, 4) for _ in range(n)]) for _ in range(count)]
-    assert [c.vec for c in poly_from_roots(roots)] == [c.vec for c in sequential_poly_from_roots(roots)]
+    assert [c.canonical() for c in poly_from_roots(roots)] == [c.canonical() for c in sequential_poly_from_roots(roots)]
+
+
+@pytest.mark.parametrize("n", (1, 3, 8, 24, 29, 96, 1013))
+def test_product_tree_removes_a_constant_offset(n):
+    # the roots 1 + e * counts carry an offset near q / (e p) in every entry, which is zero in
+    # Z[zeta_n] for n > 1. Centering takes it out exactly, so the tree multiplies the same
+    # vectors with or without it. At n = 1 the offset is a value and stays.
+    rng = random.Random(600 + n)
+    roots = [CycElem(n, [rng.randrange(-9, 10) for _ in range(n)]) for _ in range(5)]
+    offsets = (10**6, 2**64, 3**80, 7, -(10**30))
+    shifted = [CycElem(n, [c + k for c in r.vec]) for r, k in zip(roots, offsets)]
+    got = poly_from_roots(shifted)
+    if n > 1:
+        assert [c.vec for c in got] == [c.vec for c in poly_from_roots(roots)]
+    if n < 300:
+        assert [c.canonical() for c in got] == [c.canonical() for c in sequential_poly_from_roots(shifted)]
 
 
 def test_poly_from_roots_embeds_mixed_conductors():
     roots = [CycElem(4, [1]), CycElem(8, [0, 1])]
     coeffs = poly_from_roots(roots)
     assert [c.n for c in coeffs] == [8, 8, 8]
-    assert [c.vec for c in coeffs] == [c.vec for c in sequential_poly_from_roots(roots)]
+    assert [c.canonical() for c in coeffs] == [c.canonical() for c in sequential_poly_from_roots(roots)]
     # (X - 1)(X - zeta_8) = X^2 - (1 + zeta_8) X + zeta_8
     assert coeffs == [CycElem.root(8, 1), -(1 + CycElem.root(8, 1)), 1]
     mixed = poly_from_roots([CycElem.root(3, 1), CycElem.root(4, 1), CycElem.integer(2, 5)])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,10 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from periodpoly import fields
 from periodpoly.fields import (
     FieldCtx,
     FieldElem,
     FieldError,
+    _discriminant,
     _factor_q_minus_1,
     _irreducible_binomials,
     _norm,
@@ -21,7 +24,7 @@ from periodpoly.fields import (
     find_irreducible_modulus,
     is_irreducible,
 )
-from periodpoly.intmath import factorize, ord2
+from periodpoly.intmath import factorize, is_prime, legendre, ord2
 from periodpoly.periods import trace_spectrum
 
 
@@ -177,6 +180,97 @@ def test_is_irreducible_matches_frobenius_reference():
         is_irreducible((1,), 3)  # degree 0
 
 
+def test_is_irreducible_over_f2_matches_frobenius_reference():
+    # the closed-form witness search asks at l = 2, where the parity pre-test is disc != 0 alone
+    found = 0
+    for s in range(1, 9):
+        for low in itertools.product(range(2), repeat=s):
+            want = frobenius_irreducible(low + (1,), 2)
+            assert is_irreducible(low + (1,), 2) == want, low
+            found += want
+    assert found == 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30  # the irreducibles of degree 1 .. 8
+
+
+def divmod_mod_p(f, g, p):
+    """(quotient, remainder) of f by the monic g over F_p, little-endian lists."""
+    f, dg = [c % p for c in f], len(g) - 1
+    quot = [0] * max(0, len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = quot[i - dg] = f[i]
+        for j in range(dg + 1):
+            f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
+    return quot, f[:dg]
+
+
+def sylvester_discriminant(f, p):
+    """Reference disc f in F_p: (-1)^{s(s-1)/2} times the Sylvester determinant of f and f',
+    at the actual degree of f' (a monic f makes Res(f, f') the product of f' over its roots)."""
+    s = len(f) - 1
+    g = [k * c % p for k, c in enumerate(f)][1:]
+    while g and not g[-1]:
+        g.pop()
+    if not g:
+        return 0
+    d = len(g) - 1
+    rows = [[0] * i + list(f[::-1]) + [0] * (d - 1 - i) for i in range(d)]
+    rows += [[0] * j + g[::-1] + [0] * (s - 1 - j) for j in range(s)]
+    det = 1
+    for col in range(s + d):  # Gaussian elimination mod p
+        piv = next((r for r in range(col, s + d) if rows[r][col] % p), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv], det = rows[piv], rows[col], -det
+        det = det * rows[col][col] % p
+        inv = pow(rows[col][col], -1, p)
+        for r in range(col + 1, s + d):
+            k = rows[r][col] * inv % p
+            rows[r] = [(x - k * y) % p for x, y in zip(rows[r], rows[col])]
+    return (-1) ** (s * (s - 1) // 2) * det % p
+
+
+def test_discriminant_parity_counts_irreducible_factors():
+    # Stickelberger: a squarefree f of degree s with r irreducible factors over F_p has
+    # (disc f | p) = (-1)^{s-r}; a repeated factor gives disc f = 0. Degree 3 over F_3 is
+    # the p | s case, where f' drops degree (x^3 + x + 1) or vanishes (x^3 + 1).
+    checked = squarefree = 0
+    for p, top in ((3, 5), (5, 4)):
+        monic = [low + (1,) for s in range(1, top + 1) for low in itertools.product(range(p), repeat=s)]
+        irreducibles = [f for f in monic if frobenius_irreducible(f, p)]
+
+        @functools.cache
+        def factor_count(f):
+            """(r, squarefree) for monic f: irreducible factors with multiplicity, by trial division."""
+            if len(f) == 1:
+                return 0, True
+            g = next(g for g in irreducibles if not any(divmod_mod_p(f, g, p)[1]))
+            quot = tuple(divmod_mod_p(f, g, p)[0])
+            r, sq = factor_count(quot)
+            return r + 1, sq and any(divmod_mod_p(quot, g, p)[1])
+
+        for f in monic:
+            s = len(f) - 1
+            r, sq = factor_count(f)
+            disc = _discriminant(f, p)
+            assert disc == sylvester_discriminant(f, p), (p, f)
+            if sq:
+                assert legendre(disc, p) == (-1) ** (s - r), (p, f, r)
+                squarefree += 1
+            else:
+                assert disc == 0, (p, f)
+            checked += 1
+    assert checked == 363 + 780
+    assert squarefree == 243 + 625  # p^s - p^{s-1} monic squarefree polynomials of degree s >= 2, p of degree 1
+
+
+def test_modulus_search_at_11_16_ben_or_rounds(monkeypatch):
+    # the parity pre-test leaves 233 of the 735 Ben-Or rounds at (11, 16); each round is one _poly_powmod
+    real, rounds = fields._poly_powmod, []
+    monkeypatch.setattr(fields, "_poly_powmod", lambda *args: rounds.append(args) or real(*args))
+    assert sparse(find_irreducible_modulus(11, 16)) == PINNED_FIELDS[11, 16][0]  # x^16 + x^4 + 2
+    assert 0 < len(rounds) <= 233
+
+
 def sparse(coords):
     return {i: c for i, c in enumerate(coords) if c}
 
@@ -197,6 +291,18 @@ PINNED_FIELDS = {
     (29, 64): ({0: 2, 64: 1}, {0: 1, 1: 1}),
     (1000003, 4): ({0: 1, 1: 1, 4: 1}, {0: 8, 1: 1}),
 }
+
+
+@pytest.mark.parametrize("p, s", sorted(PINNED_FIELDS))
+def test_q_minus_1_factorization_on_pinned_fields(p, s):
+    fac = _factor_q_minus_1(p, s)
+    assert math.prod(ell**v for ell, v in fac) == p**s - 1
+    assert all(is_prime(ell) and v >= 1 for ell, v in fac)
+    assert all(a < b for (a, _), (b, _) in zip(fac, fac[1:]))
+    # so fac is the factorization of p^s - 1. Here factorize(p^s - 1) alone takes minutes:
+    # Pollard rho then meets the large primes of several Phi_d(p) in one number
+    if (p, s) not in ((3, 128), (29, 64)):
+        assert fac == factorize(p**s - 1)
 
 
 @pytest.mark.parametrize("p, s", sorted(PINNED_FIELDS))

@@ -100,6 +100,25 @@ def test_factorize_roundtrip():
     assert factorize(5**16 - 1) == ((2, 6), (3, 1), (13, 1), (17, 1), (313, 1), (11489, 1))
 
 
+# every prime below the trial-division bound is divided out first; these cofactors
+# carry primes just above 2,000 and up to 10^5, repeated, which Pollard rho must split
+RHO_COFACTORS = {
+    2003**2: ((2003, 2),),
+    99991**2: ((99991, 2),),
+    2003**3: ((2003, 3),),
+    3 * 65537**2: ((3, 1), (65537, 2)),
+    2003 * 99991: ((2003, 1), (99991, 1)),
+    7**3 * 4099**4: ((7, 3), (4099, 4)),
+    99989 * 99991 * 65537: ((65537, 1), (99989, 1), (99991, 1)),
+    3**40 * 2011**2: ((3, 40), (2011, 2)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(RHO_COFACTORS))
+def test_factorize_prime_powers_above_the_trial_bound(n):
+    assert factorize(n) == RHO_COFACTORS[n]
+
+
 def test_legendre_matches_square_sets():
     for p in (3, 5, 7, 11, 13, 19, 29):
         squares = {x * x % p for x in range(1, p)}
