@@ -85,15 +85,6 @@ class GaussTable:
         return CycElem(n, vec)
 
 
-def gauss_table(
-    ctx: FieldCtx,
-    order: int,
-    max_q: int = DEFAULT_MAX_Q,
-    threads: int | None = None,
-) -> GaussTable:
-    return GaussTable(ctx, trace_spectrum(ctx, order, max_q=max_q, threads=threads))
-
-
 def discrete_log_map(ctx: FieldCtx) -> np.ndarray:
     """Row a holds the coords of gamma^a for the q - 1 elements of F_q^*.
 
@@ -338,7 +329,7 @@ def partition_sum_identity(
     p, s = ctx.p, ctx.s
     e = 1 << m
     if table is None:
-        table = gauss_table(ctx, e)
+        table = GaussTable(ctx, trace_spectrum(ctx, e))
     j = 1 << (m - r)
     g_plus = table.value(j)
     g_minus = table.value(-j)
@@ -386,7 +377,7 @@ def identity_report(
     # the sweep and the walk run on first use, so a selection that applies to no check sweeps nothing
     @functools.cache
     def table() -> GaussTable:
-        return gauss_table(ctx, e, max_q=max_q, threads=threads)
+        return GaussTable(ctx, trace_spectrum(ctx, e, max_q=max_q, threads=threads))
 
     @functools.cache
     def gauss(j: int) -> CycElem:

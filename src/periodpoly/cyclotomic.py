@@ -7,43 +7,28 @@ with a lazily computed canonical form: the remainder modulo the cyclotomic
 polynomial Phi_n. Equality, integrality and serialization always go through
 the canonical form; no floating point is involved in any decision.
 
-Every product in Z[zeta_n] goes through one kernel, `_kron_mul`, which
-multiplies two polynomials in X with coefficients in Z[x]/(x^n - 1) by
-Kronecker substitution: one big-int product per call (von zur Gathen and
-Gerhard, Modern Computer Algebra, 8.4). `CycElem.__mul__` calls it on
-polynomials of degree 0; `poly_from_roots` calls it once per node of a
-balanced product tree.
+Every product in Z[zeta_n] goes through one kernel, `_kron_mul`, the cyclic
+product of two length-n vectors by Kronecker substitution: one big-int product
+per call (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
+`CycElem.__mul__` calls it at the conductor; `expand_mod` calls it once per node
+of a balanced product tree, on coefficient vectors zero-padded to the length of
+their product. `root_of_unity_mod` gives the ring map Z[zeta_n] -> Z/N.
 
-The packing. Each X-coefficient of f (a vector a_0 .. a_{n-1}) fills a block
-of 2n - 1 slots, n for its entries and n - 1 zero slots, so block i of f starts
-at slot i*(2n - 1). Each slot is wb bytes wide and holds a signed entry:
-F = sum over i, t of f_i[t] * 2^{8*wb*(i*(2n - 1) + t)}, likewise G. In F*G,
-slot k*(2n - 1) + t with t <= 2n - 2 collects exactly
-
-    c = sum over i + j = k of sum over a + b = t of f_i[a] * g_j[b],
-
-since a + b <= 2n - 2 never reaches the next block. There are at most
-min(len f, len g) pairs (i, j) and at most n pairs (a, b), so with
-A = max|f_i[a]| and B = max|g_j[b]|
-
-    |c| <= min(len f, len g) * n * A * B = M.
-
-The kernel takes wb = ceil((bitlen(M') + 2) / 8) with M' = M computed with
-max(A, 1) and max(B, 1), so that M' >= M, M' >= A and M' >= B. Then
-2^{8*wb - 1} >= 2^{bitlen(M') + 1} > M', so every entry of the operands and
-every slot c of the product lies strictly inside (-2^{8*wb - 1}, 2^{8*wb - 1}).
-Adding the bias 2^{8*wb - 1} to every slot therefore gives digits in
-[0, 2^{8*wb}): the base-2^{8*wb} digits of F*G + (bias in every slot) are
-exactly c + bias, with no borrow or carry between slots. One `to_bytes` of
-that sum and one `int.from_bytes` per slot read every c exactly. Operands are
-packed the same way, biased digits from one `to_bytes` each, and the packed
-bias is subtracted. The ring is Z[x]/(x^n - 1), so slot t >= n of each block
-is folded onto t - n.
+The packing. Vector a fills n slots of wb bytes, one signed entry each:
+A = sum_t a_t * 2^{8*wb*t}, likewise B. Slot k <= 2n - 2 of A*B collects
+c_k = sum_{s+t=k} a_s * b_t, at most n pairs, so |c_k| <= n * max|a| * max|b| = M,
+with both heights taken as at least 1, so that M also bounds max|a| and max|b|.
+With wb = ceil((bitlen(M) + 2) / 8), 2^{8*wb - 1} > M: adding the bias
+2^{8*wb - 1} to each slot gives digits in [0, 2^{8*wb}), with no borrow or carry
+between slots. One `to_bytes` of A*B + (bias in every slot) and one
+`int.from_bytes` per slot read every c_k; slot k >= n is folded onto k - n.
+Operands are packed the same way, from biased digits, less the packed bias.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import Iterable, Sequence
@@ -117,48 +102,33 @@ def cyclotomic_polynomial(n: int) -> "IntPoly":
     return IntPoly(tuple(coeffs))
 
 
-def _height(poly: Sequence[Sequence[int]]) -> int:
-    """max(1, the largest |entry| of poly's X-coefficients)."""
-    return max(1, max(max(max(v), -min(v)) for v in poly))
-
-
 def _biases(wb: int, slots: int) -> int:
     """The int with the bias 2^{8*wb - 1} in each of `slots` wb-byte slots."""
     return int.from_bytes((1 << (8 * wb - 1)).to_bytes(wb, "little") * slots, "little")
 
 
-def _pack(poly: Sequence[Sequence[int]], n: int, wb: int) -> int:
-    """The int whose wb-byte slots hold poly's X-coefficients, one block of 2n - 1 slots each."""
+def _pack(vec: Sequence[int], wb: int) -> int:
+    """The int whose wb-byte slots hold the entries of vec."""
     bias = 1 << (8 * wb - 1)
-    gap = bias.to_bytes(wb, "little") * (n - 1)
-    raw = gap.join(b"".join([(c + bias).to_bytes(wb, "little") for c in vec]) for vec in poly)
-    return int.from_bytes(raw, "little") - _biases(wb, len(raw) // wb)
+    raw = b"".join([(c + bias).to_bytes(wb, "little") for c in vec])
+    return int.from_bytes(raw, "little") - _biases(wb, len(vec))
 
 
-def _kron_mul(f: Sequence[Sequence[int]], g: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """f * g for f, g polynomials in X over Z[x]/(x^n - 1), by one big-int product.
+def _kron_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """a * b in Z[x]/(x^n - 1) for a, b vectors of n ints, by one big-int product.
 
-    f and g are non-empty lists of X-coefficients, each a vector of n ints; the
-    result has len f + len g - 1 of them. Pass the same object twice for a
-    square. The packing and its slot bound are in the module docstring.
+    Pass the same object twice for a square. The packing is in the module docstring.
     """
-    height = _height(f)
-    big = min(len(f), len(g)) * n * height * (height if g is f else _height(g))
+    height = max(1, max(a), -min(a))
+    big = n * height * (height if b is a else max(1, max(b), -min(b)))
     wb = (big.bit_length() + 9) // 8
-    packed = _pack(f, n, wb)
-    product = packed * (packed if g is f else _pack(g, n, wb))
-    stride = 2 * n - 1
-    slots = (len(f) + len(g) - 1) * stride
+    packed = _pack(a, wb)
+    product = packed * (packed if b is a else _pack(b, wb))
+    slots = 2 * n - 1
     bias = 1 << (8 * wb - 1)
     raw = (product + _biases(wb, slots)).to_bytes(wb * slots, "little")
     c = [int.from_bytes(raw[i : i + wb], "little") - bias for i in range(0, wb * slots, wb)]
-    out = []
-    for start in range(0, slots, stride):
-        block = c[start : start + stride]
-        vec = list(map(operator.add, block[: n - 1], block[n:]))
-        vec.append(block[n - 1])
-        out.append(vec)
-    return out
+    return list(map(operator.add, c[:n], c[n:] + [0]))
 
 
 def _scalar(x: object) -> int | None:
@@ -279,9 +249,7 @@ class CycElem:
                 return NotImplemented
             return CycElem(self.n, tuple(k * x for x in self.vec))
         a, b = self._common(other)
-        f = [a.vec]
-        (vec,) = _kron_mul(f, f if b is a else [b.vec], a.n)
-        return CycElem(a.n, vec)
+        return CycElem(a.n, _kron_mul(a.vec, b.vec, a.n))
 
     __rmul__ = __mul__
 
@@ -408,30 +376,43 @@ def expand_factor_list(factors: Iterable[tuple[IntPoly, int]]) -> IntPoly:
     return out
 
 
-def poly_from_roots(roots: Sequence[CycElem]) -> list[CycElem]:
-    """Coefficients (little-endian) of prod (X - root), over Z[zeta_N] for N the lcm of the roots' conductors.
+def root_of_unity_mod(n: int, bound: int) -> tuple[int, int]:
+    """(N, omega) with Phi_n(omega) = 0 (mod N), so zeta_n -> omega is a ring map Z[zeta_n] -> Z/N.
 
-    A balanced product tree of the linear factors: one `_kron_mul` per internal node.
-    Each root at a conductor n > 1 is first centered: its rounded mean entry is
-    subtracted from every entry, which is exact since sum_{t<n} zeta_n^t = 0, and
-    narrows every Kronecker slot. So the coefficients are equal in Z[zeta_N] to
-    those of the uncentered product, though their vectors mod x^N - 1 may differ.
+    N = ell^j > bound for the least prime ell = 1 (mod 2n); omega is the first root of Phi_n
+    among x^{(ell-1)/n} mod ell, x = 2, 3, ..., lifted by Newton's iteration on x^n - 1.
     """
-    if not roots:
-        raise ValueError("need at least one root")
-    n = math.lcm(*(root.n for root in roots))
-    one = (1,) + (0,) * (n - 1)
+    phi = cyclotomic_polynomial(n).coeffs
 
-    def centered(root: CycElem) -> CycElem:
-        if root.n == 1:
-            return root
-        shift = (2 * sum(root.vec) + root.n) // (2 * root.n)  # round(mean), exactly
-        return CycElem(root.n, [c - shift for c in root.vec])
+    def phi_at(x: int, mod: int) -> int:
+        return functools.reduce(lambda acc, c: (acc * x + c) % mod, reversed(phi), 0)
 
-    def product(lo: int, hi: int) -> list:
-        if hi - lo == 1:
-            return [[-c for c in centered(roots[lo]).embed(n).vec], one]
+    ell = next(ell for ell in itertools.count(2 * n + 1, 2 * n) if is_prime(ell))
+    omega = next(w for w in (pow(x, (ell - 1) // n, ell) for x in itertools.count(2)) if phi_at(w, ell) == 0)
+    digits, modulus = 1, ell
+    while modulus <= bound:
+        digits, modulus = digits + 1, modulus * ell
+    for k in range(digits.bit_length()):  # n*x^{n-1} is a unit mod ell, as ell > n
+        mod = ell ** min(2 << k, digits)  # the ell-adic digits of omega that are right double
+        below = pow(omega, n - 1, mod)
+        omega = (omega - (below * omega - 1) * pow(n * below, -1, mod)) % mod
+    if phi_at(omega, modulus):
+        raise ArithmeticError(f"Newton's lift left Phi_{n}(omega) != 0 mod {ell}^{digits}")
+    return modulus, omega
+
+
+def expand_mod(roots: Sequence[int], modulus: int) -> list[int]:
+    """Coefficients (little-endian, in [0, modulus)) of prod (X - r) mod modulus.
+
+    A balanced product tree; each node zero-pads its factors to the length of their product.
+    """
+
+    def product(lo: int, hi: int) -> list[int]:
+        if hi - lo < 2:
+            return [-roots[lo] % modulus, 1] if hi > lo else [1]
         mid = (lo + hi) // 2
-        return _kron_mul(product(lo, mid), product(mid, hi), n)
+        f, g = product(lo, mid), product(mid, hi)
+        n = len(f) + len(g) - 1
+        return [c % modulus for c in _kron_mul(f + [0] * (n - len(f)), g + [0] * (n - len(g)), n)]
 
-    return [CycElem(n, vec) for vec in product(0, len(roots))]
+    return product(0, len(roots))

@@ -1,5 +1,8 @@
 """Brute-force ground truth: trace spectra, reduced periods, period polynomials.
 
+period_polynomial expands prod_k (X - eta*_k) for either oracle's periods in
+Z[zeta_p]: its integer coefficients come from one ring map Z[zeta_p] -> Z/N.
+
 trace_spectrum is the one sweep entry: it counts F_q^* by coset and absolute
 trace, walked as powers of gamma. A subfield is swept as its own field,
 FieldCtx.subfield(k), so the budgets and int64 guards see its size and degree.
@@ -44,16 +47,18 @@ any worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycElem, IntPoly, poly_from_roots
+from .cyclotomic import CycElem, IntPoly, expand_mod, root_of_unity_mod
 from .fields import FieldCtx, FieldElem, FieldError
-from .intmath import power
+from .intmath import factorize, is_prime, power
 
 DEFAULT_MAX_Q = 10**8
 _ROWS = 1 << 12  # rows of the trace block R, rounded down to a multiple of e
@@ -265,9 +270,30 @@ def reduced_periods(spectrum: TraceSpectrum) -> PeriodVector:
 
 
 def period_polynomial(periods: PeriodVector) -> IntPoly:
-    """prod_k (X - eta*_k), expanded over Z[zeta_p]; coefficients must be integers."""
-    coeffs = poly_from_roots(list(periods.eta_star))
-    out = IntPoly(tuple(c.as_integer() for c in coeffs))
+    """prod_k (X - eta*_k), exact, through the ring map zeta_p -> omega, Z[zeta_p] -> Z/N.
+
+    Each period's vector less its entry at t = 0 is its unique form modulo the
+    all-ones vector, which is 0. If sigma_g (entry t moves to g*t mod p, g a
+    primitive root mod p) permutes these vectors w, every coefficient lies in Q
+    and Z[zeta_p], so in Z; if not, ArithmeticError. By Parseval, no complex image
+    of w exceeds M = max sqrt(p * sum_t w_t^2 - (sum_t w_t)^2), nor any coefficient
+    (1 + M)^e; so prod (X - image_k) mod N > 2 (1 + M)^e, lifted to (-N/2, N/2), is exact.
+    """
+    conductors = {v.n for v in periods.eta_star}
+    p = min(conductors, default=0)
+    if len(conductors) != 1 or p == 2 or not is_prime(p):
+        raise ValueError(f"the periods need one odd prime conductor, got {sorted(conductors)}")
+    vecs = [tuple(c - v.vec[0] for c in v.vec) for v in periods.eta_star]
+    cofactors = [(p - 1) // ell for ell, _ in factorize(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, d, p) != 1 for d in cofactors))
+    sigma = operator.itemgetter(*(t * pow(g, -1, p) % p for t in range(p)))  # sigma(w)[g*t] = w[t]
+    if sorted(map(sigma, vecs)) != sorted(vecs):
+        raise ArithmeticError(f"sigma_{g} does not permute the periods: their polynomial is not over Z")
+    height = max(math.isqrt(p * sum(c * c for c in w) - sum(w) ** 2) + 1 for w in vecs)  # M
+    modulus, omega = root_of_unity_mod(p, 2 * (1 + height) ** len(vecs))
+    powers = list(itertools.accumulate(range(p - 1), lambda x, _: x * omega % modulus, initial=1))
+    coeffs = expand_mod([sum(map(operator.mul, w, powers)) % modulus for w in vecs], modulus)
+    out = IntPoly(c - modulus if 2 * c > modulus else c for c in coeffs)
     if not out.is_monic() or out.degree != periods.e:
         raise ArithmeticError(f"period polynomial is not monic of degree {periods.e}")
     if periods.e >= 2 and out.coeffs[periods.e - 1] != 0:

@@ -36,6 +36,45 @@ def conjugate():
     return _conjugate
 
 
+def _schoolbook_mul(a: CycElem, b: CycElem) -> CycElem:
+    """Reference product in Z[zeta_n]: the cyclic convolution mod x^n - 1, as a double loop."""
+    n = a.n
+    out = [0] * n
+    for i, x in enumerate(a.vec):
+        if x:
+            for j, y in enumerate(b.vec):
+                if y:
+                    k = i + j
+                    out[k - n if k >= n else k] += x * y
+    return CycElem(n, out)
+
+
+@pytest.fixture
+def schoolbook_mul():
+    """The double-loop product in Z[zeta_n], independent of the Kronecker kernel."""
+    return _schoolbook_mul
+
+
+def _sequential_poly_from_roots(roots: list) -> list:
+    """Reference expansion of prod (X - root): one linear factor at a time, schoolbook products."""
+    n = math.lcm(*(r.n for r in roots))
+    coeffs = [CycElem.integer(n, 1)]
+    for root in roots:
+        root = root.embed(n)
+        nxt = [CycElem.zero(n) for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - _schoolbook_mul(c, root)
+        coeffs = nxt
+    return coeffs
+
+
+@pytest.fixture
+def sequential_poly_from_roots():
+    """The schoolbook expansion of prod (X - root) over Z[zeta_n], for the expansion tests."""
+    return _sequential_poly_from_roots
+
+
 def _field_trace(ctx: FieldCtx):
     """x -> Tr(x) in F_p for elements of ctx, through the trace row taken once."""
     row = [int(t) for t in ctx.trace_row()]

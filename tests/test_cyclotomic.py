@@ -1,5 +1,4 @@
 import cmath
-import math
 import random
 
 import numpy as np
@@ -14,25 +13,14 @@ from periodpoly.cyclotomic import (
     _supported_conductor,
     cyclotomic_polynomial,
     expand_factor_list,
+    expand_mod,
     frobenius_power_sum,
     linear,
-    poly_from_roots,
+    root_of_unity_mod,
 )
+from periodpoly.intmath import is_prime
 
 CONDUCTORS = (1, 2, 4, 8, 3, 5, 6, 24, 29, 96, 208, 1013)
-
-
-def schoolbook_mul(a: CycElem, b: CycElem) -> CycElem:
-    """Reference product in Z[zeta_n]: the cyclic convolution mod x^n - 1, as a double loop."""
-    n = a.n
-    out = [0] * n
-    for i, x in enumerate(a.vec):
-        if x:
-            for j, y in enumerate(b.vec):
-                if y:
-                    k = i + j
-                    out[k - n if k >= n else k] += x * y
-    return CycElem(n, out)
 
 
 def dense_divmod_exact(num: list, den: tuple) -> tuple:
@@ -49,27 +37,18 @@ def dense_divmod_exact(num: list, den: tuple) -> tuple:
     return quot, num
 
 
-def schoolbook_poly_mul(f: list, g: list, n: int) -> list:
-    """Reference product of polynomials in X over Z[x]/(x^n - 1), coefficient by coefficient."""
-    out = [CycElem.zero(n) for _ in range(len(f) + len(g) - 1)]
+def plain_product(f: list, g: list) -> list:
+    """Reference product of two integer polynomials, coefficient by coefficient."""
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
-            out[i + j] = out[i + j] + schoolbook_mul(CycElem(n, a), CycElem(n, b))
-    return [list(c.vec) for c in out]
+            out[i + j] += a * b
+    return out
 
 
-def sequential_poly_from_roots(roots: list) -> list:
-    """Reference expansion of prod (X - root): one linear factor at a time, schoolbook products."""
-    n = math.lcm(*(r.n for r in roots))
-    coeffs = [CycElem.integer(n, 1)]
-    for root in roots:
-        root = root.embed(n)
-        nxt = [CycElem.zero(n) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - schoolbook_mul(c, root)
-        coeffs = nxt
-    return coeffs
+def ring_image(root: CycElem, omega: int, modulus: int) -> int:
+    """root under zeta_n -> omega, the ring map Z[zeta_n] -> Z/modulus of root_of_unity_mod."""
+    return sum(c * pow(omega, t, modulus) for t, c in enumerate(root.vec)) % modulus
 
 
 def test_cyclotomic_polynomials():
@@ -259,20 +238,6 @@ def test_negative_powers_raise():
         IntPoly((1, 1)) ** -1
 
 
-def test_poly_from_roots_matches_direct():
-    roots = [CycElem.integer(3, 2), CycElem.root(3, 1), CycElem.root(3, 2)]
-    coeffs = poly_from_roots(roots)
-    # prod (X - r) evaluated at each root is zero
-    for r in roots:
-        acc = CycElem.zero(3)
-        power = CycElem.integer(3, 1)
-        for c in coeffs:
-            acc = acc + c * power
-            power = power * r
-        assert acc.is_zero()
-    assert coeffs[-1] == 1
-
-
 HEIGHTS = (1, 2**7 - 1, 2**31 - 1, 2**63 + 1, 2**300 + 7)
 
 
@@ -290,7 +255,7 @@ def kernel_operands(n: int, rng: random.Random) -> list:
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)
-def test_kernel_matches_schoolbook(n):
+def test_kernel_matches_schoolbook(n, schoolbook_mul):
     rng = random.Random(n)
     ops = [CycElem(n, v) for v in kernel_operands(n, rng)]
     pairs = [(i, j) for i in range(len(ops)) for j in (i ^ 1, rng.randrange(len(ops)), -1)]
@@ -301,7 +266,7 @@ def test_kernel_matches_schoolbook(n):
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)
-def test_kernel_at_the_slot_bound(n):
+def test_kernel_at_the_slot_bound(n, schoolbook_mul):
     # constant vectors: every slot of the product is n * a * b, the largest magnitude the bound allows
     for height in HEIGHTS:
         for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -315,74 +280,91 @@ def test_kernel_at_the_slot_bound(n):
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)
-def test_kernel_square_same_object_and_copy(n):
+def test_kernel_square_same_object_and_copy(n, schoolbook_mul):
     rng = random.Random(100 + n)
     for v in kernel_operands(n, rng)[1 if n < 300 else -1 :]:
         a, copy = CycElem(n, v), CycElem(n, list(v))
         want = schoolbook_mul(a, copy).vec
         assert (a * a).vec == want
         assert (a * copy).vec == want
-        assert _kron_mul([a.vec], [a.vec], n) == [list(want)]
+        assert _kron_mul(a.vec, a.vec, n) == list(want)
 
 
 @pytest.mark.parametrize("n", (1, 3, 8, 24, 29))
 def test_kernel_polynomials_of_unequal_length(n):
+    # a node of expand_mod: polynomials with lf and lg coefficients, lf + lg - 1 = n, each
+    # zero-padded to length n, so the cyclic product has no wrap-around and is the plain one
     rng = random.Random(200 + n)
-    for lf, lg in ((1, 4), (3, 5), (4, 4), (6, 2)):
+
+    def padded(v):
+        return v + [0] * (n - len(v))
+
+    for lf in sorted({1, (n + 1) // 2, n}):
+        lg = n + 1 - lf
         for height in (1, 2**63 + 1, 2**300 + 7):
-            edge_f = [[height] * n for _ in range(lf)]  # every middle slot of the product reaches the bound
-            edge_g = [[-height] * n for _ in range(lg)]
-            assert _kron_mul(edge_f, edge_g, n) == schoolbook_poly_mul(edge_f, edge_g, n)
-            assert _kron_mul(edge_f, edge_f, n) == schoolbook_poly_mul(edge_f, edge_f, n)
-        f = [[rng.randrange(-(1 << 70), 1 << 70) for _ in range(n)] for _ in range(lf)]
-        g = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(lg)]
-        assert _kron_mul(f, g, n) == schoolbook_poly_mul(f, g, n)
+            f, g = [height] * lf, [-height] * lg  # the middle slots of the product reach the bound
+            assert _kron_mul(padded(f), padded(g), n) == plain_product(f, g)
+            if 2 * lf - 1 <= n:
+                square = padded(f)
+                assert _kron_mul(square, square, n) == padded(plain_product(f, f))
+        f = [rng.randrange(-(1 << 70), 1 << 70) for _ in range(lf)]
+        g = [rng.randrange(-9, 10) for _ in range(lg)]
+        assert _kron_mul(padded(f), padded(g), n) == plain_product(f, g)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_root_of_unity_mod(n):
+    for bound in (1, 2**128, 10**400):
+        modulus, omega = root_of_unity_mod(n, bound)
+        # N = ell^j for the least prime ell = 1 (mod 2n), and the least j with N > bound
+        ell = next(k for k in range(2 * n + 1, modulus + 1, 2 * n) if is_prime(k))
+        power = ell
+        while power <= bound:
+            power *= ell
+        assert modulus == power
+        phi = cyclotomic_polynomial(n).coeffs
+        assert sum(c * pow(omega, i, modulus) for i, c in enumerate(phi)) % modulus == 0
+        assert pow(omega, n, modulus) == 1
 
 
 @pytest.mark.parametrize("n", CONDUCTORS[:-3])
 @pytest.mark.parametrize("count", (1, 2, 3, 4, 7, 8, 16))
-def test_product_tree_matches_sequential_expansion(n, count):
+def test_product_tree_matches_sequential_expansion(n, count, sequential_poly_from_roots):
+    # zeta_n -> omega is a ring map, so the tree mod N over the roots' images gives the
+    # images of the coefficients of the sequential expansion over Z[zeta_n]
     rng = random.Random(300 + 17 * n + count)
     height = rng.choice((5, 2**64, 2**301))
     roots = [CycElem(n, [rng.randrange(-height, height + 1) for _ in range(n)]) for _ in range(count)]
-    got = poly_from_roots(roots)
-    want = sequential_poly_from_roots(roots)
-    assert [c.canonical() for c in got] == [c.canonical() for c in want]
-    assert all(c.n == n for c in got)
+    modulus, omega = root_of_unity_mod(n, 2**128)
+    got = expand_mod([ring_image(r, omega, modulus) for r in roots], modulus)
+    assert got == [ring_image(c, omega, modulus) for c in sequential_poly_from_roots(roots)]
 
 
 @pytest.mark.parametrize("n, count", ((96, 5), (96, 8), (208, 3), (208, 4), (1013, 2), (1013, 3)))
-def test_product_tree_at_large_conductor(n, count):
+def test_product_tree_at_large_conductor(n, count, sequential_poly_from_roots):
     rng = random.Random(400 + n + count)
     roots = [CycElem(n, [rng.randrange(-3, 4) for _ in range(n)]) for _ in range(count)]
-    assert [c.canonical() for c in poly_from_roots(roots)] == [c.canonical() for c in sequential_poly_from_roots(roots)]
+    modulus, omega = root_of_unity_mod(n, 2**128)
+    got = expand_mod([ring_image(r, omega, modulus) for r in roots], modulus)
+    assert got == [ring_image(c, omega, modulus) for c in sequential_poly_from_roots(roots)]
 
 
 @pytest.mark.parametrize("n", (1, 3, 8, 24, 29, 96, 1013))
-def test_product_tree_removes_a_constant_offset(n):
+def test_product_tree_removes_a_constant_offset(n, sequential_poly_from_roots):
     # the roots 1 + e * counts carry an offset near q / (e p) in every entry, which is zero in
-    # Z[zeta_n] for n > 1. Centering takes it out exactly, so the tree multiplies the same
-    # vectors with or without it. At n = 1 the offset is a value and stays.
+    # Z[zeta_n] for n > 1: the all-ones vector maps to 0 mod N, so the tree gets the same
+    # images with or without it. At n = 1 the offset is a value and stays.
     rng = random.Random(600 + n)
     roots = [CycElem(n, [rng.randrange(-9, 10) for _ in range(n)]) for _ in range(5)]
     offsets = (10**6, 2**64, 3**80, 7, -(10**30))
     shifted = [CycElem(n, [c + k for c in r.vec]) for r, k in zip(roots, offsets)]
-    got = poly_from_roots(shifted)
-    if n > 1:
-        assert [c.vec for c in got] == [c.vec for c in poly_from_roots(roots)]
+    modulus, omega = root_of_unity_mod(n, 2**128)
+    images = [ring_image(r, omega, modulus) for r in shifted]
+    assert (images == [ring_image(r, omega, modulus) for r in roots]) == (n > 1)
     if n < 300:
-        assert [c.canonical() for c in got] == [c.canonical() for c in sequential_poly_from_roots(shifted)]
-
-
-def test_poly_from_roots_embeds_mixed_conductors():
-    roots = [CycElem(4, [1]), CycElem(8, [0, 1])]
-    coeffs = poly_from_roots(roots)
-    assert [c.n for c in coeffs] == [8, 8, 8]
-    assert [c.canonical() for c in coeffs] == [c.canonical() for c in sequential_poly_from_roots(roots)]
-    # (X - 1)(X - zeta_8) = X^2 - (1 + zeta_8) X + zeta_8
-    assert coeffs == [CycElem.root(8, 1), -(1 + CycElem.root(8, 1)), 1]
-    mixed = poly_from_roots([CycElem.root(3, 1), CycElem.root(4, 1), CycElem.integer(2, 5)])
-    assert {c.n for c in mixed} == {12}
+        want = [ring_image(c, omega, modulus) for c in sequential_poly_from_roots(shifted)]
+        assert expand_mod(images, modulus) == want
+    assert expand_mod([], modulus) == [1]  # the empty product
 
 
 def test_integral_scalars_and_non_integral_operands():

@@ -66,38 +66,59 @@ def schoolbook_mulmod(a, b, modulus, p):
     return out[:s]
 
 
-def dense_irreducible(p, s, seed):
-    """A monic irreducible of degree s over F_p with every coefficient nonzero."""
+def dense_irreducible(p, s, seed, draws=1000):
+    """A monic irreducible of degree s over F_p with every coefficient nonzero, from at most `draws` draws."""
     rng = random.Random(seed)
-    while True:
+    for _ in range(draws):
         f = tuple(rng.randrange(1, p) for _ in range(s)) + (1,)
         if is_irreducible(f, p):
             return f
+    raise RuntimeError(f"no irreducible among {draws} dense draws of degree {s} over F_{p}")
 
 
 MERSENNE_31 = 2**31 - 1
 
-# (p, modulus): s = 1 and s = 2, binomials, trinomials and dense moduli, small and large p
+def monic(s, terms):
+    """x^s + sum of c*x^i over the items (i, c) of terms, the inverse of sparse below."""
+    f = [0] * s + [1]
+    for i, c in terms.items():
+        f[i] = c
+    return tuple(f)
+
+
+# (p, s, build), build() making the modulus: s = 1 and s = 2, binomials, trinomials and
+# dense moduli, small and large p. The binomials and trinomials are the modulus search's
+# picks, written out. The tests build the moduli, so a broken is_irreducible fails them
+# instead of hanging the collection
 KERNEL_MODULI = [
-    (3, (1, 1)),
-    (13, (11, 1)),
-    (5, (2, 0, 1)),
-    (3, (2, 1, 1)),
-    (5, find_irreducible_modulus(5, 16)),  # binomial
-    (13, find_irreducible_modulus(13, 32)),  # binomial
-    (3, find_irreducible_modulus(3, 14)),  # trinomial x^14 + x + 2
-    (11, find_irreducible_modulus(11, 64)),  # trinomial x^64 + x^3 + 8
-    (7, dense_irreducible(7, 9, seed=1)),
-    (3, dense_irreducible(3, 20, seed=2)),
-    (MERSENNE_31, (7, 1)),
-    (MERSENNE_31, dense_irreducible(MERSENNE_31, 2, seed=3)),
-    (MERSENNE_31, dense_irreducible(MERSENNE_31, 5, seed=4)),
+    (3, 1, lambda: (1, 1)),
+    (13, 1, lambda: (11, 1)),
+    (5, 2, lambda: (2, 0, 1)),
+    (3, 2, lambda: (2, 1, 1)),
+    (5, 16, lambda: monic(16, {0: 2})),  # binomial x^16 + 2
+    (13, 32, lambda: monic(32, {0: 2})),  # binomial x^32 + 2
+    (3, 14, lambda: monic(14, {0: 2, 1: 1})),  # trinomial x^14 + x + 2
+    (11, 64, lambda: monic(64, {0: 8, 3: 1})),  # trinomial x^64 + x^3 + 8
+    (7, 9, lambda: dense_irreducible(7, 9, seed=1)),
+    (3, 20, lambda: dense_irreducible(3, 20, seed=2)),
+    (MERSENNE_31, 1, lambda: (7, 1)),
+    (MERSENNE_31, 2, lambda: dense_irreducible(MERSENNE_31, 2, seed=3)),
+    (MERSENNE_31, 5, lambda: dense_irreducible(MERSENNE_31, 5, seed=4)),
 ]
+KERNEL_IDS = [f"{p}-{s}" for p, s, _ in KERNEL_MODULI]
 
 
-@pytest.mark.parametrize("p, modulus", KERNEL_MODULI, ids=[f"{p}-{len(f) - 1}" for p, f in KERNEL_MODULI])
-def test_kronecker_kernel_matches_schoolbook(p, modulus):
-    s = len(modulus) - 1
+@functools.cache
+def kernel_modulus(build, s):
+    """The modulus that a KERNEL_MODULI entry's build() makes, once for both kernel tests."""
+    modulus = build()
+    assert len(modulus) == s + 1 and modulus[-1] == 1
+    return modulus
+
+
+@pytest.mark.parametrize("p, s, build", KERNEL_MODULI, ids=KERNEL_IDS)
+def test_kronecker_kernel_matches_schoolbook(p, s, build):
+    modulus = kernel_modulus(build, s)
     rng = random.Random(p * s)
     top = [p - 1] * s  # top * top has the coefficient s*(p-1)^2 at degree s-1, the largest a slot holds
     pairs = [(top, list(top)), (top, [1] + [0] * (s - 1)), ([0] * s, top)]
@@ -113,9 +134,9 @@ def test_kronecker_kernel_matches_schoolbook(p, modulus):
         assert _poly_mulmod(a, a, modulus, p) == schoolbook_mulmod(a, a, modulus, p), a  # the squaring path
 
 
-@pytest.mark.parametrize("p, modulus", KERNEL_MODULI, ids=[f"{p}-{len(f) - 1}" for p, f in KERNEL_MODULI])
-def test_poly_powmod_matches_repeated_schoolbook(p, modulus):
-    s = len(modulus) - 1
+@pytest.mark.parametrize("p, s, build", KERNEL_MODULI, ids=KERNEL_IDS)
+def test_poly_powmod_matches_repeated_schoolbook(p, s, build):
+    modulus = kernel_modulus(build, s)
     rng = random.Random(p + s)
     one = [1] + [0] * (s - 1)
     exponents = (0, 1, 2, 3) + ((p,) if p < 100 else ())  # e = p is Ben-Or's and the Frobenius's power

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from periodpoly.charsums import lifted_period_polynomial
 from periodpoly.cyclotomic import CycElem
 from periodpoly.fields import FieldCtx, FieldError, build_field, is_irreducible
 from periodpoly.intmath import ord2
@@ -92,11 +93,65 @@ def test_period_polynomial_properties():
 
 def test_inconsistent_periods_raise():
     # the invariants are raised errors, so they hold under python -O too
-    one = CycElem.integer(1, 1)
+    one = CycElem.integer(3, 1)
     with pytest.raises(ArithmeticError):
         period_polynomial(PeriodVector(e=2, eta_star=(one, one)))  # periods do not sum to 0
     with pytest.raises(ArithmeticError):
         period_polynomial(PeriodVector(e=3, eta_star=(one, -one)))  # two periods for e = 3
+
+
+def brute_or_lift_periods(oracle, p, s, x):
+    """The periods of the brute-force oracle (e = x) or of the lift oracle (m = x)."""
+    ctx = build_field(p, s)
+    if oracle == "lift":
+        return lifted_period_polynomial(ctx, x)[1]
+    return reduced_periods(trace_spectrum(ctx, x))
+
+
+@pytest.mark.parametrize(
+    "oracle, p, s, x",
+    (("brute", 3, 4, 16), ("brute", 29, 4, 16), ("brute", 13, 2, 8), ("lift", 13, 8, 4)),
+)
+def test_expansion_matches_sequential_reference(oracle, p, s, x, sequential_poly_from_roots):
+    pv = brute_or_lift_periods(oracle, p, s, x)
+    want = [c.as_integer() for c in sequential_poly_from_roots(list(pv.eta_star))]
+    assert list(period_polynomial(pv).coeffs) == want
+
+
+def test_expansion_ignores_constant_offsets():
+    # k * (1, ..., 1) is zero in Z[zeta_p], whatever its size or sign
+    pv = brute_or_lift_periods("brute", 29, 4, 16)
+    base = period_polynomial(pv)
+    for k in (7, 3**80, -(10**30)):
+        shifted = tuple(CycElem(v.n, [c + k for c in v.vec]) for v in pv.eta_star)
+        assert period_polynomial(PeriodVector(e=pv.e, eta_star=shifted)) == base
+
+
+def test_periods_off_a_galois_orbit_raise():
+    # one entry up by one in one period and down by one in another: the periods still sum
+    # to zero, but sigma_g no longer permutes them, so the coefficients need not be integers
+    pv = brute_or_lift_periods("brute", 29, 4, 4)
+    vecs = [list(v.vec) for v in pv.eta_star]
+    vecs[0][1] += 1
+    vecs[1][1] -= 1
+    with pytest.raises(ArithmeticError, match="does not permute"):
+        period_polynomial(PeriodVector(e=4, eta_star=tuple(CycElem(29, v) for v in vecs)))
+
+
+@pytest.mark.parametrize(
+    "eta_star",
+    (
+        (CycElem.integer(3, 1), CycElem.integer(5, -1)),  # mixed conductors
+        (CycElem.integer(1, 1), CycElem.integer(1, -1)),
+        (CycElem.integer(2, 1), CycElem.integer(2, -1)),
+        (CycElem.root(8, 1), CycElem.root(8, 5)),
+        (CycElem.root(24, 1), CycElem.root(24, 13)),
+    ),
+    ids=("3-and-5", "1", "2", "8", "24"),
+)
+def test_expansion_needs_one_odd_prime_conductor(eta_star):
+    with pytest.raises(ValueError, match="conductor"):
+        period_polynomial(PeriodVector(e=2, eta_star=eta_star))
 
 
 def test_multiplicity_structure_of_two_power_periods():
