@@ -21,14 +21,17 @@ is the norm of gamma, the lift of chi is exactly the gamma-normalized
 character of the big field, which makes lifted Gauss sums and reconstructed
 periods per-index exact rather than merely correct as multisets.
 
-The lift oracle reassembles the reduced periods by Fourier inversion,
-eta*_k = sum_{j=1}^{e-1} zeta_e^{-jk} G(lambda^j), and projects the result
-from Z[zeta_{ep}] into Z[zeta_p], the ring of the brute-force periods
-(periods_from_gauss). Frobenius invariance, G(lambda^{jp}) = G(lambda^j),
-means one Davenport-Hasse lift per orbit of j -> jp gives the whole table:
-period polynomials for fields far beyond enumeration reach, from an
-enumeration of a small base subfield only. Nothing in it depends on p mod 8,
-so it shares no formula with the closed forms it checks.
+The lift oracle is one power in the group ring Z[C_e x C_p]. The base
+subfield's count table H = sum_x [ind x mod e, Tr x] is GaussTable.value(1)'s
+vector, slot (k*p + t*e) mod ep, since gcd(e, p) = 1; CycElem products are
+cyclic convolutions, so lift_gauss_sum leaves exactly L = (-1)^{r-1} H^r there.
+Davenport-Hasse makes L's image under [k, t] -> zeta_e^{jk} zeta_p^t equal
+G(lambda^j) of F_q for every j, so Fourier inversion over C_e is reading rows:
+row k of L is eta_k in Z[zeta_p], F_q's count row up to a constant vector that
+the row sum fixes (periods_from_gauss). This gives period polynomials for fields
+far beyond enumeration reach, from an enumeration of a small base subfield only.
+Nothing in it depends on p mod 8, so it shares no formula with the closed forms
+it checks.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .periods import (
     _exact_dtype,
     _orbit,
     period_polynomial,
+    reduced_periods,
     trace_spectrum,
 )
 
@@ -183,38 +187,27 @@ def subfield_jacobi(sums: SubfieldSums, j: int) -> CycElem:
 # ---------------------------------------------------------------------------
 
 
-def periods_from_gauss(p: int, m: int, table: dict[int, CycElem]) -> PeriodVector:
-    """All 2^m reduced periods eta*_k = sum_{j=1}^{e-1} zeta_e^{-jk} G(lambda^j), in Z[zeta_p].
+def periods_from_gauss(q: int, e: int, lifted: CycElem) -> PeriodVector:
+    """The e reduced periods of F_q, read off the lifted count table (see the module docstring).
 
-    `table[j]` must hold G(lambda^j) for j = 1 .. e-1 (e = 2^m, m >= 1), where
-    lambda is the order-e character with lambda(gamma) = zeta_e. Each term lives
-    in Z[zeta_{ep}], where zeta_{ep}^a = zeta_e^u zeta_p^t with u = a/p mod e and
-    t = a/e mod p. Over Q(zeta_p) the zeta_e^u with u < e/2 are a basis and
-    zeta_e^{e/2} = -1, so each sum is folded onto the rows u < e/2: row 0 is
-    the period, and every other row must vanish in Z[zeta_p], that is, be a
-    constant vector. A row that does not raises ArithmeticError.
+    `lifted` is L = (-1)^{r-1} H^r from lift_gauss_sum on a GaussTable.value(1)
+    vector, with [k, t] at slot (k*p + t*e) mod ep. Row k of L differs from F_q's
+    count row by c * (1, ..., 1), c = ((q - 1)/e - row sum)/p. A row for which c
+    is not an integer, or the corrected row has a negative entry, raises
+    ArithmeticError.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    e, half, n = 1 << m, 1 << (m - 1), p << m
-    missing = [j for j in range(1, e) if j not in table]
-    if missing:
-        raise ValueError(f"table is missing G(lambda^{missing[0]})")
-    a = np.arange(n)
-    u, t = a * pow(p, -1, e) % e, a * pow(e, -1, p) % p
-    coeffs = np.zeros((e, e, p), dtype=object)  # [j, u, t]; Python ints, as the lifted sums pass 2^63
-    for j in range(1, e):
-        coeffs[j, u, t] = np.array(table[j].embed(n).vec, dtype=object)
-    folded = coeffs[:, :half] - coeffs[:, half:]
-    signed = np.concatenate((folded, -folded), axis=1)  # row w holds the coefficient of zeta_e^w, w < e
-    js = np.arange(e)[:, None]
-    eta = []
+    p, rest = divmod(lifted.n, e)
+    if rest or math.gcd(e, p) != 1 or (q - 1) % e:
+        raise ValueError(f"conductor {lifted.n} is not e*p with gcd(e, p) = 1 and e={e} | q-1")
+    vec, per_row = lifted.vec, (q - 1) // e
+    counts = []
     for k in range(e):
-        rows = signed[js, (np.arange(half) + js * k) % e].sum(axis=0)  # zeta_e^{-jk} zeta_e^{u+jk} = zeta_e^u
-        if (rows[1:] != rows[1:, :1]).any():
-            raise ArithmeticError(f"eta*_{k} is not in Z[zeta_{p}]")
-        eta.append(CycElem(p, rows[0]))
-    return PeriodVector(e=e, eta_star=tuple(eta))
+        row = [vec[(k * p + t * e) % lifted.n] for t in range(p)]
+        c, rest = divmod(per_row - sum(row), p)
+        if rest or c + min(row) < 0:
+            raise ArithmeticError(f"row {k} of the lifted sum is not a count row of F_{q}")
+        counts.append(tuple(x + c for x in row))
+    return reduced_periods(TraceSpectrum(e, tuple(counts)))
 
 
 def smallest_lift_base(p: int, s: int, m: int) -> int:
@@ -237,21 +230,15 @@ def lifted_period_polynomial(
     Enumerates only the base subfield F_{p^{s'}}; returns (polynomial, periods,
     s'). Exact for any q, as long as the base subfield is within budget.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     p, s = ctx.p, ctx.s
     e = 1 << m
     if (ctx.q - 1) % e:
         raise ValueError(f"2^{m} does not divide q-1")
     s_base = smallest_lift_base(p, s, m)
-    r = s // s_base
     sums = subfield_sums(ctx, s_base, e, max_q=max_q, threads=threads)
-    table: dict[int, CycElem] = {}
-    for j in range(1, e):
-        if j not in table:  # G(lambda^{jp}) = G(lambda^j): one lift per Frobenius orbit
-            value, k = lift_gauss_sum(sums.gauss(j), r), j
-            while k not in table:
-                table[k] = value
-                k = k * p % e
-    periods = periods_from_gauss(p, m, table)
+    periods = periods_from_gauss(ctx.q, e, lift_gauss_sum(sums.gauss(1), s // s_base))
     return period_polynomial(periods), periods, s_base
 
 

@@ -167,7 +167,8 @@ def cmd_verify(args) -> int:
     # an irreducible case has no factor list to expand: its content is the oracle's polynomial
     polynomial = oracle_poly if fac.irreducible else fac.expand()
     if status != "skipped":
-        status = "verified" if fac.matches(oracle_poly) else "failed"
+        matched = fac.matches(oracle_poly) if fac.irreducible else polynomial == oracle_poly
+        status = "verified" if matched else "failed"
 
     content = {
         "p": ctx.p,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from periodpoly import charsums
 from periodpoly.charsums import (
     GaussTable,
     _logs,
@@ -194,36 +195,41 @@ def full_gauss_table(ctx, m):
     return {j: tab.value(j) for j in range(1, 1 << m)}
 
 
+def read_periods(ctx, m):
+    """periods_from_gauss at r = 1: L is ctx's own count table H, read off G(lambda)."""
+    e = 1 << m
+    return periods_from_gauss(ctx.q, e, GaussTable(ctx, trace_spectrum(ctx, e)).value(1))
+
+
 def test_periods_from_gauss_direct():
-    # p = 7 and 17 (7 and 1 mod 8) too: the transform assumes nothing about p mod 8
+    # p = 7 and 17 (7 and 1 mod 8) too: the reader assumes nothing about p mod 8
     for p, s, m in ((3, 4, 4), (5, 4, 4), (5, 2, 3), (3, 2, 3), (3, 2, 1), (7, 2, 4), (17, 1, 4)):
         ctx = build_field(p, s)
-        pv = periods_from_gauss(p, m, full_gauss_table(ctx, m))
+        pv = read_periods(ctx, m)
         bv = reduced_periods(trace_spectrum(ctx, 1 << m))
-        assert all(a.n == p for a in pv.eta_star)
-        assert all(a == b for a, b in zip(pv.eta_star, bv.eta_star, strict=True))
-    with pytest.raises(ValueError):
-        periods_from_gauss(3, 4, {})
-    table = full_gauss_table(build_field(3, 4), 4)
-    del table[5]
-    with pytest.raises(ValueError, match="lambda\\^5"):
-        periods_from_gauss(3, 4, table)
-    with pytest.raises(ValueError):
-        periods_from_gauss(3, 0, {})
+        assert [a.vec for a in pv.eta_star] == [b.vec for b in bv.eta_star]
+    ctx = build_field(3, 4)
+    g = GaussTable(ctx, trace_spectrum(ctx, 16)).value(1)
+    for q, e in ((81, 8), (81, 32), (82, 16)):  # conductor 48 is not 8p or 32p; 16 does not divide 81
+        with pytest.raises(ValueError):
+            periods_from_gauss(q, e, g)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        lifted_period_polynomial(ctx, 0)
 
 
-def test_periods_from_gauss_rejects_corrupted_table():
-    # a table that is not the Gauss sums of one field gives sums outside Z[zeta_p]
-    good = full_gauss_table(build_field(5, 4), 4)
-    for j, factor in ((1, CycElem.root(16, 1)), (3, CycElem.root(4, 1)), (6, CycElem.root(5, 1))):
-        table = dict(good)
-        table[j] = good[j] * factor
-        with pytest.raises(ArithmeticError, match="not in Z\\[zeta_5\\]"):
-            periods_from_gauss(5, 4, table)
-    table = dict(good)
-    table[1], table[15] = good[15], good[1]  # breaks G(lambda^{5j}) = G(lambda^j)
-    with pytest.raises(ArithmeticError):
-        periods_from_gauss(5, 4, table)
+def test_periods_from_gauss_rejects_corrupted_table(monkeypatch):
+    # a lifted sum that is not (-1)^{r-1} H^r for one field: rows that are no count row, or periods off sigma_g
+    ctx = build_field(5, 8)
+    lift = charsums.lift_gauss_sum
+    corruptions = (
+        (lambda v: v + CycElem.root(v.n, 3), "not a count row"),
+        (lambda v: v - CycElem.integer(v.n, 10**6), "not a count row"),
+        (lambda v: v * CycElem.root(v.n, 16), "does not permute"),  # zeta_p: every row shifted by one trace
+    )
+    for corrupt, message in corruptions:
+        monkeypatch.setattr(charsums, "lift_gauss_sum", lambda value, r: corrupt(lift(value, r)))
+        with pytest.raises(ArithmeticError, match=message):
+            lifted_period_polynomial(ctx, 4)
 
 
 def paper_periods_from_gauss(p, m, table):
@@ -295,9 +301,9 @@ def paper_periods_from_gauss(p, m, table):
     "p, s, m", ((5, 1, 2), (3, 2, 2), (3, 2, 3), (5, 2, 3), (3, 4, 4), (5, 4, 4), (3, 8, 5), (5, 8, 5), (3, 16, 6))
 )
 def test_transform_matches_paper_expansion(p, s, m):
-    table = full_gauss_table(build_field(p, s), m)
-    paper = paper_periods_from_gauss(p, m, table)
-    assert all(a == b for a, b in zip(periods_from_gauss(p, m, table).eta_star, paper, strict=True))
+    ctx = build_field(p, s)
+    paper = paper_periods_from_gauss(p, m, full_gauss_table(ctx, m))
+    assert all(a == b for a, b in zip(read_periods(ctx, m).eta_star, paper, strict=True))
 
 
 def test_lift_oracle_matches_enumeration():
@@ -310,8 +316,18 @@ def test_lift_oracle_matches_enumeration():
         bv = reduced_periods(trace_spectrum(ctx, 1 << m))
         assert poly_lift == period_polynomial(bv)
         assert all(a.n == p for a in pv_lift.eta_star)  # the brute oracle's ring, Z[zeta_p]
-        assert all(a == b for a, b in zip(pv_lift.eta_star, bv.eta_star, strict=True))
+        assert [a.vec for a in pv_lift.eta_star] == [b.vec for b in bv.eta_star]  # the same vectors, not only equal
         assert s_base == smallest_lift_base(p, s, m)
+
+
+@pytest.mark.parametrize("p, s, m", ((5, 16, 5), (13, 32, 4), (3, 64, 5)))
+def test_lift_is_one_power(monkeypatch, p, s, m):
+    # every G(lambda^j) of F_q is an image of one power of H: one Davenport-Hasse call per lift
+    calls = []
+    lift = charsums.lift_gauss_sum
+    monkeypatch.setattr(charsums, "lift_gauss_sum", lambda value, r: calls.append(r) or lift(value, r))
+    lifted_period_polynomial(build_field(p, s), m)
+    assert len(calls) == 1
 
 
 def test_smallest_lift_base():

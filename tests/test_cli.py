@@ -153,12 +153,18 @@ def test_verify_and_cache(tmp_path, capsys):
     assert json.loads(lines[0])["digest"] == json.loads(lines[1])["digest"]
 
 
-def test_verify_lift(tmp_path, capsys):
+def test_verify_lift(tmp_path, capsys, monkeypatch):
+    import periodpoly.closed_form as closed_form
+
+    expansions = []
+    expand = closed_form.expand_factor_list
+    monkeypatch.setattr(closed_form, "expand_factor_list", lambda factors: expansions.append(1) or expand(factors))
     cache = tmp_path / "cache.jsonl"
     code, out, _ = run(capsys, "verify", "--p", "5", "--s", "16", "--m", "4", "--oracle", "lift", "--cache", str(cache), "--format", "json")
     assert code == EXIT_OK
     rec = json.loads(out)
     assert rec["status"] == "verified" and rec["case"] == "T2a"
+    assert len(expansions) == 1  # the record's polynomial is the one compared with the oracle's
 
 
 def test_verify_lift_m2(tmp_path, capsys):
