@@ -113,9 +113,11 @@ def cmd_partition(args) -> int:
     if args.format == "json":
         print(_canonical_json(rec.to_json_dict()))
     else:
+        second_kind = "B" if rec.kind == "A" else "D"
+        first, second = (f"({v})" if v < 0 else f"{v}" for v in (rec.first, rec.second))
         print(
-            f"{rec.kind}_{rec.r} = {rec.first}, second = {rec.second}: "
-            f"{rec.first}^2 + {rec.d}*{rec.second}^2 = {rec.pk} (gamma {rec.gamma_fingerprint})"
+            f"{rec.kind}_{rec.r} = {rec.first}, {second_kind}_{rec.r} = {rec.second}: "
+            f"{first}^2 + {rec.d}*{second}^2 = {rec.pk} (gamma {rec.gamma_fingerprint})"
         )
     return EXIT_OK
 
@@ -220,7 +222,7 @@ def _add_common(sub, *, m=False, e=False, r=False, oracle=False, sweep=False):
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--json", dest="format", action="store_const", const="json", help="shorthand for --format json")
     if sweep:
-        sub.add_argument("--max-q", dest="max_q", type=int, default=DEFAULT_MAX_Q, help="enumeration budget (elements)")
+        sub.add_argument("--max-q", dest="max_q", type=int, default=DEFAULT_MAX_Q, help="budget: largest q of a field swept or walked, and largest e*p count table")
         sub.add_argument("--threads", type=int, default=None, help="sweep worker count (default: all cores)")
 
 

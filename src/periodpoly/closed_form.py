@@ -149,8 +149,6 @@ def _canonical_factors(
     """Merge coincident factors and order by (degree, coefficient list)."""
     merged: dict[tuple[int, ...], int] = {}
     for poly, mult in factors:
-        if mult <= 0:
-            continue
         merged[poly.coeffs] = merged.get(poly.coeffs, 0) + mult
     ordered = sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return tuple((IntPoly(coeffs), mult) for coeffs, mult in ordered)

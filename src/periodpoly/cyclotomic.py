@@ -93,8 +93,6 @@ def cyclotomic_polynomial(n: int) -> "IntPoly":
         return IntPoly((1,) * p)  # 1 + x + ... + x^{p-1}
     # Phi_{2p}(x) = Phi_p(-x); Phi_{2^a p}(x) = Phi_{2p}(x^{2^{a-1}}) for a >= 1
     base = [(-1) ** k for k in range(p)]
-    if a == 1:
-        return IntPoly(tuple(base))
     step = 2 ** (a - 1)
     coeffs = [0] * ((p - 1) * step + 1)
     for k, c in enumerate(base):
@@ -235,9 +233,6 @@ class CycElem:
 
     def __sub__(self, other: "CycElem | int") -> "CycElem":
         return self + (-other)
-
-    def __rsub__(self, other: int) -> "CycElem":
-        return (-self) + other
 
     def __neg__(self) -> "CycElem":
         return CycElem(self.n, tuple(-x for x in self.vec))

@@ -50,9 +50,6 @@ class FieldParams:
     s: int
     modulus: tuple[int, ...]  # little-endian, monic, length s + 1
 
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "s": self.s, "modulus": list(self.modulus)}
-
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
     """(a * b) mod modulus over F_p, by Kronecker substitution.
@@ -266,9 +263,6 @@ class FieldElem:
 
     def __hash__(self) -> int:
         return hash((self.ctx.params, self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def in_prime_field(self) -> bool:
         return all(c == 0 for c in self.coords[1:])

@@ -1,9 +1,8 @@
-"""Deterministic integer routines: powers, primality, factoring, modular square roots.
+"""Deterministic integer routines: powers, primality, factoring, Legendre symbols.
 
 Everything here is exact and reproducible: Miller-Rabin uses a fixed witness
-set that is provably correct below 3.3e24 (far beyond desk scale), Pollard rho
-uses a fixed parameter schedule, and Tonelli-Shanks picks the smallest
-quadratic non-residue.
+set that is provably correct below 3.3e24 (far beyond desk scale), and Pollard
+rho uses a fixed parameter schedule.
 
 `power` is the package's one square-and-multiply kernel: every power in
 F_q, Z[zeta_n], Z[X], Z[sqrt(-d)] and of the sweep's step matrix goes through it.
@@ -67,9 +66,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n (deterministic parameter sweep)."""
-    if n % 2 == 0:
-        return 2
+    """One nontrivial factor of odd composite n (deterministic parameter sweep)."""
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -97,8 +94,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -115,45 +110,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
-
-
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """Some x with x^2 = a (mod p); raises if a is a non-residue.
-
-    Tonelli-Shanks with the smallest non-residue as the auxiliary generator,
-    so the answer is a deterministic function of (a, p).
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if legendre(a, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
 
 
 def ord2(n: int) -> int:

@@ -5,14 +5,15 @@ the A type (p = 3 mod 8) has d = 2, first r = 3 and first coordinate = 3
 (mod 4); the C type (p = 5 mod 8) has d = 1, first r = 2 and first
 coordinate = 1 (mod 4). The record for r has k = s/2^{r - r_min + 1}.
 
-The base prime representation comes from Cornacchia's algorithm seeded with a
-deterministic square root of -d mod p; powers are taken exactly in Z[sqrt(-d)],
-which keeps the first coordinate coprime to p. The first coordinate is signed
-by its residue mod 4, the second by the congruence second * w = first (mod p),
-where w is a square root of -d taken from the field generator gamma:
-w = -(gamma^{(q-1)/8} + gamma^{3(q-1)/8}) for the A type, w = gamma^{(q-1)/4}
-for the C type. w is evaluated in F_q and checked to land in the prime field
-(a deliberate runtime tripwire on the field arithmetic).
+The base prime representation comes from Cornacchia's algorithm seeded with
+the closed-form square root of -d mod p that each family has; powers are
+taken exactly in Z[sqrt(-d)], which keeps the first coordinate coprime to p.
+The first coordinate is signed by its residue mod 4, the second by the
+congruence second * w = first (mod p), where w is a square root of -d taken
+from the field generator gamma: w = -(gamma^{(q-1)/8} + gamma^{3(q-1)/8}) for
+the A type, w = gamma^{(q-1)/4} for the C type. w is evaluated in F_q and
+checked to land in the prime field (a deliberate runtime tripwire on the field
+arithmetic).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import FieldCtx, FieldError
-from .intmath import power, sqrt_mod_prime
+from .intmath import power
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,16 @@ class PartitionRecord:
 
 
 def cornacchia(p: int, d: int) -> tuple[int, int]:
-    """Positive (a, b) with a^2 + d*b^2 = p, for d in {1, 2}.
+    """Positive (a, b) with a^2 + d*b^2 = p, for the two families: d = 2 with
+    p = 3 (mod 8), d = 1 with p = 5 (mod 8).
 
-    Requires p = 1 (mod 4) for d = 1 and p = 1 or 3 (mod 8) for d = 2.
+    There the square root of -d mod p has a closed form (Cohen, A Course in
+    Computational Algebraic Number Theory, 1.5): (-2)^{(p+1)/4} since
+    p = 3 (mod 4), and 2^{(p-1)/4} since 2 is a non-residue mod p.
     """
-    if d not in (1, 2):
-        raise ValueError("d must be 1 or 2")
-    if d == 1 and p % 4 != 1:
-        raise ValueError(f"{p} is not 1 mod 4; no a^2 + b^2 representation")
-    if d == 2 and p % 8 not in (1, 3):
-        raise ValueError(f"{p} is not 1 or 3 mod 8; no a^2 + 2b^2 representation")
-    t = sqrt_mod_prime(-d % p, p)
+    if (p % 8, d) not in ((3, 2), (5, 1)):
+        raise ValueError(f"need d = 2 with p = 3 (mod 8) or d = 1 with p = 5 (mod 8), got p = {p}, d = {d}")
+    t = pow(p - 2, (p + 1) // 4, p) if d == 2 else pow(2, (p - 1) // 4, p)
     if 2 * t < p:
         t = p - t  # standard Cornacchia wants the root in (p/2, p)
     r0, r1 = p, t

@@ -67,7 +67,12 @@ _MIN_RANGE = 1 << 16  # shortest j-range that gets its own worker
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration would touch more than max_q field elements or fill more than max_q counts."""
+    """A field to sweep or walk has q > max_q, or its e x p count table more than max_q entries.
+
+    max_q bounds the field's size q, not the work done: the sweep visits
+    (q-1)/(p-1) elements, one per F_p-line. Also raised for a group past the
+    discrete-log walk's fixed bound, charsums.DEFAULT_MAX_Q_JACOBI.
+    """
 
 
 class SweepOverflow(BudgetExceeded, OverflowError):

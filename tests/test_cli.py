@@ -17,6 +17,9 @@ def test_factor_ok(capsys):
     code, out, _ = run(capsys, "factor", "--p", "3", "--s", "4", "--m", "4")
     assert code == EXIT_OK
     assert "T1c" in out
+    code, out, _ = run(capsys, "factor", "--p", "5", "--s", "1", "--m", "2")
+    assert code == EXIT_OK
+    assert out == "case SMALL_M2: irreducible over Q (no closed-form factor list)\n"
 
 
 def test_factor_json(capsys):
@@ -53,6 +56,19 @@ def test_periods_json(capsys):
     assert d["polynomial"][-1] == "1"
 
 
+def test_periods_text(capsys):
+    code, out, _ = run(capsys, "periods", "--p", "5", "--s", "2", "--e", "4")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "e = 4, q = 25",
+        "eta*_0 = [-7, 0, -4, -4]",
+        "eta*_1 = [9, 0, 8, 8]",
+        "eta*_2 = [-3, 0, 4, 4]",
+        "eta*_3 = [1, 0, -8, -8]",
+        "P* coefficients (little-endian): [-275, -600, -150, 0, 1]",
+    ]
+
+
 def test_periods_budget(capsys):
     code, _, err = run(capsys, "periods", "--p", "3", "--s", "4", "--e", "16", "--max-q", "80")
     assert code == EXIT_BUDGET and "budget" in err.lower()
@@ -80,6 +96,14 @@ def test_partition_cli(capsys):
     assert d["kind"] == "C" and d["pk"] == "25" and d["first"] == "-3" and d["second"] in ("4", "-4")
     code, _, err = run(capsys, "partition", "--p", "7", "--s", "2", "--r", "3")
     assert code == EXIT_USAGE and "p mod 8 = 7" in err
+    # the text identity parenthesizes a negative coordinate, so both sides are equal as written
+    for argv, want in (
+        (("--p", "3", "--s", "4", "--r", "3"), "A_3 = -1, B_3 = 2: (-1)^2 + 2*2^2 = 9 (gamma aafc435caee4c595)"),
+        (("--p", "5", "--s", "4", "--r", "2"), "C_2 = -3, D_2 = 4: (-3)^2 + 1*4^2 = 25 (gamma a49b3825aff76f73)"),
+        (("--p", "3", "--s", "8", "--r", "3"), "A_3 = 7, B_3 = -4: 7^2 + 2*(-4)^2 = 81 (gamma fbd886eaffd5711d)"),
+    ):
+        code, out, _ = run(capsys, "partition", *argv)
+        assert code == EXIT_OK and out == want + "\n"
     code, _, err = run(capsys, "partition", "--p", "5", "--s", "8", "--type", "C", "--r", "3")
     assert code == EXIT_USAGE and "unrecognized arguments: --type C" in err
 

@@ -340,6 +340,25 @@ def test_modulus_search_deterministic():
     assert find_irreducible_modulus(3, 4) == find_irreducible_modulus(3, 4)
 
 
+def test_modulus_search_last_stage():
+    # over F_3, degree 49 has no irreducible binomial and none of its 192 trinomials
+    # x^49 + b*x^t + c is irreducible, so the scan ends at its last stage: every monic
+    # polynomial by ascending packed key sum(c_i * 3^i)
+    p, s = 3, 49
+    assert not list(fields._irreducible_binomials(s, p))
+    trinomials = [
+        (c,) + (0,) * (t - 1) + (b,) + (0,) * (s - t - 1) + (1,)
+        for t in range(1, s)
+        for b in (1, 2)
+        for c in (1, 2)
+    ]
+    assert len(trinomials) == 192 and not any(is_irreducible(f, p) for f in trinomials)
+    f = find_irreducible_modulus(p, s)
+    assert sparse(f) == {0: 1, 2: 1, 3: 2, 49: 1}  # x^49 + 2x^3 + x^2 + 1, packed key 64
+    below = [tuple(key // p**i % p for i in range(s)) + (1,) for key in range(64)]
+    assert not any(is_irreducible(g, p) for g in below)
+
+
 def test_mul_example_f9():
     ctx = build_field(3, 2)
     x = FieldElem(ctx, (0, 1))
@@ -637,8 +656,3 @@ def test_alternative_modulus_builds():
     alt = build_field(3, 4, modulus=f)
     assert alt.params.modulus == f
     assert alt.gamma ** (alt.q - 1) == alt.one()
-
-
-def test_params_json():
-    ctx = build_field(3, 2)
-    assert ctx.params.to_json_dict() == {"p": 3, "s": 2, "modulus": [1, 0, 1]}

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from periodpoly.intmath import factorize, is_prime, legendre, ord2, power, sqrt_mod_prime
+from periodpoly.intmath import factorize, is_prime, legendre, ord2, power
 
 BIG_E = 0xC5A3_19F0_7E2D_4B86_A1C3_5F0D  # a 96-bit exponent
 
@@ -125,40 +125,6 @@ def test_legendre_matches_square_sets():
         for a in range(p):
             expect = 0 if a == 0 else (1 if a in squares else -1)
             assert legendre(a, p) == expect
-
-
-def test_sqrt_mod_prime():
-    rng = random.Random(11)
-    count = 0
-    for p in (3, 5, 7, 11, 13, 17, 19, 29, 41, 10007, 65537):
-        for _ in range(8):
-            x = rng.randrange(p)
-            a = x * x % p
-            r = sqrt_mod_prime(a, p)
-            assert r * r % p == a
-            count += 1
-    assert count >= 50
-    with pytest.raises(ValueError):
-        sqrt_mod_prime(2, 5)  # 2 is a non-residue mod 5
-
-
-def test_sqrt_mod_prime_3mod4_root():
-    # for p = 3 (mod 4) Tonelli-Shanks has one round and returns a^{(p+1)/4}
-    count = 0
-    for p in range(3, 3000, 4):
-        if not is_prime(p):
-            continue
-        for x in range(1, (p + 1) // 2):
-            a = x * x % p
-            assert sqrt_mod_prime(a, p) == pow(a, (p + 1) // 4, p)
-            count += 1
-    assert count == 149_100
-
-
-def test_sqrt_deterministic():
-    assert sqrt_mod_prime(2, 7) == sqrt_mod_prime(2, 7)
-    vals = {sqrt_mod_prime(4, 13) for _ in range(5)}
-    assert len(vals) == 1
 
 
 def test_ord2():

@@ -24,6 +24,9 @@ def test_cornacchia_examples():
         cornacchia(5, 2)  # 5 = 5 mod 8
     with pytest.raises(ValueError):
         cornacchia(3, 3)
+    for d in (1, 2):  # p = 1 (mod 8) has both representations, but neither family uses them
+        with pytest.raises(ValueError):
+            cornacchia(17, d)
 
 
 def test_cornacchia_many_primes():
@@ -33,11 +36,11 @@ def test_cornacchia_many_primes():
     for p in range(3, 3000):
         if not is_prime(p):
             continue
-        if p % 8 in (1, 3):
+        if p % 8 == 3:
             a, b = cornacchia(p, 2)
             assert a > 0 and b > 0 and a * a + 2 * b * b == p
             count += 1
-        if p % 4 == 1:
+        if p % 8 == 5:
             a, b = cornacchia(p, 1)
             assert a % 2 == 1 and a * a + b * b == p
             count += 1
