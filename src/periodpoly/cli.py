@@ -21,7 +21,7 @@ import time
 
 from .charsums import identity_report, lifted_period_polynomial
 from .closed_form import Factorization, closed_form_factorization, semiprimitive_factorization
-from .fields import FieldCtx, build_field
+from .fields import build_field
 from .partitions import partition_records
 from .periods import (
     DEFAULT_MAX_Q,
@@ -73,12 +73,8 @@ def _print_factorization(fac: Factorization, fmt: str) -> None:
     print(" ".join(parts))
 
 
-def _build(args) -> FieldCtx:
-    return build_field(args.p, args.s)
-
-
 def cmd_factor(args) -> int:
-    ctx = _build(args)
+    ctx = build_field(args.p, args.s)
     fac = closed_form_factorization(ctx, args.m)
     _print_factorization(fac, args.format)
     return EXIT_OK
@@ -91,7 +87,7 @@ def cmd_semiprimitive(args) -> int:
 
 
 def cmd_periods(args) -> int:
-    ctx = _build(args)
+    ctx = build_field(args.p, args.s)
     spectrum = trace_spectrum(ctx, args.e, max_q=args.max_q, threads=args.threads)
     periods = reduced_periods(spectrum)
     poly = period_polynomial(periods)
@@ -108,7 +104,7 @@ def cmd_periods(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    ctx = _build(args)
+    ctx = build_field(args.p, args.s)
     rec = partition_records(ctx, [args.r])[args.r]
     if args.format == "json":
         print(_canonical_json(rec.to_json_dict()))
@@ -123,7 +119,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    ctx = _build(args)
+    ctx = build_field(args.p, args.s)
     only = None
     if args.only:
         only = {item.strip().removeprefix("lemma") for item in args.only.split(",")}
@@ -148,7 +144,7 @@ def _cache_path(args) -> str:
 
 
 def cmd_verify(args) -> int:
-    ctx = _build(args)
+    ctx = build_field(args.p, args.s)
     fac = closed_form_factorization(ctx, args.m)
     e = 1 << args.m
 

@@ -7,18 +7,24 @@ on p mod 8 alone, to one builder per residue class:
 
   factorization_3mod8:  m = 2 has no closed form (UnsupportedCase);
                         SMALL_M3 (m = 3: 4 | s, 2 || s);
-                        T1a (2^{m-1} | s), T1b (2^{m-2} || s, m >= 5),
-                        T1c (4 || s, m = 4)
+                        T1a (2^{m-1} | s), T1b (2^{m-2} || s, m >= 4; tagged
+                        T1c at m = 4)
   factorization_5mod8:  SMALL_M2 (m = 2: odd s is irreducible, 2 || s, 4 | s),
                         SMALL_M3 (m = 3: 2 || s, 4 | s);
                         T2a (2^m | s), T2b (2^{m-1} || s), T2c (2^{m-2} || s)
   PROP20:               semiprimitive_factorization, the shortcut for
                         e | p^l + 1, emitted only on explicit request.
 
-Every coefficient is assembled from exact integer powers q^{num/den} (the
-exponent must come out integral, enforced by q_power); there is no rounding
-anywhere. B- and D-values enter only in +/- paired factors or squared, so the
-emitted factorization is independent of the generator that fixed their signs.
+Each builder is one ladder of pairs stem(t) +/- 2^{r-1} x_r sqrt(q/p^k), with
+x_r = B_r or D_r (A_r or C_r in the closing pair) and p^k the norm of record
+r: two linear factors when sqrt(q/p^k) is an integer, one quadratic when not.
+SMALL_M3 at 4 | s and T1c are the m = 3, 4 instances of T1a and T1b; the
+p = 5 SMALL_M2 and SMALL_M3 lists are the m = 2, 3 instances of T2a, T2b, T2c.
+
+Every coefficient is assembled from exact integer powers of p (a half-integral
+exponent raises, in q_power); there is no rounding anywhere. B- and D-values
+enter only in +/- paired factors or squared, so the emitted factorization is
+independent of the generator that fixed their signs.
 """
 
 from __future__ import annotations
@@ -57,13 +63,14 @@ class Factorization:
         return expand_factor_list(self.factors)
 
     def matches(self, poly: IntPoly) -> bool:
-        """Is the oracle polynomial poly the one this factorization describes?
+        """Is the oracle polynomial poly the irreducible one this case claims?
 
-        For an irreducible case: poly is monic of degree 2^m and has an
-        irreducibility witness, which proves the claim over Q.
+        poly must be monic of degree 2^m and have an irreducibility witness,
+        which proves the claim over Q. A factor list is checked by comparing
+        its expansion with poly instead.
         """
         if not self.irreducible:
-            return self.expand() == poly
+            raise UnsupportedCase(f"{self.case.case} has a factor list: compare its expansion")
         return poly.is_monic() and poly.degree == 1 << self.case.m and irreducibility_witness(poly) is not None
 
     def degree(self) -> int:
@@ -155,8 +162,47 @@ def _canonical_factors(
 
 
 # ---------------------------------------------------------------------------
-# p = 3 (mod 8)
+# the ladder: level t is the pair stem(t) +/- 2^{r-1} x_r sqrt(q/p^k)
 # ---------------------------------------------------------------------------
+
+
+def _term(ctx: FieldCtx, rec: PartitionRecord, x: int) -> int:
+    """2^{r-1} x p^{(s-k)/2} = 2^{r-1} x sqrt(q/p^k) for the record's r and k; s - k must be even."""
+    return (1 << (rec.r - 1)) * x * q_power(ctx.p, ctx.s - rec.exponent, 1, 2)
+
+
+def _term_sq(ctx: FieldCtx, rec: PartitionRecord, x: int) -> int:
+    """The square of _term, 4^{r-1} x^2 p^{s-k}: an integer for either parity of s - k."""
+    return (1 << (2 * (rec.r - 1))) * x * x * ctx.p ** (ctx.s - rec.exponent)
+
+
+def _pair(ctx: FieldCtx, c: int, rec: PartitionRecord, x: int, mult: int, sign: int) -> list[tuple[IntPoly, int]]:
+    """(X + c + t)(X + c - t) for t = _term(ctx, rec, x), each factor to the power mult.
+
+    If s - k is even, t is an integer and the pair is two linear factors. If it
+    is odd, t^2 is an integer but t is not, and the pair is one quadratic
+    (X + c)^2 + sign * t^2: t^2 enters with sign +1 for p = 3 (mod 8), whose
+    t^2 carries a sqrt(-2)^2, and with sign -1 for p = 5 (mod 8).
+    """
+    if (ctx.s - rec.exponent) % 2:
+        return [(_shifted_sq(c, sign * _term_sq(ctx, rec, x)), mult)]
+    t = _term(ctx, rec, x)
+    return [(linear(c + t), mult), (linear(c - t), mult)]
+
+
+def _shifted_sq(c: int, k: int) -> IntPoly:
+    """(X + c)^2 + k."""
+    return IntPoly((c * c + k, 2 * c, 1))
+
+
+def _factorization(ctx: FieldCtx, tag: CaseTag, records: dict[int, PartitionRecord], factors) -> Factorization:
+    out = Factorization(
+        case=tag,
+        q=ctx.q,
+        factors=_canonical_factors(factors),
+        partitions=tuple(records[r] for r in sorted(records)),
+    )
+    return _checked(out, 1 << tag.m)
 
 
 def factorization_3mod8(
@@ -164,106 +210,42 @@ def factorization_3mod8(
 ) -> Factorization:
     """Factor list for degree 2^m, p = 3 (mod 8), every m >= 2.
 
-    m = 2 has no closed form; m = 3 has the two SMALL_M3 lists (4 | s and 2 || s).
+    m = 2 has no closed form. Every other case is one ladder over the A-type
+    records: the B_{t+3} pair at stem(t) with multiplicity 2^{m-t-2} for
+    t < m - 2, then (X + stem(m-2))^2, then the A_m pair. stem(t) is -sqrt(q)
+    for t < 2 and 3 sqrt(q) - sum_{r=3}^{t} a_r + a_{t+1} above, with a_r the
+    A_r term. SMALL_M3 at 4 | s and T1c are the m = 3 and m = 4 instances of
+    T1a and T1b. SMALL_M3 at 2 || s is the one list apart: q^{1/4} is not an
+    integer, so the A_3 and B_3 pairs are quadratics at +sqrt(q).
     """
-    p, s = ctx.p, ctx.s
-    tag = classify(p, s, m)
+    tag = classify(ctx.p, ctx.s, m)
     if tag.p_class != 3:
         raise UnsupportedCase(f"p mod 8 = {tag.p_class}, outside the 3-mod-8 factor lists")
     if m == 2:
         raise UnsupportedCase("no closed form for degree 4 with p = 3 (mod 8)")
     if records is None:
         records = partition_records(ctx, list(range(3, m + 1)))
-    A = {r: records[r].first for r in records}
-    B = {r: records[r].second for r in records}
+    q2 = q_power(ctx.p, ctx.s, 1, 2)
+    A = {r: rec.first for r, rec in records.items()}
+    B = {r: rec.second for r, rec in records.items()}
 
-    def qp(num: int, den: int) -> int:
-        return q_power(p, s, num, den)
+    if m == 3 and tag.s2 == 1:
+        factors = [(linear(-3 * q2), 2)]
+        factors += _pair(ctx, q2, records[3], A[3], 1, 1)
+        factors += _pair(ctx, q2, records[3], B[3], 2, 1)
+        return _factorization(ctx, tag, records, factors)
 
-    q2 = qp(1, 2)
+    def a_sum(upper: int) -> int:  # 3 sqrt(q) - sum_{r=3}^{upper} a_r
+        return 3 * q2 - sum(_term(ctx, records[r], A[r]) for r in range(3, upper + 1))
 
-    def a_term(r: int) -> int:
-        # 2^{r-1} A_r q^{(2^{r-2}-1)/2^{r-1}}
-        return (1 << (r - 1)) * A[r] * qp((1 << (r - 2)) - 1, 1 << (r - 1))
+    def stem(t: int) -> int:
+        return -q2 if t < 2 else a_sum(t) + _term(ctx, records[t + 1], A[t + 1])
 
-    def a_sum(upper: int) -> int:
-        return sum(a_term(r) for r in range(3, upper + 1))
-
-    factors: list[tuple[IntPoly, int]] = []
-    if m == 3 and tag.s2 >= 2:
-        q4 = qp(1, 4)
-        factors += [
-            (linear(-q2), 2),
-            (linear(-q2 + 4 * abs(B[3]) * q4), 2),
-            (linear(-q2 - 4 * abs(B[3]) * q4), 2),
-            (linear(3 * q2 + 4 * A[3] * q4), 1),
-            (linear(3 * q2 - 4 * A[3] * q4), 1),
-        ]
-    elif m == 3:  # 2 || s
-        factors += [
-            (linear(-3 * q2), 2),
-            (_shifted_sq(q2, 16 * A[3] ** 2 * q2), 1),
-            (_shifted_sq(q2, 16 * B[3] ** 2 * q2), 2),
-        ]
-    elif tag.case == "T1c":
-        q4 = qp(1, 4)
-        q34 = qp(3, 4)
-        factors += [
-            (linear(3 * q2 + 4 * A[3] * q4), 2),
-            (linear(-q2 + 4 * abs(B[3]) * q4), 4),
-            (linear(-q2 - 4 * abs(B[3]) * q4), 4),
-            (_shifted_sq(3 * q2 - 4 * A[3] * q4, 64 * A[4] ** 2 * q34), 1),
-            (_shifted_sq(-q2, 64 * B[4] ** 2 * q34), 2),
-        ]
-    else:
-        q4 = qp(1, 4)
-        q38 = qp(3, 8)
-        factors += [
-            (linear(-q2 + 4 * abs(B[3]) * q4), 1 << (m - 2)),
-            (linear(-q2 - 4 * abs(B[3]) * q4), 1 << (m - 2)),
-            (linear(-q2 + 8 * abs(B[4]) * q38), 1 << (m - 3)),
-            (linear(-q2 - 8 * abs(B[4]) * q38), 1 << (m - 3)),
-            (linear(3 * q2 - a_sum(m - 2) + (1 << (m - 2)) * A[m - 1] * qp((1 << (m - 3)) - 1, 1 << (m - 2))), 2),
-        ]
-        if tag.case == "T1a":
-            factors += [
-                (linear(3 * q2 - a_sum(m - 1) + (1 << (m - 1)) * A[m] * qp((1 << (m - 2)) - 1, 1 << (m - 1))), 1),
-                (linear(3 * q2 - a_sum(m)), 1),
-            ]
-            t_hi = m - 3
-        else:  # T1b
-            qm2 = qp((1 << (m - 2)) - 1, 1 << (m - 2))
-            factors += [
-                (_shifted_sq(3 * q2 - a_sum(m - 1), (1 << (2 * (m - 1))) * A[m] ** 2 * qm2), 1),
-                (
-                    _shifted_sq(
-                        3 * q2 - a_sum(m - 3) + (1 << (m - 3)) * A[m - 2] * qp((1 << (m - 4)) - 1, 1 << (m - 3)),
-                        (1 << (2 * (m - 1))) * B[m] ** 2 * qm2,
-                    ),
-                    2,
-                ),
-            ]
-            t_hi = m - 4
-        for t in range(2, t_hi + 1):
-            stem = 3 * q2 - a_sum(t) + (1 << t) * A[t + 1] * qp((1 << (t - 1)) - 1, 1 << t)
-            wing = (1 << (t + 2)) * abs(B[t + 3]) * qp((1 << (t + 1)) - 1, 1 << (t + 2))
-            factors += [
-                (linear(stem + wing), 1 << (m - t - 2)),
-                (linear(stem - wing), 1 << (m - t - 2)),
-            ]
-
-    out = Factorization(
-        case=tag,
-        q=ctx.q,
-        factors=_canonical_factors(factors),
-        partitions=tuple(records[r] for r in sorted(records)),
-    )
-    return _checked(out, 1 << m)
-
-
-# ---------------------------------------------------------------------------
-# p = 5 (mod 8)
-# ---------------------------------------------------------------------------
+    factors = [(linear(stem(m - 2)), 2)]
+    for t in range(m - 2):
+        factors += _pair(ctx, stem(t), records[t + 3], B[t + 3], 1 << (m - t - 2), 1)
+    factors += _pair(ctx, a_sum(m - 1), records[m], A[m], 1, 1)
+    return _factorization(ctx, tag, records, factors)
 
 
 def factorization_5mod8(
@@ -271,15 +253,15 @@ def factorization_5mod8(
 ) -> Factorization:
     """Factor list for degree 2^m, p = 5 (mod 8), every m >= 2.
 
-    The branches route on ord_2(s) against m, and m = 2 and m = 3 keep their
-    SMALL_M2 and SMALL_M3 tags. Odd s (m = 2 only) is irreducible: no factor
-    list. The degree-4 statement for 4 | s and the degree-8 statements for
-    8 | s and 4 || s have the T2a and T2b shapes. At 2 || s, q^{1/4} is not an
-    integer, so the D_2 pair is one quadratic; the rest of the degree-4 list is
-    the first T2b quadratic and the rest of the degree-8 list is the T2c quartic.
+    Odd s (m = 2 only) is irreducible: no factor list. Otherwise the list is
+    one ladder over the C-type records: the D_{t+2} pair at stem(t) with
+    multiplicity 2^{m-t-2}, where stem(0) = -sqrt(q) and stem(t) =
+    sqrt(q) + sum_{r=2}^{t} c_r - c_{t+1} above, with c_r the C_r term. T2a
+    and T2b (and SMALL_M2, SMALL_M3 at 2^{m-1} | s) run the levels up to
+    t = m - 2 and close with the C_m pair; T2c (and SMALL_M3 at 2 || s) runs
+    them up to t = m - 3 and closes with the quartic.
     """
-    p, s = ctx.p, ctx.s
-    tag = classify(p, s, m)
+    tag = classify(ctx.p, ctx.s, m)
     if tag.p_class != 5:
         raise UnsupportedCase(f"p mod 8 = {tag.p_class}, outside the 5-mod-8 factor lists")
     if tag.s2 == 0:
@@ -287,87 +269,27 @@ def factorization_5mod8(
     r_top = m if tag.s2 >= m - 1 else m - 1  # C_m, D_m exist only when 2^{m-1} | s
     if records is None:
         records = partition_records(ctx, list(range(2, r_top + 1)))
-    C = {r: records[r].first for r in records}
-    D = {r: records[r].second for r in records}
+    q2 = q_power(ctx.p, ctx.s, 1, 2)
+    C = {r: rec.first for r, rec in records.items()}
+    D = {r: rec.second for r, rec in records.items()}
 
-    def qp(num: int, den: int) -> int:
-        return q_power(p, s, num, den)
+    def c_sum(upper: int) -> int:  # sqrt(q) + sum_{r=2}^{upper} c_r
+        return q2 + sum(_term(ctx, records[r], C[r]) for r in range(2, upper + 1))
 
-    q2 = qp(1, 2)
+    def stem(t: int) -> int:
+        return -q2 if t == 0 else c_sum(t) - _term(ctx, records[t + 1], C[t + 1])
 
-    def c_term(r: int) -> int:
-        # 2^{r-1} C_r q^{(2^{r-1}-1)/2^r}
-        return (1 << (r - 1)) * C[r] * qp((1 << (r - 1)) - 1, 1 << r)
-
-    def c_sum(upper: int) -> int:
-        return sum(c_term(r) for r in range(2, upper + 1))
-
-    if tag.s2 == 1:  # m in {2, 3}
-        factors = [(_shifted_sq(-q2, -4 * D[2] ** 2 * q2), 1 << (m - 2))]
-    else:
-        q4 = qp(1, 4)
-        factors = [
-            (linear(-q2 + 2 * abs(D[2]) * q4), 1 << (m - 2)),
-            (linear(-q2 - 2 * abs(D[2]) * q4), 1 << (m - 2)),
-        ]
-    if tag.s2 >= m:  # T2a
-        factors += [
-            (linear(q2 + c_sum(m - 1) - (1 << (m - 1)) * C[m] * qp((1 << (m - 1)) - 1, 1 << m)), 1),
-            (linear(q2 + c_sum(m)), 1),
-        ]
-        t_hi = m - 2
-    elif tag.s2 == m - 1:  # T2b
-        qm1 = qp((1 << (m - 1)) - 1, 1 << (m - 1))
-        factors.append((_shifted_sq(q2 + c_sum(m - 1), -(1 << (2 * (m - 1))) * C[m] ** 2 * qm1), 1))
-        if m > 2:  # C_{m-1} is C_1 at m = 2, which does not exist
-            factors.append(
-                (
-                    _shifted_sq(
-                        q2 + c_sum(m - 2) - (1 << (m - 2)) * C[m - 1] * qp((1 << (m - 2)) - 1, 1 << (m - 1)),
-                        -(1 << (2 * (m - 1))) * D[m] ** 2 * qm1,
-                    ),
-                    1,
-                )
-            )
-        t_hi = m - 3
+    factors = []
+    for t in range(r_top - 1):  # up to t = m - 2, or t = m - 3 in T2c
+        factors += _pair(ctx, stem(t), records[t + 2], D[t + 2], 1 << (m - t - 2), -1)
+    if r_top == m:  # T2a, T2b
+        factors += _pair(ctx, c_sum(m - 1), records[m], C[m], 1, -1)
     else:  # T2c
-        qm2 = qp((1 << (m - 2)) - 1, 1 << (m - 2))
-        if m > 3:  # C_{m-2} is C_1 at m = 3, which does not exist
-            factors.append(
-                (
-                    _shifted_sq(
-                        q2 + c_sum(m - 3) - (1 << (m - 3)) * C[m - 2] * qp((1 << (m - 3)) - 1, 1 << (m - 2)),
-                        -(1 << (2 * (m - 2))) * D[m - 1] ** 2 * qm2,
-                    ),
-                    2,
-                )
-            )
-        inner = _shifted_sq(q2 + c_sum(m - 2), (1 << (2 * (m - 2))) * C[m - 1] ** 2 * qm2 + (1 << (2 * m - 3)) * ctx.q)
-        wing = linear(((1 << (m - 2)) + 1) * q2 + c_sum(m - 2))
-        quartic = inner * inner - (1 << (2 * (m - 1))) * C[m - 1] ** 2 * qm2 * (wing * wing)
-        factors.append((quartic, 1))
-        t_hi = m - 4
-
-    for t in range(1, t_hi + 1):
-        stem = q2 + c_sum(t) - (1 << t) * C[t + 1] * qp((1 << t) - 1, 1 << (t + 1))
-        wing = (1 << (t + 1)) * abs(D[t + 2]) * qp((1 << (t + 1)) - 1, 1 << (t + 2))
-        factors += [
-            (linear(stem + wing), 1 << (m - t - 2)),
-            (linear(stem - wing), 1 << (m - t - 2)),
-        ]
-
-    out = Factorization(
-        case=tag,
-        q=ctx.q,
-        factors=_canonical_factors(factors),
-        partitions=tuple(records[r] for r in sorted(records)),
-    )
-    return _checked(out, 1 << m)
-
-
-def _shifted_sq(c: int, k: int) -> IntPoly:
-    """(X + c)^2 + k."""
-    return IntPoly((c * c + k, 2 * c, 1))
+        c_sq = _term_sq(ctx, records[m - 1], C[m - 1])
+        inner = _shifted_sq(c_sum(m - 2), c_sq + (1 << (2 * m - 3)) * ctx.q)
+        wing = linear((1 << (m - 2)) * q2 + c_sum(m - 2))
+        factors.append((inner * inner - 4 * c_sq * (wing * wing), 1))
+    return _factorization(ctx, tag, records, factors)
 
 
 # ---------------------------------------------------------------------------

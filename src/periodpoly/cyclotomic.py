@@ -184,9 +184,6 @@ class CycElem:
             self._canon = tuple(rem)
         return self._canon
 
-    def is_zero(self) -> bool:
-        return not self.canonical()
-
     def is_integer(self) -> bool:
         return len(self.canonical()) <= 1
 

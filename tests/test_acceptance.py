@@ -179,7 +179,7 @@ def test_criterion_10a_period_sum_and_frobenius_stability():
             total = CycElem.zero(p)
             for v in pv.eta_star:
                 total = total + v
-            assert total.is_zero()
+            assert total == 0
             for k in range(e):
                 assert pv.eta_star[k * p % e] == pv.eta_star[k]
             cases += 1

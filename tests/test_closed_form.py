@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -221,6 +223,14 @@ def test_small_m_cases():
         factorization_3mod8(build_field(5, 4), 4)  # p = 5 mod 8 is the other class's builder
 
 
+def test_matches_refuses_a_factor_list():
+    # matches proves an irreducible claim; a factor list is checked by its expansion alone
+    ctx = build_field(3, 4)
+    fac = closed_form_factorization(ctx, 4)
+    with pytest.raises(UnsupportedCase, match="T1c has a factor list"):
+        fac.matches(fac.expand())
+
+
 def test_semiprimitive():
     fac = semiprimitive_factorization(3, 2, 4)
     assert {(f.coeffs, m) for f, m in fac.factors} == {((-9, 1), 1), ((3, 1), 3)}
@@ -264,3 +274,34 @@ def test_t1b_deep_pair_block_against_oracle():
     fac = closed_form_factorization(ctx, 6)
     assert fac.case.case == "T1b"
     assert fac.expand() == oracle_poly(ctx, 6)
+
+
+_GRID_P = (3, 5, 11, 13, 19, 29, 37, 43, 53, 59, 61, 67, 83, 101)
+_GRID_S = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64)
+_GRID_DIGEST = "78233944cf14798cd82d608a20c250adc89462d0327b9d95733baf2535504472"
+
+
+def test_closed_form_golden_grid():
+    # every closed form (or its refusal) on a fixed grid, pinned by one digest:
+    # a rewrite of the builders must reproduce each factor list and each message
+    digest = hashlib.sha256()
+    tags = collections.Counter()
+    for p in _GRID_P:
+        for s in _GRID_S:
+            if p**s > 10**24:
+                continue
+            ctx = build_field(p, s)
+            for m in range(2, 9):
+                try:
+                    fac = closed_form_factorization(ctx, m)
+                    line = json.dumps(fac.to_json_dict(), sort_keys=True, separators=(",", ":"))
+                    tags[fac.case.case] += 1
+                except ValueError as exc:
+                    line = f"{type(exc).__name__}: {exc}"
+                    tags["error"] += 1
+                digest.update(f"{p} {s} {m} {line}\n".encode())
+    assert tags == {
+        "SMALL_M2": 69, "SMALL_M3": 98, "T1a": 19, "T1b": 13, "T1c": 16,
+        "T2a": 5, "T2b": 12, "T2c": 27, "error": 721,
+    }
+    assert digest.hexdigest() == _GRID_DIGEST

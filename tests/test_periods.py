@@ -76,7 +76,7 @@ def test_period_sums_and_frobenius_stability():
             total = CycElem.zero(p)
             for v in pv.eta_star:
                 total = total + v
-            assert total.is_zero()
+            assert total == 0
             for k in range(e):
                 assert pv.eta_star[k * p % e] == pv.eta_star[k]
             instances += 1
