@@ -1,4 +1,4 @@
-"""Finite field F_{p^s}: construction, element arithmetic and trace.
+"""Finite field F_{p^s}: construction, element arithmetic and the trace row.
 
 Elements are dense coordinate vectors in the polynomial basis of
 F_p[x]/(modulus). Construction is fully deterministic: the modulus is the
@@ -311,16 +311,6 @@ class FieldCtx:
         return FieldElem(self, coords)
 
     # -- maps -------------------------------------------------------------------
-    def trace(self, x: FieldElem) -> int:
-        """Tr(x) = x + x^p + ... + x^{p^{s-1}}, the Frobenius sum, in F_p."""
-        if x.ctx.params != self.params:
-            raise FieldError("element belongs to a different field")
-        acc = img = x
-        for _ in range(self.s - 1):
-            img = img**self.p
-            acc = acc + img
-        return acc.prime_field_value()
-
     def trace_row(self) -> np.ndarray:
         """Row vector t with t . coords(y) = Tr(y): t_k = Tr(x^k), by Newton's identities.
 

@@ -6,8 +6,11 @@ Z[zeta_p]: its integer coefficients come from one ring map Z[zeta_p] -> Z/N.
 trace_spectrum is the one sweep entry: it counts F_q^* by coset and absolute
 trace, walked as powers of gamma. A subfield is swept as its own field,
 FieldCtx.subfield(k), so the budgets and int64 guards see its size and degree.
-trace_spectrum alone checks the budgets and checks the trace row against the
-Frobenius sum on a few walked elements before it sweeps.
+trace_spectrum alone checks the budgets and the int64 bound, and then checks
+the whole trace row before it sweeps: Tr(x^k) is the constant coordinate of
+sum_{i<s} x^{k p^i}, so the row must equal e_0 . sum_{i<s} F^i, where F is the
+Frobenius matrix (column k holds coords(x^{kp})). This check does not use
+Newton's identities, which give the row, and it covers every entry.
 
 It sweeps one element per F_p-line, the quotient F_q^*/F_p^*. With
 L = (q-1)/(p-1), g0 = gamma^L is the norm of gamma; it has order p-1, so it is
@@ -36,13 +39,17 @@ B x s block of rows trow . M^i, and W, the block of start states
 M^{bB} . seed, both by doubling, and reads every trace off the one product
 R . W, taken a bounded slice at a time: s multiply-adds per element. B is a
 multiple of e, so row i of R lies in coset (start + i) mod e for every start
-state, and one key vector buckets the whole product. The recurrences run
-in int64. The product runs in float64 (BLAS) while s*(p-1)^2 < 2^53, and in
-int64 above that or for sweeps too short to repay loading BLAS; at
-s*(p-1)^2 >= 2^63 the sweep raises SweepOverflow before it starts. The sweep is
-partitioned into contiguous j-ranges (each seeded by base^{j_start}) with
-private count vectors merged by addition, so the result is bit-identical for
-any worker count.
+state, and one key vector buckets the whole product. Every entry of R . W is
+a raw dot value in [0, v), v = s*(p-1)^2 + 1. While e*v <= _CHUNK = 2^15
+buckets, each range tallies the raw key (j mod e)*v + R.W, with no reduction
+mod p per element, and folds its e x v table mod p once at the end:
+counts[:, t] = raw[:, t::p].sum(1). Above that bound it tallies
+(j mod e)*p + (R.W mod p). The recurrences run in int64. The product runs in
+float64 (BLAS) while s*(p-1)^2 < 2^53, and in int64 above that or for sweeps
+too short to repay loading BLAS; at s*(p-1)^2 >= 2^63 the sweep raises
+SweepOverflow before it starts. The sweep is partitioned into contiguous
+j-ranges (each seeded by base^{j_start}) with private count vectors merged by
+addition, so the result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -125,14 +132,26 @@ def _orbit(first: np.ndarray, step: np.ndarray, n: int, p: int) -> np.ndarray:
     return rows
 
 
-def _tally(counts: np.ndarray, product: np.ndarray, p: int, rowkey: np.ndarray) -> None:
-    """Add the bucket keys rowkey + (product mod p) of one slice of R . W to counts."""
-    keys = product.astype(np.int64, copy=False) % p  # int64 % is about 5x faster than float64 %
+def _bucket_width(e: int, s: int, p: int) -> int:
+    """Buckets per coset: v = s*(p-1)^2 + 1 raw dot values while e*v <= _CHUNK, else p residues."""
+    width = s * (p - 1) ** 2 + 1
+    return width if e * width <= _CHUNK else p
+
+
+def _tally(counts: np.ndarray, product: np.ndarray, rowkey: np.ndarray, p: int | None) -> None:
+    """Add the bucket keys rowkey + product of one slice of R . W to counts.
+
+    With p, each product is reduced mod p first; with None it is keyed raw.
+    """
+    keys = product.astype(np.int64, copy=False)
+    if p is not None:
+        keys = keys % p  # int64 % is about 5x faster than float64 %
     keys += rowkey
     keys = keys.ravel()
     # measured (BENCH_rank_s_sweep.json, "tally"): up to 2^15 buckets bincount is as fast as
     # add.at on one thread and about 15% faster on the 2-thread brute sweeps; above that its
-    # dense per-slice histogram makes it slower (1.4x at 1.6e5 buckets on F_{10007^2})
+    # dense per-slice histogram makes it slower (1.4x at 1.6e5 buckets on F_{10007^2}).
+    # The raw keys have at most 2^15 buckets (_bucket_width), so they always take bincount
     if counts.size <= _CHUNK:
         counts += np.bincount(keys, minlength=counts.size)
     else:
@@ -159,15 +178,20 @@ def _range_sweep(
     r = _orbit(trow, mult, rows, p).astype(dtype, copy=False)  # row i: trow . M^i
     jump = power(mult, rows, lambda a, b: a @ b % p, np.eye(len(mult), dtype=np.int64))  # M^rows
     w = _orbit(seed, jump.T, full + (tail > 0), p).astype(dtype, copy=False)  # row b: M^{b*rows} . seed
+    width = _bucket_width(e, len(mult), p)
+    modulus = p if width == p else None  # None: key the raw dot values, fold them mod p below
     # e | rows, so row i of every block lies in coset (start + i) mod e
-    rowkey = ((start + np.arange(rows, dtype=np.int64)) % e * p)[:, None]
-    counts = np.zeros(e * p, dtype=np.int64)
+    rowkey = ((start + np.arange(rows, dtype=np.int64)) % e * width)[:, None]
+    counts = np.zeros(e * width, dtype=np.int64)
     step = max(1, _CHUNK // rows)
     for b in range(0, full, step):
-        _tally(counts, r @ w[b : min(b + step, full)].T, p, rowkey)
+        _tally(counts, r @ w[b : min(b + step, full)].T, rowkey, modulus)
     if tail:
-        _tally(counts, r[:tail] @ w[full:].T, p, rowkey[:tail])
-    return counts.reshape(e, p)
+        _tally(counts, r[:tail] @ w[full:].T, rowkey[:tail], modulus)
+    counts = counts.reshape(e, width)
+    if modulus is None:  # counts[:, t] = raw[:, t::p].sum(1), once per range
+        counts = np.pad(counts, ((0, 0), (0, -width % p))).reshape(e, -1, p).sum(axis=1)
+    return counts
 
 
 def bucket_sweep(
@@ -242,21 +266,21 @@ def trace_spectrum(
         raise BudgetExceeded(f"q={ctx.q} exceeds the enumeration budget {max_q}")
     if e * ctx.p > max_q:
         raise BudgetExceeded(f"the {e}x{ctx.p} count table exceeds the enumeration budget {max_q}")
-    p = ctx.p
+    p, s = ctx.p, ctx.s
+    _exact_dtype(s, p)  # raises SweepOverflow before any int64 product below could wrap
     trow = ctx.trace_row()
-    # Tripwire: on a few walked elements the trace row must give the Frobenius sum.
-    x = ctx.one()
-    for _ in range(min(ctx.q - 1, 8)):
-        via_row = sum(int(t) * c for t, c in zip(trow, x.coords)) % p
-        if ctx.trace(x) != via_row:
-            raise FieldError("trace row disagrees with the Frobenius sum")
-        x = x * ctx.gamma
+    # Tripwire, independent of Newton's identities: Tr(x^k) is entry 0 of sum_{i<s} x^{k p^i},
+    # so the whole row must be e_0 . sum_{i<s} F^i, F the Frobenius matrix. Its column k is
+    # coords(x^{kp}), row k of the orbit of 1 under x^p (packed key p is x; at s = 1, F = (1)).
+    first = np.eye(1, s, dtype=np.int64)[0]  # coords(1)
+    frob = _orbit(first, ctx.mul_matrix(ctx.from_packed(p) ** p).T, s, p).T
+    if not np.array_equal(_orbit(first, frob, s, p).sum(axis=0) % p, trow % p):
+        raise FieldError("trace row disagrees with the Frobenius sum")
     span = (ctx.q - 1) // (p - 1)
     g0 = (ctx.gamma**span).prime_field_value()  # the norm of gamma
     cofactors = [(p - 1) // ell for ell, _ in ctx.q_minus_1_factorization if (p - 1) % ell == 0]
     if g0 == 0 or any(pow(g0, d, p) == 1 for d in cofactors):
         raise FieldError(f"gamma^{span} = {g0} is not a primitive root of F_{p}")
-    # bucket_sweep raises SweepOverflow where (p-1)^2 would wrap, before the fold's O(p) tables
     part = bucket_sweep(ctx, ctx.gamma, trow, e, span, threads)
     counts = _fold(part, g0, span, p)
     return TraceSpectrum(e=e, counts=tuple(map(tuple, counts.tolist())))

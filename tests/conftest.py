@@ -87,6 +87,27 @@ def field_trace():
     return _field_trace
 
 
+def _frobenius_trace(ctx: FieldCtx, k: int | None = None):
+    """x -> x + x^p + ... + x^{p^{k-1}} in F_p, the defining Frobenius sum, for x in the
+    degree-k subfield of ctx (default k = s, the absolute trace)."""
+    k = ctx.s if k is None else k
+
+    def trace(x):
+        acc = img = x
+        for _ in range(k - 1):
+            img = img**ctx.p
+            acc = acc + img
+        return acc.prime_field_value()
+
+    return trace
+
+
+@pytest.fixture
+def frobenius_trace():
+    """The trace by its definition, independent of the trace row, as a reference."""
+    return _frobenius_trace
+
+
 def _with_generator(ctx: FieldCtx, g) -> FieldCtx:
     """The same field with the validated generator g."""
     if g.ctx.params != ctx.params:

