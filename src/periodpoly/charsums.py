@@ -177,9 +177,9 @@ def subfield_sums(
     return SubfieldSums(sub, trace_spectrum(sub, order, max_q=max_q, threads=threads))
 
 
-def subfield_jacobi(sums: SubfieldSums, j: int) -> CycElem:
-    """J(chi^j) over the subfield, chi normalized as in subfield_sums."""
-    return jacobi_sum(sums.order, j, zech_logs(sums.ctx, discrete_log_map(sums.ctx)))
+def subfield_jacobi(sub: FieldCtx, order: int, j: int) -> CycElem:
+    """J(chi^j) over the subfield sub = ctx.subfield(k), chi(sub.gamma) = zeta_order."""
+    return jacobi_sum(order, j, zech_logs(sub, discrete_log_map(sub)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +466,7 @@ def identity_report(
                 continue
             s_chi = s // (1 << (r - n_cls + 1))
             lhs = gauss(1 << (m - r))
-            sums = subfield_sums(ctx, s_chi, 1 << n_cls, max_q=max_q, threads=threads)
-            jac = subfield_jacobi(sums, 1)
+            jac = subfield_jacobi(ctx.subfield(s_chi), 1 << n_cls, 1)
             sign = 1 if p % 8 == 3 else (-1) ** ((s * (r - 1)) // (1 << (r - 1)))
             scale = _q_fractional(p, s, (1 << (r - n_cls + 1)) - 1, 1 << (r - n_cls + 2))
             rhs = sign * scale * jac

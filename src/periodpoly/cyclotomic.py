@@ -4,8 +4,9 @@ Conductors are restricted to the shapes n = p, 2^a, or 2^a*p (p an odd prime):
 the only rings the rest of the package ever touches. A CycElem is stored as a
 group-ring vector modulo x^n - 1 (multiplication is a cyclic convolution),
 with a lazily computed canonical form: the remainder modulo the cyclotomic
-polynomial Phi_n. Equality, integrality and serialization always go through
-the canonical form; no floating point is involved in any decision.
+polynomial Phi_n, reached by two folds and no division (CycElem.canonical).
+Equality, integrality and serialization always go through the canonical form;
+no floating point is involved in any decision.
 
 Every product in Z[zeta_n] goes through one kernel, `_kron_mul`, the cyclic
 product of two length-n vectors by Kronecker substitution: one big-int product
@@ -55,49 +56,6 @@ def _supported_conductor(n: int) -> tuple[int, int]:
     if not is_prime(m):
         raise ValueError(f"unsupported conductor {n}: odd part {m} is not prime")
     return a, m
-
-
-def _poly_divmod_exact(num: list[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """divmod in Z[x] for a monic divisor; exact integer arithmetic.
-
-    Each step subtracts only the divisor's nonzero terms below its leading one:
-    Phi_{2^a p} has p nonzero terms of 2^{a-1}(p-1) + 1, and Phi_{2^a} has 2.
-    """
-    num = list(num)
-    dden = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    terms = [(j - dden, d) for j, d in enumerate(den[:-1]) if d]
-    quot = [0] * (len(num) - dden)
-    for i in range(len(num) - 1, dden - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dden] = c
-            num[i] = 0
-            for off, d in terms:
-                num[i + off] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-@functools.cache
-def cyclotomic_polynomial(n: int) -> "IntPoly":
-    """Phi_n for n of the form p, 2^a, or 2^a*p."""
-    a, p = _supported_conductor(n)
-    if p == 1:
-        if a == 0:
-            return IntPoly((-1, 1))  # x - 1
-        return IntPoly((1,) + (0,) * (2 ** (a - 1) - 1) + (1,))  # x^{2^{a-1}} + 1
-    if a == 0:
-        return IntPoly((1,) * p)  # 1 + x + ... + x^{p-1}
-    # Phi_{2p}(x) = Phi_p(-x); Phi_{2^a p}(x) = Phi_{2p}(x^{2^{a-1}}) for a >= 1
-    base = [(-1) ** k for k in range(p)]
-    step = 2 ** (a - 1)
-    coeffs = [0] * ((p - 1) * step + 1)
-    for k, c in enumerate(base):
-        coeffs[k * step] = c
-    return IntPoly(tuple(coeffs))
 
 
 def _biases(wb: int, slots: int) -> int:
@@ -169,19 +127,29 @@ class CycElem:
 
     # -- canonical form ----------------------------------------------------
     def canonical(self) -> tuple[int, ...]:
-        """Coefficients of the residue modulo Phi_n (degree < phi(n)).
+        """Coefficients of the residue modulo Phi_n (degree < phi(n)), by two folds.
 
-        For even n, Phi_n divides x^{n/2} + 1, so the top half of the vector is
-        folded onto the bottom half with its sign flipped before the division.
+        For even n, Phi_n divides x^{n/2} + 1: the top half of the vector goes onto the
+        bottom half with its sign flipped. That is all for n = 2^a. If an odd prime p
+        divides n, the vector then has p blocks of width w, and with y = x^w,
+        Phi_n = sum_{i<p} (+-y)^i (minus exactly for even n; Washington, Introduction
+        to Cyclotomic Fields, ch. 2): y^{p-1} = -sum_{i<p-1} (+-y)^i folds the top block
+        onto the others in one pass.
         """
         if self._canon is None:
-            phi = cyclotomic_polynomial(self.n).coeffs
             vec = list(self.vec)
             if self.n % 2 == 0:
                 half = self.n // 2
                 vec = list(map(operator.sub, vec[:half], vec[half:]))
-            _, rem = _poly_divmod_exact(vec, phi)
-            self._canon = tuple(rem)
+            p = _supported_conductor(self.n)[1]
+            if p > 1:
+                w = len(vec) // p
+                top = vec[-w:]
+                alt = [-c for c in top] if self.n % 2 == 0 else top
+                vec = list(map(operator.sub, vec[:-w], (top + alt) * ((p - 1) // 2)))
+            while vec and vec[-1] == 0:
+                vec.pop()
+            self._canon = tuple(vec)
         return self._canon
 
     def is_integer(self) -> bool:
@@ -326,8 +294,6 @@ class IntPoly:
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(tuple(other * c for c in self.coeffs))
-        if not self.coeffs or not other.coeffs:
-            return IntPoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -344,9 +310,6 @@ class IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
@@ -369,18 +332,23 @@ def expand_factor_list(factors: Iterable[tuple[IntPoly, int]]) -> IntPoly:
 
 
 def root_of_unity_mod(n: int, bound: int) -> tuple[int, int]:
-    """(N, omega) with Phi_n(omega) = 0 (mod N), so zeta_n -> omega is a ring map Z[zeta_n] -> Z/N.
+    """(N, omega) with omega of order n mod N, so zeta_n -> omega is a ring map Z[zeta_n] -> Z/N.
 
-    N = ell^j > bound for the least prime ell = 1 (mod 2n); omega is the first root of Phi_n
-    among x^{(ell-1)/n} mod ell, x = 2, 3, ..., lifted by Newton's iteration on x^n - 1.
+    N = ell^j > bound for the least prime ell = 1 (mod 2n); omega is the first x^{(ell-1)/n}
+    mod ell, x = 2, 3, ..., of exact order n (omega^{n/d} != 1 for each prime d | n), lifted
+    by Newton's iteration on x^n - 1. As ell does not divide n, x^n - 1 = prod_{d|n} Phi_d
+    is squarefree mod ell, so Phi_n is the one factor with a root at omega, and every other
+    Phi_d(omega) is a unit: omega^n = 1 (mod N) with that order gives Phi_n(omega) = 0 (mod N).
     """
-    phi = cyclotomic_polynomial(n).coeffs
-
-    def phi_at(x: int, mod: int) -> int:
-        return functools.reduce(lambda acc, c: (acc * x + c) % mod, reversed(phi), 0)
-
+    p = _supported_conductor(n)[1]
+    primes = [d for d in (2, p) if d > 1 and n % d == 0]
     ell = next(ell for ell in itertools.count(2 * n + 1, 2 * n) if is_prime(ell))
-    omega = next(w for w in (pow(x, (ell - 1) // n, ell) for x in itertools.count(2)) if phi_at(w, ell) == 0)
+
+    def of_order_n(w: int, mod: int) -> bool:
+        # order test mod ell on purpose: stronger than mod N, and Newton keeps omega mod ell
+        return pow(w, n, mod) == 1 and all(pow(w, n // d, ell) != 1 for d in primes)
+
+    omega = next(w for w in (pow(x, (ell - 1) // n, ell) for x in itertools.count(2)) if of_order_n(w, ell))
     digits, modulus = 1, ell
     while modulus <= bound:
         digits, modulus = digits + 1, modulus * ell
@@ -388,8 +356,8 @@ def root_of_unity_mod(n: int, bound: int) -> tuple[int, int]:
         mod = ell ** min(2 << k, digits)  # the ell-adic digits of omega that are right double
         below = pow(omega, n - 1, mod)
         omega = (omega - (below * omega - 1) * pow(n * below, -1, mod)) % mod
-    if phi_at(omega, modulus):
-        raise ArithmeticError(f"Newton's lift left Phi_{n}(omega) != 0 mod {ell}^{digits}")
+    if not of_order_n(omega, modulus):
+        raise ArithmeticError(f"Newton's lift left omega without order {n} mod {ell}^{digits}")
     return modulus, omega
 
 

@@ -261,9 +261,6 @@ class FieldElem:
             return NotImplemented
         return self.ctx.params == other.ctx.params and self.coords == other.coords
 
-    def __hash__(self) -> int:
-        return hash((self.ctx.params, self.coords))
-
     def in_prime_field(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
@@ -294,9 +291,6 @@ class FieldCtx:
         self.gamma = FieldElem(self, gamma_coords)
 
     # -- element constructors -------------------------------------------------
-    def zero(self) -> FieldElem:
-        return FieldElem(self, (0,) * self.s)
-
     def one(self) -> FieldElem:
         return self.from_int(1)
 

@@ -396,3 +396,14 @@ def test_identity_report_sweeps_only_for_a_selected_check(monkeypatch):
         identity_report(ctx, 4, only={"9"})
     with pytest.raises(BudgetExceeded):  # the walk of F_81^* is held to the enumeration budget too
         identity_report(ctx, 4, only={"9"}, max_q=50)
+
+
+def test_lemma_11_sweeps_only_the_whole_field(monkeypatch):
+    # the subfield Jacobi sum of lemma 11 needs the subfield's walk, not its Gauss sums:
+    # the one trace_spectrum call is the whole field's, for G(psi) on the left
+    calls = []
+    spectrum = charsums.trace_spectrum
+    monkeypatch.setattr(charsums, "trace_spectrum", lambda ctx, *a, **k: calls.append(ctx.q) or spectrum(ctx, *a, **k))
+    checks = identity_report(build_field(3, 8), 5, only={"11"})
+    assert [c.params["r"] for c in checks] == [3, 4] and all(c.passed for c in checks)
+    assert calls == [3**8]
