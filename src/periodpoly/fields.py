@@ -19,10 +19,19 @@ candidate g is tested first by its norm N(g) = Res(modulus, g) in F_p, which
 decides every prime l | p-1 (g^{(q-1)/l} = N(g)^{(p-1)/l}), and then by one
 product tree over the remaining primes of q - 1.
 
-Every product in the field goes through one kernel, `_poly_mulmod`, which
-multiplies by Kronecker substitution (one big-int product per multiply).
-A subfield is a FieldCtx of its own (FieldCtx.subfield), so every kernel sees
-whole fields only; the trace row comes from Newton's identities on the modulus.
+Every product in the field goes through one kernel, `_mul`, on coordinate
+vectors: np.convolve of the two residue vectors, then one product with the
+modulus's reduction matrix (column n = coords(x^n mod f), built once per
+modulus and cached). It runs in int64 while s*(p-1)^2 < 2^63, and on Python
+ints (dtype object) above that. `_poly_mulmod` and `_poly_powmod` are its
+list-in, list-out forms. y -> y^p is F_p-linear, so it is one matrix F per
+field (FieldCtx.frobenius; von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 14), and FieldElem.__pow__ runs Horner over the base-p digits of the
+exponent: one product by F and at most one field product per digit. A subfield
+is a FieldCtx of its own (FieldCtx.subfield): its generator is the norm of
+gamma, the product of the conjugates gamma^{p^{ki}} (Lidl & Niederreiter,
+ch. 2), so every kernel sees whole fields only; the trace row comes from
+Newton's identities on the modulus.
 
 A FieldCtx is immutable after construction; element operations are pure, so
 everything here is safe for concurrent use.
@@ -30,6 +39,7 @@ everything here is safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -51,56 +61,84 @@ class FieldParams:
     modulus: tuple[int, ...]  # little-endian, monic, length s + 1
 
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    """(a * b) mod modulus over F_p, by Kronecker substitution.
+@functools.lru_cache(maxsize=2)  # a field and a subfield; the moduli a scan rejects fall out
+def _reduction(modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """The read-only s x (2s-1) matrix U whose column n is coords(x^n mod modulus).
 
-    The modulus is monic of degree s; a and b have at most s coefficients each
-    and may be shorter. Each operand, reduced into [0, p), is packed into one
-    Python int with w = bitlen(s*(p-1)^2) bits per slot: A = sum a_i 2^{w*i}.
-    One big-int product A*B (a square when b is a) then holds the product
-    polynomial's coefficients c_k = sum_{i+j=k} a_i b_j in its slots.
+    Its dtype is int64 while every length-s dot product of residues mod p is exact in it,
+    s*(p-1)^2 < 2^63 (the bound periods._exact_dtype sweeps under), and object (Python ints)
+    above; the kernel's arrays take U's dtype.
 
-    The slots never carry into each other. c_k is a sum of at most s terms,
-    since one factor has at most s coefficients, and each term is at most
-    (p-1)^2. So 0 <= c_k <= s*(p-1)^2 < 2^w, and A*B = sum c_k 2^{w*k} with
-    every c_k below the slot size. Reading slot k therefore gives c_k exactly.
-
-    The slots k >= s are then folded down, from the top, through
-    x^s = -(the modulus's nonzero terms below degree s), and every
-    coefficient is reduced mod p. Exact for any p: Python ints only.
+    The first s columns are the identity. The rest, R[:, k] = U[:, s+k], follow from
+    x^n = x^{n-s} x^s = sum_j v_j x^{n-s+j}, v = coords(x^s) = -(the terms below degree s),
+    over the nonzero v_j only. Column n reads columns up to n - s + t, t the degree of the
+    highest of those terms, so each step fills a block of s - t columns at once: one block
+    for a binomial, two for x^64 + x^3 + 2, one column at a time for a dense modulus.
     """
     s = len(modulus) - 1
-    w = (s * (p - 1) ** 2).bit_length()
-    packed = 0
-    for c in reversed(a):
-        packed = (packed << w) | c % p
-    if b is a:
-        product = packed * packed
-    else:
-        other = 0
-        for c in reversed(b):
-            other = (other << w) | c % p
-        product = packed * other
-    mask = (1 << w) - 1
-    out = []
-    while product:
-        out.append(product & mask)
-        product >>= w
-    out += [0] * (s - len(out))
-    low = [(j - s, p - m) for j, m in enumerate(modulus[:s]) if m % p]
-    for i in range(len(out) - 1, s - 1, -1):
-        c = out[i] % p
-        if c:
-            for j, m in low:
-                out[i + j] += c * m
-    return [c % p for c in out[:s]]
+    dtype = np.int64 if s * (p - 1) ** 2 < 1 << 63 else object
+    low = [(j, -c % p) for j, c in enumerate(modulus[:s]) if c % p]
+    width = s - max((j for j, _ in low), default=0)
+    red = np.zeros((s, 2 * s - 1), dtype=dtype)
+    red.reshape(-1)[:: 2 * s] = 1  # the identity block: entry (i, i) is flat entry 2s*i
+    for n in range(s, 2 * s - 1, width):
+        stop = min(n + width, 2 * s - 1)
+        red[:, n:stop] = sum(v * red[:, n - s + j : stop - s + j] for j, v in low) % p
+    red.flags.writeable = False
+    return red
+
+
+def _mul(u: np.ndarray, v: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """The field kernel: u*v mod modulus for length-s residue vectors, red = _reduction(modulus, p).
+
+    np.convolve gives the product polynomial's coefficients c_k = sum_{i+j=k} u_i v_j, each a
+    sum of at most s terms of at most (p-1)^2; one product with red folds the degrees >= s.
+    Its rows sum (p-1) from the identity block and at most s-1 terms of at most (p-1)^2 from
+    R, so no value passes s*(p-1)^2, which red's dtype keeps exact.
+    """
+    return red @ (np.convolve(u, v) % p) % p
+
+
+def _coords(a: Sequence[int], red: np.ndarray, p: int) -> np.ndarray:
+    """a, with at most s coefficients of any sign, as a length-s vector of residues in red's dtype."""
+    out = np.zeros(len(red), dtype=red.dtype)
+    out[: len(a)] = a
+    return out % p
+
+
+@functools.lru_cache(maxsize=2)
+def _frobenius(modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """The read-only s x s matrix F with F . coords(y) = coords(y^p): column j is coords(x^{pj})."""
+    red = _reduction(modulus, p)
+    frob = np.zeros((len(red), len(red)), dtype=red.dtype)
+    frob[0, 0] = 1  # coords(1)
+    if len(red) > 1:
+        frob[:, 1] = xp = power(red[:, 1], p, lambda u, v: _mul(u, v, red, p), None)  # x^p
+        for j in range(2, len(red)):
+            frob[:, j] = _mul(frob[:, j - 1], xp, red, p)
+    frob.flags.writeable = False
+    return frob
+
+
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
+    """(a * b) mod modulus over F_p, by _mul, as a fresh length-s list of residues.
+
+    The modulus is monic of degree s; a and b have at most s coefficients each, may be
+    shorter, and may lie outside [0, p). Each is reduced into [0, p) first, so the product
+    is exact in int64 while s*(p-1)^2 < 2^63 (_mul), and runs on Python ints above that.
+    """
+    red = _reduction(tuple(modulus), p)
+    return _mul(_coords(a, red, p), _coords(b, red, p), red, p).tolist()
 
 
 def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
-    """a^e mod modulus over F_p, as a fresh length-s list of residues, for e >= 0."""
-    s = len(modulus) - 1
-    x = [c % p for c in a] + [0] * (s - len(a))
-    return power(x, e, lambda u, v: _poly_mulmod(u, v, modulus, p), [1] + [0] * (s - 1))
+    """a^e mod modulus over F_p, as a fresh length-s list of residues, for e >= 0.
+
+    Square-and-multiply on arrays; Ben-Or's x -> x^p takes it, as one modulus of the scan
+    never needs a Frobenius matrix of its own. FieldElem.__pow__ goes by Frobenius digits.
+    """
+    red = _reduction(tuple(modulus), p)
+    return power(_coords(a, red, p), e, lambda u, v: _mul(u, v, red, p), red[:, 0]).tolist()
 
 
 def _resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
@@ -252,9 +290,31 @@ class FieldElem:
         )
 
     def __pow__(self, e: int) -> "FieldElem":
+        """self^e for e >= 0, by Horner over the base-p digits of e: g^e = (g^{e div p})^p g^{e mod p}.
+
+        y -> y^p is the matrix-vector product with FieldCtx.frobenius(), and the power g^d
+        of each distinct digit d is taken once, by square-and-multiply.
+        """
         if e < 0:
             raise ValueError("negative powers are not supported; invert with x ** (q - 2)")
-        return FieldElem(self.ctx, _poly_powmod(self.coords, e, self.ctx.params.modulus, self.ctx.p))
+        ctx, p = self.ctx, self.ctx.p
+        digits = []  # least significant first
+        while e:
+            e, d = divmod(e, p)
+            digits.append(d)
+        if not digits:
+            return ctx.one()
+        red = _reduction(ctx.params.modulus, p)
+        g = np.array(self.coords, dtype=red.dtype)
+        powers = {d: power(g, d, lambda u, v: _mul(u, v, red, p), None) for d in set(digits) if d}
+        y = powers[digits.pop()]
+        if digits:  # a single digit needs no Frobenius matrix
+            frob = ctx.frobenius()
+        for d in reversed(digits):
+            y = frob @ y % p
+            if d:
+                y = _mul(y, powers[d], red, p)
+        return FieldElem(ctx, y.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldElem):
@@ -322,17 +382,30 @@ class FieldCtx:
         """F_{p^k} as its own field F_p[x]/(f0), with generator gamma0 = x mod f0.
 
         f0 = prod_{i<k} (X - g0^{p^i}) is the minimal polynomial of the norm
-        g0 = gamma^{(q-1)/(p^k-1)} (Lidl & Niederreiter, ch. 2); x -> g0 embeds
-        the field, so its traces, discrete logs and counts are those of g0's powers.
+        g0 = gamma^{(q-1)/(p^k-1)} = prod_{i<s/k} gamma^{p^{ki}} (Lidl & Niederreiter,
+        ch. 2); every conjugate is a power of the Frobenius matrix applied to gamma.
+        x -> g0 embeds the field, so its traces, discrete logs and counts are those
+        of g0's powers.
         """
         if k < 1 or self.s % k:
             raise FieldError(f"{k} does not divide {self.s}")
         p, q0 = self.p, self.p**k
-        f0, conj = [self.one()], self.gamma ** ((self.q - 1) // (q0 - 1))  # f0 little-endian, over F_q
+        red, frob = _reduction(self.params.modulus, p), self.frobenius()
+        # g0 = gamma^{(q-1)/(q0-1)} is the product of the conjugates gamma^{p^{ki}}, i < s/k
+        g0 = conj = np.array(self.gamma.coords, dtype=red.dtype)
+        for _ in range(self.s // k - 1):
+            for _ in range(k):
+                conj = frob @ conj % p
+            g0 = _mul(g0, conj, red, p)
+        f0, conj = [red[:, 0]], g0  # f0 little-endian, over F_q
         for _ in range(k):
-            f0 = [-(conj * f0[0])] + [a - conj * b for a, b in zip(f0[:-1], f0[1:])] + [f0[-1]]
-            conj = conj**p
-        modulus = tuple(c.prime_field_value() for c in f0)
+            f0 = [-_mul(conj, f0[0], red, p) % p] + [
+                (a - _mul(conj, b, red, p)) % p for a, b in zip(f0[:-1], f0[1:])
+            ] + [f0[-1]]
+            conj = frob @ conj % p
+        if any(c[1:].any() for c in f0):
+            raise FieldError("the minimal polynomial of the norm has coefficients outside F_p")
+        modulus = tuple(int(c[0]) for c in f0)
         if not is_irreducible(modulus, p):
             raise FieldError(f"the minimal polynomial {list(modulus)} of the norm is reducible")
         fac = []  # every prime of p^k - 1 divides q - 1, with at most its multiplicity v there
@@ -344,15 +417,23 @@ class FieldCtx:
 
     # -- sweep support ------------------------------------------------------------
     def mul_matrix(self, x: FieldElem) -> np.ndarray:
-        """Matrix (mod p) of multiplication by x over the polynomial basis."""
-        s = self.s
-        mat = np.zeros((s, s), dtype=np.int64)
-        col = list(x.coords)
-        mat[:, 0] = col
-        for j in range(1, s):
-            col = _poly_mulmod(col, [0, 1], self.params.modulus, self.p)
-            mat[:, j] = col
-        return mat
+        """Matrix (mod p) of multiplication by x over the polynomial basis.
+
+        Column j is coords(x X^j) = U[:, j:j+s] . coords(x), U = _reduction(modulus, p).
+        """
+        red = _reduction(self.params.modulus, self.p)
+        g = np.array(x.coords, dtype=red.dtype)
+        mat = np.empty((self.s, self.s), dtype=red.dtype)
+        for j in range(self.s):
+            mat[:, j] = red[:, j : j + self.s] @ g
+        return mat % self.p
+
+    def frobenius(self) -> np.ndarray:
+        """The read-only matrix F (mod p) of y -> y^p: F . coords(y) = coords(y^p).
+
+        Column j is coords(x^{pj}). It is built once per modulus and cached; F^s = I.
+        """
+        return _frobenius(self.params.modulus, self.p)
 
     def gamma_fingerprint(self) -> str:
         text = f"{self.p},{self.s},{self.params.modulus},{self.gamma.coords}"

@@ -5,7 +5,10 @@ set that is provably correct below 3.3e24 (far beyond desk scale), and Pollard
 rho uses a fixed parameter schedule.
 
 `power` is the package's one square-and-multiply kernel: every power in
-F_q, Z[zeta_n], Z[X], Z[sqrt(-d)] and of the sweep's step matrix goes through it.
+Z[zeta_n], Z[X], Z[sqrt(-d)] and of the sweep's step matrix goes through it. In
+F_q it takes the short chains only: Ben-Or's x -> x^p, the Frobenius matrix's
+x^p, and the power of each base-p digit in FieldElem.__pow__, which goes by
+Frobenius digits.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ FieldCtx.subfield(k), so the budgets and int64 guards see its size and degree.
 trace_spectrum alone checks the budgets and the int64 bound, and then checks
 the whole trace row before it sweeps: Tr(x^k) is the constant coordinate of
 sum_{i<s} x^{k p^i}, so the row must equal e_0 . sum_{i<s} F^i, where F is the
-Frobenius matrix (column k holds coords(x^{kp})). This check does not use
-Newton's identities, which give the row, and it covers every entry.
+field's Frobenius matrix, FieldCtx.frobenius() (column k holds coords(x^{kp})).
+This check does not use Newton's identities, which give the row, and it covers
+every entry.
 
 It sweeps one element per F_p-line, the quotient F_q^*/F_p^*. With
 L = (q-1)/(p-1), g0 = gamma^L is the norm of gamma; it has order p-1, so it is
@@ -270,11 +271,10 @@ def trace_spectrum(
     _exact_dtype(s, p)  # raises SweepOverflow before any int64 product below could wrap
     trow = ctx.trace_row()
     # Tripwire, independent of Newton's identities: Tr(x^k) is entry 0 of sum_{i<s} x^{k p^i},
-    # so the whole row must be e_0 . sum_{i<s} F^i, F the Frobenius matrix. Its column k is
-    # coords(x^{kp}), row k of the orbit of 1 under x^p (packed key p is x; at s = 1, F = (1)).
+    # so the whole row must be e_0 . sum_{i<s} F^i, F the field's Frobenius matrix (column k
+    # is coords(x^{kp})).
     first = np.eye(1, s, dtype=np.int64)[0]  # coords(1)
-    frob = _orbit(first, ctx.mul_matrix(ctx.from_packed(p) ** p).T, s, p).T
-    if not np.array_equal(_orbit(first, frob, s, p).sum(axis=0) % p, trow % p):
+    if not np.array_equal(_orbit(first, ctx.frobenius(), s, p).sum(axis=0) % p, trow % p):
         raise FieldError("trace row disagrees with the Frobenius sum")
     span = (ctx.q - 1) // (p - 1)
     g0 = (ctx.gamma**span).prime_field_value()  # the norm of gamma

@@ -11,6 +11,7 @@ from periodpoly.fields import (
     FieldCtx,
     FieldElem,
     FieldError,
+    FieldParams,
     _discriminant,
     _factor_q_minus_1,
     _irreducible_binomials,
@@ -24,7 +25,7 @@ from periodpoly.fields import (
     find_irreducible_modulus,
     is_irreducible,
 )
-from periodpoly.intmath import factorize, is_prime, legendre, ord2
+from periodpoly.intmath import factorize, is_prime, legendre, ord2, power
 from periodpoly.periods import trace_spectrum
 
 
@@ -149,6 +150,45 @@ def test_poly_powmod_matches_repeated_schoolbook(p, s, build):
                 assert got == want and got is not a, (a, e)
                 assert len(got) == s and all(0 <= c < p for c in got)
             want = schoolbook_mulmod(want, [c % p for c in a], modulus, p)
+
+
+def schoolbook_power(coords, e, modulus, p):
+    """Reference g^e: intmath.power's square-and-multiply over schoolbook_mulmod."""
+    s = len(modulus) - 1
+    return power(list(coords), e, lambda u, v: schoolbook_mulmod(u, v, modulus, p), [1] + [0] * (s - 1))
+
+
+def bare_field(p, s, modulus):
+    """F_p[x]/(modulus) with gamma = 1 and no factorization of q - 1: enough for products and powers."""
+    return FieldCtx(FieldParams(p, s, tuple(modulus)), (1,) + (0,) * (s - 1), ())
+
+
+# (p, s, build) for the power tests: s = 1 and s = 2, the binomial and trinomial of two big
+# fields, a dense subfield modulus (the minimal polynomial of the norm of build_field(13, 8)'s
+# gamma onto F_{13^4}), a large p, and a p where s*(p-1)^2 >= 2^63 puts the kernel on Python ints
+POWER_FIELDS = [
+    (13, 1, lambda: (11, 1)),
+    (5, 2, lambda: (2, 0, 1)),
+    (3, 64, lambda: monic(64, {0: 2, 3: 1})),
+    (13, 32, lambda: monic(32, {0: 2})),
+    (13, 4, lambda: (11, 4, 5, 10, 1)),
+    (1000003, 4, lambda: monic(4, {0: 1, 1: 1})),
+    (MERSENNE_31, 5, lambda: dense_irreducible(MERSENNE_31, 5, seed=4)),
+]
+
+
+@pytest.mark.parametrize("p, s, build", POWER_FIELDS, ids=[f"{p}-{s}" for p, s, _ in POWER_FIELDS])
+def test_power_by_frobenius_digits_matches_square_and_multiply(p, s, build):
+    modulus = build()
+    assert is_irreducible(modulus, p)
+    # Python ints exactly where s*(p-1)^2 >= 2^63: here only at p = 2^31 - 1, s = 5
+    assert fields._reduction(modulus, p).dtype == (object if p == MERSENNE_31 else np.int64)
+    ctx, q = bare_field(p, s, modulus), p**s
+    rng = random.Random(p * s)
+    exponents = [0, 1, p - 1, p, p + 1, q - 2, q - 1, q, 3 * q + 5] + [rng.randrange(q) for _ in range(2)]
+    for g in (FieldElem(ctx, [rng.randrange(p) for _ in range(s)]), ctx.from_int(0)):
+        for e in exponents:
+            assert (g**e).coords == tuple(schoolbook_power(g.coords, e, modulus, p)), (g, e)
 
 
 def test_build_prime_field():
@@ -333,6 +373,42 @@ def test_pinned_modulus_and_generator(p, s):
     assert (sparse(ctx.params.modulus), sparse(ctx.gamma.coords)) == PINNED_FIELDS[p, s]
     assert is_irreducible(ctx.params.modulus, p)
     assert order_defect_reference(ctx.gamma) is None
+
+
+@pytest.mark.parametrize("p, s", sorted(PINNED_FIELDS))
+def test_frobenius_matrix(p, s):
+    modulus = monic(s, {i: c for i, c in PINNED_FIELDS[p, s][0].items() if i < s})
+    ctx = bare_field(p, s, modulus)
+    frob = ctx.frobenius()
+    assert frob is ctx.frobenius() and not frob.flags.writeable  # one cached matrix per field
+    assert frob.shape == (s, s) and frob.dtype == np.int64
+    for j in range(s):  # column j is coords(x^{pj}) = coords((x^j)^p), by square-and-multiply
+        assert frob[:, j].tolist() == _poly_powmod([0] * j + [1], p, modulus, p), j
+    eye = np.eye(s, dtype=np.int64)
+    assert np.array_equal(power(frob, s, lambda a, b: a @ b % p, eye), eye)  # F^s = I (mod p)
+    rng = random.Random(p * s)
+    for _ in range(3):
+        y = [rng.randrange(p) for _ in range(s)]
+        assert (frob @ np.array(y) % p).tolist() == schoolbook_power(y, p, modulus, p)
+
+
+@pytest.mark.parametrize("p, s", ((3, 64), (13, 32), (11, 16), (5, 16)))
+def test_subfield_matches_the_power_and_the_product_of_conjugates(p, s):
+    # the reference is the norm as one power, gamma^{(q-1)/(q0-1)} by square-and-multiply over
+    # schoolbook products, then its minimal polynomial prod_{i<k} (X - g0^{p^i}) over F_q
+    ctx = build_field(p, s)
+    f, one = ctx.params.modulus, [1] + [0] * (s - 1)
+    mul = lambda u, v: schoolbook_mulmod(u, v, f, p)
+    for k in (k for k in range(1, s + 1) if s % k == 0):
+        conj = FieldElem(ctx, power(list(ctx.gamma.coords), (ctx.q - 1) // (p**k - 1), mul, one))
+        f0 = [ctx.one()]
+        for _ in range(k):
+            f0 = [-(conj * f0[0])] + [a - conj * b for a, b in zip(f0[:-1], f0[1:])] + [f0[-1]]
+            conj = FieldElem(ctx, power(list(conj.coords), p, mul, one))
+        modulus = tuple(c.prime_field_value() for c in f0)
+        sub = ctx.subfield(k)
+        assert sub.params.modulus == modulus, k
+        assert list(sub.gamma.coords) == (divmod_mod_p([0, 1], modulus, p)[1] + [0] * k)[:k], k  # x mod f0
 
 
 def test_modulus_search_deterministic():
