@@ -274,11 +274,6 @@ class FieldElem:
         p = self.ctx.p
         return FieldElem(self.ctx, ((a + b) % p for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        p = self.ctx.p
-        return FieldElem(self.ctx, ((a - b) % p for a, b in zip(self.coords, other.coords)))
-
     def __neg__(self) -> "FieldElem":
         return FieldElem(self.ctx, (-a % self.ctx.p for a in self.coords))
 

@@ -31,26 +31,27 @@ all of it O(e*p) int64 reductions over the power table of g0.
 The kernel, bucket_sweep, walks the first powers of a base once.
 Multiplication by the base is a fixed linear map M (mod p) over the
 polynomial basis, so Tr(base^j) is a linear recurring sequence. Write
-j = start + b*B + i with 0 <= i < B; then
+j = b*B + i with 0 <= i < B; then
 
-    Tr(base^j) = (trow . M^i) . (M^{bB} . seed),
+    Tr(base^j) = (trow . M^i) . (M^{bB} . coords(1)).
 
-where seed holds the coordinates of base^start. The kernel builds R, the
-B x s block of rows trow . M^i, and W, the block of start states
-M^{bB} . seed, both by doubling, and reads every trace off the one product
-R . W, taken a bounded slice at a time: s multiply-adds per element. B is a
-multiple of e, so row i of R lies in coset (start + i) mod e for every start
-state, and one key vector buckets the whole product. Every entry of R . W is
-a raw dot value in [0, v), v = s*(p-1)^2 + 1. While e*v <= _CHUNK = 2^15
-buckets, each range tallies the raw key (j mod e)*v + R.W, with no reduction
-mod p per element, and folds its e x v table mod p once at the end:
+The kernel builds R, the B x s block of rows trow . M^i, the jump M^B, and
+W, the block of start states M^{bB} . coords(1), each once per sweep and by
+doubling, and reads every trace off the one product R . W, taken a bounded
+slice at a time: s multiply-adds per element. Every block starts at a
+multiple of B, and e | B unless the sweep is one block, so row i of R lies in
+coset i mod e, and one key vector buckets the whole product. Every entry of R . W is a raw dot value in
+[0, v), v = s*(p-1)^2 + 1. While e*v <= _CHUNK = 2^15 buckets, the sweep
+tallies the raw key (j mod e)*v + R.W, with no reduction mod p per element,
+and folds its e x v table mod p once at the end:
 counts[:, t] = raw[:, t::p].sum(1). Above that bound it tallies
 (j mod e)*p + (R.W mod p). The recurrences run in int64. The product runs in
 float64 (BLAS) while s*(p-1)^2 < 2^53, and in int64 above that or for sweeps
 too short to repay loading BLAS; at s*(p-1)^2 >= 2^63 the sweep raises
-SweepOverflow before it starts. The sweep is partitioned into contiguous
-j-ranges (each seeded by base^{j_start}) with private count vectors merged by
-addition, so the result is bit-identical for any worker count.
+SweepOverflow before it starts. The workers split W's full blocks into
+contiguous slices, each tallied into a private count vector; those vectors
+and the one tail block's are summed, so the result is bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .intmath import factorize, is_prime, power
 DEFAULT_MAX_Q = 10**8
 _ROWS = 1 << 12  # rows of the trace block R, rounded down to a multiple of e
 _CHUNK = 1 << 15  # entries of one slice of the product R . W; also the most buckets counted densely
-_MIN_RANGE = 1 << 16  # shortest j-range that gets its own worker
+_MIN_RANGE = 1 << 16  # fewest elements per worker; a shorter sweep also skips BLAS
 
 
 class BudgetExceeded(RuntimeError):
@@ -159,39 +160,17 @@ def _tally(counts: np.ndarray, product: np.ndarray, rowkey: np.ndarray, p: int |
         np.add.at(counts, keys, 1)
 
 
-def _range_sweep(
-    p: int,
-    mult: np.ndarray,
-    trow: np.ndarray,
-    e: int,
-    start: int,
-    stop: int,
-    seed: np.ndarray,
-    dtype: type,
+def _block_counts(
+    r: np.ndarray, w: np.ndarray, rowkey: np.ndarray, size: int, p: int | None
 ) -> np.ndarray:
-    """Bucket counts for j in [start, stop); seed holds the coords of base^start.
+    """Bucket counts of the blocks r . w[b] over the rows b of w, a bounded slice of R . W at a time.
 
-    mult, trow and seed are int64 residues mod p; the product R . W runs in dtype.
+    rowkey holds the bucket keys of r's rows; p is _tally's.
     """
-    length = stop - start
-    rows = min(length, max(1, _ROWS // e) * e)
-    full, tail = divmod(length, rows)
-    r = _orbit(trow, mult, rows, p).astype(dtype, copy=False)  # row i: trow . M^i
-    jump = power(mult, rows, lambda a, b: a @ b % p, np.eye(len(mult), dtype=np.int64))  # M^rows
-    w = _orbit(seed, jump.T, full + (tail > 0), p).astype(dtype, copy=False)  # row b: M^{b*rows} . seed
-    width = _bucket_width(e, len(mult), p)
-    modulus = p if width == p else None  # None: key the raw dot values, fold them mod p below
-    # e | rows, so row i of every block lies in coset (start + i) mod e
-    rowkey = ((start + np.arange(rows, dtype=np.int64)) % e * width)[:, None]
-    counts = np.zeros(e * width, dtype=np.int64)
-    step = max(1, _CHUNK // rows)
-    for b in range(0, full, step):
-        _tally(counts, r @ w[b : min(b + step, full)].T, rowkey, modulus)
-    if tail:
-        _tally(counts, r[:tail] @ w[full:].T, rowkey[:tail], modulus)
-    counts = counts.reshape(e, width)
-    if modulus is None:  # counts[:, t] = raw[:, t::p].sum(1), once per range
-        counts = np.pad(counts, ((0, 0), (0, -width % p))).reshape(e, -1, p).sum(axis=1)
+    counts = np.zeros(size, dtype=np.int64)
+    step = max(1, _CHUNK // len(r))
+    for b in range(0, len(w), step):
+        _tally(counts, r @ w[b : b + step].T, rowkey, p)
     return counts
 
 
@@ -204,26 +183,37 @@ def bucket_sweep(
     threads: int | None = None,
 ) -> np.ndarray:
     """counts[k][t] over j in [0, length): bucket (j mod e, trow . coords(base^j))."""
-    p = ctx.p
-    dtype = _exact_dtype(ctx.s, p)
+    p, s = ctx.p, ctx.s
+    dtype = _exact_dtype(s, p)
     if length < _MIN_RANGE:  # too short to repay loading BLAS, which costs ~0.7 MB of RSS
         dtype = np.int64
     mult = ctx.mul_matrix(base)
     trow = np.asarray(trow, dtype=np.int64) % p
-    threads = max(1, threads or os.cpu_count() or 1)
-    n_ranges = max(1, min(threads, length // _MIN_RANGE))
-    bounds = [length * i // n_ranges for i in range(n_ranges)] + [length]
-
-    def work(i: int) -> np.ndarray:
-        start, stop = bounds[i], bounds[i + 1]
-        seed = np.array((base**start).coords, dtype=np.int64)
-        return _range_sweep(p, mult, trow, e, start, stop, seed, dtype)
-
-    if n_ranges == 1:
-        return work(0)
-    with ThreadPoolExecutor(max_workers=n_ranges) as pool:
-        parts = list(pool.map(work, range(n_ranges)))
-    return sum(parts)
+    rows = min(length, max(1, _ROWS // e) * e)
+    full, tail = divmod(length, rows)
+    r = _orbit(trow, mult, rows, p).astype(dtype, copy=False)  # row i: trow . M^i
+    jump = power(mult, rows, lambda a, b: a @ b % p, np.eye(s, dtype=np.int64))  # M^rows
+    first = np.array(ctx.one().coords, dtype=np.int64)
+    w = _orbit(first, jump.T, full + (tail > 0), p).astype(dtype, copy=False)  # row b: M^{b*rows} . coords(1)
+    width = _bucket_width(e, s, p)
+    modulus = p if width == p else None  # None: key the raw dot values, fold them mod p below
+    # blocks start at multiples of rows, and e | rows unless there is one block: row i is in coset i mod e
+    rowkey = (np.arange(rows, dtype=np.int64) % e * width)[:, None]
+    size = e * width
+    workers = max(1, min(threads or os.cpu_count() or 1, length // _MIN_RANGE))
+    bounds = [full * i // workers for i in range(workers + 1)]
+    slices = [w[lo:hi] for lo, hi in itertools.pairwise(bounds)]
+    if workers == 1:
+        parts = [_block_counts(r, slices[0], rowkey, size, modulus)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda part: _block_counts(r, part, rowkey, size, modulus), slices))
+    if tail:
+        parts.append(_block_counts(r[:tail], w[full:], rowkey[:tail], size, modulus))
+    counts = sum(parts).reshape(e, width)
+    if modulus is None:  # counts[:, t] = raw[:, t::p].sum(1), once per sweep
+        counts = np.pad(counts, ((0, 0), (0, -width % p))).reshape(e, -1, p).sum(axis=1)
+    return counts
 
 
 def _fold(part: np.ndarray, g0: int, span: int, p: int) -> np.ndarray:

@@ -246,7 +246,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_json_byte_identical(capsys):
-    # the sweep walks (q - 1)/(p - 1) = 265720 elements, enough for 4 ranges of at least 2^16
+    # the sweep walks (q - 1)/(p - 1) = 265720 elements, enough for 4 workers of at least 2^16
     outs = set()
     for threads in ("1", "2", "4"):
         code, out, _ = run(capsys, "periods", "--p", "3", "--s", "12", "--e", "16", "--json", "--threads", threads)

@@ -118,21 +118,21 @@ def kernel_modulus(build, s):
 
 
 @pytest.mark.parametrize("p, s, build", KERNEL_MODULI, ids=KERNEL_IDS)
-def test_kronecker_kernel_matches_schoolbook(p, s, build):
+def test_field_kernel_matches_schoolbook(p, s, build):
     modulus = kernel_modulus(build, s)
     rng = random.Random(p * s)
-    top = [p - 1] * s  # top * top has the coefficient s*(p-1)^2 at degree s-1, the largest a slot holds
+    top = [p - 1] * s  # top * top has the coefficient s*(p-1)^2 at degree s-1, the largest _mul's dtype must hold
     pairs = [(top, list(top)), (top, [1] + [0] * (s - 1)), ([0] * s, top)]
     for _ in range(60):
         pairs.append(([rng.randrange(p) for _ in range(s)], [rng.randrange(p) for _ in range(s)]))
-        # operands shorter than s, as Ben-Or's test and mul_matrix pass x = [0, 1, ...]
+        # operands shorter than s, which _coords pads with zeros
         pairs.append(tuple([rng.randrange(p) for _ in range(rng.randint(1, s))] for _ in range(2)))
         # coefficients outside [0, p), negative ones too, act as their residues
         pairs.append(tuple([rng.randrange(-3 * p, 3 * p) for _ in range(rng.randint(1, s))] for _ in range(2)))
     for a, b in pairs:
         want = schoolbook_mulmod(a, b, modulus, p)
         assert _poly_mulmod(a, b, modulus, p) == want, (a, b)
-        assert _poly_mulmod(a, a, modulus, p) == schoolbook_mulmod(a, a, modulus, p), a  # the squaring path
+        assert _poly_mulmod(a, a, modulus, p) == schoolbook_mulmod(a, a, modulus, p), a  # a square: a times itself
 
 
 @pytest.mark.parametrize("p, s, build", KERNEL_MODULI, ids=KERNEL_IDS)
@@ -403,7 +403,7 @@ def test_subfield_matches_the_power_and_the_product_of_conjugates(p, s):
         conj = FieldElem(ctx, power(list(ctx.gamma.coords), (ctx.q - 1) // (p**k - 1), mul, one))
         f0 = [ctx.one()]
         for _ in range(k):
-            f0 = [-(conj * f0[0])] + [a - conj * b for a, b in zip(f0[:-1], f0[1:])] + [f0[-1]]
+            f0 = [-(conj * f0[0])] + [a + -(conj * b) for a, b in zip(f0[:-1], f0[1:])] + [f0[-1]]
             conj = FieldElem(ctx, power(list(conj.coords), p, mul, one))
         modulus = tuple(c.prime_field_value() for c in f0)
         sub = ctx.subfield(k)

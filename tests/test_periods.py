@@ -16,8 +16,8 @@ from periodpoly.periods import (
     BudgetExceeded,
     PeriodVector,
     SweepOverflow,
+    _block_counts,
     _exact_dtype,
-    _range_sweep,
     bucket_sweep,
     period_polynomial,
     reduced_periods,
@@ -212,17 +212,36 @@ def test_worker_count_determinism(monkeypatch):
 
     ctx = build_field(5, 10)  # the sweep walks (q - 1)/(p - 1) = 2441406 elements, about 37 * _MIN_RANGE
     base = trace_spectrum(ctx, 8, threads=1)
-    starts = []
+    calls = []
 
-    def recording_sweep(p, mult, trow, e, start, *rest):
-        starts.append(start)
-        return _range_sweep(p, mult, trow, e, start, *rest)
+    def recording_counts(r, w, *rest):
+        calls.append((r, w))
+        return _block_counts(r, w, *rest)
 
-    monkeypatch.setattr(periods, "_range_sweep", recording_sweep)
+    monkeypatch.setattr(periods, "_block_counts", recording_counts)
     for threads in (2, 3, 7):
-        starts.clear()
+        calls.clear()
         assert trace_spectrum(ctx, 8, threads=threads).counts == base.counts
-        assert len(starts) == threads  # one range per worker, each swept
+        whole = calls[0][1].base  # every call gets a slice of the one W
+        assert all(w.base is whole for _, w in calls)
+        rows = max(len(r) for r, _ in calls)
+        # (first row of the slice in W, its rows, the rows of R it is multiplied by)
+        spans = sorted(((w.ctypes.data - whole.ctypes.data) // w.strides[0], len(w), len(r)) for r, w in calls)
+        assert [lo for lo, _, _ in spans] == [sum(n for _, n, _ in spans[:i]) for i in range(len(spans))]
+        assert sum(n for _, n, _ in spans) == len(whole)  # contiguous slices that cover W
+        # one slice of full blocks per worker, then the one tail block
+        span = (ctx.q - 1) // (ctx.p - 1)
+        assert [n_r for _, _, n_r in spans] == [rows] * threads + [span % rows]
+        assert spans[-1][1] == 1 and (len(whole) - 1) * rows + span % rows == span
+
+
+def test_worker_count_determinism_on_the_add_at_tally():
+    # e*p = 132,128 > 2^15 buckets take np.add.at; L = 17,052,771 elements give two and three
+    # workers, whose private count vectors must sum to the one-worker counts
+    ctx = build_field(4129, 3)
+    base = trace_spectrum(ctx, 32, max_q=10**11, threads=1)
+    for threads in (2, 3):
+        assert trace_spectrum(ctx, 32, max_q=10**11, threads=threads).counts == base.counts
 
 
 def test_budget():
@@ -264,7 +283,7 @@ def sweep_case(name, field_trace, frobenius_trace):
 def test_bucket_sweep_matches_direct_walk(name, threads, field_trace, frobenius_trace):
     ctx, traces = sweep_case(name, field_trace, frobenius_trace)
     # lengths that are multiples of neither the block nor e; the two short ones take
-    # the int64 product, the long one the float64 product over up to three ranges
+    # the int64 product, the long one the float64 product over up to three workers
     for length in (1, _ROWS + 1, 3 * _MIN_RANGE + 4099):
         j = np.arange(length)
         for e in (3, 8, 11):
@@ -303,22 +322,16 @@ def test_bucket_sweep_exact_near_float64_bound(p, dtype, field_trace):
     assert {key: int(got[key]) for key in direct} == direct
 
 
-def test_range_sweep_products_at_float64_bound():
-    # trow = seed = p-2 makes the products (p-2) * ((p-2) b^i mod p); at i = 0 that is
-    # (p-2)^2, odd and just above 2^53 for the larger prime, where float64 rounds it
+def test_block_counts_products_at_float64_bound():
+    # r = w = p-2 makes the one product (p-2)^2, odd and just above 2^53 for the larger
+    # prime, where float64 rounds it and so lands in the wrong residue mod p
     for p, float_exact in ((94906249, True), (94906297, False)):
-        ctx = build_field(p, 1)
-        b = (ctx.gamma ** ((p - 1) // 8)).coords[0]  # order 8 divides the block, so W stays p-2
-        length = 3 * _ROWS + 5
-        direct = {}
-        for j in range(length):
-            t = (p - 2) ** 2 * pow(b, j, p) % p
-            direct[t] = direct.get(t, 0) + 1
-        res = np.array([p - 2], dtype=np.int64)
+        want = np.zeros(p, dtype=np.int64)
+        want[(p - 2) ** 2 % p] = 1
         for dtype in (np.float64, np.int64):
-            got = _range_sweep(p, np.array([[b]], dtype=np.int64), res, 1, 0, length, res, dtype).ravel()
-            exact = np.count_nonzero(got) == len(direct) and {t: int(got[t]) for t in direct} == direct
-            assert exact == (dtype is np.int64 or float_exact), (p, dtype)
+            res = np.array([[p - 2]], dtype=dtype)
+            got = _block_counts(res, res, np.zeros((1, 1), dtype=np.int64), p, p)
+            assert np.array_equal(got, want) == (dtype is np.int64 or float_exact), (p, dtype)
 
 
 @pytest.mark.parametrize(
@@ -332,7 +345,7 @@ def test_raw_and_mod_p_tallies_agree(monkeypatch, p, s, e):
     ctx = build_field(p, s)
     v = s * (p - 1) ** 2 + 1
     assert periods._bucket_width(e, s, p) == (v if e * v <= _CHUNK else p)
-    length = 2 * _MIN_RANGE + 4099  # two ranges on two threads, neither a multiple of the block
+    length = 2 * _MIN_RANGE + 4099  # two workers on two threads, and a tail block
     got = {}
     for width in (v, p):  # force the raw-dot tally, then the mod-p tally
         monkeypatch.setattr(periods, "_bucket_width", lambda *_, width=width: width)
