@@ -13,7 +13,11 @@ A binomial x^s - a is decided by its exact rule (Lidl & Niederreiter, Thm
 through `is_irreducible`, which first checks the parity of the number of
 irreducible factors by the discriminant (Stickelberger's theorem; R. G. Swan,
 Pacific J. Math. 12, 1962): an irreducible f of degree s over odd p has
-(disc f | p) = (-1)^{s-1}. Only a candidate that passes runs Ben-Or's test.
+(disc f | p) = (-1)^{s-1}. Only a candidate that passes runs Ben-Or's test, and
+then a reducible one over odd p has at least three factors, so the rounds stop at
+s/3 (s/2 at p = 2); one resultant checks each dyadic interval of rounds. The
+rounds with p^i < s take x^{p^i} as a monomial, so a candidate rejected at round 1
+builds no reduction matrix.
 q - 1 is factored as the product of the Phi_d(p), d | s. A generator
 candidate g is tested first by its norm N(g) = Res(modulus, g) in F_p, which
 decides every prime l | p-1 (g^{(q-1)/l} = N(g)^{(p-1)/l}), and then by one
@@ -74,6 +78,9 @@ def _reduction(modulus: tuple[int, ...], p: int) -> np.ndarray:
     over the nonzero v_j only. Column n reads columns up to n - s + t, t the degree of the
     highest of those terms, so each step fills a block of s - t columns at once: one block
     for a binomial, two for x^64 + x^3 + 2, one column at a time for a dense modulus.
+
+    In a scan, a candidate whose x^p is a monomial (p < s) and that Ben-Or's first round
+    rejects builds none: 51 are built at (11, 16), 131 when round 1 took a power.
     """
     s = len(modulus) - 1
     dtype = np.int64 if s * (p - 1) ** 2 < 1 << 63 else object
@@ -134,8 +141,9 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: 
 def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
     """a^e mod modulus over F_p, as a fresh length-s list of residues, for e >= 0.
 
-    Square-and-multiply on arrays; Ben-Or's x -> x^p takes it, as one modulus of the scan
-    never needs a Frobenius matrix of its own. FieldElem.__pow__ goes by Frobenius digits.
+    Square-and-multiply on arrays; Ben-Or's rounds y -> y^p past degree s take it, as one
+    modulus of the scan never needs a Frobenius matrix of its own. FieldElem.__pow__ goes
+    by Frobenius digits.
     """
     red = _reduction(tuple(modulus), p)
     return power(_coords(a, red, p), e, lambda u, v: _mul(u, v, red, p), red[:, 0]).tolist()
@@ -192,9 +200,14 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
     disc f != 0 and disc^{(p-1)/2} = (-1)^{s-1}, and any f that fails this is
     reducible. At p = 2 the test is disc f != 0, which every irreducible f passes.
 
-    Ben-Or's test then decides: f is reducible exactly when it has an irreducible factor
-    of degree i <= s/2, that is when gcd(x^{p^i} - x, f) != 1, or Res(f, x^{p^i} - x) = 0,
-    for some such i.
+    Ben-Or's test (M. Ben-Or, Probabilistic algorithms in finite fields, FOCS 1981) then
+    decides: f is reducible exactly when its least irreducible factor, of degree d, has
+    d <= k, that is when gcd(x^{p^i} - x, f) != 1, or Res(f, x^{p^i} - x) = 0, for some
+    i <= k. After the pre-test over odd p, a reducible f is squarefree with an odd number
+    r >= 3 of factors, so k = s/3 suffices; at p = 2, k = s/2. One resultant covers the
+    rounds since the last check: Res(f, g h mod f) = Res(f, g) Res(f, h) for monic f, so
+    the product h of the x^{p^i} - x mod f is checked at i = 1, 2, 4, 8, ... and at k,
+    and a factor of degree d is caught at the first check at or past d.
     """
     s = len(modulus) - 1
     if s < 1 or modulus[-1] != 1:
@@ -202,12 +215,21 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
     disc = _discriminant(modulus, p)
     if not disc or pow(disc, (p - 1) // 2, p) != (-1) ** (s - 1) % p:
         return False
+    last = s // 2 if p == 2 else s // 3
     x = [0, 1] + [0] * (s - 2)
-    r = x
-    for _ in range(s // 2):
-        r = _poly_powmod(r, p, modulus, p)  # x^{p^i} mod f
-        if not _resultant(modulus, [u - v for u, v in zip(r, x)], p):
-            return False
+    r, h, check = x, None, 1
+    for i in range(1, last + 1):
+        if p**i < s:  # x^{p^i} is a monomial below degree s: no product, no reduction matrix
+            r = [0] * s
+            r[p**i] = 1
+        else:
+            r = _poly_powmod(r, p, modulus, p)  # x^{p^i} mod f
+        g = [u - v for u, v in zip(r, x)]
+        h = g if h is None else _poly_mulmod(h, g, modulus, p)
+        if i == check or i == last:
+            if not _resultant(modulus, h, p):
+                return False
+            h, check = None, 2 * check
     return True
 
 

@@ -325,11 +325,67 @@ def test_discriminant_parity_counts_irreducible_factors():
 
 
 def test_modulus_search_at_11_16_ben_or_rounds(monkeypatch):
-    # the parity pre-test leaves 233 of the 735 Ben-Or rounds at (11, 16); each round is one _poly_powmod
+    # each Ben-Or round past the first is one _poly_powmod (round 1's x^11 is a monomial below
+    # x^16). The parity pre-test and the stop at s/3 leave 114 of them (233 with a stop at s/2).
+    # A candidate rejected at round 1 builds no reduction matrix: 51 are built, 131 when round 1
+    # went through _poly_powmod
     real, rounds = fields._poly_powmod, []
     monkeypatch.setattr(fields, "_poly_powmod", lambda *args: rounds.append(args) or real(*args))
+    fields._reduction.cache_clear()
     assert sparse(find_irreducible_modulus(11, 16)) == PINNED_FIELDS[11, 16][0]  # x^16 + x^4 + 2
-    assert 0 < len(rounds) <= 233
+    assert 0 < len(rounds) <= 114
+    assert 0 < fields._reduction.cache_info().misses <= 51
+
+
+def test_modulus_search_at_3_64_resultants(monkeypatch):
+    # one resultant per candidate for the discriminant, then one per dyadic interval of Ben-Or
+    # rounds: 36 in all (96 with one per round)
+    real, calls = fields._resultant, []
+    monkeypatch.setattr(fields, "_resultant", lambda *args: calls.append(args) or real(*args))
+    assert sparse(find_irreducible_modulus(3, 64)) == PINNED_FIELDS[3, 64][0]  # x^64 + x^3 + 2
+    assert 0 < len(calls) <= 36
+
+
+def poly_mul_mod_p(a, b, p):
+    """a * b over F_p, little-endian lists, schoolbook."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+@functools.cache
+def reference_irreducibles(p, k, count=3):
+    """`count` distinct monic irreducibles of degree k over F_p, from seeded draws, by the reference
+    test; draws of the wrong discriminant parity (reducible, by Stickelberger) skip it."""
+    rng, found = random.Random(p * 100 + k), set()
+    while len(found) < count:
+        f = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+        if legendre(_discriminant(f, p), p) == (-1) ** (k - 1) and frobenius_irreducible(f, p):
+            found.add(f)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("s", (12, 14, 15, 16, 22))
+@pytest.mark.parametrize("p", (3, 5, 11, 23))
+def test_ben_or_checks_every_interval(p, s):
+    # a product of three distinct irreducibles is squarefree with r = 3 factors, so it passes
+    # the parity pre-test and only Ben-Or rejects it. Its least factor has degree d (the
+    # others s - d split in two, both >= d), caught at the first check at or past round d:
+    # d runs over every round 1 .. s/3, the last check included (5, 6 and 7 at s = 22).
+    # p = 3, 5, 11 and 23 give x^p a monomial below x^s, or not
+    for d in range(1, s // 3 + 1):
+        degrees = (d, (s - d) // 2, s - d - (s - d) // 2)
+        f = [1]
+        for k in set(degrees):
+            for g in reference_irreducibles(p, k)[: degrees.count(k)]:
+                f = poly_mul_mod_p(f, list(g), p)
+        f = tuple(f)
+        assert len(f) == s + 1 and not frobenius_irreducible(f, p), (p, s, d)
+        assert not is_irreducible(f, p), (p, s, d)
+    f = reference_irreducibles(p, s, count=1)[0]
+    assert is_irreducible(f, p), (p, s, f)
 
 
 def sparse(coords):
