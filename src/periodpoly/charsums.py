@@ -62,25 +62,27 @@ DEFAULT_MAX_Q_JACOBI = 10**6
 _CHECK_IDS = ("2a", "2b", "2c", "3", "4", "5", "7", "8", "9", "10", "11", "15", "16")
 
 
+@dataclass(frozen=True)
 class GaussTable:
-    """All Gauss sums G(lambda^j) for one field and one character order E."""
+    """All Gauss sums G(lambda^j) for one field and one character order E, read off its e x p counts: E = e."""
 
-    def __init__(self, ctx: FieldCtx, spectrum: TraceSpectrum):
-        self.ctx = ctx
-        self.order = spectrum.e
-        self.conductor = math.lcm(spectrum.e, ctx.p)
-        self.counts = spectrum.counts
+    spectrum: TraceSpectrum
+
+    @property
+    def order(self) -> int:
+        return self.spectrum.e
 
     def value(self, j: int) -> CycElem:
         """G(lambda^j) as an exact element of Z[zeta_{lcm(E,p)}]."""
-        j %= self.order
+        e, p = self.spectrum.e, self.spectrum.p
+        j %= e
         if j == 0:
             raise ValueError("trivial character has no Gauss sum here")
-        n, e, p = self.conductor, self.order, self.ctx.p
+        n = math.lcm(e, p)
         ze, zp = n // e, n // p
         vec = [0] * n
         for k in range(e):
-            row = self.counts[k]
+            row = self.spectrum.counts[k]
             base = j * k % e * ze
             for t in range(p):
                 c = row[t]
@@ -160,7 +162,7 @@ def lift_gauss_sum(value: CycElem, r: int) -> CycElem:
 
 
 class SubfieldSums(GaussTable):
-    """Gauss sums G(chi^j) over a subfield sub = ctx.subfield(k), chi(sub.gamma) = zeta_order."""
+    """Gauss sums G(chi^j) over a subfield sub = ctx.subfield(k), chi(sub.gamma) = zeta_order, from its spectrum."""
 
     gauss = GaussTable.value
 
@@ -174,7 +176,7 @@ def subfield_sums(
 ) -> SubfieldSums:
     """Gauss sums over the subfield F_{p^{s_sub}}, from one sweep of it as its own field."""
     sub = ctx.subfield(s_sub)
-    return SubfieldSums(sub, trace_spectrum(sub, order, max_q=max_q, threads=threads))
+    return SubfieldSums(trace_spectrum(sub, order, max_q=max_q, threads=threads))
 
 
 def subfield_jacobi(sub: FieldCtx, order: int, j: int) -> CycElem:
@@ -207,7 +209,7 @@ def periods_from_gauss(q: int, e: int, lifted: CycElem) -> PeriodVector:
         if rest or c + min(row) < 0:
             raise ArithmeticError(f"row {k} of the lifted sum is not a count row of F_{q}")
         counts.append(tuple(x + c for x in row))
-    return reduced_periods(TraceSpectrum(e, tuple(counts)))
+    return reduced_periods(TraceSpectrum(tuple(counts)))
 
 
 def smallest_lift_base(p: int, s: int, m: int) -> int:
@@ -249,11 +251,16 @@ def lifted_period_polynomial(
 
 @dataclass
 class IdentityCheck:
+    """One identity lhs = rhs of lemma `lemma` at `params`; it passed when the two sides are equal."""
+
     lemma: str
     params: dict
     lhs: CycElem | int | str
     rhs: CycElem | int | str
-    passed: bool
+
+    @functools.cached_property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs  # cached: across conductors it embeds both sides, and callers read it often
 
     def to_json_dict(self) -> dict:
         def ser(v):
@@ -290,17 +297,8 @@ def _q_fractional(p: int, s: int, num: int, den: int) -> CycElem:
     raise ValueError(f"q^({num}/{den}) is neither integral nor half-integral")
 
 
-def _check(lemma: str, params: dict, lhs, rhs) -> IdentityCheck:
-    return IdentityCheck(lemma, params, lhs, rhs, passed=(lhs == rhs))
-
-
-def partition_sum_identity(
-    ctx: FieldCtx,
-    m: int,
-    r: int,
-    table: GaussTable | None = None,
-) -> list[IdentityCheck]:
-    """G(lambda^j) +/- G(lambda^{-j}), j = 2^{m-r}, against the quadratic partition values.
+def partition_sum_identity(ctx: FieldCtx, r: int, table: GaussTable) -> list[IdentityCheck]:
+    """G(lambda^j) +/- G(lambda^{-j}) of ctx's table of order 2^m, j = 2^{m-r}, against the partition values.
 
     With the record p^k = first^2 + d*second^2 of `partitions` (lemma 15: A type,
     p = 3 mod 8, d = 2, 3 <= r; lemma 16: C type, p = 5 mod 8, d = 1, 2 <= r),
@@ -314,10 +312,7 @@ def partition_sum_identity(
     from .partitions import partition_a, partition_c
 
     p, s = ctx.p, ctx.s
-    e = 1 << m
-    if table is None:
-        table = GaussTable(ctx, trace_spectrum(ctx, e))
-    j = 1 << (m - r)
+    j = table.order >> r
     g_plus = table.value(j)
     g_minus = table.value(-j)
     if p % 8 == 3:
@@ -329,8 +324,8 @@ def partition_sum_identity(
         raise ValueError(f"lemma {lemma} needs 2^{r - 1} | s={s}")
     scale = _q_fractional(p, s - rec.exponent, 1, 2)  # sqrt(q/p^k)
     return [
-        _check(lemma, {"r": r, "side": "sum"}, g_plus + g_minus, (signs[0] * 2 * rec.first) * scale),
-        _check(lemma, {"r": r, "side": "diff"}, g_plus - g_minus, (signs[1] * 2 * rec.second) * scale * sqrt_minus_d),
+        IdentityCheck(lemma, {"r": r, "side": "sum"}, g_plus + g_minus, (signs[0] * 2 * rec.first) * scale),
+        IdentityCheck(lemma, {"r": r, "side": "diff"}, g_plus - g_minus, (signs[1] * 2 * rec.second) * scale * sqrt_minus_d),
     ]
 
 
@@ -364,7 +359,7 @@ def identity_report(
     # the sweep and the walk run on first use, so a selection that applies to no check sweeps nothing
     @functools.cache
     def table() -> GaussTable:
-        return GaussTable(ctx, trace_spectrum(ctx, e, max_q=max_q, threads=threads))
+        return GaussTable(trace_spectrum(ctx, e, max_q=max_q, threads=threads))
 
     @functools.cache
     def gauss(j: int) -> CycElem:
@@ -396,34 +391,34 @@ def identity_report(
         j = 1 << (m - r)
         if want("2a"):
             sign = 1 if (j * ((q - 1) // 2)) % e == 0 else -1  # psi(-1)
-            checks.append(_check("2a", {"r": r}, gauss(j) * gauss(-j), CycElem.integer(1, sign * q)))
+            checks.append(IdentityCheck("2a", {"r": r}, gauss(j) * gauss(-j), CycElem.integer(1, sign * q)))
         if want("2b"):
-            checks.append(_check("2b", {"r": r}, gauss(j), gauss(j * p)))
+            checks.append(IdentityCheck("2b", {"r": r}, gauss(j), gauss(j * p)))
         if want("2c") and walkable:
             lhs = gauss(j) * gauss(j + rho_idx)
             rhs = chi_value(-j, walk()[1]) * gauss(2 * j) * gauss(rho_idx)
-            checks.append(_check("2c", {"r": r}, lhs, rhs))
+            checks.append(IdentityCheck("2c", {"r": r}, lhs, rhs))
         if want("8"):
             r_min = 4 if p % 8 == 3 else 3
             if r >= r_min:
-                checks.append(_check("8", {"r": r}, gauss(j), gauss(j + rho_idx)))
+                checks.append(IdentityCheck("8", {"r": r}, gauss(j), gauss(j + rho_idx)))
         if want("9") and r >= 3 and walkable:
             lhs = chi_value(j, walk()[1])
             rhs_val = 1 if p % 8 == 3 else (-1) ** (s // (1 << (r - 2)))
-            checks.append(_check("9", {"r": r}, lhs, CycElem.integer(1, rhs_val)))
+            checks.append(IdentityCheck("9", {"r": r}, lhs, CycElem.integer(1, rhs_val)))
         if want("5") and walkable and 2 * j % e:
             # order of psi^2 is 2^{r-1}; for r = 1 psi = rho is excluded anyway
             jac = jacobi_sum(e, j, zech())
-            checks.append(_check("5", {"r": r}, gauss(j) * gauss(j), gauss(2 * j) * jac))
+            checks.append(IdentityCheck("5", {"r": r}, gauss(j) * gauss(j), gauss(2 * j) * jac))
 
     if want("3"):
         # G(rho) = (-1)^{s-1} g^s with g = sum_t (t|p) zeta_p^t and g^2 = p* = (-1)^{(p-1)/2} p
         scale = (-1) ** (s - 1) * (p if p % 4 == 1 else -p) ** (s // 2)
         rhs = scale * _legendre_gauss_sum(p) if s % 2 else CycElem.integer(1, scale)
-        checks.append(_check("3", {"s": s}, gauss(rho_idx), rhs))
+        checks.append(IdentityCheck("3", {"s": s}, gauss(rho_idx), rhs))
 
     if want("4") and p % 8 == 3 and s % 2 == 0 and m >= 2:
-        checks.append(_check("4", {}, gauss(e // 4), CycElem.integer(1, -(p ** (s // 2)))))
+        checks.append(IdentityCheck("4", {}, gauss(e // 4), CycElem.integer(1, -(p ** (s // 2)))))
 
     if want("7"):
         # direct Gauss sums vs squared-and-negated subfield sums, for every
@@ -437,7 +432,7 @@ def identity_report(
                     j_small = 1 << (r_max - r)
                     j_big = (1 << (m - r)) % e
                     lifted = lift_gauss_sum(sums.gauss(j_small), 2)
-                    checks.append(_check("7", {"r": r}, gauss(j_big), lifted))
+                    checks.append(IdentityCheck("7", {"r": r}, gauss(j_big), lifted))
 
     if want("10"):
         for n in (1, 2, 3):
@@ -457,7 +452,7 @@ def identity_report(
                         if p % 8 == 3
                         else CycElem.zero(8)
                     )
-                checks.append(_check("10", {"n": n, "r": rr}, got, expect))
+                checks.append(IdentityCheck("10", {"n": n, "r": rr}, got, expect))
 
     if want("11"):
         n_cls = 3 if p % 8 == 3 else 2
@@ -470,13 +465,13 @@ def identity_report(
             sign = 1 if p % 8 == 3 else (-1) ** ((s * (r - 1)) // (1 << (r - 1)))
             scale = _q_fractional(p, s, (1 << (r - n_cls + 1)) - 1, 1 << (r - n_cls + 2))
             rhs = sign * scale * jac
-            checks.append(_check("11", {"r": r}, lhs, rhs))
+            checks.append(IdentityCheck("11", {"r": r}, lhs, rhs))
 
     lemma, r_min = {3: ("15", 3), 5: ("16", 2)}.get(p % 8, ("", 0))
     if lemma and want(lemma):
         for r in range(r_min, m + 1):
             if s % (1 << (r - 1)) == 0:
-                checks.extend(partition_sum_identity(ctx, m, r, table=table()))
+                checks.extend(partition_sum_identity(ctx, r, table()))
 
     if not checks:
         raise ValueError(f"no selected identity check applies to p={p}, s={s}, m={m}")

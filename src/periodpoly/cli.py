@@ -1,13 +1,14 @@
 """Command-line front end: factor, verify, periods, partition, lemmas.
 
-Exit codes: 0 success/verified, 1 usage or classification error,
-2 verification mismatch, 3 enumeration budget exceeded (or a field beyond the
-sweep's exact int64 range).
+Exit codes: 0 success/verified, 1 usage or classification error (or a verify
+cache that cannot be appended to), 2 verification mismatch, 3 enumeration
+budget exceeded (or a field beyond the sweep's exact int64 range).
 
-`verify` appends one JSON line per run to a cache file (--cache, or the
-PERIODPOLY_CACHE environment variable, default ./periodpoly-verify.jsonl);
-the digest covers the mathematical content only, so reruns of the same
-parameters produce identical digests regardless of timestamp or worker count.
+`verify` prints its record, then appends it as one JSON line to a cache file
+(--cache, or the PERIODPOLY_CACHE environment variable, default
+./periodpoly-verify.jsonl). The digest covers the mathematical content only,
+so reruns of the same parameters produce identical digests regardless of
+timestamp or worker count; the record is that content less the polynomial.
 """
 
 from __future__ import annotations
@@ -137,12 +138,6 @@ def cmd_lemmas(args) -> int:
     return EXIT_OK if all_pass else EXIT_MISMATCH
 
 
-def _cache_path(args) -> str:
-    if args.cache:
-        return args.cache
-    return os.environ.get("PERIODPOLY_CACHE", "periodpoly-verify.jsonl")
-
-
 def cmd_verify(args) -> int:
     ctx = build_field(args.p, args.s)
     fac = closed_form_factorization(ctx, args.m)
@@ -168,34 +163,23 @@ def cmd_verify(args) -> int:
         matched = fac.matches(oracle_poly) if fac.irreducible else polynomial == oracle_poly
         status = "verified" if matched else "failed"
 
-    content = {
-        "p": ctx.p,
-        "s": ctx.s,
-        "m": args.m,
-        "case": fac.case.case,
-        "factorization": fac.to_json_dict(),
-        "polynomial": None if polynomial is None else polynomial.to_json_list(),
-    }
+    # the digest covers this content and the polynomial; the record adds the run's verdict to it
+    record = {"p": ctx.p, "s": ctx.s, "m": args.m, "case": fac.case.case, "factorization": fac.to_json_dict()}
+    content = record | {"polynomial": None if polynomial is None else polynomial.to_json_list()}
     digest = hashlib.sha256(_canonical_json(content).encode()).hexdigest()
-    record = {
-        "p": ctx.p,
-        "s": ctx.s,
-        "m": args.m,
-        "case": fac.case.case,
-        "oracle": oracle,
-        "status": status,
-        "factorization": fac.to_json_dict(),
-        "digest": digest,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    path = _cache_path(args)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_canonical_json(record) + "\n")
-
+    record |= {"oracle": oracle, "status": status, "digest": digest}
+    record["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if args.format == "json":
         print(_canonical_json(record))
     else:
         print(f"p={ctx.p} s={ctx.s} m={args.m} case={fac.case.case} oracle={oracle}: {status} (digest {digest[:12]})")
+    path = args.cache or os.environ.get("PERIODPOLY_CACHE", "periodpoly-verify.jsonl")
+    try:  # after the verdict is printed, so an unwritable cache does not lose it
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(_canonical_json(record) + "\n")
+    except OSError as exc:
+        print(f"error: cannot append to {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     if status == "verified":
         return EXIT_OK
     if status == "skipped":

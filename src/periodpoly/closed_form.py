@@ -53,9 +53,12 @@ class CaseTag:
 class Factorization:
     case: CaseTag
     q: int
-    factors: tuple[tuple[IntPoly, int], ...]
+    factors: tuple[tuple[IntPoly, int], ...]  # empty when the polynomial is irreducible over Q
     partitions: tuple[PartitionRecord, ...] = ()
-    irreducible: bool = False  # set when the polynomial is known irreducible (no factor list)
+
+    @property
+    def irreducible(self) -> bool:
+        return not self.factors
 
     def expand(self) -> IntPoly:
         if self.irreducible:
@@ -265,7 +268,7 @@ def factorization_5mod8(
     if tag.p_class != 5:
         raise UnsupportedCase(f"p mod 8 = {tag.p_class}, outside the 5-mod-8 factor lists")
     if tag.s2 == 0:
-        return Factorization(tag, ctx.q, (), (), irreducible=True)
+        return Factorization(tag, ctx.q, ())
     r_top = m if tag.s2 >= m - 1 else m - 1  # C_m, D_m exist only when 2^{m-1} | s
     if records is None:
         records = partition_records(ctx, list(range(2, r_top + 1)))

@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,13 +55,6 @@ from .intmath import factorize, is_prime, power
 
 class FieldError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    p: int
-    s: int
-    modulus: tuple[int, ...]  # little-endian, monic, length s + 1
 
 
 @functools.lru_cache(maxsize=2)  # a field and a subfield; the moduli a scan rejects fall out
@@ -288,7 +280,7 @@ class FieldElem:
             raise FieldError("coordinate vector has wrong length")
 
     def _check(self, other: "FieldElem") -> None:
-        if self.ctx.params != other.ctx.params:
+        if not self.ctx.same_field(other.ctx):
             raise FieldError("elements belong to different fields")
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
@@ -303,7 +295,7 @@ class FieldElem:
         self._check(other)
         return FieldElem(
             self.ctx,
-            _poly_mulmod(self.coords, other.coords, self.ctx.params.modulus, self.ctx.p),
+            _poly_mulmod(self.coords, other.coords, self.ctx.modulus, self.ctx.p),
         )
 
     def __pow__(self, e: int) -> "FieldElem":
@@ -321,7 +313,7 @@ class FieldElem:
             digits.append(d)
         if not digits:
             return ctx.one()
-        red = _reduction(ctx.params.modulus, p)
+        red = _reduction(ctx.modulus, p)
         g = np.array(self.coords, dtype=red.dtype)
         powers = {d: power(g, d, lambda u, v: _mul(u, v, red, p), None) for d in set(digits) if d}
         y = powers[digits.pop()]
@@ -336,7 +328,7 @@ class FieldElem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.ctx.params == other.ctx.params and self.coords == other.coords
+        return self.ctx.same_field(other.ctx) and self.coords == other.coords
 
     def in_prime_field(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
@@ -352,20 +344,25 @@ class FieldElem:
 
 
 class FieldCtx:
-    """Immutable description of F_{p^s} with a fixed generator gamma."""
+    """Immutable F_{p^s} = F_p[x]/(modulus) with a fixed generator gamma; s and q are read off the modulus."""
 
     def __init__(
         self,
-        params: FieldParams,
+        p: int,
+        modulus: tuple[int, ...],
         gamma_coords: tuple[int, ...],
         q_minus_1_factorization: tuple[tuple[int, int], ...],
     ):
-        self.params = params
-        self.p = params.p
-        self.s = params.s
-        self.q = params.p**params.s
+        self.p = p
+        self.modulus = tuple(modulus)
+        self.s = len(self.modulus) - 1
+        self.q = p**self.s
         self.q_minus_1_factorization = q_minus_1_factorization
         self.gamma = FieldElem(self, gamma_coords)
+
+    def same_field(self, other: "FieldCtx") -> bool:
+        """Do elements of the two contexts mix? They do when (p, modulus) agree, whatever gamma."""
+        return self is other or (self.p == other.p and self.modulus == other.modulus)
 
     # -- element constructors -------------------------------------------------
     def one(self) -> FieldElem:
@@ -389,7 +386,7 @@ class FieldCtx:
         roots are t_0 = s and t_k = -(k c_{s-k} + sum_{0<i<k} c_{s-i} t_{k-i})
         (Lidl & Niederreiter, Finite Fields, Thm 1.75).
         """
-        s, p, c = self.s, self.p, self.params.modulus
+        s, p, c = self.s, self.p, self.modulus
         row = [s % p]
         for k in range(1, s):
             row.append(-(k * c[s - k] + sum(c[s - i] * row[k - i] for i in range(1, k))) % p)
@@ -407,7 +404,7 @@ class FieldCtx:
         if k < 1 or self.s % k:
             raise FieldError(f"{k} does not divide {self.s}")
         p, q0 = self.p, self.p**k
-        red, frob = _reduction(self.params.modulus, p), self.frobenius()
+        red, frob = _reduction(self.modulus, p), self.frobenius()
         # g0 = gamma^{(q-1)/(q0-1)} is the product of the conjugates gamma^{p^{ki}}, i < s/k
         g0 = conj = np.array(self.gamma.coords, dtype=red.dtype)
         for _ in range(self.s // k - 1):
@@ -430,7 +427,7 @@ class FieldCtx:
             w = next(w for w in range(v, -1, -1) if (q0 - 1) % ell**w == 0)
             fac += [(ell, w)] if w else []
         gamma0 = (-modulus[0] % p,) if k == 1 else (0, 1) + (0,) * (k - 2)
-        return FieldCtx(FieldParams(p, k, modulus), gamma0, tuple(fac))
+        return FieldCtx(p, modulus, gamma0, tuple(fac))
 
     # -- sweep support ------------------------------------------------------------
     def mul_matrix(self, x: FieldElem) -> np.ndarray:
@@ -438,7 +435,7 @@ class FieldCtx:
 
         Column j is coords(x X^j) = U[:, j:j+s] . coords(x), U = _reduction(modulus, p).
         """
-        red = _reduction(self.params.modulus, self.p)
+        red = _reduction(self.modulus, self.p)
         g = np.array(x.coords, dtype=red.dtype)
         mat = np.empty((self.s, self.s), dtype=red.dtype)
         for j in range(self.s):
@@ -450,14 +447,14 @@ class FieldCtx:
 
         Column j is coords(x^{pj}). It is built once per modulus and cached; F^s = I.
         """
-        return _frobenius(self.params.modulus, self.p)
+        return _frobenius(self.modulus, self.p)
 
     def gamma_fingerprint(self) -> str:
-        text = f"{self.p},{self.s},{self.params.modulus},{self.gamma.coords}"
+        text = f"{self.p},{self.s},{self.modulus},{self.gamma.coords}"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def __repr__(self) -> str:
-        return f"FieldCtx(F_{self.p}^{self.s}, modulus={list(self.params.modulus)}, gamma={list(self.gamma.coords)})"
+        return f"FieldCtx(F_{self.p}^{self.s}, modulus={list(self.modulus)}, gamma={list(self.gamma.coords)})"
 
 
 def _norm(g: FieldElem) -> int:
@@ -466,7 +463,7 @@ def _norm(g: FieldElem) -> int:
     The norm is the product of the conjugates g(x^{p^i}), i < s, that is of g(a)
     over the roots a of the modulus (Lidl & Niederreiter, ch. 2); zero has norm 0.
     """
-    return _resultant(g.ctx.params.modulus, g.coords, g.ctx.p)
+    return _resultant(g.ctx.modulus, g.coords, g.ctx.p)
 
 
 def _first_unit_leaf(h: FieldElem, primes: list[int]) -> int | None:
@@ -559,6 +556,6 @@ def build_field(p: int, s: int, modulus: Sequence[int] | None = None) -> FieldCt
             raise FieldError("modulus is not irreducible")
     fac = _factor_q_minus_1(p, s)
     # Bootstrap: a throwaway ctx with gamma=1 just to run the generator search.
-    boot = FieldCtx(FieldParams(p, s, tuple(modulus)), (1,) + (0,) * (s - 1), fac)
+    boot = FieldCtx(p, modulus, (1,) + (0,) * (s - 1), fac)
     gamma = find_generator(boot)
-    return FieldCtx(boot.params, gamma.coords, fac)
+    return FieldCtx(p, boot.modulus, gamma.coords, fac)

@@ -27,17 +27,20 @@ from .intmath import power
 
 @dataclass(frozen=True)
 class PartitionRecord:
-    kind: str  # "A" or "C"
     r: int
     exponent: int  # k with first^2 + d*second^2 = p^k
     first: int  # A_r or C_r, sign canonical mod 4
     second: int  # B_r or D_r, sign fixed by the gamma congruence
-    p: int
+    p: int  # p mod 8 fixes the kind, A or C, and d
     gamma_fingerprint: str
 
     @property
+    def kind(self) -> str:
+        return _family(self.p)[0]
+
+    @property
     def d(self) -> int:
-        return 2 if self.kind == "A" else 1
+        return _family(self.p)[1]
 
     @property
     def pk(self) -> int:
@@ -138,7 +141,7 @@ def _signing_root(ctx: FieldCtx) -> int:
 
 
 def _record(ctx: FieldCtx, r: int, k: int, w: int) -> PartitionRecord:
-    kind, d, _, first_mod4 = _family(ctx.p)
+    _, d, _, first_mod4 = _family(ctx.p)
     p = ctx.p
     first, second = power_representation(p, d, k)
     if first % 4 != first_mod4:
@@ -148,7 +151,7 @@ def _record(ctx: FieldCtx, r: int, k: int, w: int) -> PartitionRecord:
         second = -second
     if (second * w - first) % p != 0:
         raise ArithmeticError("no sign of the second coordinate satisfies the congruence")  # can't happen
-    return PartitionRecord(kind, r, k, first, second, p, ctx.gamma_fingerprint())
+    return PartitionRecord(r, k, first, second, p, ctx.gamma_fingerprint())
 
 
 def partition_records(ctx: FieldCtx, rs: list[int]) -> dict[int, PartitionRecord]:

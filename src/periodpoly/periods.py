@@ -92,8 +92,11 @@ class SweepOverflow(BudgetExceeded, OverflowError):
 class TraceSpectrum:
     """counts[k][t] = #{j in [0, q-1) : j = k (mod e), Tr(gamma^j) = t}, gamma generating the swept F_q^*."""
 
-    e: int
-    counts: tuple[tuple[int, ...], ...]
+    counts: tuple[tuple[int, ...], ...]  # e rows of p entries
+
+    @property
+    def e(self) -> int:
+        return len(self.counts)
 
     @property
     def p(self) -> int:
@@ -102,8 +105,13 @@ class TraceSpectrum:
 
 @dataclass(frozen=True)
 class PeriodVector:
-    e: int
+    """The reduced periods eta*_0, ..., eta*_{e-1}; e is their number."""
+
     eta_star: tuple[CycElem, ...]
+
+    @property
+    def e(self) -> int:
+        return len(self.eta_star)
 
     def to_json_dict(self) -> dict:
         return {"e": self.e, "eta_star": [v.to_json_dict() for v in self.eta_star]}
@@ -273,19 +281,18 @@ def trace_spectrum(
         raise FieldError(f"gamma^{span} = {g0} is not a primitive root of F_{p}")
     part = bucket_sweep(ctx, ctx.gamma, trow, e, span, threads)
     counts = _fold(part, g0, span, p)
-    return TraceSpectrum(e=e, counts=tuple(map(tuple, counts.tolist())))
+    return TraceSpectrum(tuple(map(tuple, counts.tolist())))
 
 
 def reduced_periods(spectrum: TraceSpectrum) -> PeriodVector:
     """eta*_k = 1 + e * eta_k with eta_k = sum_t counts[k][t] zeta_p^t, exact."""
-    p = spectrum.p
-    e = spectrum.e
+    p, e = spectrum.p, spectrum.e
     out = []
     for row in spectrum.counts:
         vec = [e * c for c in row]
         vec[0] += 1
         out.append(CycElem(p, vec))
-    return PeriodVector(e=e, eta_star=tuple(out))
+    return PeriodVector(tuple(out))
 
 
 def period_polynomial(periods: PeriodVector) -> IntPoly:

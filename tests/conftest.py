@@ -110,12 +110,12 @@ def frobenius_trace():
 
 def _with_generator(ctx: FieldCtx, g) -> FieldCtx:
     """The same field with the validated generator g."""
-    if g.ctx.params != ctx.params:
+    if not g.ctx.same_field(ctx):
         raise FieldError("generator belongs to a different field")
     ell = _order_defect(g)  # raises FieldError on zero
     if ell is not None:
         raise FieldError(f"element has order dividing (q-1)/{ell}")
-    return FieldCtx(ctx.params, g.coords, ctx.q_minus_1_factorization)
+    return FieldCtx(ctx.p, ctx.modulus, g.coords, ctx.q_minus_1_factorization)
 
 
 @pytest.fixture

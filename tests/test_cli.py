@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -245,6 +247,19 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert cache.exists() and len(cache.read_text().strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("where", ("missing directory", "directory"))
+def test_verify_unwritable_cache_keeps_the_verdict(tmp_path, capsys, where):
+    # the record is printed before the append, and a failed append is one line on stderr
+    cache = tmp_path / "missing" / "x.jsonl" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "verify", "--p", "3", "--s", "4", "--m", "4", "--cache", str(cache), "--format", "json")
+    assert code == EXIT_USAGE and json.loads(out)["status"] == "verified"
+    reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+    assert err == f"error: cannot append to {cache}: {reason}\n"
+    code, out, err = run(capsys, "verify", "--p", "3", "--s", "4", "--m", "4", "--cache", str(cache))
+    assert code == EXIT_USAGE and out.startswith("p=3 s=4 m=4 case=T1c oracle=brute: verified (digest ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_json_byte_identical(capsys):
     # the sweep walks (q - 1)/(p - 1) = 265720 elements, enough for 4 workers of at least 2^16
     outs = set()
@@ -315,3 +330,37 @@ def test_readme_examples(tmp_path, capsys):
             argv += ["--cache", str(tmp_path / "cache.jsonl")]
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK and out.strip() == want.strip(), argv
+
+
+# (argv, expected exit code) for the golden grid: brute and lift verifies, a skipped verify, the
+# SMALL_M2 irreducible case by both oracles, identity checks, periods and partition records
+GOLDEN_GRID = (
+    (("verify", "--p", "3", "--s", "4", "--m", "4", "--oracle", "brute"), EXIT_OK),
+    (("verify", "--p", "5", "--s", "8", "--m", "3", "--oracle", "brute"), EXIT_OK),
+    (("verify", "--p", "3", "--s", "8", "--m", "5", "--oracle", "lift"), EXIT_OK),
+    (("verify", "--p", "5", "--s", "8", "--m", "4", "--oracle", "lift"), EXIT_OK),
+    (("verify", "--p", "5", "--s", "8", "--m", "4", "--max-q", "100"), EXIT_BUDGET),
+    (("verify", "--p", "5", "--s", "1", "--m", "2", "--oracle", "brute"), EXIT_OK),
+    (("verify", "--p", "13", "--s", "3", "--m", "2", "--oracle", "lift"), EXIT_OK),
+    (("lemmas", "--p", "3", "--s", "4", "--m", "3"), EXIT_OK),
+    (("lemmas", "--p", "5", "--s", "4", "--m", "4"), EXIT_OK),
+    (("periods", "--p", "5", "--s", "2", "--e", "4"), EXIT_OK),
+    (("periods", "--p", "3", "--s", "6", "--e", "8"), EXIT_OK),
+    (("periods", "--p", "13", "--s", "2", "--e", "8"), EXIT_OK),
+    (("partition", "--p", "3", "--s", "8", "--r", "3"), EXIT_OK),
+    (("partition", "--p", "5", "--s", "8", "--r", "2"), EXIT_OK),
+    (("partition", "--p", "11", "--s", "16", "--r", "5"), EXIT_OK),
+)
+
+
+def test_golden_output_grid(tmp_path, capsys):
+    # the sha256 of every JSON output of the grid, verify's timestamp removed; pinned before
+    # the core types stopped storing values that their other fields determine
+    digest = hashlib.sha256()
+    for argv, want in GOLDEN_GRID:
+        extra = ("--cache", str(tmp_path / "cache.jsonl")) if argv[0] == "verify" else ()
+        code, out, _ = run(capsys, *argv, *extra, "--format", "json")
+        assert code == want, argv
+        out = re.sub(r',"timestamp":"[^"]*"', "", out)
+        digest.update(f"{' '.join(argv)}\n{out}".encode())
+    assert digest.hexdigest()[:16] == "707c0515708bc99d"

@@ -11,7 +11,6 @@ from periodpoly.fields import (
     FieldCtx,
     FieldElem,
     FieldError,
-    FieldParams,
     _discriminant,
     _factor_q_minus_1,
     _irreducible_binomials,
@@ -160,7 +159,7 @@ def schoolbook_power(coords, e, modulus, p):
 
 def bare_field(p, s, modulus):
     """F_p[x]/(modulus) with gamma = 1 and no factorization of q - 1: enough for products and powers."""
-    return FieldCtx(FieldParams(p, s, tuple(modulus)), (1,) + (0,) * (s - 1), ())
+    return FieldCtx(p, modulus, (1,) + (0,) * (s - 1), ())
 
 
 # (p, s, build) for the power tests: s = 1 and s = 2, the binomial and trinomial of two big
@@ -193,7 +192,7 @@ def test_power_by_frobenius_digits_matches_square_and_multiply(p, s, build):
 
 def test_build_prime_field():
     ctx = build_field(3, 1)
-    assert ctx.params.modulus == (0, 1)
+    assert ctx.modulus == (0, 1)
     assert ctx.gamma.coords == (2,)  # 2 generates F_3^*
     ctx5 = build_field(5, 1)
     assert ctx5.gamma.coords == (2,)  # 2 generates F_5^*
@@ -201,7 +200,7 @@ def test_build_prime_field():
 
 def test_build_f9():
     ctx = build_field(3, 2)
-    assert ctx.params.modulus == (1, 0, 1)  # x^2 + 1, -1 a non-residue mod 3
+    assert ctx.modulus == (1, 0, 1)  # x^2 + 1, -1 a non-residue mod 3
     assert ctx.gamma.coords == (1, 1)  # x + 1 has order 8
     one = ctx.one()
     orders = [k for k in range(1, 9) if ctx.gamma**k == one]
@@ -210,8 +209,8 @@ def test_build_f9():
 
 def test_build_f5_4_irreducibility_oracle():
     ctx = build_field(5, 4)
-    assert is_irreducible(ctx.params.modulus, 5)
-    assert len(ctx.params.modulus) == 5 and ctx.params.modulus[-1] == 1
+    assert is_irreducible(ctx.modulus, 5)
+    assert len(ctx.modulus) == 5 and ctx.modulus[-1] == 1
 
 
 def test_build_rejects_bad_input():
@@ -426,8 +425,8 @@ def test_q_minus_1_factorization_on_pinned_fields(p, s):
 def test_pinned_modulus_and_generator(p, s):
     # the digests carry gamma's fingerprint, so construction must not drift
     ctx = build_field(p, s)
-    assert (sparse(ctx.params.modulus), sparse(ctx.gamma.coords)) == PINNED_FIELDS[p, s]
-    assert is_irreducible(ctx.params.modulus, p)
+    assert (sparse(ctx.modulus), sparse(ctx.gamma.coords)) == PINNED_FIELDS[p, s]
+    assert is_irreducible(ctx.modulus, p)
     assert order_defect_reference(ctx.gamma) is None
 
 
@@ -453,7 +452,7 @@ def test_subfield_matches_the_power_and_the_product_of_conjugates(p, s):
     # the reference is the norm as one power, gamma^{(q-1)/(q0-1)} by square-and-multiply over
     # schoolbook products, then its minimal polynomial prod_{i<k} (X - g0^{p^i}) over F_q
     ctx = build_field(p, s)
-    f, one = ctx.params.modulus, [1] + [0] * (s - 1)
+    f, one = ctx.modulus, [1] + [0] * (s - 1)
     mul = lambda u, v: schoolbook_mulmod(u, v, f, p)
     for k in (k for k in range(1, s + 1) if s % k == 0):
         conj = FieldElem(ctx, power(list(ctx.gamma.coords), (ctx.q - 1) // (p**k - 1), mul, one))
@@ -463,7 +462,7 @@ def test_subfield_matches_the_power_and_the_product_of_conjugates(p, s):
             conj = FieldElem(ctx, power(list(conj.coords), p, mul, one))
         modulus = tuple(c.prime_field_value() for c in f0)
         sub = ctx.subfield(k)
-        assert sub.params.modulus == modulus, k
+        assert sub.modulus == modulus, k
         assert list(sub.gamma.coords) == (divmod_mod_p([0, 1], modulus, p)[1] + [0] * k)[:k], k  # x mod f0
 
 
@@ -514,6 +513,24 @@ def test_context_mismatch_errors():
         _ = a.gamma + b.gamma
 
 
+def test_fields_mix_exactly_when_p_and_modulus_agree():
+    # the same (p, s) under another irreducible modulus is another field: its elements do not mix
+    a = build_field(3, 2)
+    b = build_field(3, 2, modulus=(2, 1, 1))  # x^2 + x + 2
+    assert a.modulus == (1, 0, 1) and (b.p, b.s, b.q) == (a.p, a.s, a.q)
+    for x, y in ((a.gamma, b.gamma), (a.one(), b.one())):
+        with pytest.raises(FieldError):
+            _ = x * y
+        with pytest.raises(FieldError):
+            _ = x + y
+        assert (x == y) is False
+    # two separate builds of one field are one field, and so is a context with another gamma
+    c = build_field(3, 2)
+    assert c is not a and a.gamma * c.gamma == c.gamma**2 and a.gamma == c.gamma
+    d = FieldCtx(a.p, a.modulus, (a.gamma**3).coords, a.q_minus_1_factorization)
+    assert d.gamma == a.gamma**3 and (d.gamma * a.gamma).ctx is d
+
+
 def test_negative_power_rejected():
     ctx = build_field(3, 2)
     for x in (ctx.from_int(0), ctx.gamma):
@@ -549,7 +566,7 @@ def test_trace_against_frobenius_sum(field_trace, frobenius_trace):
 
 def frobenius_trace_row(ctx):
     """Reference trace row: row 0 of sum_{i<s} F^i, F the matrix of the p-power Frobenius."""
-    s, p, modulus = ctx.s, ctx.p, ctx.params.modulus
+    s, p, modulus = ctx.s, ctx.p, ctx.modulus
     # Matrix of the p-power Frobenius: columns are coords of (x^i)^p
     frob = np.zeros((s, s), dtype=np.int64)
     xpow = _poly_powmod([0, 1] + [0] * (s - 2) if s > 1 else [1], p, modulus, p)
@@ -617,7 +634,7 @@ def test_subfield_is_the_field_of_the_norm(p, s):
     for k in sorted({1, 2, s // 2, s}):
         sub = ctx.subfield(k)
         assert (sub.p, sub.s, sub.q) == (p, k, p**k)
-        assert is_irreducible(sub.params.modulus, p)
+        assert is_irreducible(sub.modulus, p)
         assert sub.q_minus_1_factorization == tuple(factorize(sub.q - 1))
         assert _order_defect(sub.gamma) is None
         g0 = ctx.gamma ** ((ctx.q - 1) // (sub.q - 1))
@@ -660,7 +677,7 @@ def test_subfield_rejects_bad_degrees(p, s):
 def test_subfield_of_a_prime_field_gamma_raises(p, s):
     # gamma = 2 lies in F_p, so g0 does too and f0 = (X - g0)^2 is reducible
     ctx = build_field(p, s)
-    bad = FieldCtx(ctx.params, ctx.from_int(2).coords, ctx.q_minus_1_factorization)
+    bad = FieldCtx(ctx.p, ctx.modulus, ctx.from_int(2).coords, ctx.q_minus_1_factorization)
     with pytest.raises(FieldError, match="reducible"):
         bad.subfield(2)
 
@@ -775,10 +792,10 @@ def test_alternative_modulus_builds():
             coeffs.append(k % 3)
             k //= 3
         cand = tuple(coeffs) + (1,)
-        if cand != default.params.modulus and is_irreducible(cand, 3):
+        if cand != default.modulus and is_irreducible(cand, 3):
             f = cand
             break
     assert f is not None
     alt = build_field(3, 4, modulus=f)
-    assert alt.params.modulus == f
+    assert alt.modulus == f
     assert alt.gamma ** (alt.q - 1) == alt.one()
