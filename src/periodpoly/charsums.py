@@ -9,9 +9,11 @@ a character of order E, and psi = lambda^j. Each quantity has one kernel:
   * Jacobi sums are read off one discrete-log walk per cyclic group
     (discrete_log_map): the sweep's orbit kernel lays out the coordinates of
     g^a row by row, so the row index is the log. zech_logs forms 1 - x on the
-    whole block, looks every log up at once by packed int64 keys, and returns
-    the Zech vector a + log(1 - x_a); every J(lambda^j) on that group is then
-    one bincount of j times it (jacobi_sum), so a field pays one search.
+    whole block, packs each row into its int64 key sum_i c_i p^i in [0, q), and
+    reads every log at once from one length-q index that the walk's keys are
+    scattered into; it returns the Zech vector a + log(1 - x_a), and every
+    J(lambda^j) on that group is then one bincount of j times it (jacobi_sum),
+    so a field pays one scatter and one gather.
 
 A subfield is swept as its own field: subfield_sums is one trace_spectrum call
 on ctx.subfield(k), F_p[x]/(f0) with f0 the minimal polynomial of gamma^d,
@@ -105,14 +107,21 @@ def discrete_log_map(ctx: FieldCtx) -> np.ndarray:
 
 
 def _logs(ctx: FieldCtx, dlog: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The log in the walk `dlog` of each row of coords; raises FieldError for one outside the group."""
+    """The log in the walk `dlog` of each row of coords; raises FieldError for one outside the group.
+
+    The walk's packed keys are distinct and lie in [1, q): index[key] is the row of
+    that key, -1 where no row has it (the key 0 of x = 0 among them), and a lookup
+    is one gather. The index has length q, so q - 1 is held to the walk's budget.
+    """
     if ctx.q >= 1 << 63:
         raise SweepOverflow(f"p^s = {ctx.q} >= 2^63: packed int64 keys would wrap")
+    if ctx.q - 1 >= DEFAULT_MAX_Q_JACOBI:
+        raise BudgetExceeded(f"group of order {ctx.q - 1} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
     weights = ctx.p ** np.arange(ctx.s, dtype=np.int64)
-    keys, wanted = dlog @ weights, coords @ weights
-    perm = np.argsort(keys)
-    at = perm[np.minimum(np.searchsorted(keys[perm], wanted), len(keys) - 1)]
-    missing = keys[at] != wanted
+    index = np.full(ctx.q, -1, dtype=np.int64)
+    index[dlog @ weights] = np.arange(len(dlog))
+    at = index[coords @ weights]
+    missing = at < 0
     if missing.any():
         raise FieldError(f"{coords[missing][0].tolist()} is not in the walked group")
     return at

@@ -9,16 +9,26 @@ Equality, integrality and serialization always go through the canonical form;
 no floating point is involved in any decision.
 
 Every product in Z[zeta_n] goes through one kernel, `_kron_mul`, the cyclic
-product of two length-n vectors by Kronecker substitution: one big-int product
-per call (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
-`CycElem.__mul__` calls it at the conductor; `expand_mod` calls it once per node
-of a balanced product tree, on coefficient vectors zero-padded to the length of
-their product. `root_of_unity_mod` gives the ring map Z[zeta_n] -> Z/N.
+product of two length-n vectors. `CycElem.__mul__` calls it at the conductor;
+`expand_mod` calls it once per node of a balanced product tree, on coefficient
+vectors zero-padded to the length of their product. `root_of_unity_mod` gives
+the ring map Z[zeta_n] -> Z/N.
 
-The packing. Vector a fills n slots of wb bytes, one signed entry each:
-A = sum_t a_t * 2^{8*wb*t}, likewise B. Slot k <= 2n - 2 of A*B collects
+The bound. Slot k <= 2n - 2 of the linear product collects
 c_k = sum_{s+t=k} a_s * b_t, at most n pairs, so |c_k| <= n * max|a| * max|b| = M,
 with both heights taken as at least 1, so that M also bounds max|a| and max|b|.
+Every partial sum of c_k, and every cyclic slot c_k + c_{k+n} (n pairs in all),
+is bounded by M as well. So while M < 2^63 the kernel is one np.convolve in
+int64, exact, with the slots k >= n folded onto k - n. Otherwise it is one
+big-int product by Kronecker substitution (von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4), which `expand_mod` and the large Davenport-Hasse powers
+take. np.convolve is quadratic in n and CPython's big-int product is not, so
+the kernel also packs past n = _CONVOLVE_MAX_N, within the bound or not: on a
+2-vCPU Xeon the two cross between n = 1,536 and 2,560 at heights 1 to 30, and
+near n = 4,000 for squares at height 10^6 (BENCH_identity_arith.json).
+
+The packing. Vector a fills n slots of wb bytes, one signed entry each:
+A = sum_t a_t * 2^{8*wb*t}, likewise B, so slot k of A*B holds c_k.
 With wb = ceil((bitlen(M) + 2) / 8), 2^{8*wb - 1} > M: adding the bias
 2^{8*wb - 1} to each slot gives digits in [0, 2^{8*wb}), with no borrow or carry
 between slots. One `to_bytes` of A*B + (bias in every slot) and one
@@ -33,6 +43,8 @@ import itertools
 import math
 import operator
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .intmath import is_prime, power
 
@@ -58,6 +70,9 @@ def _supported_conductor(n: int) -> tuple[int, int]:
     return a, m
 
 
+_CONVOLVE_MAX_N = 1536  # the longest vectors _kron_mul convolves in int64 (module docstring)
+
+
 def _biases(wb: int, slots: int) -> int:
     """The int with the bias 2^{8*wb - 1} in each of `slots` wb-byte slots."""
     return int.from_bytes((1 << (8 * wb - 1)).to_bytes(wb, "little") * slots, "little")
@@ -71,12 +86,19 @@ def _pack(vec: Sequence[int], wb: int) -> int:
 
 
 def _kron_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """a * b in Z[x]/(x^n - 1) for a, b vectors of n ints, by one big-int product.
+    """a * b in Z[x]/(x^n - 1) for a, b vectors of n ints, as a list of Python ints.
 
-    Pass the same object twice for a square. The packing is in the module docstring.
+    One int64 np.convolve while M = n * max|a| * max|b| < 2^63 and n <= _CONVOLVE_MAX_N,
+    else one big-int product; the bound and the packing are in the module docstring.
+    Pass the same object twice for a square.
     """
     height = max(1, max(a), -min(a))
     big = n * height * (height if b is a else max(1, max(b), -min(b)))
+    if big < 1 << 63 and n <= _CONVOLVE_MAX_N:
+        u = np.array(a, dtype=np.int64)
+        c = np.convolve(u, u if b is a else np.array(b, dtype=np.int64))
+        c[: n - 1] += c[n:]
+        return c[:n].tolist()
     wb = (big.bit_length() + 9) // 8
     packed = _pack(a, wb)
     product = packed * (packed if b is a else _pack(b, wb))
@@ -250,12 +272,12 @@ def frobenius_power_sum(p: int, n: int, r: int) -> CycElem:
     if r < max(n, 3):
         raise ValueError("r must be >= max(n, 3)")
     mod = 1 << n
-    total = CycElem.zero(mod)
+    counts = [0] * mod  # counts[k]: how many v have p^v = k (mod 2^n)
     e = 1
     for _ in range(1 << (r - 2)):
-        total = total + CycElem.root(mod, e)
+        counts[e] += 1
         e = e * p % mod
-    return total
+    return CycElem(mod, counts)
 
 
 class IntPoly:

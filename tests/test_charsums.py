@@ -99,6 +99,27 @@ def test_jacobi_values():
         zech_logs(ctx340, np.array([ctx340.one().coords, (-ctx340.one()).coords]))
 
 
+def test_logs_by_scatter_index():
+    # every row of a walk is found at its own index, on the walk-test fields above
+    for p, s, s_sub in ((3, 4, 4), (5, 4, 4), (13, 2, 2), (3, 8, 4)):
+        ctx = build_field(p, s)
+        field = ctx if s_sub == s else ctx.subfield(s_sub)
+        dlog = discrete_log_map(field)
+        assert _logs(field, dlog, dlog).tolist() == list(range(field.q - 1))
+    # the walk of gamma^2 on F_9 is the squares: gamma is not in it, gamma^2 is its row 1
+    ctx9 = build_field(3, 2)
+    squares = discrete_log_map(ctx9)[::2]
+    with pytest.raises(FieldError):
+        _logs(ctx9, squares, np.array([ctx9.gamma.coords]))
+    assert _logs(ctx9, squares, np.array([(ctx9.gamma**2).coords])).tolist() == [1]
+    # q - 1 = 1594323 - 1 is over the walk's budget: the length-q index is never allocated,
+    # even for a walk of two rows
+    ctx313 = build_field(3, 13)
+    walk = np.array([ctx313.one().coords, (-ctx313.one()).coords])
+    with pytest.raises(BudgetExceeded):
+        _logs(ctx313, walk, walk)
+
+
 def test_subfield_walk_sees_the_subfield_bounds():
     # F_{13^4} inside F_{13^32}: 13^32 >= 2^63, but the subfield's own walk and its
     # packed keys are small; its Zech vector against a FieldElem walk of g0 in F_{13^32}

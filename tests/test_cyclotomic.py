@@ -1,14 +1,17 @@
 import cmath
+import math
 import random
 
 import numpy as np
 import pytest
 
+from periodpoly import cyclotomic
 from periodpoly.cyclotomic import (
     CycElem,
     IntPoly,
     NotAnInteger,
     _kron_mul,
+    _pack,
     _supported_conductor,
     expand_factor_list,
     expand_mod,
@@ -292,6 +295,53 @@ def test_kernel_at_the_slot_bound(n, schoolbook_mul):
                 assert (a * a).vec == want
             if n < 300 and sa == 1:
                 assert want == schoolbook_mul(a, b).vec
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """The slot widths of the kernel's Kronecker packings, one per packed operand."""
+    widths = []
+    monkeypatch.setattr(cyclotomic, "_pack", lambda vec, wb: widths.append(wb) or _pack(vec, wb))
+    return widths
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_kernel_at_the_int64_edge(n, schoolbook_mul, packed):
+    # h is the largest height whose slot bound n*h^2 fits int64, so the product runs in one
+    # np.convolve; at h + 1 the bound passes 2^63 and the kernel packs (Kronecker). Constant
+    # vectors reach the bound in every slot, with both signs
+    h = math.isqrt((2**63 - 1) // n)
+    assert n * h * h < 2**63 <= n * (h + 1) ** 2
+    for height, kronecker in ((h, False), (h + 1, True)):
+        schoolbook = {}  # by sa * sb: the n = 1013 double loop takes a quarter second
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            a, b = CycElem(n, [sa * height] * n), CycElem(n, [sb * height] * n)
+            if sa * sb not in schoolbook:
+                schoolbook[sa * sb] = schoolbook_mul(a, b).vec
+            want = schoolbook[sa * sb]
+            assert want == (n * sa * sb * height * height,) * n
+            packed.clear()
+            got = _kron_mul(a.vec, b.vec, n)
+            assert got == list(want) and all(type(c) is int for c in got)
+            assert bool(packed) is kronecker
+            if sa == sb:
+                assert _kron_mul(a.vec, a.vec, n) == list(want)
+
+
+def test_kernel_packs_long_vectors_within_the_bound(packed):
+    # np.convolve is quadratic in n: past _CONVOLVE_MAX_N the kernel packs at any height.
+    # 1536 = 2^9 * 3 and 1538 = 2 * 769 are the conductors on either side of the switch
+    assert 1536 <= cyclotomic._CONVOLVE_MAX_N < 1538
+    rng = random.Random(1536)
+    for n, kronecker in ((1536, False), (1538, True)):
+        for ha, hb in ((1, 1), (3, -2), (1 << 20, -(1 << 20))):
+            packed.clear()
+            got = _kron_mul([ha] * n, [hb] * n, n)
+            assert got == [n * ha * hb] * n and all(type(c) is int for c in got)
+            assert bool(packed) is kronecker
+        f = [rng.randrange(-9, 10) for _ in range(n // 2)]
+        g = [rng.randrange(-9, 10) for _ in range(n - n // 2)]
+        assert _kron_mul(f + [0] * (n - len(f)), g + [0] * (n - len(g)), n) == plain_product(f, g) + [0]
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)
