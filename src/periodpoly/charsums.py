@@ -9,11 +9,12 @@ a character of order E, and psi = lambda^j. Each quantity has one kernel:
   * Jacobi sums are read off one discrete-log walk per cyclic group
     (discrete_log_map): the sweep's orbit kernel lays out the coordinates of
     g^a row by row, so the row index is the log. zech_logs forms 1 - x on the
-    whole block, packs each row into its int64 key sum_i c_i p^i in [0, q), and
-    reads every log at once from one length-q index that the walk's keys are
-    scattered into; it returns the Zech vector a + log(1 - x_a), and every
-    J(lambda^j) on that group is then one bincount of j times it (jacobi_sum),
-    so a field pays one scatter and one gather.
+    whole block with no division, packs each row into its int64 key
+    sum_i c_i p^i in [0, q), and reads every log at once from one length-q index
+    that the walk's keys are scattered into; it returns the Zech vector
+    a + log(1 - x_a), and every J(lambda^j) on that group is then one bincount
+    of j times it (jacobi_sum), so a field pays one scatter and one gather. The
+    identity suite reads the log of 4 off the same vector, as 2 log(1 - (-1)).
 
 A subfield is swept as its own field: subfield_sums is one trace_spectrum call
 on ctx.subfield(k), F_p[x]/(f0) with f0 the minimal polynomial of gamma^d,
@@ -133,8 +134,11 @@ def zech_logs(ctx: FieldCtx, dlog: np.ndarray) -> np.ndarray:
     Row 0 is x = 1, where psi(1 - x) = psi(0) = 0. This is the part of every
     Jacobi sum on the walked group that does not depend on the character.
     """
-    one_minus_x = -dlog[1:] % ctx.p
-    one_minus_x[:, 0] = (1 - dlog[1:, 0]) % ctx.p
+    one_minus_x = ctx.p - dlog[1:]  # -x with no division: p - c, and 0 where c = 0
+    one_minus_x[dlog[1:] == 0] = 0
+    constant = one_minus_x[:, 0]  # a view: 1 - x adds one to the constant coordinate
+    constant += 1
+    constant[constant == ctx.p] = 0
     return np.arange(1, len(dlog)) + _logs(ctx, dlog, one_minus_x)
 
 
@@ -379,15 +383,16 @@ def identity_report(
 
     @functools.cache
     def walk() -> tuple[np.ndarray, int]:
-        """The discrete-log walk of F_q^* and the log of 4."""
+        """The Zech vector of the discrete-log walk of F_q^*, and the log of 4.
+
+        Both come from the walk's one log index: -1 = gamma^h with h = (q-1)/2, so
+        log 2 = log(1 - (-1)) = zech[h - 1] - h, and log 4 = 2 log 2.
+        """
         if q > max_q:
             raise BudgetExceeded(f"q={q} exceeds the enumeration budget {max_q}")
-        dlog = discrete_log_map(ctx)
-        return dlog, int(_logs(ctx, dlog, np.array([ctx.from_int(4 % p).coords]))[0])
-
-    @functools.cache
-    def zech() -> np.ndarray:
-        return zech_logs(ctx, walk()[0])
+        zech = zech_logs(ctx, discrete_log_map(ctx))
+        half = (q - 1) // 2
+        return zech, 2 * (int(zech[half - 1]) - half) % (q - 1)
 
     rho_idx = e // 2
     checks: list[IdentityCheck] = []
@@ -417,7 +422,7 @@ def identity_report(
             checks.append(IdentityCheck("9", {"r": r}, lhs, CycElem.integer(1, rhs_val)))
         if want("5") and walkable and 2 * j % e:
             # order of psi^2 is 2^{r-1}; for r = 1 psi = rho is excluded anyway
-            jac = jacobi_sum(e, j, zech())
+            jac = jacobi_sum(e, j, walk()[0])
             checks.append(IdentityCheck("5", {"r": r}, gauss(j) * gauss(j), gauss(2 * j) * jac))
 
     if want("3"):

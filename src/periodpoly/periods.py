@@ -1,7 +1,10 @@
 """Brute-force ground truth: trace spectra, reduced periods, period polynomials.
 
 period_polynomial expands prod_k (X - eta*_k) for either oracle's periods in
-Z[zeta_p]: its integer coefficients come from one ring map Z[zeta_p] -> Z/N.
+Z[zeta_p] orbit by orbit; N > 2(1+M)^d, d the largest orbit: the distinct
+periods split into Galois orbits, each orbit's integer polynomial comes from
+one ring map Z[zeta_p] -> Z/N, and the orbit polynomials, each to its
+multiplicity, multiply in Z[X].
 
 trace_spectrum is the one sweep entry: it counts F_q^* by coset and absolute
 trace, walked as powers of gamma. A subfield is swept as its own field,
@@ -60,12 +63,13 @@ import itertools
 import math
 import operator
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycElem, IntPoly, expand_mod, root_of_unity_mod
+from .cyclotomic import CycElem, IntPoly, expand_factor_list, expand_mod, root_of_unity_mod
 from .fields import FieldCtx, FieldElem, FieldError
 from .intmath import factorize, is_prime, power
 
@@ -296,30 +300,47 @@ def reduced_periods(spectrum: TraceSpectrum) -> PeriodVector:
 
 
 def period_polynomial(periods: PeriodVector) -> IntPoly:
-    """prod_k (X - eta*_k), exact, through the ring map zeta_p -> omega, Z[zeta_p] -> Z/N.
+    """prod_k (X - eta*_k), exact, orbit by orbit; N > 2 (1 + M)^d, d the largest orbit.
 
     Each period's vector less its entry at t = 0 is its unique form modulo the
-    all-ones vector, which is 0. If sigma_g (entry t moves to g*t mod p, g a
-    primitive root mod p) permutes these vectors w, every coefficient lies in Q
-    and Z[zeta_p], so in Z; if not, ArithmeticError. By Parseval, no complex image
-    of w exceeds M = max sqrt(p * sum_t w_t^2 - (sum_t w_t)^2), nor any coefficient
-    (1 + M)^e; so prod (X - image_k) mod N > 2 (1 + M)^e, lifted to (-N/2, N/2), is exact.
+    all-ones vector, which is 0. sigma_g (entry t moves to g*t mod p, g a primitive
+    root mod p) generates Gal(Q(zeta_p)/Q), so it splits the distinct vectors w into
+    orbits. Each orbit must close inside the multiset of periods, and all its values
+    must have one multiplicity; if not, ArithmeticError. An orbit's polynomial
+    prod (X - w) is then fixed by sigma_g, so its coefficients lie in Q and Z[zeta_p],
+    so in Z. By Parseval, no complex image of w exceeds
+    M = max sqrt(p * sum_t w_t^2 - (sum_t w_t)^2), and the coefficient of X^{d-i} of
+    an orbit of d values is at most C(d, i) M^i <= (1 + M)^d. So each distinct value
+    is mapped once through the ring map zeta_p -> omega, Z[zeta_p] -> Z/N with
+    N > 2 (1 + M)^d, each orbit is expanded mod N and lifted to (-N/2, N/2), and the
+    orbit polynomials, each to its multiplicity, multiply in Z[X].
     """
     conductors = {v.n for v in periods.eta_star}
     p = min(conductors, default=0)
     if len(conductors) != 1 or p == 2 or not is_prime(p):
         raise ValueError(f"the periods need one odd prime conductor, got {sorted(conductors)}")
-    vecs = [tuple(c - v.vec[0] for c in v.vec) for v in periods.eta_star]
+    mult = Counter(tuple(c - v.vec[0] for c in v.vec) for v in periods.eta_star)
     cofactors = [(p - 1) // ell for ell, _ in factorize(p - 1)]
     g = next(g for g in range(2, p) if all(pow(g, d, p) != 1 for d in cofactors))
-    sigma = operator.itemgetter(*(t * pow(g, -1, p) % p for t in range(p)))  # sigma(w)[g*t] = w[t]
-    if sorted(map(sigma, vecs)) != sorted(vecs):
-        raise ArithmeticError(f"sigma_{g} does not permute the periods: their polynomial is not over Z")
-    height = max(math.isqrt(p * sum(c * c for c in w) - sum(w) ** 2) + 1 for w in vecs)  # M
-    modulus, omega = root_of_unity_mod(p, 2 * (1 + height) ** len(vecs))
+    g_inverse = pow(g, -1, p)
+    sigma = operator.itemgetter(*(t * g_inverse % p for t in range(p)))  # sigma(w)[g*t] = w[t]
+    orbits, rest = [], dict(mult)
+    while rest:
+        w, count = rest.popitem()
+        orbit = [w]
+        while (u := sigma(orbit[-1])) != w:
+            if rest.pop(u, None) != count:
+                raise ArithmeticError(f"sigma_{g} does not permute the periods: their polynomial is not over Z")
+            orbit.append(u)
+        orbits.append((orbit, count))
+    height = max(math.isqrt(p * sum(c * c for c in w) - sum(w) ** 2) + 1 for w in mult)  # M
+    modulus, omega = root_of_unity_mod(p, 2 * (1 + height) ** max(len(orbit) for orbit, _ in orbits))
     powers = list(itertools.accumulate(range(p - 1), lambda x, _: x * omega % modulus, initial=1))
-    coeffs = expand_mod([sum(map(operator.mul, w, powers)) % modulus for w in vecs], modulus)
-    out = IntPoly(c - modulus if 2 * c > modulus else c for c in coeffs)
+    factors = []
+    for orbit, count in orbits:  # each distinct value is in one orbit, so it is mapped once
+        coeffs = expand_mod([sum(map(operator.mul, w, powers)) % modulus for w in orbit], modulus)
+        factors.append((IntPoly(c - modulus if 2 * c > modulus else c for c in coeffs), count))
+    out = expand_factor_list(factors)
     if not out.is_monic() or out.degree != periods.e:
         raise ArithmeticError(f"period polynomial is not monic of degree {periods.e}")
     if periods.e >= 2 and out.coeffs[periods.e - 1] != 0:

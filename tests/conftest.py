@@ -1,8 +1,10 @@
+import itertools
 import math
+import operator
 
 import pytest
 
-from periodpoly.cyclotomic import CycElem
+from periodpoly.cyclotomic import CycElem, IntPoly, expand_mod, root_of_unity_mod
 from periodpoly.fields import FieldCtx, FieldError, _order_defect
 
 
@@ -73,6 +75,26 @@ def _sequential_poly_from_roots(roots: list) -> list:
 def sequential_poly_from_roots():
     """The schoolbook expansion of prod (X - root) over Z[zeta_n], for the expansion tests."""
     return _sequential_poly_from_roots
+
+
+def _all_roots_period_polynomial(periods) -> IntPoly:
+    """Reference expansion of prod_k (X - eta*_k): all e images at once, through one ring map
+    Z[zeta_p] -> Z/N with N > 2 (1 + M)^e (M bounds every complex image), lifted to (-N/2, N/2).
+
+    The periods must be sigma_g-stable; this reference does not check it."""
+    p = periods.eta_star[0].n
+    vecs = [tuple(c - v.vec[0] for c in v.vec) for v in periods.eta_star]
+    height = max(math.isqrt(p * sum(c * c for c in w) - sum(w) ** 2) + 1 for w in vecs)
+    modulus, omega = root_of_unity_mod(p, 2 * (1 + height) ** len(vecs))
+    powers = list(itertools.accumulate(range(p - 1), lambda x, _: x * omega % modulus, initial=1))
+    coeffs = expand_mod([sum(map(operator.mul, w, powers)) % modulus for w in vecs], modulus)
+    return IntPoly(c - modulus if 2 * c > modulus else c for c in coeffs)
+
+
+@pytest.fixture
+def all_roots_period_polynomial():
+    """The expansion of every period at once, sized by e, against the orbit-by-orbit one."""
+    return _all_roots_period_polynomial
 
 
 def _field_trace(ctx: FieldCtx):

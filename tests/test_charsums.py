@@ -120,6 +120,22 @@ def test_logs_by_scatter_index():
         _logs(ctx313, walk, walk)
 
 
+def test_zech_vector_against_its_definition():
+    # 1 - x formed with a modulo, each log looked up on its own; and the log of 4 that
+    # identity_report reads off the Zech vector as 2 log(1 - (-1)), -1 = gamma^((q-1)/2)
+    for p, s, s_sub in ((3, 4, 4), (5, 4, 4), (13, 2, 2), (3, 8, 4), (3, 2, 1)):
+        ctx = build_field(p, s)
+        field = ctx if s_sub == s else ctx.subfield(s_sub)
+        dlog = discrete_log_map(field)
+        one_minus_x = -dlog[1:] % p
+        one_minus_x[:, 0] = (1 - dlog[1:, 0]) % p
+        zech = zech_logs(field, dlog)
+        assert zech.tolist() == [a + int(_logs(field, dlog, row[None])[0]) for a, row in enumerate(one_minus_x, 1)]
+        half = (field.q - 1) // 2
+        four = _logs(field, dlog, np.array([field.from_int(4 % p).coords]))[0]
+        assert 2 * (zech[half - 1] - half) % (field.q - 1) == four
+
+
 def test_subfield_walk_sees_the_subfield_bounds():
     # F_{13^4} inside F_{13^32}: 13^32 >= 2^63, but the subfield's own walk and its
     # packed keys are small; its Zech vector against a FieldElem walk of g0 in F_{13^32}

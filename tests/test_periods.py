@@ -137,6 +137,87 @@ def test_periods_off_a_galois_orbit_raise():
         period_polynomial(PeriodVector(tuple(CycElem(29, v) for v in vecs)))
 
 
+BENCHMARK_INSTANCES = (
+    ("brute", 3, 14, 3), ("brute", 5, 10, 3), ("brute", 13, 6, 3), ("brute", 3, 12, 4),
+    ("brute", 5, 8, 4), ("brute", 29, 4, 4), ("brute", 3, 8, 5),
+    ("lift", 5, 16, 5), ("lift", 13, 8, 4), ("lift", 3, 16, 5), ("lift", 11, 16, 4),
+    ("lift", 13, 32, 4), ("lift", 3, 64, 5),
+)
+
+
+def _periods_of(oracle, p, s, m):
+    return brute_or_lift_periods(oracle, p, s, m if oracle == "lift" else 1 << m)
+
+
+@pytest.mark.parametrize(
+    "oracle, p, s, m",
+    BENCHMARK_INSTANCES + (("brute", 4003, 2, 3), ("brute", 5, 5, 2)),  # (5, 5, 2): SMALL_M2, one orbit of e values
+)
+def test_orbit_expansion_matches_all_roots_reference(oracle, p, s, m, all_roots_period_polynomial):
+    pv = _periods_of(oracle, p, s, m)
+    assert period_polynomial(pv) == all_roots_period_polynomial(pv)
+
+
+def _orbit_sizes(pv):
+    """The sizes of the sigma_2-orbits of the distinct periods (2 is a primitive root of 13 and 29)."""
+    p = pv.eta_star[0].n
+
+    def sigma(v):
+        out = [0] * p
+        for t, c in enumerate(v.vec):
+            out[2 * t % p] += c
+        return CycElem(p, out)
+
+    sizes, distinct = [], []
+    for v in pv.eta_star:
+        if any(v == u for u in distinct):
+            continue
+        distinct.append(v)
+        u, size = sigma(v), 1
+        while u != v:
+            u, size = sigma(u), size + 1
+        sizes.append(size)
+    return sizes
+
+
+@pytest.mark.parametrize("p, s, m", ((13, 6, 3), (29, 4, 4)))
+def test_orbit_expansion_sizes_its_modulus_by_the_largest_orbit(p, s, m, monkeypatch, all_roots_period_polynomial):
+    import periodpoly.periods as periods
+
+    pv = _periods_of("brute", p, s, m)
+    sizes = _orbit_sizes(pv)
+    d = max(sizes)
+    assert len(set(sizes)) > 1 and d < pv.e  # orbits of mixed sizes, the largest below e
+    bounds = []
+    ring_map = periods.root_of_unity_mod
+    monkeypatch.setattr(periods, "root_of_unity_mod", lambda n, bound: bounds.append(bound) or ring_map(n, bound))
+    assert period_polynomial(pv) == all_roots_period_polynomial(pv)
+    vecs = [[c - v.vec[0] for c in v.vec] for v in pv.eta_star]
+    height = max(math.isqrt(p * sum(c * c for c in w) - sum(w) ** 2) + 1 for w in vecs)
+    assert bounds == [2 * (1 + height) ** d]
+
+
+ZETA3, ZETA5 = CycElem.root(3, 1), CycElem.root(5, 1)
+
+
+@pytest.mark.parametrize(
+    "eta_star, match",
+    (
+        # sigma_2 sends zeta_5 to zeta_5^2, which is not a period, though the periods sum to zero
+        ((ZETA5, -ZETA5), "does not permute"),
+        # {v, sigma v, sigma v} with v = zeta_3, and their negatives: each orbit closes inside
+        # the periods and they sum to zero, but sigma sends one copy of v to two of sigma v
+        ((ZETA3, ZETA3**2, ZETA3**2, -ZETA3, -(ZETA3**2), -(ZETA3**2)), "does not permute"),
+        # the orbit {zeta_5^k} and two copies of 1: sigma-stable, with sum -1 + 2 = 1
+        (tuple(ZETA5**k for k in range(1, 5)) + (CycElem.integer(5, 1),) * 2, "sum to zero"),
+    ),
+    ids=("orbit-leaves-the-periods", "unequal-multiplicities", "nonzero-sum"),
+)
+def test_orbit_tripwires_raise(eta_star, match):
+    with pytest.raises(ArithmeticError, match=match):
+        period_polynomial(PeriodVector(eta_star))
+
+
 @pytest.mark.parametrize(
     "eta_star",
     (
