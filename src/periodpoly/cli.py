@@ -203,7 +203,7 @@ def _add_common(sub, *, m=False, e=False, r=False, oracle=False, sweep=False):
     sub.add_argument("--json", dest="format", action="store_const", const="json", help="shorthand for --format json")
     if sweep:
         sub.add_argument("--max-q", dest="max_q", type=int, default=DEFAULT_MAX_Q, help="budget: largest q of a field swept or walked, and largest e*p count table")
-        sub.add_argument("--threads", type=int, default=None, help="sweep worker count (default: all cores)")
+        sub.add_argument("--threads", type=int, default=None, help="at most N sweep workers (default: the CPUs this process may run on)")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -40,21 +40,37 @@ j = b*B + i with 0 <= i < B; then
 
 The kernel builds R, the B x s block of rows trow . M^i, the jump M^B, and
 W, the block of start states M^{bB} . coords(1), each once per sweep and by
-doubling, and reads every trace off the one product R . W, taken a bounded
+doubling, and reads every trace off the one product W . R^T, taken a bounded
 slice at a time: s multiply-adds per element. Every block starts at a
-multiple of B, and e | B unless the sweep is one block, so row i of R lies in
-coset i mod e, and one key vector buckets the whole product. Every entry of R . W is a raw dot value in
-[0, v), v = s*(p-1)^2 + 1. While e*v <= _CHUNK = 2^15 buckets, the sweep
-tallies the raw key (j mod e)*v + R.W, with no reduction mod p per element,
-and folds its e x v table mod p once at the end:
-counts[:, t] = raw[:, t::p].sum(1). Above that bound it tallies
-(j mod e)*p + (R.W mod p). The recurrences run in int64. The product runs in
-float64 (BLAS) while s*(p-1)^2 < 2^53, and in int64 above that or for sweeps
-too short to repay loading BLAS; at s*(p-1)^2 >= 2^63 the sweep raises
-SweepOverflow before it starts. The workers split W's full blocks into
-contiguous slices, each tallied into a private count vector; those vectors
-and the one tail block's are summed, so the result is bit-identical for any
-worker count.
+multiple of B, and e | B unless the sweep is one block, so column i of R^T
+lies in coset i mod e, and one key vector buckets the whole product. Every
+entry of W . R^T is a raw dot value in [0, v), v = s*(p-1)^2 + 1.
+
+- While e*v <= _CHUNK = 2^15 buckets, the sweep tallies the raw key
+  (j mod e)*v + dot, with no reduction mod p per element, and folds its
+  e x v table mod p once at the end: counts[:, t] = raw[:, t::p].sum(1). The
+  key rides in the product: R^T gains the row of keys (i mod e)*v and W a
+  column of ones, so each product is its key.
+- Above that bound it tallies (j mod e)*p + (dot mod p), adding the key after
+  the reduction.
+
+The recurrences run in int64. The product runs in the first exact dtype
+(_exact_dtype): every term is a non-negative integer, so every partial sum,
+in any order, is at most the whole, s*(p-1)^2 plus the key. float32 is exact
+below 2^24, which always holds on the raw path (its sums stay below
+e*v <= 2^15) and holds on the mod-p path while s*(p-1)^2 < 2^24; then float64
+below 2^53 and int64 below 2^63. Sweeps too short to repay loading BLAS
+(_MIN_BLAS) take int64; at s*(p-1)^2 >= 2^63 the sweep raises SweepOverflow
+before it starts.
+
+Workers: the sweep splits W's full blocks into contiguous slices, at most
+`threads` (default: the CPUs this process may run on) and each of at least
+_MIN_WORKER_MOD_P = 2^18 elements on the mod-p tally and _MIN_WORKER_RAW =
+2^22 on the raw one, whose cheaper elements repay a second worker only from
+about 10^7 (measured: BENCH_float32_sweep.json, "workers"). Each slice is
+tallied into a private count vector on its own thread; those vectors and the
+one tail block's are summed in slice order, so the result is bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -63,8 +79,9 @@ import itertools
 import math
 import operator
 import os
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +92,13 @@ from .intmath import factorize, is_prime, power
 
 DEFAULT_MAX_Q = 10**8
 _ROWS = 1 << 12  # rows of the trace block R, rounded down to a multiple of e
-_CHUNK = 1 << 15  # entries of one slice of the product R . W; also the most buckets counted densely
-_MIN_RANGE = 1 << 16  # fewest elements per worker; a shorter sweep also skips BLAS
+_CHUNK = 1 << 15  # entries of one slice of the product W . R^T; also the most buckets counted densely
+_MIN_BLAS = 1 << 16  # a shorter sweep takes the int64 product and never loads BLAS
+# fewest elements per sweep worker, on each tally (BENCH_float32_sweep.json, "workers")
+_MIN_WORKER_MOD_P = 1 << 18
+_MIN_WORKER_RAW = 1 << 22
+# (dtype, b): a sum of non-negative integers below 2^b is exact in dtype, in any order
+_EXACT_BELOW = ((np.float32, 24), (np.float64, 53), (np.int64, 63))
 
 
 class BudgetExceeded(RuntimeError):
@@ -121,20 +143,27 @@ class PeriodVector:
         return {"e": self.e, "eta_star": [v.to_json_dict() for v in self.eta_star]}
 
 
-def _exact_dtype(s: int, p: int) -> type:
-    """Dtype in which every length-s dot product of residues mod p is exact.
+def _exact_dtype(s: int, p: int, key: int = 0) -> type:
+    """The first dtype of _EXACT_BELOW in which every product of the sweep is exact.
 
-    Raises SweepOverflow when not even int64 is: the recurrences run in int64 too.
+    Each product is a length-s dot product of residues mod p plus, on the raw
+    path, a key of at most key: a sum of non-negative integers, so every partial
+    sum, in any order, is at most s*(p-1)^2 + key. Raises SweepOverflow when not
+    even int64 is exact: the recurrences run in int64 too.
     """
-    bound = s * (p - 1) ** 2
-    if bound >= 1 << 63:
-        raise SweepOverflow(f"s*(p-1)^2 = {bound} >= 2^63: the sweep's int64 products would wrap")
-    return np.float64 if bound < 1 << 53 else np.int64
+    bound = s * (p - 1) ** 2 + key
+    for dtype, bits in _EXACT_BELOW:
+        if bound < 1 << bits:
+            return dtype
+    raise SweepOverflow(f"the sweep's dot products reach {bound} >= 2^63: its int64 products would wrap")
 
 
-def _orbit(first: np.ndarray, step: np.ndarray, n: int, p: int) -> np.ndarray:
-    """rows[i] = first . step^i (mod p) for i < n, by doubling: rows[k:2k] = rows[:k] . step^k."""
-    rows = np.empty((n, first.shape[0]), dtype=step.dtype)
+def _orbit(first: np.ndarray, step: np.ndarray, n: int, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """rows[i] = first . step^i (mod p) for i < n, by doubling: rows[k:2k] = rows[:k] . step^k.
+
+    rows is out, an n x len(first) array (a view will do), when given.
+    """
+    rows = np.empty((n, first.shape[0]), dtype=step.dtype) if out is None else out
     rows[0] = first
     k, power = 1, step
     while k < n:
@@ -152,15 +181,16 @@ def _bucket_width(e: int, s: int, p: int) -> int:
     return width if e * width <= _CHUNK else p
 
 
-def _tally(counts: np.ndarray, product: np.ndarray, rowkey: np.ndarray, p: int | None) -> None:
-    """Add the bucket keys rowkey + product of one slice of R . W to counts.
+def _tally(counts: np.ndarray, keys: np.ndarray, key: np.ndarray | None, p: int | None) -> None:
+    """Add the bucket keys of one slice of W . R^T to counts; keys holds that slice in int64.
 
-    With p, each product is reduced mod p first; with None it is keyed raw.
+    With p, each product is reduced mod p and key, the keys of the columns of R^T,
+    added, in place; with None, R^T carries its keys in its last row and each
+    product is its key.
     """
-    keys = product.astype(np.int64, copy=False)
     if p is not None:
-        keys = keys % p  # int64 % is about 5x faster than float64 %
-    keys += rowkey
+        keys %= p  # int64 % is about 5x faster than float64 %
+        keys += key[:, : keys.shape[1]]  # a tail block has fewer columns
     keys = keys.ravel()
     # measured (BENCH_rank_s_sweep.json, "tally"): up to 2^15 buckets bincount is as fast as
     # add.at on one thread and about 15% faster on the 2-thread brute sweeps; above that its
@@ -173,17 +203,60 @@ def _tally(counts: np.ndarray, product: np.ndarray, rowkey: np.ndarray, p: int |
 
 
 def _block_counts(
-    r: np.ndarray, w: np.ndarray, rowkey: np.ndarray, size: int, p: int | None
+    rt: np.ndarray, w: np.ndarray, key: np.ndarray | None, size: int, p: int | None
 ) -> np.ndarray:
-    """Bucket counts of the blocks r . w[b] over the rows b of w, a bounded slice of R . W at a time.
+    """Bucket counts of the blocks w[b] . rt over the rows b of w, a bounded slice of W . R^T at a time.
 
-    rowkey holds the bucket keys of r's rows; p is _tally's.
+    key and p are _tally's. Every slice reuses one product buffer and one int64
+    key buffer: an array allocated per slice page-faults afresh whenever the
+    allocator has handed its pages back to the OS (measured on the first call of
+    a process: the two-worker sweep of 4129^3 at e = 32 took a median 0.31 s with
+    a fresh array per slice, 0.24 s with the buffers; BENCH_float32_sweep.json).
     """
     counts = np.zeros(size, dtype=np.int64)
-    step = max(1, _CHUNK // len(r))
+    step = max(1, _CHUNK // rt.shape[1])
+    product = np.empty((min(step, len(w)), rt.shape[1]), dtype=rt.dtype)
+    keys = product if rt.dtype == np.int64 else np.empty(product.shape, dtype=np.int64)
     for b in range(0, len(w), step):
-        _tally(counts, r @ w[b : b + step].T, rowkey, p)
+        n = min(step, len(w) - b)
+        np.matmul(w[b : b + n], rt, out=product[:n])
+        if keys is not product:
+            keys[:n] = product[:n]
+        _tally(counts, keys[:n], key, p)
     return counts
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_threads(task: Callable, items: list) -> list:
+    """[task(x) for x in items], the first in the caller's thread and each other in a thread of its own.
+
+    Every thread is joined before a result is read; the first exception, in the
+    order of items, is re-raised in the caller.
+    """
+    out: list = [None] * len(items)
+
+    def run(i: int) -> None:
+        try:
+            out[i] = task(items[i])
+        except BaseException as exc:  # re-raised below, in the caller's thread
+            out[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(items))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for result in out:
+        if isinstance(result, BaseException):
+            raise result
+    return out
 
 
 def bucket_sweep(
@@ -196,36 +269,44 @@ def bucket_sweep(
 ) -> np.ndarray:
     """counts[k][t] over j in [0, length): bucket (j mod e, trow . coords(base^j))."""
     p, s = ctx.p, ctx.s
-    dtype = _exact_dtype(s, p)
-    if length < _MIN_RANGE:  # too short to repay loading BLAS, which costs ~0.7 MB of RSS
-        dtype = np.int64
     mult = ctx.mul_matrix(base)
     trow = np.asarray(trow, dtype=np.int64) % p
     rows = min(length, max(1, _ROWS // e) * e)
     full, tail = divmod(length, rows)
-    r = _orbit(trow, mult, rows, p).astype(dtype, copy=False)  # row i: trow . M^i
+    width = _bucket_width(e, s, p)
+    raw = width != p  # the raw tally keys (j mod e)*width + dot and folds it mod p below
+    # R and W; on the raw tally R gains a column of keys and W a column of ones, so that each
+    # entry of [W | 1] . [R | key]^T is its own key. Blocks start at multiples of rows, and
+    # e | rows unless there is one block: row i of R is in coset i mod e
+    key = np.arange(rows, dtype=np.int64) % e * width
+    r = np.empty((rows, s + raw), dtype=np.int64)
+    _orbit(trow, mult, rows, p, out=r[:, :s])  # row i: trow . M^i
+    if raw:
+        r[:, s] = key
     jump = power(mult, rows, lambda a, b: a @ b % p, np.eye(s, dtype=np.int64))  # M^rows
     first = np.array(ctx.one().coords, dtype=np.int64)
-    w = _orbit(first, jump.T, full + (tail > 0), p).astype(dtype, copy=False)  # row b: M^{b*rows} . coords(1)
-    width = _bucket_width(e, s, p)
-    modulus = p if width == p else None  # None: key the raw dot values, fold them mod p below
-    # blocks start at multiples of rows, and e | rows unless there is one block: row i is in coset i mod e
-    rowkey = (np.arange(rows, dtype=np.int64) % e * width)[:, None]
+    w = np.ones((full + (tail > 0), s + raw), dtype=np.int64)
+    _orbit(first, jump.T, len(w), p, out=w[:, :s])  # row b: M^{b*rows} . coords(1)
+    dtype = _exact_dtype(s, p, key[-1] if raw else 0)
+    if length < _MIN_BLAS:  # too short to repay loading BLAS, which costs ~0.7 MB of RSS
+        rt = r.T  # a view: numpy's own int64 product takes any strides
+    else:  # BLAS multiplies by R^T held contiguous about three times as fast as by a view
+        rt, w = np.ascontiguousarray(r.T, dtype=dtype), w.astype(dtype)
+    modulus, key = (None, None) if raw else (p, key[None, :])
     size = e * width
-    workers = max(1, min(threads or os.cpu_count() or 1, length // _MIN_RANGE))
+    least = _MIN_WORKER_RAW if raw else _MIN_WORKER_MOD_P
+    workers = max(1, min(threads or _cpus(), length // least))
     bounds = [full * i // workers for i in range(workers + 1)]
     slices = [w[lo:hi] for lo, hi in itertools.pairwise(bounds)]
-    if workers == 1:
-        parts = [_block_counts(r, slices[0], rowkey, size, modulus)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda part: _block_counts(r, part, rowkey, size, modulus), slices))
+    parts = _in_threads(lambda part: _block_counts(rt, part, key, size, modulus), slices)
     if tail:
-        parts.append(_block_counts(r[:tail], w[full:], rowkey[:tail], size, modulus))
-    counts = sum(parts).reshape(e, width)
-    if modulus is None:  # counts[:, t] = raw[:, t::p].sum(1), once per sweep
-        counts = np.pad(counts, ((0, 0), (0, -width % p))).reshape(e, -1, p).sum(axis=1)
-    return counts
+        parts.append(_block_counts(rt[:, :tail], w[full:], key, size, modulus))
+    if not raw:
+        return sum(parts).reshape(e, p)
+    # counts[:, t] = raw[:, t::p].sum(1), once per sweep, with width padded to a multiple of p
+    padded = np.zeros((e, -(-width // p) * p), dtype=np.int64)
+    padded[:, :width] = sum(parts).reshape(e, width)
+    return padded.reshape(e, -1, p).sum(axis=1)
 
 
 def _fold(part: np.ndarray, g0: int, span: int, p: int) -> np.ndarray:
@@ -256,8 +337,8 @@ def trace_spectrum(
     """Exact coset-by-trace counts of F_q^*, from one sweep of F_q^*/F_p^* and a fold.
 
     The field is walked as powers of gamma, so the cosets are those of the
-    character with chi(gamma) = zeta_e. threads is the sweep's worker count, at
-    least 1; None means all cores.
+    character with chi(gamma) = zeta_e. threads, at least 1, bounds the sweep's
+    worker count; None means the CPUs this process may run on.
     """
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")

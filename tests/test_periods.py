@@ -1,6 +1,8 @@
 import functools
 import math
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from periodpoly.fields import FieldCtx, FieldError, build_field, is_irreducible
 from periodpoly.intmath import ord2
 from periodpoly.periods import (
     _CHUNK,
-    _MIN_RANGE,
+    _MIN_BLAS,
+    _MIN_WORKER_MOD_P,
+    _MIN_WORKER_RAW,
     _ROWS,
     BudgetExceeded,
     PeriodVector,
@@ -286,32 +290,55 @@ def test_modulus_independence():
         assert period_polynomial(reduced_periods(trace_spectrum(alt, 16))) == base
 
 
+def record_block_counts(monkeypatch):
+    """Route periods._block_counts through a spy; returns the list of (R^T, W) it was called with."""
+    import periodpoly.periods as periods
+
+    calls = []
+
+    def recording_counts(rt, w, *rest):
+        calls.append((rt, w))
+        return _block_counts(rt, w, *rest)
+
+    monkeypatch.setattr(periods, "_block_counts", recording_counts)
+    return calls
+
+
 def test_worker_count_determinism(monkeypatch):
     import periodpoly.periods as periods
 
-    ctx = build_field(5, 10)  # the sweep walks (q - 1)/(p - 1) = 2441406 elements, about 37 * _MIN_RANGE
+    ctx = build_field(5, 10)  # the sweep walks (q - 1)/(p - 1) = 2441406 elements on the raw tally
     base = trace_spectrum(ctx, 8, threads=1)
-    calls = []
-
-    def recording_counts(r, w, *rest):
-        calls.append((r, w))
-        return _block_counts(r, w, *rest)
-
-    monkeypatch.setattr(periods, "_block_counts", recording_counts)
-    for threads in (2, 3, 7):
+    calls = record_block_counts(monkeypatch)
+    span = (ctx.q - 1) // (ctx.p - 1)
+    for threads in (2, 3, 7):  # fewer than 2 * _MIN_WORKER_RAW elements: one worker
         calls.clear()
         assert trace_spectrum(ctx, 8, threads=threads).counts == base.counts
-        whole = calls[0][1].base  # every call gets a slice of the one W
-        assert all(w.base is whole for _, w in calls)
-        rows = max(len(r) for r, _ in calls)
-        # (first row of the slice in W, its rows, the rows of R it is multiplied by)
-        spans = sorted(((w.ctypes.data - whole.ctypes.data) // w.strides[0], len(w), len(r)) for r, w in calls)
-        assert [lo for lo, _, _ in spans] == [sum(n for _, n, _ in spans[:i]) for i in range(len(spans))]
-        assert sum(n for _, n, _ in spans) == len(whole)  # contiguous slices that cover W
-        # one slice of full blocks per worker, then the one tail block
-        span = (ctx.q - 1) // (ctx.p - 1)
-        assert [n_r for _, _, n_r in spans] == [rows] * threads + [span % rows]
-        assert spans[-1][1] == 1 and (len(whole) - 1) * rows + span % rows == span
+        assert [rt.shape[1] for rt, _ in calls] == [_ROWS, span % _ROWS]
+    # with room for 9 workers the same sweep splits W over threads workers
+    monkeypatch.setattr(periods, "_MIN_WORKER_RAW", _MIN_WORKER_MOD_P)
+    # 7 workers on fewer cores, switching threads every microsecond: a lost update would
+    # show in the counts
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (2, 3, 7):
+            calls.clear()
+            assert trace_spectrum(ctx, 8, threads=threads).counts == base.counts
+            whole = calls[0][1].base  # every call gets a slice of the one W
+            assert all(w.base is whole for _, w in calls)
+            rows = max(rt.shape[1] for rt, _ in calls)
+            # (first row of the slice in W, its rows, the rows of R it is multiplied by)
+            spans = sorted(
+                ((w.ctypes.data - whole.ctypes.data) // w.strides[0], len(w), rt.shape[1]) for rt, w in calls
+            )
+            assert [lo for lo, _, _ in spans] == [sum(n for _, n, _ in spans[:i]) for i in range(len(spans))]
+            assert sum(n for _, n, _ in spans) == len(whole)  # contiguous slices that cover W
+            # one slice of full blocks per worker, then the one tail block
+            assert [n_r for _, _, n_r in spans] == [rows] * threads + [span % rows]
+            assert spans[-1][1] == 1 and (len(whole) - 1) * rows + span % rows == span
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_worker_count_determinism_on_the_add_at_tally():
@@ -321,6 +348,99 @@ def test_worker_count_determinism_on_the_add_at_tally():
     base = trace_spectrum(ctx, 32, max_q=10**11, threads=1)
     for threads in (2, 3):
         assert trace_spectrum(ctx, 32, max_q=10**11, threads=threads).counts == base.counts
+
+
+@pytest.mark.parametrize(
+    "p, s, e, raw, max_q",
+    (
+        # the mod-p tally in float32: s*(p-1)^2 = 2,583,552, L = 863,971 >= 3 * _MIN_WORKER_MOD_P
+        (929, 3, 16, False, 10**9),
+        # the raw tally: e*(s*(p-1)^2 + 1) = 2,080 buckets, L = 21,523,360 >= 3 * _MIN_WORKER_RAW
+        (3, 16, 32, True, 10**8),
+    ),
+)
+def test_worker_counts_above_the_per_worker_minimum(monkeypatch, p, s, e, raw, max_q):
+    # threads 1, 2 and 3 give that many workers, and the same counts
+    ctx = build_field(p, s)
+    span = (ctx.q - 1) // (ctx.p - 1)
+    assert span >= 3 * (_MIN_WORKER_RAW if raw else _MIN_WORKER_MOD_P)
+    calls = record_block_counts(monkeypatch)
+    got = {}
+    for threads in (1, 2, 3):
+        calls.clear()
+        got[threads] = trace_spectrum(ctx, e, max_q=max_q, threads=threads).counts
+        assert len(calls) == threads + 1  # one slice per worker and the tail block
+        # float32 products; the raw tally's R^T carries its keys in one more row
+        assert all(rt.dtype == np.float32 and rt.shape[0] == s + raw for rt, _ in calls)
+    assert got[1] == got[2] == got[3]
+
+
+@pytest.mark.parametrize("affinity", (True, False))
+def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch, affinity):
+    # a process pinned to 2 CPUs of a 64-core host sweeps on 2 workers, not 64; where the OS
+    # has no affinity mask, the core count is the default
+    import periodpoly.periods as periods
+
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 9}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64 if affinity else 3)
+    monkeypatch.setattr(periods, "_bucket_width", lambda e, s, p: p)  # the mod-p tally splits
+    calls = record_block_counts(monkeypatch)
+    ctx = build_field(5, 10)  # L = 2,441,406: room for 9 workers of _MIN_WORKER_MOD_P elements
+    trace_spectrum(ctx, 8)
+    assert len(calls) == (2 if affinity else 3) + 1  # the workers' slices and the tail block
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    # every slice but the first raises; the caller re-raises the second slice's exception,
+    # the first in slice order, after all three workers have run
+    import periodpoly.periods as periods
+
+    monkeypatch.setattr(periods, "_bucket_width", lambda e, s, p: p)
+    ctx = build_field(5, 10)
+    starts = []
+
+    def failing_counts(rt, w, *rest):
+        start = (w.ctypes.data - w.base.ctypes.data) // w.strides[0]
+        starts.append(start)
+        if start:
+            raise ArithmeticError(f"slice at {start}")
+        return _block_counts(rt, w, *rest)
+
+    monkeypatch.setattr(periods, "_block_counts", failing_counts)
+    full = (ctx.q - 1) // (ctx.p - 1) // _ROWS
+    with pytest.raises(ArithmeticError, match=f"slice at {full // 3}$"):
+        trace_spectrum(ctx, 8, threads=3)
+    assert sorted(starts) == [0, full // 3, 2 * full // 3]
+
+
+@pytest.mark.parametrize(
+    "p, s, e, natural",
+    (
+        (41, 4, 5, np.float32),  # raw keys: e*(s*(p-1)^2 + 1) = 32,005 buckets, just below 2^15
+        (41, 4, 10, np.float32),  # the same field on the mod-p tally: 64,010 buckets
+        (2897, 2, 8, np.float32),  # mod p, s*(p-1)^2 = 16,773,632 < 2^24
+        (2903, 2, 8, np.float64),  # mod p, s*(p-1)^2 = 16,843,208 >= 2^24
+    ),
+)
+def test_dtype_tiers_give_identical_counts(monkeypatch, p, s, e, natural):
+    # each tier, forced by dropping the narrower ones from _EXACT_BELOW, must give the
+    # counts of the tier the bound picks; _MIN_BLAS = 0 lets the short sweeps take it
+    import periodpoly.periods as periods
+
+    monkeypatch.setattr(periods, "_MIN_BLAS", 0)
+    calls = record_block_counts(monkeypatch)
+    ctx = build_field(p, s)
+    tiers = periods._EXACT_BELOW
+    got = {}
+    for first in range(len(tiers)):
+        monkeypatch.setattr(periods, "_EXACT_BELOW", tiers[first:])
+        calls.clear()
+        got[first] = trace_spectrum(ctx, e, threads=1).counts
+        assert {rt.dtype for rt, _ in calls} == {np.dtype(tiers[first][0] if first else natural)}
+    assert got[0] == got[1] == got[2]
 
 
 def test_budget():
@@ -362,8 +482,9 @@ def sweep_case(name, field_trace, frobenius_trace):
 def test_bucket_sweep_matches_direct_walk(name, threads, field_trace, frobenius_trace):
     ctx, traces = sweep_case(name, field_trace, frobenius_trace)
     # lengths that are multiples of neither the block nor e; the two short ones take
-    # the int64 product, the long one the float64 product over up to three workers
-    for length in (1, _ROWS + 1, 3 * _MIN_RANGE + 4099):
+    # the int64 product, the long one a float product, over up to three workers where
+    # the tally is mod p (s=1)
+    for length in (1, _ROWS + 1, 3 * _MIN_WORKER_MOD_P + 4099):
         j = np.arange(length)
         for e in (3, 8, 11):
             direct = np.bincount(j % e * ctx.p + traces[j % len(traces)], minlength=e * ctx.p)
@@ -392,7 +513,7 @@ def test_bucket_sweep_exact_near_float64_bound(p, dtype, field_trace):
     # so the 2p-bucket result stays a handful of pages
     base = ctx.gamma ** ((p - 1) // 8)
     traces = walk_traces(ctx, base, field_trace(ctx), 8)
-    length = 3 * _MIN_RANGE + 5  # long enough that the dtype is the exactness bound's choice
+    length = 3 * _MIN_BLAS + 5  # long enough that the dtype is the exactness bound's choice
     direct = {}
     for j in range(length):
         direct[j % 2, traces[j % 8]] = direct.get((j % 2, traces[j % 8]), 0) + 1
@@ -424,7 +545,7 @@ def test_raw_and_mod_p_tallies_agree(monkeypatch, p, s, e):
     ctx = build_field(p, s)
     v = s * (p - 1) ** 2 + 1
     assert periods._bucket_width(e, s, p) == (v if e * v <= _CHUNK else p)
-    length = 2 * _MIN_RANGE + 4099  # two workers on two threads, and a tail block
+    length = 2 * _MIN_WORKER_MOD_P + 4099  # two workers on two threads on the mod-p tally, and a tail block
     got = {}
     for width in (v, p):  # force the raw-dot tally, then the mod-p tally
         monkeypatch.setattr(periods, "_bucket_width", lambda *_, width=width: width)
