@@ -7,35 +7,22 @@ trinomials x^s+b*x^t+c ordered by (t,b,c), then all monic polynomials by
 ascending packed key), and the generator is the first element of full order
 when elements are enumerated by ascending packed key sum(c_i * p^i).
 
-A binomial x^s - a is decided by its exact rule (Lidl & Niederreiter, Thm
-3.75): it is irreducible iff every prime r | s divides ord(a) but not
-(p-1)/ord(a), and p = 1 (mod 4) when 4 | s. Every other candidate goes
-through `is_irreducible`, which first checks the parity of the number of
-irreducible factors by the discriminant (Stickelberger's theorem; R. G. Swan,
-Pacific J. Math. 12, 1962): an irreducible f of degree s over odd p has
-(disc f | p) = (-1)^{s-1}. Only a candidate that passes runs Ben-Or's test, and
-then a reducible one over odd p has at least three factors, so the rounds stop at
-s/3 (s/2 at p = 2); one resultant checks each dyadic interval of rounds. The
-rounds with p^i < s take x^{p^i} as a monomial, so a candidate rejected at round 1
-builds no reduction matrix.
+A binomial is decided by its exact rule (Lidl & Niederreiter, Thm 3.75), every
+other candidate by `is_irreducible`: roots, the discriminant's parity, Ben-Or.
 q - 1 is factored as the product of the Phi_d(p), d | s. A generator
 candidate g is tested first by its norm N(g) = Res(modulus, g) in F_p, which
 decides every prime l | p-1 (g^{(q-1)/l} = N(g)^{(p-1)/l}), and then by one
 product tree over the remaining primes of q - 1.
 
-Every product in the field goes through one kernel, `_mul`, on coordinate
-vectors: np.convolve of the two residue vectors, then one product with the
-modulus's reduction matrix (column n = coords(x^n mod f), built once per
-modulus and cached). It runs in int64 while s*(p-1)^2 < 2^63, and on Python
-ints (dtype object) above that. `_poly_mulmod` and `_poly_powmod` are its
-list-in, list-out forms. y -> y^p is F_p-linear, so it is one matrix F per
-field (FieldCtx.frobenius; von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 14), and FieldElem.__pow__ runs Horner over the base-p digits of the
-exponent: one product by F and at most one field product per digit. A subfield
-is a FieldCtx of its own (FieldCtx.subfield): its generator is the norm of
-gamma, the product of the conjugates gamma^{p^{ki}} (Lidl & Niederreiter,
-ch. 2), so every kernel sees whole fields only; the trace row comes from
-Newton's identities on the modulus.
+Every product in the field goes through one kernel, `_mul`: np.convolve of the
+two residue vectors, then one product with the modulus's cached reduction
+matrix, in int64 while s*(p-1)^2 < 2^63 and on Python ints (dtype object) above.
+y -> y^p is one cached matrix F per modulus (FieldCtx.frobenius; von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 14), and FieldElem.__pow__ runs Horner over
+the base-p digits of the exponent: one product by F and at most one field product
+per digit. A subfield is a FieldCtx of its own (FieldCtx.subfield), generated by
+the norm of gamma (Lidl & Niederreiter, ch. 2), so every kernel sees whole fields
+only; the trace row comes from Newton's identities on the modulus.
 
 A FieldCtx is immutable after construction; element operations are pure, so
 everything here is safe for concurrent use.
@@ -57,32 +44,31 @@ class FieldError(ValueError):
     pass
 
 
-@functools.lru_cache(maxsize=2)  # a field and a subfield; the moduli a scan rejects fall out
-def _reduction(modulus: tuple[int, ...], p: int) -> np.ndarray:
-    """The read-only s x (2s-1) matrix U whose column n is coords(x^n mod modulus).
+def _power_columns(modulus: tuple[int, ...], p: int, count: int) -> np.ndarray:
+    """The s x count matrix whose column n is coords(x^n mod modulus), for count >= s.
 
     Its dtype is int64 while every length-s dot product of residues mod p is exact in it,
-    s*(p-1)^2 < 2^63 (the bound periods._exact_dtype sweeps under), and object (Python ints)
-    above; the kernel's arrays take U's dtype.
-
-    The first s columns are the identity. The rest, R[:, k] = U[:, s+k], follow from
-    x^n = x^{n-s} x^s = sum_j v_j x^{n-s+j}, v = coords(x^s) = -(the terms below degree s),
-    over the nonzero v_j only. Column n reads columns up to n - s + t, t the degree of the
-    highest of those terms, so each step fills a block of s - t columns at once: one block
-    for a binomial, two for x^64 + x^3 + 2, one column at a time for a dense modulus.
-
-    In a scan, a candidate whose x^p is a monomial (p < s) and that Ben-Or's first round
-    rejects builds none: 51 are built at (11, 16), 131 when round 1 took a power.
+    s*(p-1)^2 < 2^63 (the bound periods._exact_dtype sweeps under), and object above.
+    The first s columns are the identity; then x^n = sum_j v_j x^{n-s+j}, v = coords(x^s),
+    over the nonzero v_j. Column n reads columns up to n - s + t, t the highest such j, so
+    a step fills s - t columns: s for a binomial, 61 for x^64 + x^3 + 2, 1 if dense.
     """
     s = len(modulus) - 1
     dtype = np.int64 if s * (p - 1) ** 2 < 1 << 63 else object
     low = [(j, -c % p) for j, c in enumerate(modulus[:s]) if c % p]
     width = s - max((j for j, _ in low), default=0)
-    red = np.zeros((s, 2 * s - 1), dtype=dtype)
-    red.reshape(-1)[:: 2 * s] = 1  # the identity block: entry (i, i) is flat entry 2s*i
-    for n in range(s, 2 * s - 1, width):
-        stop = min(n + width, 2 * s - 1)
-        red[:, n:stop] = sum(v * red[:, n - s + j : stop - s + j] for j, v in low) % p
+    cols = np.zeros((s, count), dtype=dtype)
+    cols.reshape(-1)[:: count + 1] = 1  # the identity block: entry (i, i) is flat entry (count+1)*i
+    for n in range(s, count, width):
+        stop = min(n + width, count)
+        cols[:, n:stop] = sum(v * cols[:, n - s + j : stop - s + j] for j, v in low) % p
+    return cols
+
+
+@functools.lru_cache(maxsize=2)  # a field and a subfield; the moduli a scan rejects fall out
+def _reduction(modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """The read-only s x (2s-1) matrix U whose column n is coords(x^n mod modulus)."""
+    red = _power_columns(modulus, p, 2 * len(modulus) - 3)
     red.flags.writeable = False
     return red
 
@@ -105,16 +91,36 @@ def _coords(a: Sequence[int], red: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
+def _frobenius_by_table(modulus: tuple[int, ...], p: int) -> bool:
+    """F by the power table, and Ben-Or's rounds by F: p^2 < s, no term of degree s/2 .. s-1.
+
+    Best of 5, one core: at x^64 + x^3 + 2 over F_3 the table (3 blocks) takes 95 us, F by
+    products 0.91 ms, rounds 4 .. 21 as powers 18 x 26 us. At (11, 16) it costs 130 us, five
+    round powers, and most candidates fail at round 2. Dense, degree 16 over F_3: 2.2 ms by
+    table, 0.67 ms by products.
+    """
+    s = len(modulus) - 1
+    return p * p < s and not any(c % p for c in modulus[s // 2 + 1 : s])
+
+
 @functools.lru_cache(maxsize=2)
 def _frobenius(modulus: tuple[int, ...], p: int) -> np.ndarray:
-    """The read-only s x s matrix F with F . coords(y) = coords(y^p): column j is coords(x^{pj})."""
-    red = _reduction(modulus, p)
-    frob = np.zeros((len(red), len(red)), dtype=red.dtype)
-    frob[0, 0] = 1  # coords(1)
-    if len(red) > 1:
-        frob[:, 1] = xp = power(red[:, 1], p, lambda u, v: _mul(u, v, red, p), None)  # x^p
-        for j in range(2, len(red)):
-            frob[:, j] = _mul(frob[:, j - 1], xp, red, p)
+    """The read-only s x s matrix F with F . coords(y) = coords(y^p): column j is coords(x^{pj}).
+
+    Under the table rule, every p-th column of the power table to degree p(s-1): Ben-Or
+    builds it, and hands on the accepted modulus's. Else column j is column j-1 times x^p.
+    """
+    s = len(modulus) - 1
+    if _frobenius_by_table(modulus, p):
+        frob = np.ascontiguousarray(_power_columns(modulus, p, p * (s - 1) + 1)[:, ::p])
+    else:
+        red = _reduction(modulus, p)
+        frob = np.zeros((s, s), dtype=red.dtype)
+        frob[0, 0] = 1  # coords(1)
+        if s > 1:
+            frob[:, 1] = xp = power(red[:, 1], p, lambda u, v: _mul(u, v, red, p), None)  # x^p
+            for j in range(2, s):
+                frob[:, j] = _mul(frob[:, j - 1], xp, red, p)
     frob.flags.writeable = False
     return frob
 
@@ -128,17 +134,6 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: 
     """
     red = _reduction(tuple(modulus), p)
     return _mul(_coords(a, red, p), _coords(b, red, p), red, p).tolist()
-
-
-def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
-    """a^e mod modulus over F_p, as a fresh length-s list of residues, for e >= 0.
-
-    Square-and-multiply on arrays; Ben-Or's rounds y -> y^p past degree s take it, as one
-    modulus of the scan never needs a Frobenius matrix of its own. FieldElem.__pow__ goes
-    by Frobenius digits.
-    """
-    red = _reduction(tuple(modulus), p)
-    return power(_coords(a, red, p), e, lambda u, v: _mul(u, v, red, p), red[:, 0]).tolist()
 
 
 def _resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
@@ -183,43 +178,49 @@ def _discriminant(f: Sequence[int], p: int) -> int:
     return (-1) ** (s * (s - 1) // 2) * _resultant(f, [k * c for k, c in enumerate(f)][1:], p) % p
 
 
+@functools.lru_cache(maxsize=2)
+def _power_values(s: int, p: int) -> np.ndarray:
+    """The (s+1) x p int64 table of a^k mod p, row k, column a: f @ it holds f(a), a in F_p."""
+    return np.array([[pow(a, k, p) for a in range(p)] for k in range(s + 1)], dtype=np.int64)
+
+
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Monic degree-s polynomial irreducible over F_p? (discriminant parity, then Ben-Or's test)
+    """Monic degree-s polynomial irreducible over F_p? (a root, discriminant parity, Ben-Or)
 
-    Pre-test (Stickelberger's theorem; R. G. Swan, Factorization of polynomials over
-    finite fields, Pacific J. Math. 12, 1962): a squarefree f with r irreducible
-    factors over odd p has (disc f | p) = (-1)^{s-r}. So an irreducible f has
-    disc f != 0 and disc^{(p-1)/2} = (-1)^{s-1}, and any f that fails this is
-    reducible. At p = 2 the test is disc f != 0, which every irreducible f passes.
-
-    Ben-Or's test (M. Ben-Or, Probabilistic algorithms in finite fields, FOCS 1981) then
-    decides: f is reducible exactly when its least irreducible factor, of degree d, has
-    d <= k, that is when gcd(x^{p^i} - x, f) != 1, or Res(f, x^{p^i} - x) = 0, for some
-    i <= k. After the pre-test over odd p, a reducible f is squarefree with an odd number
-    r >= 3 of factors, so k = s/3 suffices; at p = 2, k = s/2. One resultant covers the
-    rounds since the last check: Res(f, g h mod f) = Res(f, g) Res(f, h) for monic f, so
-    the product h of the x^{p^i} - x mod f is checked at i = 1, 2, 4, 8, ... and at k,
-    and a factor of degree d is caught at the first check at or past d.
+    Ben-Or (FOCS 1981): f is reducible exactly when Res(f, x^{p^i} - x) = 0 at some round
+    i <= k, a least factor of degree d showing at round d; round 1 asks for a root in F_p,
+    read off f's p values when p < s. By Stickelberger (R. G. Swan, Pacific J. Math. 12,
+    1962), (disc f | p) = (-1)^{s-r} for squarefree f with r factors over odd p, so k = s/3
+    once f passes (s/2 at p = 2, where the test is disc f != 0). One resultant checks the
+    rounds since the last check, at i = 1, 2, 4, 8, ... and k: Res(f, gh mod f) =
+    Res(f, g) Res(f, h). Rounds past the monomial x^{p^i}, p^i < s, are products by F under
+    the table rule (_frobenius_by_table), else powers y^p.
     """
     s = len(modulus) - 1
     if s < 1 or modulus[-1] != 1:
         raise FieldError("modulus must be monic of positive degree")
+    modulus = tuple(modulus)
+    if p < s and not (np.array(modulus) @ _power_values(s, p) % p).all():
+        return False  # a root in F_p
     disc = _discriminant(modulus, p)
     if not disc or pow(disc, (p - 1) // 2, p) != (-1) ** (s - 1) % p:
         return False
     last = s // 2 if p == 2 else s // 3
-    x = [0, 1] + [0] * (s - 2)
-    r, h, check = x, None, 1
-    for i in range(1, last + 1):
+    first = 2 if p < s else 1  # round 1 was read off the values
+    x = np.eye(1, s, 1, dtype=np.int64)[0]  # coords(x); 0 at s = 1 (no rounds)
+    r, h, check = np.eye(1, s, p ** (first - 1), dtype=np.int64)[0], None, first
+    for i in range(first, last + 1):
         if p**i < s:  # x^{p^i} is a monomial below degree s: no product, no reduction matrix
-            r = [0] * s
-            r[p**i] = 1
+            r = np.eye(1, s, p**i, dtype=np.int64)[0]
+        elif _frobenius_by_table(modulus, p):
+            r = _frobenius(modulus, p) @ r % p
         else:
-            r = _poly_powmod(r, p, modulus, p)  # x^{p^i} mod f
-        g = [u - v for u, v in zip(r, x)]
-        h = g if h is None else _poly_mulmod(h, g, modulus, p)
+            red = _reduction(modulus, p)
+            r = power(r, p, lambda u, v: _mul(u, v, red, p), None)
+        g = r - x  # entries >= -1: _mul and _resultant reduce mod p
+        h = g if h is None else _mul(h, g, _reduction(modulus, p), p)
         if i == check or i == last:
-            if not _resultant(modulus, h, p):
+            if not _resultant(modulus, h.tolist(), p):
                 return False
             h, check = None, 2 * check
     return True
@@ -301,8 +302,9 @@ class FieldElem:
     def __pow__(self, e: int) -> "FieldElem":
         """self^e for e >= 0, by Horner over the base-p digits of e: g^e = (g^{e div p})^p g^{e mod p}.
 
-        y -> y^p is the matrix-vector product with FieldCtx.frobenius(), and the power g^d
-        of each distinct digit d is taken once, by square-and-multiply.
+        y -> y^p is the product with FieldCtx.frobenius(). The digits' powers are one ascending
+        chain, g^d = g^{d'} g^{d-d'} for the digit d' below d, the gap by square-and-multiply
+        (not g, g^2, ...: up to p - 1 products).
         """
         if e < 0:
             raise ValueError("negative powers are not supported; invert with x ** (q - 2)")
@@ -314,15 +316,18 @@ class FieldElem:
         if not digits:
             return ctx.one()
         red = _reduction(ctx.modulus, p)
-        g = np.array(self.coords, dtype=red.dtype)
-        powers = {d: power(g, d, lambda u, v: _mul(u, v, red, p), None) for d in set(digits) if d}
+        mul = functools.partial(_mul, red=red, p=p)
+        g, powers, below = np.array(self.coords, dtype=red.dtype), {}, 0
+        for d in sorted(set(digits) - {0}):
+            step = power(g, d - below, mul, None)
+            powers[d], below = mul(powers[below], step) if below else step, d
         y = powers[digits.pop()]
         if digits:  # a single digit needs no Frobenius matrix
             frob = ctx.frobenius()
         for d in reversed(digits):
             y = frob @ y % p
             if d:
-                y = _mul(y, powers[d], red, p)
+                y = mul(y, powers[d])
         return FieldElem(ctx, y.tolist())
 
     def __eq__(self, other: object) -> bool:

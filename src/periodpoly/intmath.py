@@ -6,9 +6,8 @@ rho uses a fixed parameter schedule.
 
 `power` is the package's one square-and-multiply kernel: every power in
 Z[zeta_n], Z[X], Z[sqrt(-d)] and of the sweep's step matrix goes through it. In
-F_q it takes the short chains only: Ben-Or's x -> x^p, the Frobenius matrix's
-x^p, and the power of each base-p digit in FieldElem.__pow__, which goes by
-Frobenius digits.
+F_q it takes the short chains only: Ben-Or's y^p and the Frobenius matrix's x^p
+where no power table serves, and the digit gaps of FieldElem.__pow__.
 """
 
 from __future__ import annotations
@@ -69,15 +68,32 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of odd composite n (deterministic parameter sweep)."""
+    """One nontrivial factor of odd composite n (deterministic parameter sweep over c).
+
+    Brent's cycle search (R. P. Brent, BIT 20, 1980) on x -> x^2 + c from 2: y runs r = 1,
+    2, 4, ... steps past the saved x, with one gcd per 128 products of x - y. A gcd of n
+    retraces its batch one step at a time; if that gives n too, the next c.
+    """
     for c in range(1, 100):
-        x = y = 2
-        d = 1
+        y, r, acc, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                d = math.gcd(acc, n)
+                if d != 1:
+                    break
+            r *= 2
+        if d == n:  # retrace the batch
+            d = 1
+            while d == 1:
+                saved = (saved * saved + c) % n
+                d = math.gcd(x - saved, n)
         if d != n:
             return d
     raise ArithmeticError(f"rho failed on {n}")  # unreachable at desk scale

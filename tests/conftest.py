@@ -5,7 +5,8 @@ import operator
 import pytest
 
 from periodpoly.cyclotomic import CycElem, IntPoly, expand_mod, root_of_unity_mod
-from periodpoly.fields import FieldCtx, FieldError, _order_defect
+from periodpoly.fields import FieldCtx, FieldError, _coords, _mul, _order_defect, _reduction
+from periodpoly.intmath import power
 
 
 def _enumerate_representations(n: int, d: int) -> list[tuple[int, int]]:
@@ -95,6 +96,31 @@ def _all_roots_period_polynomial(periods) -> IntPoly:
 def all_roots_period_polynomial():
     """The expansion of every period at once, sized by e, against the orbit-by-orbit one."""
     return _all_roots_period_polynomial
+
+
+def _poly_powmod(a, e, modulus, p):
+    """Reference a^e mod modulus over F_p, as a fresh length-s list of residues, for e >= 0:
+    intmath.power's square-and-multiply over the field kernel, with no Frobenius matrix.
+    Test modules import it for the Frobenius columns x^{pj} and Ben-Or's reference rounds."""
+    red = _reduction(tuple(modulus), p)
+    return power(_coords(a, red, p), e, lambda u, v: _mul(u, v, red, p), red[:, 0]).tolist()
+
+
+def _floyd_rho(n: int) -> int:
+    """Reference Pollard rho: Floyd's cycle search on x -> x^2 + c from 2, one gcd per step,
+    over the same sweep c = 1, 2, ... as intmath._pollard_rho; one nontrivial factor of odd
+    composite n."""
+    for c in range(1, 100):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return d
+    raise ArithmeticError(f"rho failed on {n}")
 
 
 def _field_trace(ctx: FieldCtx):

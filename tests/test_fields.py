@@ -5,8 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from conftest import _floyd_rho, _poly_powmod
 
-from periodpoly import fields
+from periodpoly import fields, intmath
 from periodpoly.fields import (
     FieldCtx,
     FieldElem,
@@ -17,7 +18,6 @@ from periodpoly.fields import (
     _norm,
     _order_defect,
     _poly_mulmod,
-    _poly_powmod,
     _resultant,
     build_field,
     find_generator,
@@ -323,26 +323,36 @@ def test_discriminant_parity_counts_irreducible_factors():
     assert squarefree == 243 + 625  # p^s - p^{s-1} monic squarefree polynomials of degree s >= 2, p of degree 1
 
 
+def spy(monkeypatch, name):
+    """The calls of fields.<name> from here on, each as its tuple of arguments."""
+    real, calls = getattr(fields, name), []
+    monkeypatch.setattr(fields, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def test_modulus_search_at_11_16_ben_or_rounds(monkeypatch):
-    # each Ben-Or round past the first is one _poly_powmod (round 1's x^11 is a monomial below
-    # x^16). The parity pre-test and the stop at s/3 leave 114 of them (233 with a stop at s/2).
-    # A candidate rejected at round 1 builds no reduction matrix: 51 are built, 131 when round 1
-    # went through _poly_powmod
-    real, rounds = fields._poly_powmod, []
-    monkeypatch.setattr(fields, "_poly_powmod", lambda *args: rounds.append(args) or real(*args))
+    # 302 trinomials are scanned. 155 have a root in F_11 and are decided by their values,
+    # with no resultant; the other 147 take a discriminant, and 96 of them fail its parity.
+    # The 51 left take 83 Ben-Or checks at rounds 2, 4 and 5: 230 resultants in all (516
+    # when round 1 was a resultant after the parity). p^2 >= s, so the rounds past the
+    # monomial x^11 are powers, no Frobenius table is built, and one reduction matrix is
+    # built per candidate that reaches round 2: 51
+    scanned, discs = spy(monkeypatch, "is_irreducible"), spy(monkeypatch, "_discriminant")
+    resultants, columns = spy(monkeypatch, "_resultant"), spy(monkeypatch, "_power_columns")
     fields._reduction.cache_clear()
     assert sparse(find_irreducible_modulus(11, 16)) == PINNED_FIELDS[11, 16][0]  # x^16 + x^4 + 2
-    assert 0 < len(rounds) <= 114
-    assert 0 < fields._reduction.cache_info().misses <= 51
+    assert (len(scanned), len(discs), len(resultants)) == (302, 147, 230)
+    assert [count for _, _, count in columns] == [31] * 51  # every one a reduction matrix, 2s - 1 columns
+    assert fields._reduction.cache_info().misses == 51
 
 
 def test_modulus_search_at_3_64_resultants(monkeypatch):
-    # one resultant per candidate for the discriminant, then one per dyadic interval of Ben-Or
-    # rounds: 36 in all (96 with one per round)
-    real, calls = fields._resultant, []
-    monkeypatch.setattr(fields, "_resultant", lambda *args: calls.append(args) or real(*args))
+    # four of the ten candidates have a root in F_3 and take no resultant; the others take one
+    # for the discriminant, then one per dyadic interval of Ben-Or rounds from round 2: 27 in
+    # all (36 when round 1 was a resultant, 96 with one per round)
+    calls = spy(monkeypatch, "_resultant")
     assert sparse(find_irreducible_modulus(3, 64)) == PINNED_FIELDS[3, 64][0]  # x^64 + x^3 + 2
-    assert 0 < len(calls) <= 36
+    assert 0 < len(calls) <= 27
 
 
 def poly_mul_mod_p(a, b, p):
@@ -410,8 +420,11 @@ PINNED_FIELDS = {
 
 
 @pytest.mark.parametrize("p, s", sorted(PINNED_FIELDS))
-def test_q_minus_1_factorization_on_pinned_fields(p, s):
+def test_q_minus_1_factorization_on_pinned_fields(p, s, monkeypatch):
     fac = _factor_q_minus_1(p, s)
+    with monkeypatch.context() as m:  # Floyd's rho, the loop Brent's search replaced, agrees
+        m.setattr(intmath, "_pollard_rho", _floyd_rho)
+        assert _factor_q_minus_1(p, s) == fac
     assert math.prod(ell**v for ell, v in fac) == p**s - 1
     assert all(is_prime(ell) and v >= 1 for ell, v in fac)
     assert all(a < b for (a, _), (b, _) in zip(fac, fac[1:]))
@@ -430,21 +443,130 @@ def test_pinned_modulus_and_generator(p, s):
     assert order_defect_reference(ctx.gamma) is None
 
 
+def frobenius_builds(monkeypatch, modulus, p, sides=(True, False)):
+    """F built afresh on each side of the table rule: read off the power table (True) and by
+    s - 1 products (False)."""
+    out = []
+    for by_table in sides:
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_frobenius_by_table", lambda modulus, p, by_table=by_table: by_table)
+            out.append(fields._frobenius.__wrapped__(modulus, p))
+    return out
+
+
+def check_frobenius_columns(frob, modulus, p):
+    """Column j of F is coords(x^{pj}) = coords((x^j)^p), by square-and-multiply."""
+    s = len(modulus) - 1
+    assert frob.shape == (s, s) and frob.dtype == np.int64
+    for j in range(s):
+        assert frob[:, j].tolist() == _poly_powmod([0] * j + [1], p, modulus, p), j
+
+
 @pytest.mark.parametrize("p, s", sorted(PINNED_FIELDS))
-def test_frobenius_matrix(p, s):
+def test_frobenius_matrix(p, s, monkeypatch):
     modulus = monic(s, {i: c for i, c in PINNED_FIELDS[p, s][0].items() if i < s})
     ctx = bare_field(p, s, modulus)
     frob = ctx.frobenius()
     assert frob is ctx.frobenius() and not frob.flags.writeable  # one cached matrix per field
-    assert frob.shape == (s, s) and frob.dtype == np.int64
-    for j in range(s):  # column j is coords(x^{pj}) = coords((x^j)^p), by square-and-multiply
-        assert frob[:, j].tolist() == _poly_powmod([0] * j + [1], p, modulus, p), j
+    check_frobenius_columns(frob, modulus, p)
+    # both builds give F; at p = 1000003 a table would have p(s - 1) = 3,000,009 columns
+    for other in frobenius_builds(monkeypatch, modulus, p, sides=(False,) if p > 10**6 else (True, False)):
+        assert np.array_equal(other, frob) and not other.flags.writeable
     eye = np.eye(s, dtype=np.int64)
     assert np.array_equal(power(frob, s, lambda a, b: a @ b % p, eye), eye)  # F^s = I (mod p)
     rng = random.Random(p * s)
     for _ in range(3):
         y = [rng.randrange(p) for _ in range(s)]
         assert (frob @ np.array(y) % p).tolist() == schoolbook_power(y, p, modulus, p)
+
+
+def sparse_and_dense_moduli(p, s, seed):
+    """A random monic x^s + b x^t + c with t <= s/2 and b, c != 0, and a random monic degree-s
+    polynomial with every coefficient nonzero, over F_p. Neither need be irreducible: F, the
+    matrix of y -> y^p on F_p[x]/(f), is defined for both."""
+    rng = random.Random(seed)
+    sparse_one = monic(s, {0: rng.randrange(1, p), rng.randrange(1, s // 2 + 1): rng.randrange(1, p)})
+    return sparse_one, tuple(rng.randrange(1, p) for _ in range(s)) + (1,)
+
+
+# (p, s) on both sides of p^2 < s, p = 2 included (Ben-Or's rounds at l = 2)
+TABLE_RULE_SIDES = ((2, 9), (3, 10), (3, 40), (5, 30), (5, 12), (7, 9), (13, 20), (3, 9))
+
+
+@pytest.mark.parametrize("p, s", TABLE_RULE_SIDES)
+def test_frobenius_by_table_matches_products(p, s, monkeypatch):
+    # the rule takes the table for a sparse modulus with p^2 < s, never for a dense one;
+    # both builds give the same F on either side of it
+    sparse_one, dense_one = sparse_and_dense_moduli(p, s, seed=p * s)
+    assert fields._frobenius_by_table(sparse_one, p) == (p * p < s)
+    assert not fields._frobenius_by_table(dense_one, p)
+    for modulus in (sparse_one, dense_one):
+        table, products = frobenius_builds(monkeypatch, modulus, p)
+        assert np.array_equal(table, products), modulus
+        check_frobenius_columns(table, modulus, p)
+
+
+def test_scan_hands_its_frobenius_to_the_field(monkeypatch):
+    # at (3, 64) the rule holds, so Ben-Or's rounds past x^27 are products by the candidate's
+    # F: five candidates reach them, and the last F built is the accepted modulus's. The
+    # field, its generator search included, builds no other, and that F is a fresh build
+    fields._frobenius.cache_clear()
+    ctx = build_field(3, 64)
+    frob = ctx.frobenius()
+    assert fields._frobenius.cache_info().misses == 5
+    for fresh in frobenius_builds(monkeypatch, ctx.modulus, 3):
+        assert np.array_equal(fresh, frob)
+
+
+def test_no_power_table_at_large_p(monkeypatch):
+    # at p = 1000003 the rule never holds: every power-columns matrix is a reduction matrix
+    columns = spy(monkeypatch, "_power_columns")
+    fields._reduction.cache_clear()
+    fields._frobenius.cache_clear()
+    ctx = build_field(1000003, 4)
+    assert ctx.frobenius().shape == (4, 4) and not fields._frobenius_by_table(ctx.modulus, 1000003)
+    assert columns and all(count == 7 for _, _, count in columns)
+
+
+def test_root_values_decide_round_one():
+    # f @ (a^k mod p) holds f(a) for each a in F_p, and f has a root in F_p exactly when
+    # Res(f, x^p - x) = 0, Ben-Or's round 1: every monic f of degree 2 .. 6 over F_2, F_3, F_5.
+    # is_irreducible reads round 1 off these values when p < s, and rejects every f with a root
+    checked = 0
+    for p in (2, 3, 5):
+        xp_minus_x = [0, -1] + [0] * (p - 2) + [1]
+        for s in range(2, 7):
+            table = fields._power_values(s, p)
+            assert table.shape == (s + 1, p) and table.dtype == np.int64
+            for low in itertools.product(range(p), repeat=s):
+                f = low + (1,)
+                values = np.array(f) @ table % p
+                assert values.tolist() == [sum(c * a**k for k, c in enumerate(f)) % p for a in range(p)], f
+                assert values.all() == bool(_resultant(f, xp_minus_x, p)), (p, f)
+                assert values.all() or not is_irreducible(f, p), (p, f)
+                checked += 1
+    assert checked == 124 + 1089 + 19525
+
+
+CHAIN_FIELDS = [(p, s, build) for p, s, build in POWER_FIELDS if p in (3, 13, 1000003)]
+
+
+@pytest.mark.parametrize("p, s, build", CHAIN_FIELDS, ids=[f"{p}-{s}" for p, s, _ in CHAIN_FIELDS])
+def test_digit_chain_powers_with_distinct_digits(p, s, build):
+    # the powers g^d of the distinct base-p digits are one ascending chain, each the one below
+    # times the gap's power. Every exponent here has distinct digits, so its chain is as long
+    # as it gets: every order of 0, 1, 2 at p = 3, all of 1 .. 12 at p = 13, and four random
+    # digits at p = 1000003
+    modulus = build()
+    ctx, rng = bare_field(p, s, modulus), random.Random(p + s)
+    if p == 3:
+        digit_lists = [d for d in itertools.permutations(range(3)) if d[-1]]
+    else:
+        digit_lists = [rng.sample(range(1, p), 12 if p == 13 else 4) for _ in range(3)]
+    g = FieldElem(ctx, [rng.randrange(p) for _ in range(s)])
+    for digits in digit_lists:
+        e = sum(d * p**i for i, d in enumerate(digits))
+        assert (g**e).coords == tuple(schoolbook_power(g.coords, e, modulus, p)), (digits, e)
 
 
 @pytest.mark.parametrize("p, s", ((3, 64), (13, 32), (11, 16), (5, 16)))

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import _floyd_rho
 
 from periodpoly.intmath import factorize, is_prime, legendre, ord2, power
 
@@ -117,6 +118,24 @@ RHO_COFACTORS = {
 @pytest.mark.parametrize("n", sorted(RHO_COFACTORS))
 def test_factorize_prime_powers_above_the_trial_bound(n):
     assert factorize(n) == RHO_COFACTORS[n]
+
+
+def primes_above(n, count):
+    out = []
+    while len(out) < count:
+        n += 1
+        out += [n] if is_prime(n) else []
+    return out
+
+
+@pytest.mark.parametrize("i, j", ((0, 1), (2, 5)))
+def test_brent_rho_against_floyd_on_two_primes_near_2_40(i, j):
+    # each split takes about 2^20 rho steps: Brent's search with one gcd per 128 steps, inside
+    # factorize, and Floyd's with one gcd per step, the loop it replaced. They may find
+    # different primes; a factorization is unique, so factorize's output cannot change
+    a, b = (primes_above(2**40, 6)[k] for k in (i, j))
+    assert factorize(a * b) == ((a, 1), (b, 1))
+    assert _floyd_rho(a * b) in (a, b)
 
 
 def test_legendre_matches_square_sets():
