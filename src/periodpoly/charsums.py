@@ -6,15 +6,16 @@ a character of order E, and psi = lambda^j. Each quantity has one kernel:
   * Gauss sums are assembled exactly from the same bucket counts as the
     period sweep (one multiplicative pass per (field, order)), as elements of
     Z[zeta_{lcm(E, p)}], by GaussTable.value; the subfield sums reuse it.
-  * Jacobi sums are read off one discrete-log walk per cyclic group
+  * Jacobi sums are read off one discrete-log walk per field
     (discrete_log_map): the sweep's orbit kernel lays out the coordinates of
-    g^a row by row, so the row index is the log. zech_logs forms 1 - x on the
-    whole block with no division, packs each row into its int64 key
-    sum_i c_i p^i in [0, q), and reads every log at once from one length-q index
-    that the walk's keys are scattered into; it returns the Zech vector
-    a + log(1 - x_a), and every J(lambda^j) on that group is then one bincount
-    of j times it (jacobi_sum), so a field pays one scatter and one gather. The
-    identity suite reads the log of 4 off the same vector, as 2 log(1 - (-1)).
+    gamma^a row by row, so the row index is the log. zech_logs(ctx) walks the
+    field, forms 1 - x on the whole block with no division, packs each row into
+    its int64 key sum_i c_i p^i in [0, q), and reads every log at once from one
+    length-q index that the walk's keys are scattered into; it returns the Zech
+    vector a + log(1 - x_a), and every J(lambda^j) on that field is then one
+    bincount of j times it (jacobi_sum), so a field pays one walk, one scatter
+    and one gather. The identity suite reads the log of 4 off the same vector,
+    as 2 log(1 - (-1)).
 
 A subfield is swept as its own field: subfield_sums is one trace_spectrum call
 on ctx.subfield(k), F_p[x]/(f0) with f0 the minimal polynomial of gamma^d,
@@ -52,7 +53,6 @@ from .periods import (
     DEFAULT_MAX_Q,
     BudgetExceeded,
     PeriodVector,
-    SweepOverflow,
     TraceSpectrum,
     _exact_dtype,
     _orbit,
@@ -107,46 +107,37 @@ def discrete_log_map(ctx: FieldCtx) -> np.ndarray:
     return _orbit(one, ctx.mul_matrix(ctx.gamma).T, ctx.q - 1, ctx.p)
 
 
-def _logs(ctx: FieldCtx, dlog: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The log in the walk `dlog` of each row of coords; raises FieldError for one outside the group.
-
-    The walk's packed keys are distinct and lie in [1, q): index[key] is the row of
-    that key, -1 where no row has it (the key 0 of x = 0 among them), and a lookup
-    is one gather. The index has length q, so q - 1 is held to the walk's budget.
-    """
-    if ctx.q >= 1 << 63:
-        raise SweepOverflow(f"p^s = {ctx.q} >= 2^63: packed int64 keys would wrap")
-    if ctx.q - 1 >= DEFAULT_MAX_Q_JACOBI:
-        raise BudgetExceeded(f"group of order {ctx.q - 1} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
-    weights = ctx.p ** np.arange(ctx.s, dtype=np.int64)
-    index = np.full(ctx.q, -1, dtype=np.int64)
-    index[dlog @ weights] = np.arange(len(dlog))
-    at = index[coords @ weights]
-    missing = at < 0
-    if missing.any():
-        raise FieldError(f"{coords[missing][0].tolist()} is not in the walked group")
-    return at
-
-
-def zech_logs(ctx: FieldCtx, dlog: np.ndarray) -> np.ndarray:
-    """a + log(1 - x_a) for the rows a >= 1 of the walk `dlog` (from discrete_log_map).
+def zech_logs(ctx: FieldCtx) -> np.ndarray:
+    """a + log(1 - x_a) for the rows a >= 1 of ctx's walk x_a = gamma^a (discrete_log_map).
 
     Row 0 is x = 1, where psi(1 - x) = psi(0) = 0. This is the part of every
-    Jacobi sum on the walked group that does not depend on the character.
+    Jacobi sum on F_q^* that does not depend on the character. The walk's packed
+    keys are distinct and lie in [1, q): index[key] is the row of that key, -1
+    where no row has it (the key 0 of x = 0 among them), and every log is one
+    gather. The walk holds q - 1 to its budget, so the length-q index is small
+    and the keys are exact in int64; a key missing from the walk raises FieldError.
     """
+    dlog = discrete_log_map(ctx)
     one_minus_x = ctx.p - dlog[1:]  # -x with no division: p - c, and 0 where c = 0
     one_minus_x[dlog[1:] == 0] = 0
     constant = one_minus_x[:, 0]  # a view: 1 - x adds one to the constant coordinate
     constant += 1
     constant[constant == ctx.p] = 0
-    return np.arange(1, len(dlog)) + _logs(ctx, dlog, one_minus_x)
+    weights = ctx.p ** np.arange(ctx.s, dtype=np.int64)
+    index = np.full(ctx.q, -1, dtype=np.int64)
+    index[dlog @ weights] = np.arange(len(dlog))
+    at = index[one_minus_x @ weights]
+    missing = at < 0
+    if missing.any():
+        raise FieldError(f"{one_minus_x[missing][0].tolist()} is not in the walked group")
+    return np.arange(1, len(dlog)) + at
 
 
 def jacobi_sum(order: int, j: int, zech: np.ndarray) -> CycElem:
     """J(psi) = sum over x of psi(x) psi(1-x) for psi = lambda^j, exact in Z[zeta_order].
 
-    lambda has the given order and sends the generator of the walked group to
-    zeta_order; zech comes from zech_logs on that walk.
+    lambda has the given order and sends the generator gamma of a field to
+    zeta_order; zech is zech_logs of that field.
     """
     if j % order == 0:
         raise ValueError("character must be nontrivial")
@@ -194,7 +185,7 @@ def subfield_sums(
 
 def subfield_jacobi(sub: FieldCtx, order: int, j: int) -> CycElem:
     """J(chi^j) over the subfield sub = ctx.subfield(k), chi(sub.gamma) = zeta_order."""
-    return jacobi_sum(order, j, zech_logs(sub, discrete_log_map(sub)))
+    return jacobi_sum(order, j, zech_logs(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +381,7 @@ def identity_report(
         """
         if q > max_q:
             raise BudgetExceeded(f"q={q} exceeds the enumeration budget {max_q}")
-        zech = zech_logs(ctx, discrete_log_map(ctx))
+        zech = zech_logs(ctx)
         half = (q - 1) // 2
         return zech, 2 * (int(zech[half - 1]) - half) % (q - 1)
 

@@ -20,9 +20,11 @@ matrix, in int64 while s*(p-1)^2 < 2^63 and on Python ints (dtype object) above.
 y -> y^p is one cached matrix F per modulus (FieldCtx.frobenius; von zur Gathen &
 Gerhard, Modern Computer Algebra, ch. 14), and FieldElem.__pow__ runs Horner over
 the base-p digits of the exponent: one product by F and at most one field product
-per digit. A subfield is a FieldCtx of its own (FieldCtx.subfield), generated by
-the norm of gamma (Lidl & Niederreiter, ch. 2), so every kernel sees whole fields
-only; the trace row comes from Newton's identities on the modulus.
+per digit. FieldElem.__mul__ calls _mul on its own coordinates, which are always
+reduced and of length s. A subfield is a FieldCtx of its own (FieldCtx.subfield),
+generated by the norm of gamma, taken as one power (Lidl & Niederreiter, ch. 2), so
+every kernel sees whole fields only; the trace row comes from Newton's identities on
+the modulus.
 
 A FieldCtx is immutable after construction; element operations are pure, so
 everything here is safe for concurrent use.
@@ -84,13 +86,6 @@ def _mul(u: np.ndarray, v: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
     return red @ (np.convolve(u, v) % p) % p
 
 
-def _coords(a: Sequence[int], red: np.ndarray, p: int) -> np.ndarray:
-    """a, with at most s coefficients of any sign, as a length-s vector of residues in red's dtype."""
-    out = np.zeros(len(red), dtype=red.dtype)
-    out[: len(a)] = a
-    return out % p
-
-
 def _frobenius_by_table(modulus: tuple[int, ...], p: int) -> bool:
     """F by the power table, and Ben-Or's rounds by F: p^2 < s, no term of degree s/2 .. s-1.
 
@@ -123,17 +118,6 @@ def _frobenius(modulus: tuple[int, ...], p: int) -> np.ndarray:
                 frob[:, j] = _mul(frob[:, j - 1], xp, red, p)
     frob.flags.writeable = False
     return frob
-
-
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    """(a * b) mod modulus over F_p, by _mul, as a fresh length-s list of residues.
-
-    The modulus is monic of degree s; a and b have at most s coefficients each, may be
-    shorter, and may lie outside [0, p). Each is reduced into [0, p) first, so the product
-    is exact in int64 while s*(p-1)^2 < 2^63 (_mul), and runs on Python ints above that.
-    """
-    red = _reduction(tuple(modulus), p)
-    return _mul(_coords(a, red, p), _coords(b, red, p), red, p).tolist()
 
 
 def _resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
@@ -294,17 +278,18 @@ class FieldElem:
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        return FieldElem(
-            self.ctx,
-            _poly_mulmod(self.coords, other.coords, self.ctx.modulus, self.ctx.p),
-        )
+        red = _reduction(self.ctx.modulus, self.ctx.p)
+        u, v = (np.array(x.coords, dtype=red.dtype) for x in (self, other))
+        return FieldElem(self.ctx, _mul(u, v, red, self.ctx.p).tolist())
 
     def __pow__(self, e: int) -> "FieldElem":
         """self^e for e >= 0, by Horner over the base-p digits of e: g^e = (g^{e div p})^p g^{e mod p}.
 
-        y -> y^p is the product with FieldCtx.frobenius(). The digits' powers are one ascending
-        chain, g^d = g^{d'} g^{d-d'} for the digit d' below d, the gap by square-and-multiply
-        (not g, g^2, ...: up to p - 1 products).
+        y -> y^p is the product with FieldCtx.frobenius(). Each distinct digit's power g^d is
+        taken by square-and-multiply (intmath.power: bitlen(d) + popcount(d) - 2 products),
+        or as g^{d'} g^{d-d'} from the digit d' below d when the gap's chain plus that one
+        product is cheaper: digits 1 .. 12 cost 11 products, digits 1 and 12 cost 4. A running
+        table g, g^2, ... would take up to p - 1 products.
         """
         if e < 0:
             raise ValueError("negative powers are not supported; invert with x ** (q - 2)")
@@ -317,10 +302,14 @@ class FieldElem:
             return ctx.one()
         red = _reduction(ctx.modulus, p)
         mul = functools.partial(_mul, red=red, p=p)
+        chain = lambda d: d.bit_length() + d.bit_count() - 2  # intmath.power's products for g^d
         g, powers, below = np.array(self.coords, dtype=red.dtype), {}, 0
         for d in sorted(set(digits) - {0}):
-            step = power(g, d - below, mul, None)
-            powers[d], below = mul(powers[below], step) if below else step, d
+            if below and chain(d - below) + 1 < chain(d):
+                powers[d] = mul(powers[below], power(g, d - below, mul, None))
+            else:
+                powers[d] = power(g, d, mul, None)
+            below = d
         y = powers[digits.pop()]
         if digits:  # a single digit needs no Frobenius matrix
             frob = ctx.frobenius()
@@ -402,7 +391,9 @@ class FieldCtx:
 
         f0 = prod_{i<k} (X - g0^{p^i}) is the minimal polynomial of the norm
         g0 = gamma^{(q-1)/(p^k-1)} = prod_{i<s/k} gamma^{p^{ki}} (Lidl & Niederreiter,
-        ch. 2); every conjugate is a power of the Frobenius matrix applied to gamma.
+        ch. 2). The exponent's base-p digits are 1 at the multiples of k and 0 elsewhere,
+        so FieldElem.__pow__ takes g0 in s - k products by the Frobenius matrix and
+        s/k - 1 field products, and each conjugate of g0 is one more Frobenius product.
         x -> g0 embeds the field, so its traces, discrete logs and counts are those
         of g0's powers.
         """
@@ -410,13 +401,8 @@ class FieldCtx:
             raise FieldError(f"{k} does not divide {self.s}")
         p, q0 = self.p, self.p**k
         red, frob = _reduction(self.modulus, p), self.frobenius()
-        # g0 = gamma^{(q-1)/(q0-1)} is the product of the conjugates gamma^{p^{ki}}, i < s/k
-        g0 = conj = np.array(self.gamma.coords, dtype=red.dtype)
-        for _ in range(self.s // k - 1):
-            for _ in range(k):
-                conj = frob @ conj % p
-            g0 = _mul(g0, conj, red, p)
-        f0, conj = [red[:, 0]], g0  # f0 little-endian, over F_q
+        g0 = self.gamma ** ((self.q - 1) // (q0 - 1))
+        f0, conj = [red[:, 0]], np.array(g0.coords, dtype=red.dtype)  # f0 little-endian, over F_q
         for _ in range(k):
             f0 = [-_mul(conj, f0[0], red, p) % p] + [
                 (a - _mul(conj, b, red, p)) % p for a, b in zip(f0[:-1], f0[1:])
@@ -462,15 +448,6 @@ class FieldCtx:
         return f"FieldCtx(F_{self.p}^{self.s}, modulus={list(self.modulus)}, gamma={list(self.gamma.coords)})"
 
 
-def _norm(g: FieldElem) -> int:
-    """N(g) = g^{(q-1)/(p-1)} in F_p, as the resultant of the modulus and g.
-
-    The norm is the product of the conjugates g(x^{p^i}), i < s, that is of g(a)
-    over the roots a of the modulus (Lidl & Niederreiter, ch. 2); zero has norm 0.
-    """
-    return _resultant(g.ctx.modulus, g.coords, g.ctx.p)
-
-
 def _first_unit_leaf(h: FieldElem, primes: list[int]) -> int | None:
     """First l in primes with h^{P/l} = 1, P the product of primes; None when there is none.
 
@@ -491,13 +468,14 @@ def _order_defect(g: FieldElem) -> int | None:
     """A prime l | q-1 with g^{(q-1)/l} = 1, or None when g generates F_q^*.
 
     The primes l | p-1 are decided in F_p, in ascending order, by the norm:
-    g^{(q-1)/l} = N(g)^{(p-1)/l}. The others, l_1 < ... < l_k, go down one
-    product tree from h = g^{(q-1)/(l_1...l_k)}, and the first l found is returned.
-    Zero raises FieldError.
+    g^{(q-1)/l} = N(g)^{(p-1)/l}, N(g) = g^{(q-1)/(p-1)} = Res(modulus, g) (Lidl &
+    Niederreiter, ch. 2). The others, l_1 < ... < l_k, go down one product tree
+    from h = g^{(q-1)/(l_1...l_k)}, and the first l found is returned. Zero, whose
+    norm is 0, raises FieldError.
     """
     ctx = g.ctx
     p = ctx.p
-    norm = _norm(g)
+    norm = _resultant(ctx.modulus, g.coords, p)  # N(g): the product of g over the roots of the modulus
     if norm == 0:
         raise FieldError("zero is not in the multiplicative group")
     rest = []
@@ -554,9 +532,9 @@ def build_field(p: int, s: int, modulus: Sequence[int] | None = None) -> FieldCt
     if modulus is None:
         modulus = find_irreducible_modulus(p, s)
     else:
-        modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
         if len(modulus) != s + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree s")
+        modulus = tuple(int(c) % p for c in modulus)
         if not is_irreducible(modulus, p):
             raise FieldError("modulus is not irreducible")
     fac = _factor_q_minus_1(p, s)

@@ -2,10 +2,11 @@ import itertools
 import math
 import operator
 
+import numpy as np
 import pytest
 
 from periodpoly.cyclotomic import CycElem, IntPoly, expand_mod, root_of_unity_mod
-from periodpoly.fields import FieldCtx, FieldError, _coords, _mul, _order_defect, _reduction
+from periodpoly.fields import FieldCtx, FieldError, _mul, _order_defect, _reduction
 from periodpoly.intmath import power
 
 
@@ -101,9 +102,12 @@ def all_roots_period_polynomial():
 def _poly_powmod(a, e, modulus, p):
     """Reference a^e mod modulus over F_p, as a fresh length-s list of residues, for e >= 0:
     intmath.power's square-and-multiply over the field kernel, with no Frobenius matrix.
+    a has at most s coefficients of any sign; it is padded with zeros and reduced here.
     Test modules import it for the Frobenius columns x^{pj} and Ben-Or's reference rounds."""
     red = _reduction(tuple(modulus), p)
-    return power(_coords(a, red, p), e, lambda u, v: _mul(u, v, red, p), red[:, 0]).tolist()
+    base = np.zeros(len(red), dtype=red.dtype)
+    base[: len(a)] = a
+    return power(base % p, e, lambda u, v: _mul(u, v, red, p), red[:, 0]).tolist()
 
 
 def _floyd_rho(n: int) -> int:

@@ -6,7 +6,6 @@ import pytest
 from periodpoly import charsums
 from periodpoly.charsums import (
     GaussTable,
-    _logs,
     discrete_log_map,
     identity_report,
     jacobi_sum,
@@ -53,11 +52,11 @@ def test_conjugate_product_is_q():
 
 def test_jacobi_values():
     ctx9 = build_field(3, 2)
-    zech9 = zech_logs(ctx9, discrete_log_map(ctx9))
+    zech9 = zech_logs(ctx9)
     jac = jacobi_sum(8, 1, zech9)
     assert jac == -1 + 2 * ISQRT2 or jac == -1 - 2 * ISQRT2
     ctx5 = build_field(5, 1)
-    j5 = jacobi_sum(4, 1, zech_logs(ctx5, discrete_log_map(ctx5)))
+    j5 = jacobi_sum(4, 1, zech_logs(ctx5))
     c = j5.canonical()
     a, b = c[0], c[1] if len(c) > 1 else 0
     assert a * a + b * b == 5
@@ -80,59 +79,57 @@ def test_jacobi_values():
         for row in dlog:
             assert tuple(row) == x.coords
             x = x * field.gamma
-        zech = zech_logs(field, dlog)
+        zech = zech_logs(field)
         for order in orders:
             for j in range(1, order):
                 assert jacobi_sum(order, j, zech) == dict_walk_jacobi(ctx, base, length, order, j)
-    # 0 is not in the walk of F_3^*; gamma0 = gamma^4 is its step
-    prime = discrete_log_map(ctx9.subfield(1))
-    with pytest.raises(FieldError):
-        _logs(ctx9.subfield(1), prime, np.array([[0]]))
-    assert _logs(ctx9.subfield(1), prime, np.array([[(ctx9.gamma**4).prime_field_value()]])).tolist() == [1]
     # s*(p-1)^2 >= 2^63: the orbit's int64 products would wrap; this is checked before
     # the discrete-log budget
     with pytest.raises(SweepOverflow):
         discrete_log_map(build_field(3037000507, 1))
-    # p^s >= 2^63: the packed keys would wrap, though a walk (here of F_3^*) is exact
-    ctx340 = build_field(3, 40)
-    with pytest.raises(SweepOverflow):
-        zech_logs(ctx340, np.array([ctx340.one().coords, (-ctx340.one()).coords]))
 
 
-def test_logs_by_scatter_index():
-    # every row of a walk is found at its own index, on the walk-test fields above
+def test_logs_by_scatter_index(monkeypatch):
+    # every log gathered from the length-q index is the row of 1 - x_a's packed key
+    # sum_i c_i p^i in a dict filled from the walk, on the walk-test fields above
     for p, s, s_sub in ((3, 4, 4), (5, 4, 4), (13, 2, 2), (3, 8, 4)):
         ctx = build_field(p, s)
         field = ctx if s_sub == s else ctx.subfield(s_sub)
-        dlog = discrete_log_map(field)
-        assert _logs(field, dlog, dlog).tolist() == list(range(field.q - 1))
-    # the walk of gamma^2 on F_9 is the squares: gamma is not in it, gamma^2 is its row 1
+        walk = discrete_log_map(field).tolist()
+        pack = lambda coords: sum(c * p**i for i, c in enumerate(coords))
+        rows = {pack(x): a for a, x in enumerate(walk)}
+        assert len(rows) == field.q - 1 and 0 not in rows  # distinct keys in [1, q)
+        want = [rows[pack([(1 - x[0]) % p] + [-c % p for c in x[1:]])] for x in walk[1:]]
+        assert (zech_logs(field) - np.arange(1, field.q - 1)).tolist() == want
+    # a key missing from the walk raises: the walk of gamma^2 on F_9 is the squares, which
+    # do not hold 1 - gamma^2; and a walk that meets 1 twice asks for the key 0 of 1 - 1
     ctx9 = build_field(3, 2)
-    squares = discrete_log_map(ctx9)[::2]
-    with pytest.raises(FieldError):
-        _logs(ctx9, squares, np.array([ctx9.gamma.coords]))
-    assert _logs(ctx9, squares, np.array([(ctx9.gamma**2).coords])).tolist() == [1]
-    # q - 1 = 1594323 - 1 is over the walk's budget: the length-q index is never allocated,
-    # even for a walk of two rows
-    ctx313 = build_field(3, 13)
-    walk = np.array([ctx313.one().coords, (-ctx313.one()).coords])
+    for walk in (discrete_log_map(ctx9)[::2], discrete_log_map(ctx9)[[0, 0, 4]]):
+        with monkeypatch.context() as m:
+            m.setattr(charsums, "discrete_log_map", lambda ctx, walk=walk: walk)
+            with pytest.raises(FieldError, match="not in the walked group"):
+                zech_logs(ctx9)
+    # q - 1 = 1594323 - 1 is over the walk's budget: the walk raises, and the length-q
+    # index is never allocated
     with pytest.raises(BudgetExceeded):
-        _logs(ctx313, walk, walk)
+        zech_logs(build_field(3, 13))
 
 
 def test_zech_vector_against_its_definition():
-    # 1 - x formed with a modulo, each log looked up on its own; and the log of 4 that
-    # identity_report reads off the Zech vector as 2 log(1 - (-1)), -1 = gamma^((q-1)/2)
+    # 1 - x formed with a modulo, each log looked up in a dict of the walk's rows; and the
+    # log of 4 that identity_report reads off the Zech vector as 2 log(1 - (-1)),
+    # -1 = gamma^((q-1)/2)
     for p, s, s_sub in ((3, 4, 4), (5, 4, 4), (13, 2, 2), (3, 8, 4), (3, 2, 1)):
         ctx = build_field(p, s)
         field = ctx if s_sub == s else ctx.subfield(s_sub)
         dlog = discrete_log_map(field)
+        logs = {tuple(row): a for a, row in enumerate(dlog.tolist())}
         one_minus_x = -dlog[1:] % p
         one_minus_x[:, 0] = (1 - dlog[1:, 0]) % p
-        zech = zech_logs(field, dlog)
-        assert zech.tolist() == [a + int(_logs(field, dlog, row[None])[0]) for a, row in enumerate(one_minus_x, 1)]
+        zech = zech_logs(field)
+        assert zech.tolist() == [a + logs[tuple(row)] for a, row in enumerate(one_minus_x.tolist(), 1)]
         half = (field.q - 1) // 2
-        four = _logs(field, dlog, np.array([field.from_int(4 % p).coords]))[0]
+        four = logs[field.from_int(4 % p).coords]
         assert 2 * (zech[half - 1] - half) % (field.q - 1) == four
 
 
@@ -141,7 +138,7 @@ def test_subfield_walk_sees_the_subfield_bounds():
     # packed keys are small; its Zech vector against a FieldElem walk of g0 in F_{13^32}
     ctx = build_field(13, 32)
     sub = ctx.subfield(4)
-    zech = zech_logs(sub, discrete_log_map(sub))
+    zech = zech_logs(sub)
     assert len(zech) == 28559
     g0 = ctx.gamma ** ((ctx.q - 1) // (sub.q - 1))
     logs, x = {}, ctx.one()
@@ -172,7 +169,7 @@ def test_gauss_jacobi_relation():
     for p, s, e in ((3, 2, 4), (3, 2, 8), (5, 2, 4), (5, 1, 4), (5, 2, 8), (13, 1, 4)):
         ctx = build_field(p, s)
         table = GaussTable(trace_spectrum(ctx, e))
-        zech = zech_logs(ctx, discrete_log_map(ctx))
+        zech = zech_logs(ctx)
         for j in range(1, e):
             if 2 * j % e == 0:
                 continue

@@ -15,9 +15,7 @@ from periodpoly.fields import (
     _discriminant,
     _factor_q_minus_1,
     _irreducible_binomials,
-    _norm,
     _order_defect,
-    _poly_mulmod,
     _resultant,
     build_field,
     find_generator,
@@ -118,20 +116,19 @@ def kernel_modulus(build, s):
 
 @pytest.mark.parametrize("p, s, build", KERNEL_MODULI, ids=KERNEL_IDS)
 def test_field_kernel_matches_schoolbook(p, s, build):
+    # FieldElem products through _mul; the Mersenne-31 entries run it on Python ints
     modulus = kernel_modulus(build, s)
-    rng = random.Random(p * s)
+    ctx, rng = bare_field(p, s, modulus), random.Random(p * s)
     top = [p - 1] * s  # top * top has the coefficient s*(p-1)^2 at degree s-1, the largest _mul's dtype must hold
     pairs = [(top, list(top)), (top, [1] + [0] * (s - 1)), ([0] * s, top)]
     for _ in range(60):
         pairs.append(([rng.randrange(p) for _ in range(s)], [rng.randrange(p) for _ in range(s)]))
-        # operands shorter than s, which _coords pads with zeros
-        pairs.append(tuple([rng.randrange(p) for _ in range(rng.randint(1, s))] for _ in range(2)))
-        # coefficients outside [0, p), negative ones too, act as their residues
-        pairs.append(tuple([rng.randrange(-3 * p, 3 * p) for _ in range(rng.randint(1, s))] for _ in range(2)))
+        # coefficients outside [0, p), negative ones too, act as their residues through FieldElem
+        pairs.append(tuple([rng.randrange(-3 * p, 3 * p) for _ in range(s)] for _ in range(2)))
     for a, b in pairs:
-        want = schoolbook_mulmod(a, b, modulus, p)
-        assert _poly_mulmod(a, b, modulus, p) == want, (a, b)
-        assert _poly_mulmod(a, a, modulus, p) == schoolbook_mulmod(a, a, modulus, p), a  # a square: a times itself
+        x, y = FieldElem(ctx, a), FieldElem(ctx, b)
+        assert list((x * y).coords) == schoolbook_mulmod(a, b, modulus, p), (a, b)
+        assert list((x * x).coords) == schoolbook_mulmod(a, a, modulus, p), a  # a square: the same object twice
 
 
 @pytest.mark.parametrize("p, s, build", KERNEL_MODULI, ids=KERNEL_IDS)
@@ -222,6 +219,10 @@ def test_build_rejects_bad_input():
         build_field(5, 0)
     with pytest.raises(FieldError):
         build_field(3, 2, modulus=(2, 0, 1))  # x^2 + 2 = x^2 - 1 reducible
+    # empty, constant and degree-3 moduli for s = 2: the length is checked before any entry is read
+    for modulus in ((), (1,), (2, 1, 0, 1)):
+        with pytest.raises(FieldError, match="monic of degree s"):
+            build_field(3, 2, modulus=modulus)
 
 
 def test_is_irreducible_matches_frobenius_reference():
@@ -324,9 +325,9 @@ def test_discriminant_parity_counts_irreducible_factors():
 
 
 def spy(monkeypatch, name):
-    """The calls of fields.<name> from here on, each as its tuple of arguments."""
+    """The calls of fields.<name> from here on, each as its tuple of positional arguments."""
     real, calls = getattr(fields, name), []
-    monkeypatch.setattr(fields, name, lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(fields, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     return calls
 
 
@@ -569,6 +570,33 @@ def test_digit_chain_powers_with_distinct_digits(p, s, build):
         assert (g**e).coords == tuple(schoolbook_power(g.coords, e, modulus, p)), (digits, e)
 
 
+def test_power_products_by_digit_chain(monkeypatch):
+    # each distinct digit's power takes its own square-and-multiply chain, bitlen + popcount - 2
+    # products, unless the gap from the digit below plus one product is cheaper; then one
+    # product per nonzero digit below the top. g^(1 + 8*13): g^8 by its own chain in 3 (from
+    # g^1, the gap 7 takes 4 and the step 1), then 1. Digits 1 .. 12: g^2 in 1, a tie that
+    # goes to its own chain, each later digit in 1 from the one below, then 11. (q-1)/2 over
+    # F_{3^64} is 64 digits 1: 63 products after the Frobenius ones
+    ctx13, ctx3 = build_field(13, 4), build_field(3, 64)
+    cases = [
+        (ctx13, 1 + 8 * 13, 4),
+        (ctx13, 1 + 12 * 13, 5),
+        (ctx13, sum(d * 13 ** (d - 1) for d in range(1, 13)), 22),
+        (ctx3, (ctx3.q - 1) // 2, 63),
+    ]
+    for ctx, _, _ in cases:
+        ctx.frobenius()  # cached before the spy: at (13, 4) F is built by products
+    calls = spy(monkeypatch, "_mul")
+    for ctx, e, products in cases:
+        calls.clear()
+        y = ctx.gamma**e
+        assert len(calls) == products, e
+        if ctx is ctx3:
+            assert y == -ctx3.one()  # gamma generates, so its (q-1)/2 power is -1
+        else:
+            assert y.coords == tuple(schoolbook_power(ctx.gamma.coords, e, ctx.modulus, ctx.p)), e
+
+
 @pytest.mark.parametrize("p, s", ((3, 64), (13, 32), (11, 16), (5, 16)))
 def test_subfield_matches_the_power_and_the_product_of_conjugates(p, s):
     # the reference is the norm as one power, gamma^{(q-1)/(q0-1)} by square-and-multiply over
@@ -695,7 +723,7 @@ def frobenius_trace_row(ctx):
     col = [1] + [0] * (s - 1)
     for j in range(s):
         frob[:, j] = col
-        col = _poly_mulmod(col, xpow, modulus, p)
+        col = schoolbook_mulmod(col, xpow, modulus, p)
     total = np.zeros((s, s), dtype=np.int64)
     acc = np.eye(s, dtype=np.int64)
     for _ in range(s):
@@ -851,7 +879,8 @@ def test_norm_is_the_power_onto_the_prime_field(p, s):
         elems = [ctx.from_int(0), ctx.one(), ctx.from_int(-1), ctx.from_int(rng.randrange(2, p)), ctx.gamma]
         elems += [FieldElem(ctx, [rng.randrange(p) for _ in range(s)]) for _ in range(12)]
     for g in elems:
-        assert _norm(g) == (g ** ((ctx.q - 1) // (p - 1))).prime_field_value(), g
+        # _order_defect's norm: the resultant of the modulus and g
+        assert _resultant(ctx.modulus, g.coords, p) == (g ** ((ctx.q - 1) // (p - 1))).prime_field_value(), g
 
 
 @pytest.mark.parametrize("p, s", ((3, 1), (3, 4), (13, 2), (3, 64)))
