@@ -151,16 +151,19 @@ def cmd_verify(args) -> int:
     oracle_poly = None
     try:
         if oracle == "brute":
-            oracle_poly = period_polynomial(reduced_periods(trace_spectrum(ctx, e, max_q=args.max_q, threads=args.threads)))
+            periods = reduced_periods(trace_spectrum(ctx, e, max_q=args.max_q, threads=args.threads))
+            oracle_poly = period_polynomial(periods)
         else:
-            oracle_poly, _, _ = lifted_period_polynomial(ctx, args.m, max_q=args.max_q, threads=args.threads)
+            oracle_poly, periods, _ = lifted_period_polynomial(ctx, args.m, max_q=args.max_q, threads=args.threads)
     except BudgetExceeded:
         status = "skipped"
 
     # an irreducible case has no factor list to expand: its content is the oracle's polynomial
     polynomial = oracle_poly if fac.irreducible else fac.expand()
     if status != "skipped":
-        matched = fac.matches(oracle_poly) if fac.irreducible else polynomial == oracle_poly
+        # the oracle's irreducible factors over Q, its periods' Galois orbits, against the closed
+        # form's list; an irreducible claim is the one factor oracle_poly, once
+        matched = periods.factors == (fac.factors or ((oracle_poly, 1),))
         status = "verified" if matched else "failed"
 
     # the digest covers this content and the polynomial; the record adds the run's verdict to it

@@ -25,14 +25,20 @@ Every coefficient is assembled from exact integer powers of p (a half-integral
 exponent raises, in q_power); there is no rounding anywhere. B- and D-values
 enter only in +/- paired factors or squared, so the emitted factorization is
 independent of the generator that fixed their signs.
+
+A factor list is the factorization into distinct monic irreducibles over Q, in
+the order of cyclotomic.canonical_factors, and an empty list claims that the
+polynomial is irreducible. `verify` holds either claim to the oracle's own
+factors, the Galois orbits of its periods (periods.PeriodVector.factors), so
+a factor that splits over Q fails it even where the product is right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import IntPoly, expand_factor_list, linear
-from .fields import FieldCtx, is_irreducible
+from .cyclotomic import IntPoly, canonical_factors, expand_factor_list, linear
+from .fields import FieldCtx
 from .intmath import is_prime, ord2
 from .partitions import PartitionRecord, partition_records
 
@@ -65,17 +71,6 @@ class Factorization:
             raise UnsupportedCase("no closed-form factor list for this case")
         return expand_factor_list(self.factors)
 
-    def matches(self, poly: IntPoly) -> bool:
-        """Is the oracle polynomial poly the irreducible one this case claims?
-
-        poly must be monic of degree 2^m and have an irreducibility witness,
-        which proves the claim over Q. A factor list is checked by comparing
-        its expansion with poly instead.
-        """
-        if not self.irreducible:
-            raise UnsupportedCase(f"{self.case.case} has a factor list: compare its expansion")
-        return poly.is_monic() and poly.degree == 1 << self.case.m and irreducibility_witness(poly) is not None
-
     def degree(self) -> int:
         return sum(poly.degree * mult for poly, mult in self.factors)
 
@@ -88,21 +83,6 @@ class Factorization:
             ],
             "partitions": [rec.to_json_dict() for rec in self.partitions],
         }
-
-
-_WITNESS_BOUND = 100
-
-
-def irreducibility_witness(poly: IntPoly) -> int | None:
-    """Smallest prime l < _WITNESS_BOUND modulo which the monic poly is irreducible.
-
-    A monic integer polynomial that is irreducible mod l is irreducible over Q.
-    None means no witness below the bound, not that poly is reducible.
-    """
-    for ell in range(2, _WITNESS_BOUND):
-        if is_prime(ell) and is_irreducible(tuple(c % ell for c in poly.coeffs), ell):
-            return ell
-    return None
 
 
 def classify(p: int, s: int, m: int) -> CaseTag:
@@ -153,17 +133,6 @@ def _checked(out: Factorization, degree: int) -> Factorization:
     return out
 
 
-def _canonical_factors(
-    factors: list[tuple[IntPoly, int]],
-) -> tuple[tuple[IntPoly, int], ...]:
-    """Merge coincident factors and order by (degree, coefficient list)."""
-    merged: dict[tuple[int, ...], int] = {}
-    for poly, mult in factors:
-        merged[poly.coeffs] = merged.get(poly.coeffs, 0) + mult
-    ordered = sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return tuple((IntPoly(coeffs), mult) for coeffs, mult in ordered)
-
-
 # ---------------------------------------------------------------------------
 # the ladder: level t is the pair stem(t) +/- 2^{r-1} x_r sqrt(q/p^k)
 # ---------------------------------------------------------------------------
@@ -202,7 +171,7 @@ def _factorization(ctx: FieldCtx, tag: CaseTag, records: dict[int, PartitionReco
     out = Factorization(
         case=tag,
         q=ctx.q,
-        factors=_canonical_factors(factors),
+        factors=canonical_factors(factors),
         partitions=tuple(records[r] for r in sorted(records)),
     )
     return _checked(out, 1 << tag.m)
@@ -324,7 +293,7 @@ def semiprimitive_factorization(p: int, s: int, e: int) -> Factorization:
     sign = (-1) ** (s // (2 * ell))
     q2 = q_power(p, s, 1, 2)
     tag = CaseTag(p_class=p % 8, case="PROP20", m=0, s2=ord2(s))
-    factors = _canonical_factors(
+    factors = canonical_factors(
         [(linear(sign * (e - 1) * q2), 1), (linear(-sign * q2), e - 1)]
     )
     return _checked(Factorization(tag, p**s, factors), e)

@@ -345,6 +345,15 @@ def linear(c: int) -> IntPoly:
     return IntPoly((c, 1))
 
 
+def canonical_factors(factors: Iterable[tuple[IntPoly, int]]) -> tuple[tuple[IntPoly, int], ...]:
+    """Merge coincident factors and order by (degree, coefficient list)."""
+    merged: dict[tuple[int, ...], int] = {}
+    for poly, mult in factors:
+        merged[poly.coeffs] = merged.get(poly.coeffs, 0) + mult
+    ordered = sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return tuple((IntPoly(coeffs), mult) for coeffs, mult in ordered)
+
+
 def expand_factor_list(factors: Iterable[tuple[IntPoly, int]]) -> IntPoly:
     """Product of poly^mult over the list; empty product is 1."""
     out = IntPoly((1,))

@@ -1,10 +1,12 @@
 """Brute-force ground truth: trace spectra, reduced periods, period polynomials.
 
-period_polynomial expands prod_k (X - eta*_k) for either oracle's periods in
-Z[zeta_p] orbit by orbit; N > 2(1+M)^d, d the largest orbit: the distinct
-periods split into Galois orbits, each orbit's integer polynomial comes from
-one ring map Z[zeta_p] -> Z/N, and the orbit polynomials, each to its
-multiplicity, multiply in Z[X].
+PeriodVector.factors factors prod_k (X - eta*_k) over Q for either oracle's
+periods in Z[zeta_p]: the distinct periods split into Galois orbits, each
+orbit's polynomial is the minimal polynomial of its values, so an irreducible
+factor, and its coefficients come from one ring map Z[zeta_p] -> Z/N,
+N > 2(1+M)^d, d the largest orbit. period_polynomial multiplies those factors,
+each to its multiplicity, in Z[X]; verify compares them with the closed form's
+factor list, factor for factor.
 
 trace_spectrum is the one sweep entry: it counts F_q^* by coset and absolute
 trace, walked as powers of gamma. A subfield is swept as its own field,
@@ -75,6 +77,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -86,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycElem, IntPoly, expand_factor_list, expand_mod, root_of_unity_mod
+from .cyclotomic import CycElem, IntPoly, canonical_factors, expand_factor_list, expand_mod, root_of_unity_mod
 from .fields import FieldCtx, FieldElem, FieldError
 from .intmath import factorize, is_prime, power
 
@@ -138,6 +141,52 @@ class PeriodVector:
     @property
     def e(self) -> int:
         return len(self.eta_star)
+
+    @functools.cached_property
+    def factors(self) -> tuple[tuple[IntPoly, int], ...]:
+        """The distinct monic irreducible factors of prod_k (X - eta*_k) over Q with their multiplicities.
+
+        In the order of canonical_factors; N > 2 (1 + M)^d, d the largest orbit.
+        Each period's vector less its entry at t = 0 is its unique form modulo the
+        all-ones vector, which is 0. sigma_g (entry t moves to g*t mod p, g a primitive
+        root mod p) generates Gal(Q(zeta_p)/Q), so it splits the distinct vectors w into
+        orbits. Each orbit must close inside the multiset of periods, and all its values
+        must have one multiplicity; if not, ArithmeticError. An orbit is then the set of
+        conjugates of any of its values, so its polynomial prod (X - w) is that value's
+        minimal polynomial over Q: monic, in Z[X] (its roots are algebraic integers) and
+        irreducible, and distinct orbits give distinct factors. By Parseval, no complex
+        image of w exceeds M = max sqrt(p * sum_t w_t^2 - (sum_t w_t)^2), and the
+        coefficient of X^{d-i} of an orbit of d values is at most C(d, i) M^i <= (1 + M)^d.
+        So each distinct value is mapped once through the ring map zeta_p -> omega,
+        Z[zeta_p] -> Z/N with N > 2 (1 + M)^d, and each orbit is expanded mod N and
+        lifted to (-N/2, N/2). Cached: verify compares the factors after the expansion.
+        """
+        conductors = {v.n for v in self.eta_star}
+        p = min(conductors, default=0)
+        if len(conductors) != 1 or p == 2 or not is_prime(p):
+            raise ValueError(f"the periods need one odd prime conductor, got {sorted(conductors)}")
+        mult = Counter(tuple(c - v.vec[0] for c in v.vec) for v in self.eta_star)
+        cofactors = [(p - 1) // ell for ell, _ in factorize(p - 1)]
+        g = next(g for g in range(2, p) if all(pow(g, d, p) != 1 for d in cofactors))
+        g_inverse = pow(g, -1, p)
+        sigma = operator.itemgetter(*(t * g_inverse % p for t in range(p)))  # sigma(w)[g*t] = w[t]
+        orbits, rest = [], dict(mult)
+        while rest:
+            w, count = rest.popitem()
+            orbit = [w]
+            while (u := sigma(orbit[-1])) != w:
+                if rest.pop(u, None) != count:
+                    raise ArithmeticError(f"sigma_{g} does not permute the periods: their polynomial is not over Z")
+                orbit.append(u)
+            orbits.append((orbit, count))
+        height = max(math.isqrt(p * sum(c * c for c in w) - sum(w) ** 2) + 1 for w in mult)  # M
+        modulus, omega = root_of_unity_mod(p, 2 * (1 + height) ** max(len(orbit) for orbit, _ in orbits))
+        powers = list(itertools.accumulate(range(p - 1), lambda x, _: x * omega % modulus, initial=1))
+        factors = []
+        for orbit, count in orbits:  # each distinct value is in one orbit, so it is mapped once
+            coeffs = expand_mod([sum(map(operator.mul, w, powers)) % modulus for w in orbit], modulus)
+            factors.append((IntPoly(c - modulus if 2 * c > modulus else c for c in coeffs), count))
+        return canonical_factors(factors)
 
     def to_json_dict(self) -> dict:
         return {"e": self.e, "eta_star": [v.to_json_dict() for v in self.eta_star]}
@@ -381,47 +430,8 @@ def reduced_periods(spectrum: TraceSpectrum) -> PeriodVector:
 
 
 def period_polynomial(periods: PeriodVector) -> IntPoly:
-    """prod_k (X - eta*_k), exact, orbit by orbit; N > 2 (1 + M)^d, d the largest orbit.
-
-    Each period's vector less its entry at t = 0 is its unique form modulo the
-    all-ones vector, which is 0. sigma_g (entry t moves to g*t mod p, g a primitive
-    root mod p) generates Gal(Q(zeta_p)/Q), so it splits the distinct vectors w into
-    orbits. Each orbit must close inside the multiset of periods, and all its values
-    must have one multiplicity; if not, ArithmeticError. An orbit's polynomial
-    prod (X - w) is then fixed by sigma_g, so its coefficients lie in Q and Z[zeta_p],
-    so in Z. By Parseval, no complex image of w exceeds
-    M = max sqrt(p * sum_t w_t^2 - (sum_t w_t)^2), and the coefficient of X^{d-i} of
-    an orbit of d values is at most C(d, i) M^i <= (1 + M)^d. So each distinct value
-    is mapped once through the ring map zeta_p -> omega, Z[zeta_p] -> Z/N with
-    N > 2 (1 + M)^d, each orbit is expanded mod N and lifted to (-N/2, N/2), and the
-    orbit polynomials, each to its multiplicity, multiply in Z[X].
-    """
-    conductors = {v.n for v in periods.eta_star}
-    p = min(conductors, default=0)
-    if len(conductors) != 1 or p == 2 or not is_prime(p):
-        raise ValueError(f"the periods need one odd prime conductor, got {sorted(conductors)}")
-    mult = Counter(tuple(c - v.vec[0] for c in v.vec) for v in periods.eta_star)
-    cofactors = [(p - 1) // ell for ell, _ in factorize(p - 1)]
-    g = next(g for g in range(2, p) if all(pow(g, d, p) != 1 for d in cofactors))
-    g_inverse = pow(g, -1, p)
-    sigma = operator.itemgetter(*(t * g_inverse % p for t in range(p)))  # sigma(w)[g*t] = w[t]
-    orbits, rest = [], dict(mult)
-    while rest:
-        w, count = rest.popitem()
-        orbit = [w]
-        while (u := sigma(orbit[-1])) != w:
-            if rest.pop(u, None) != count:
-                raise ArithmeticError(f"sigma_{g} does not permute the periods: their polynomial is not over Z")
-            orbit.append(u)
-        orbits.append((orbit, count))
-    height = max(math.isqrt(p * sum(c * c for c in w) - sum(w) ** 2) + 1 for w in mult)  # M
-    modulus, omega = root_of_unity_mod(p, 2 * (1 + height) ** max(len(orbit) for orbit, _ in orbits))
-    powers = list(itertools.accumulate(range(p - 1), lambda x, _: x * omega % modulus, initial=1))
-    factors = []
-    for orbit, count in orbits:  # each distinct value is in one orbit, so it is mapped once
-        coeffs = expand_mod([sum(map(operator.mul, w, powers)) % modulus for w in orbit], modulus)
-        factors.append((IntPoly(c - modulus if 2 * c > modulus else c for c in coeffs), count))
-    out = expand_factor_list(factors)
+    """prod_k (X - eta*_k), exact: the product of periods.factors, each to its multiplicity."""
+    out = expand_factor_list(periods.factors)
     if not out.is_monic() or out.degree != periods.e:
         raise ArithmeticError(f"period polynomial is not monic of degree {periods.e}")
     if periods.e >= 2 and out.coeffs[periods.e - 1] != 0:

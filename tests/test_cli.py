@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from periodpoly.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from periodpoly.closed_form import classify
 
 
 def run(capsys, *argv):
@@ -203,7 +204,7 @@ def test_verify_lift_m2(tmp_path, capsys):
 
 @pytest.mark.parametrize("s, oracle", (("1", "brute"), ("3", "lift")))
 def test_verify_small_m2_irreducible(tmp_path, capsys, s, oracle):
-    # odd s: the closed form claims irreducibility; the oracle polynomial must carry a witness
+    # odd s: the closed form claims irreducibility; the oracle's periods must be one Galois orbit
     cache = tmp_path / "cache.jsonl"
     code, out, _ = run(capsys, "verify", "--p", "5", "--s", s, "--m", "2", "--oracle", oracle, "--cache", str(cache), "--format", "json")
     assert code == EXIT_OK
@@ -310,6 +311,33 @@ def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--p", "3", "--s", "4", "--m", "4", "--cache", str(cache), "--format", "json")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["status"] == "failed"
+
+
+def test_verify_fails_an_irreducible_claim_that_splits(tmp_path, capsys, monkeypatch):
+    # (5, 2, 2) splits into four linear factors over Q: a closed form that claims irreducible fails
+    import periodpoly.cli as cli
+    from periodpoly.closed_form import Factorization
+
+    monkeypatch.setattr(cli, "closed_form_factorization", lambda ctx, m: Factorization(classify(ctx.p, ctx.s, m), ctx.q, ()))
+    cache = tmp_path / "cache.jsonl"
+    code, out, _ = run(capsys, "verify", "--p", "5", "--s", "2", "--m", "2", "--cache", str(cache), "--format", "json")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["status"] == "failed"
+
+
+@pytest.mark.parametrize("s, oracle", (("4", "brute"), ("1", "brute"), ("16", "lift")))
+def test_verify_expands_the_orbits_once(tmp_path, capsys, monkeypatch, s, oracle):
+    # the oracle's polynomial and its factors come from one orbit expansion: one ring map per verify
+    import periodpoly.periods as periods
+
+    maps = []
+    ring_map = periods.root_of_unity_mod
+    monkeypatch.setattr(periods, "root_of_unity_mod", lambda n, bound: maps.append(n) or ring_map(n, bound))
+    m = "2" if s == "1" else "4"
+    cache = tmp_path / "cache.jsonl"
+    code, out, _ = run(capsys, "verify", "--p", "5", "--s", s, "--m", m, "--oracle", oracle, "--cache", str(cache), "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["status"] == "verified"
+    assert maps == [5]
 
 
 def readme_examples():

@@ -1,18 +1,21 @@
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
 
 import pytest
 
+from periodpoly import cli, closed_form
+from periodpoly.charsums import lifted_period_polynomial
 from periodpoly.closed_form import (
     UnsupportedCase,
     classify,
     closed_form_factorization,
     factorization_3mod8,
     factorization_5mod8,
-    irreducibility_witness,
     q_power,
     semiprimitive_factorization,
 )
@@ -210,25 +213,58 @@ def test_small_m_cases():
     assert irr.irreducible and irr.factors == ()
     with pytest.raises(UnsupportedCase):
         irr.expand()
-    # the irreducible claim is checked by a witness prime, found below 8 on every odd-s case here
+    # the irreducible claim holds where the oracle's periods are one Galois orbit, each period once
     for p, s in ((5, 1), (5, 3), (5, 5), (13, 1), (13, 3), (29, 1), (37, 1), (53, 3), (61, 1)):
-        ctx = build_field(p, s)
-        poly = oracle_poly(ctx, 2)
-        assert irreducibility_witness(poly) <= 7
-        assert factorization_5mod8(ctx, 2).matches(poly)
-    reducible = expand_factor_list([(IntPoly((1, 0, 1)), 1), (IntPoly((-2, 0, 1)), 1)])  # (X^2+1)(X^2-2)
-    assert irreducibility_witness(reducible) is None and not irr.matches(reducible)
-    assert not irr.matches(IntPoly((2, 1)))  # irreducible, but of the wrong degree
+        periods = reduced_periods(trace_spectrum(build_field(p, s), 4))
+        assert periods.factors == ((period_polynomial(periods), 1),), (p, s)
     with pytest.raises(UnsupportedCase):
         factorization_3mod8(build_field(5, 4), 4)  # p = 5 mod 8 is the other class's builder
 
 
-def test_matches_refuses_a_factor_list():
-    # matches proves an irreducible claim; a factor list is checked by its expansion alone
-    ctx = build_field(3, 4)
-    fac = closed_form_factorization(ctx, 4)
-    with pytest.raises(UnsupportedCase, match="T1c has a factor list"):
-        fac.matches(fac.expand())
+@pytest.mark.parametrize(
+    "p, s, m, oracle, tag",
+    (
+        (3, 8, 4, "brute", "T1a"), (3, 8, 5, "brute", "T1b"), (3, 4, 4, "brute", "T1c"),
+        (5, 16, 4, "lift", "T2a"), (5, 8, 4, "brute", "T2b"), (5, 4, 4, "brute", "T2c"),
+        (5, 2, 2, "brute", "SMALL_M2"), (5, 3, 2, "lift", "SMALL_M2"), (3, 2, 3, "brute", "SMALL_M3"),
+        (5, 4, 3, "brute", "SMALL_M3"),
+    ),
+)
+def test_oracle_factors_are_the_factor_list(p, s, m, oracle, tag):
+    # the periods' Galois orbits are the irreducible factors over Q: the closed form's list, factor
+    # for factor, or for an irreducible claim the one factor of degree 2^m
+    ctx = build_field(p, s)
+    fac = closed_form_factorization(ctx, m)
+    assert fac.case.case == tag
+    if oracle == "lift":
+        poly, periods, _ = lifted_period_polynomial(ctx, m)
+    else:
+        periods = reduced_periods(trace_spectrum(ctx, 1 << m))
+        poly = period_polynomial(periods)
+    assert periods.factors == (fac.factors or ((poly, 1),))
+
+
+def _verify(p, s, m, tmp_path):
+    """(exit code, record) of verify --format json on (p, s, m), its cache under tmp_path."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--p", str(p), "--s", str(s), "--m", str(m), "--format", "json", "--cache", str(tmp_path / "cache.jsonl")])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize(
+    "p, s, m, digest",
+    ((5, 8, 4, "7f7b5bd455d1"), (5, 16, 4, "b1676e9ef5b0"), (13, 4, 4, "abcd5e9c3006")),
+)
+def test_verify_fails_a_reducible_quadratic(p, s, m, digest, monkeypatch, tmp_path):
+    # a _pair that emits (X + c)^2 - t^2 even where t is an integer keeps the product, but the
+    # quadratic splits over Q, so it is not the oracle's factor list
+    def one_quadratic(ctx, c, rec, x, mult, sign):
+        return [(closed_form._shifted_sq(c, sign * closed_form._term_sq(ctx, rec, x)), mult)]
+
+    monkeypatch.setattr(closed_form, "_pair", one_quadratic)
+    code, record = _verify(p, s, m, tmp_path)
+    assert (code, record["status"], record["digest"][:12]) == (cli.EXIT_MISMATCH, "failed", digest)
 
 
 def test_semiprimitive():
@@ -237,8 +273,9 @@ def test_semiprimitive():
     fac5 = semiprimitive_factorization(3, 4, 5)
     assert {(f.coeffs, m) for f, m in fac5.factors} == {((-36, 1), 1), ((9, 1), 4)}
     assert fac5.degree() == 5
-    ctx = build_field(3, 4)
-    assert fac5.expand() == period_polynomial(reduced_periods(trace_spectrum(ctx, 5)))
+    periods = reduced_periods(trace_spectrum(build_field(3, 4), 5))
+    assert fac5.expand() == period_polynomial(periods)
+    assert periods.factors == fac5.factors  # PROP20: the oracle's factors, factor for factor
     with pytest.raises(UnsupportedCase):
         semiprimitive_factorization(3, 3, 4)  # 2l = 2 does not divide 3
     with pytest.raises(UnsupportedCase):
@@ -305,3 +342,41 @@ def test_closed_form_golden_grid():
         "T2a": 5, "T2b": 12, "T2c": 27, "error": 721,
     }
     assert digest.hexdigest() == _GRID_DIGEST
+
+
+# verify's verdict on every cell of the golden grid with a closed form, by (m, p mod 8, status),
+# at the default budget; the skipped cells wait for an oracle past the sweep's reach
+_GRID_COVERAGE = {
+    (2, 5, "verified"): 69,
+    (3, 3, "verified"): 50, (3, 5, "verified"): 48,
+    (4, 3, "verified"): 29, (4, 5, "verified"): 25, (4, 5, "skipped"): 2,
+    (5, 3, "verified"): 5, (5, 3, "skipped"): 8, (5, 5, "verified"): 4, (5, 5, "skipped"): 8,
+    (6, 3, "verified"): 3, (6, 3, "skipped"): 2, (6, 5, "skipped"): 4,
+    (7, 3, "skipped"): 1, (7, 5, "skipped"): 1,
+}
+_GRID_COVERAGE_DIGEST = "b10aa8088a0834be88d60eb09ac97c245a99ff4982aba08b9ea1f7b64f94d39e"
+
+
+def test_verify_golden_grid_coverage(tmp_path):
+    # a cell that moves from verified to skipped or failed is a regression; one that moves from
+    # skipped to verified moves the pins, and its change names it
+    digest = hashlib.sha256()
+    tally = collections.Counter()
+    for p in _GRID_P:
+        for s in _GRID_S:
+            if p**s > 10**24:
+                continue
+            ctx = build_field(p, s)
+            for m in range(2, 9):
+                try:
+                    closed_form_factorization(ctx, m)
+                except ValueError:
+                    continue
+                code, record = _verify(p, s, m, tmp_path)
+                status = record["status"]
+                assert code == {"verified": cli.EXIT_OK, "skipped": cli.EXIT_BUDGET}[status], (p, s, m)
+                tally[(m, p % 8, status)] += 1
+                digest.update(f"{p} {s} {m} {record['oracle']} {status} {record['digest']}\n".encode())
+    assert tally == _GRID_COVERAGE
+    assert sum(tally.values()) == 259
+    assert digest.hexdigest() == _GRID_COVERAGE_DIGEST

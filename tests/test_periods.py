@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from periodpoly.charsums import lifted_period_polynomial
-from periodpoly.cyclotomic import CycElem
+from periodpoly.cyclotomic import CycElem, canonical_factors, expand_factor_list
 from periodpoly.fields import FieldCtx, FieldError, build_field, is_irreducible
 from periodpoly.intmath import ord2
 from periodpoly.periods import (
@@ -160,6 +160,9 @@ def _periods_of(oracle, p, s, m):
 def test_orbit_expansion_matches_all_roots_reference(oracle, p, s, m, all_roots_period_polynomial):
     pv = _periods_of(oracle, p, s, m)
     assert period_polynomial(pv) == all_roots_period_polynomial(pv)
+    # the factors: distinct, monic and in canonical order, each to its multiplicity
+    assert expand_factor_list(pv.factors) == all_roots_period_polynomial(pv)
+    assert pv.factors == canonical_factors(pv.factors) and all(f.is_monic() for f, _ in pv.factors)
 
 
 def _orbit_sizes(pv):
