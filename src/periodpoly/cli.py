@@ -247,6 +247,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # exact integers print in full: lift the int/str digit cap (Python >= 3.10.7) for the command
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except BudgetExceeded as exc:
@@ -255,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # UnsupportedCase and FieldError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

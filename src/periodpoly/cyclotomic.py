@@ -12,7 +12,9 @@ Every product in Z[zeta_n] goes through one kernel, `_kron_mul`, the cyclic
 product of two length-n vectors. `CycElem.__mul__` calls it at the conductor;
 `expand_mod` calls it once per node of a balanced product tree, on coefficient
 vectors zero-padded to the length of their product. `root_of_unity_mod` gives
-the ring map Z[zeta_n] -> Z/N.
+the ring map Z[zeta_n] -> Z/N. `expand_factor_list` multiplies a factor list
+in Z[X] out one factor occurrence at a time, with no powers: each product
+loops over its short side, the factor, with one scaled add of the product.
 
 The bound. Slot k <= 2n - 2 of the linear product collects
 c_k = sum_{s+t=k} a_s * b_t, at most n pairs, so |c_k| <= n * max|a| * max|b| = M,
@@ -314,19 +316,19 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
+        """Schoolbook product, the shorter operand's nonzero terms outside: one scaled add each."""
         if isinstance(other, int):
             return IntPoly(tuple(other * c for c in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        short, long = self.coeffs, other.coeffs
+        if len(short) > len(long):
+            short, long = long, short
+        out = [0] * (len(short) + len(long) - 1)
+        for i, a in enumerate(short):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+                out[i : i + len(long)] = [x + a * y for x, y in zip(out[i:], long)]
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "IntPoly":
-        return power(self, e, operator.mul, IntPoly((1,)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPoly):
@@ -355,11 +357,8 @@ def canonical_factors(factors: Iterable[tuple[IntPoly, int]]) -> tuple[tuple[Int
 
 
 def expand_factor_list(factors: Iterable[tuple[IntPoly, int]]) -> IntPoly:
-    """Product of poly^mult over the list; empty product is 1."""
-    out = IntPoly((1,))
-    for poly, mult in factors:
-        out = out * poly**mult
-    return out
+    """Product of poly^mult over the list, one product per factor occurrence; empty product is 1."""
+    return functools.reduce(operator.mul, (poly for poly, mult in factors for _ in range(mult)), IntPoly((1,)))
 
 
 def root_of_unity_mod(n: int, bound: int) -> tuple[int, int]:

@@ -5,7 +5,7 @@ set that is provably correct below 3.3e24 (far beyond desk scale), and Pollard
 rho uses a fixed parameter schedule.
 
 `power` is the package's one square-and-multiply kernel: every power in
-Z[zeta_n], Z[X], Z[sqrt(-d)] and of the sweep's step matrix goes through it. In
+Z[zeta_n], Z[sqrt(-d)] and of the sweep's step matrix goes through it. In
 F_q it takes the short chains only: Ben-Or's y^p and the Frobenius matrix's x^p
 where no power table serves, and the digit gaps of FieldElem.__pow__.
 """

@@ -99,6 +99,30 @@ def all_roots_period_polynomial():
     return _all_roots_period_polynomial
 
 
+def _schoolbook_poly_mul(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Reference product in Z[X]: the double loop over every pair of coefficients."""
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return IntPoly(out)
+
+
+def _power_expansion(factors) -> IntPoly:
+    """Reference product of poly^mult over a factor list: each power by intmath.power's
+    square-and-multiply, then one product into the running one, all by the double loop."""
+    out = IntPoly((1,))
+    for poly, mult in factors:
+        out = _schoolbook_poly_mul(out, power(poly, mult, _schoolbook_poly_mul, IntPoly((1,))))
+    return out
+
+
+@pytest.fixture
+def power_expansion():
+    """The square-and-multiply expansion of a factor list, against the one-factor-at-a-time one."""
+    return _power_expansion
+
+
 def _poly_powmod(a, e, modulus, p):
     """Reference a^e mod modulus over F_p, as a fresh length-s list of residues, for e >= 0:
     intmath.power's square-and-multiply over the field kernel, with no Frobenius matrix.

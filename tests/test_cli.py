@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,24 @@ def test_verify_skipped_when_budget_too_small(tmp_path, capsys):
     )
     assert code == EXIT_BUDGET
     assert json.loads(out)["status"] == "skipped"
+
+
+def test_verify_prints_a_digest_past_the_int_str_digit_cap(tmp_path, capsys):
+    # (5, 64, 8): the expanded T2c list has coefficients of 5,826 digits, past the interpreter's int/str
+    # digit cap (4,300 by default, 1,000 here), which main lifts for the command only and then restores
+    has_cap = hasattr(sys, "set_int_max_str_digits")
+    cap = sys.get_int_max_str_digits() if has_cap else None
+    try:
+        if has_cap:
+            sys.set_int_max_str_digits(1000)
+        code, out, err = run(capsys, "verify", "--p", "5", "--s", "64", "--m", "8", "--cache", str(tmp_path / "c.jsonl"), "--format", "json")
+        assert not has_cap or sys.get_int_max_str_digits() == 1000
+    finally:
+        if has_cap:
+            sys.set_int_max_str_digits(cap)
+    assert (code, err) == (EXIT_BUDGET, "")
+    rec = json.loads(out)
+    assert rec["status"] == "skipped" and rec["digest"].startswith("80a3c91601987a78")
 
 
 def test_periods_beyond_int64_range(capsys):

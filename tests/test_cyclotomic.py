@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from periodpoly import cyclotomic
+from periodpoly.closed_form import closed_form_factorization
 from periodpoly.cyclotomic import (
     CycElem,
     IntPoly,
@@ -19,7 +20,9 @@ from periodpoly.cyclotomic import (
     linear,
     root_of_unity_mod,
 )
+from periodpoly.fields import build_field
 from periodpoly.intmath import is_prime
+from periodpoly.periods import reduced_periods, trace_spectrum
 
 CONDUCTORS = (1, 2, 4, 8, 3, 5, 6, 24, 29, 96, 208, 1013)
 
@@ -228,13 +231,18 @@ def test_serialization_roundtrip():
 
 
 def test_intpoly_basics():
-    assert (linear(1) ** 2).coeffs == (1, 2, 1)
+    assert (linear(1) * linear(1)).coeffs == (1, 2, 1)
+    assert expand_factor_list([(linear(1), 2)]).coeffs == (1, 2, 1)
     assert expand_factor_list([]).coeffs == (1,)
     a = IntPoly((2, 0, 1))
     b = IntPoly((1, 1))
     assert (a * b).degree == a.degree + b.degree
+    assert a * b == b * a == IntPoly((2, 2, 1, 1))
+    assert (a * IntPoly(())).coeffs == (IntPoly(()) * a).coeffs == ()
     assert IntPoly((0, 0, 0)).coeffs == ()
     assert linear(-5).to_json_list() == ["-5", "1"]
+    with pytest.raises(TypeError):  # Z[X] has no powers: a factor list is multiplied out factor by factor
+        linear(1) ** 2
 
 
 def test_powers_match_repeated_products():
@@ -244,16 +252,51 @@ def test_powers_match_repeated_products():
     want_x, want_f = CycElem.integer(24, 1), IntPoly((1,))
     for e in range(9):
         assert x**e == want_x and (x**e).n == 24
-        assert f**e == want_f
+        assert expand_factor_list([(f, e)]) == want_f
         want_x, want_f = want_x * x, want_f * f
 
 
 def test_negative_powers_raise():
     with pytest.raises(ValueError, match="not defined in the ring"):
         CycElem.root(8, 1) ** -1
-    # a right-shift loop never ends here: e >>= 1 keeps e = -1 while the operand grows
-    with pytest.raises(ValueError):
-        IntPoly((1, 1)) ** -1
+
+
+def _factor_lists():
+    """Factor lists for the expansion: random ones with multiplicities up to 16, closed forms
+    (SMALL_M3 quadratics, T2c quartics) and oracle factors (Galois orbits of the periods)."""
+    rng = random.Random(32)
+    lists = {"empty": []}
+    for k in range(4):
+        factors = [(linear(rng.randrange(-(1 << 100), 1 << 100)), rng.randint(1, 16)) for _ in range(3)]
+        factors += [(IntPoly([rng.randrange(-999, 1000) for _ in range(d)] + [1]), rng.randint(1, 16)) for d in (2, 4, 7)]
+        factors += [(IntPoly((-1,)), 3), (IntPoly((0, 1)), 16)] if k == 0 else []
+        lists[f"random{k}"] = factors
+    for p, s, m in ((3, 2, 3), (5, 4, 3), (11, 2, 3), (13, 2, 3), (13, 8, 5), (5, 16, 6)):
+        fac = closed_form_factorization(build_field(p, s), m)
+        lists[f"{fac.case.case}{(p, s, m)}"] = list(fac.factors)
+    for p, s, e in ((7, 4, 480), (29, 4, 16)):
+        lists[f"oracle{(p, s, e)}"] = list(reduced_periods(trace_spectrum(build_field(p, s), e)).factors)
+    return lists
+
+
+def test_expand_factor_list_matches_square_and_multiply(power_expansion):
+    lists = _factor_lists()
+    assert any(mult == 16 for factors in lists.values() for _, mult in factors)
+    assert any(poly.degree == 4 for poly, _ in lists["T2c(13, 8, 5)"])
+    for name, factors in lists.items():
+        assert expand_factor_list(factors) == power_expansion(factors), name
+
+
+@pytest.mark.parametrize("p, s, m", [(3, 64, 6), (13, 8, 5)])
+def test_expansion_has_a_short_side(p, s, m, monkeypatch):
+    fac = closed_form_factorization(build_field(p, s), m)
+    sizes = []
+    mul = IntPoly.__mul__
+    monkeypatch.setattr(IntPoly, "__mul__", lambda f, g: sizes.append((len(f.coeffs), len(g.coeffs))) or mul(f, g))
+    poly = fac.expand()
+    assert poly.degree == 1 << m
+    assert len(sizes) == sum(mult for _, mult in fac.factors)  # one product per factor occurrence
+    assert all(min(pair) <= 5 for pair in sizes), sizes
 
 
 HEIGHTS = (1, 2**7 - 1, 2**31 - 1, 2**63 + 1, 2**300 + 7)
