@@ -357,7 +357,14 @@ def canonical_factors(factors: Iterable[tuple[IntPoly, int]]) -> tuple[tuple[Int
 
 
 def expand_factor_list(factors: Iterable[tuple[IntPoly, int]]) -> IntPoly:
-    """Product of poly^mult over the list, one product per factor occurrence; empty product is 1."""
+    """Product of poly^mult over the list, one product per factor occurrence; empty product is 1.
+
+    A negative multiplicity raises ValueError.
+    """
+    factors = list(factors)
+    negative = [mult for _, mult in factors if mult < 0]
+    if negative:
+        raise ValueError(f"negative multiplicity {negative[0]}")
     return functools.reduce(operator.mul, (poly for poly, mult in factors for _ in range(mult)), IntPoly((1,)))
 
 

@@ -11,42 +11,75 @@ factor list, factor for factor.
 trace_spectrum is the one sweep entry: it counts F_q^* by coset and absolute
 trace, walked as powers of gamma. A subfield is swept as its own field,
 FieldCtx.subfield(k), so the budgets and int64 guards see its size and degree.
-trace_spectrum alone checks the budgets and the int64 bound, and then checks
-the whole trace row before it sweeps: Tr(x^k) is the constant coordinate of
-sum_{i<s} x^{k p^i}, so the row must equal e_0 . sum_{i<s} F^i, where F is the
-field's Frobenius matrix, FieldCtx.frobenius() (column k holds coords(x^{kp})).
-This check does not use Newton's identities, which give the row, and it covers
-every entry.
+trace_spectrum alone checks the budgets and the int64 bound.
 
-It sweeps one element per F_p-line, the quotient F_q^*/F_p^*. With
-L = (q-1)/(p-1), g0 = gamma^L is the norm of gamma; it has order p-1, so it is
-a primitive root of F_p (checked: a gamma whose g0 is not raises FieldError).
-Each j < q-1 is j' + iL with j' < L and i < p-1, so gamma^j = g0^i gamma^j',
-and since the trace is F_p-linear, Tr(gamma^j) = g0^i Tr(gamma^j'). The sweep
-counts part[k'][t'] over j' < L only, and the fold rebuilds the counts over
-j < q-1 exactly. Because e | q-1 = (p-1)L, the coset shift iL mod e depends on
-i mod (p-1) alone; it has period r = e/gcd(L, e), and r | p-1. So
+It sweeps one element per K-line, the quotient F_q^*/K^*, for a subfield
+K = F_Q, Q = p^d, d a proper divisor of s (d = 1 when s = 1). With
+L = (q-1)/(Q-1), delta = gamma^L generates K^*. Each j < q-1 is j' + iL with
+j' < L and i < Q-1, so gamma^j = delta^i gamma^j', and by the transitivity
+and K-linearity of the trace (Lidl & Niederreiter, Finite Fields, Thm 2.26)
 
-    counts[k][0]      = ((p-1)/r) * sum_{b<r} part[(k - bL) mod e][0],
-    counts[k][g0^a]   = S[(k - aL) mod e],
-    S[c]              = sum of part[k'][g0^a'] over k' - a'L = c (mod e),
+    Tr(gamma^j) = Tr_{K/F_p}(delta^i y),  y = Tr_{F_q/K}(gamma^j'),
 
-all of it O(e*p) int64 reductions over the power table of g0.
+which is T_K[(i + c) mod (Q-1)] for y = delta^c, T_K[u] = Tr_{K/F_p}(delta^u),
+and 0 for y = 0. Because e | q-1 = (Q-1)L, the coset (j' + iL) mod e depends on
+i mod r alone, r = e/gcd(L, e), and r | Q-1. So the sweep counts, over j' < L
+only, N[a][rho] = #{j' = a (mod e) : log_delta y = rho (mod r)} and
+N0[a] = #{j' = a (mod e) : y = 0}, and the fold rebuilds the counts over
+j < q-1 exactly, with S[b][t] = #{u < Q-1 : u = b (mod r), T_K[u] = t}:
+
+    T[c]         = sum of N[a][rho] over a - rho*L = c (mod e),
+    counts[k][t] = sum_{b<r} T[(k - bL) mod e] S[b][t]
+                   + [t = 0] ((Q-1)/r) sum_{b<r} N0[(k - bL) mod e],
+
+the products taken over the nonzero S[b][t] only, at most min(r*p, Q-1) per
+row. d = 1 is the F_p-line walk: K = F_p, delta = g0 = gamma^L is the norm of
+gamma, y is the trace itself, so the sweep tallies trace values (the columns
+g0^u of its table group by u mod r into N), T_K[u] = g0^u, and S has one entry
+per t != 0: counts[k][g0^u] = T[(k - uL) mod e]. _line_degree picks d from
+(p, s, e) alone, by a cost estimate fitted to measured times: K's walk of Q-1
+elements, the sweep of L elements, d residues each above d = 1, and the fold.
+At d = s/2 both walks have about sqrt(q) elements.
+
+K is built inside F_q, with no subfield field and nothing from the lift, so
+this oracle stays independent of the Davenport-Hasse one: K's walk is the
+powers of delta in F_q's basis, F the field's Frobenius matrix,
+FieldCtx.frobenius() (column k holds coords(x^{kp})), and y -> y^Q is F^d.
+y's residues are proj . coords(gamma^j'), proj = pi . sum_{i<s/d} F^{di}, where
+pi takes d coordinates on which delta^0 .. delta^{d-1} have an invertible
+minor (_pivots), so that K projects onto them injectively; a length-Q index
+scattered from K's walk gives each residue vector its log mod r, and
+T_K = walk . (e_0 . sum_{i<d} F^i). Tripwires, all raised before the sweep
+or right after the fold:
+
+- F^d . delta = delta: delta lies in K;
+- K's Q-1 residue vectors are distinct and nonzero: delta generates K^* and pi
+  is injective on K (a gamma whose delta does not raises FieldError);
+- Tr(delta^c x^k) = Tr_{K/F_p}(delta^c Tr_{F_q/K}(x^k)) for c < d and every k,
+  the left side from the trace row of Newton's identities, the right through
+  proj, the index and T_K. K's trace form is nondegenerate, so the d values
+  fix Tr_{F_q/K}(x^k), and the check covers every entry of the row and of
+  proj; at d = 1 it is row = e_0 . sum_{i<s} F^i;
+- every folded row sums to (q-1)/e and every count is >= 0.
 
 The kernel, bucket_sweep, walks the first powers of a base once.
 Multiplication by the base is a fixed linear map M (mod p) over the
-polynomial basis, so Tr(base^j) is a linear recurring sequence. Write
-j = b*B + i with 0 <= i < B; then
+polynomial basis, so trow . coords(base^j) is a linear recurring sequence.
+Write j = b*B + i with 0 <= i < B; then
 
-    Tr(base^j) = (trow . M^i) . (M^{bB} . coords(1)).
+    trow . coords(base^j) = (trow . M^i) . (M^{bB} . coords(1)).
 
-The kernel builds R, the B x s block of rows trow . M^i, the jump M^B, and
-W, the block of start states M^{bB} . coords(1), each once per sweep and by
-doubling, and reads every trace off the one product W . R^T, taken a bounded
-slice at a time: s multiply-adds per element. Every block starts at a
-multiple of B, and e | B unless the sweep is one block, so column i of R^T
-lies in coset i mod e, and one key vector buckets the whole product. Every
-entry of W . R^T is a raw dot value in [0, v), v = s*(p-1)^2 + 1.
+The kernel builds R, the block of rows trow . M^i for each of its d rows trow,
+the jump M^B, and W, the block of start states M^{bB} . coords(1), each once
+per sweep and by doubling, and reads every residue off the one product
+W . R^T, taken a bounded slice at a time: d*s multiply-adds per element. R has
+B*d <= _ROWS rows, and B <= length/(8s), so that building R costs at most an
+eighth of the product. Every block starts at a multiple of B, and e | B unless
+the sweep is one block, so element i of a block lies in coset i mod e, and
+one key vector buckets the whole product. With d rows, each element's d
+residues mod p are looked up in classes, the index above, and its bucket is
+(j mod e, class). With one row, every entry of W . R^T is a raw dot value in
+[0, v), v = s*(p-1)^2 + 1, and its bucket is (j mod e, trace):
 
 - While e*v <= _CHUNK = 2^15 buckets, the sweep tallies the raw key
   (j mod e)*v + dot, with no reduction mod p per element, and folds its
@@ -60,7 +93,7 @@ The recurrences run in int64. The product runs in the first exact dtype
 (_exact_dtype): every term is a non-negative integer, so every partial sum,
 in any order, is at most the whole, s*(p-1)^2 plus the key. float32 is exact
 below 2^24, which always holds on the raw path (its sums stay below
-e*v <= 2^15) and holds on the mod-p path while s*(p-1)^2 < 2^24; then float64
+e*v <= 2^15) and holds on the mod-p paths while s*(p-1)^2 < 2^24; then float64
 below 2^53 and int64 below 2^63. Sweeps too short to repay loading BLAS
 (_MIN_BLAS) take int64; at s*(p-1)^2 >= 2^63 the sweep raises SweepOverflow
 before it starts.
@@ -69,7 +102,8 @@ Workers: the sweep splits W's full blocks into contiguous slices, at most
 `threads` (default: the CPUs this process may run on) and each of at least
 _MIN_WORKER_MOD_P = 2^18 elements on the mod-p tally and _MIN_WORKER_RAW =
 2^22 on the raw one, whose cheaper elements repay a second worker only from
-about 10^7 (measured: BENCH_float32_sweep.json, "workers"). Each slice is
+about 10^7 (measured: BENCH_float32_sweep.json, "workers"; np.bincount holds
+the interpreter lock, BENCH_relative_sweep.json, "bincount_threads"). Each slice is
 tallied into a private count vector on its own thread; those vectors and the
 one tail block's are summed in slice order, so the result is bit-identical
 for any worker count.
@@ -102,13 +136,21 @@ _MIN_WORKER_MOD_P = 1 << 18
 _MIN_WORKER_RAW = 1 << 22
 # (dtype, b): a sum of non-negative integers below 2^b is exact in dtype, in any order
 _EXACT_BELOW = ((np.float32, 24), (np.float64, 53), (np.int64, 63))
+# _line_degree's cost estimate in ns, fitted to one-core trace_spectrum times (BENCH_relative_sweep.json,
+# "rule"): per element of a d = 1 sweep on the raw and the mod-p tally, and extra where it is too short
+# for BLAS; per element and residue above d = 1; per row and coordinate of K's walk; per product of
+# the fold; per entry of its e x r class tables
+_COST_RAW, _COST_MOD_P, _COST_INT64, _COST_RESIDUE = 3.2, 7.4, 7.7, 10.3
+_COST_WALK, _COST_FOLD, _COST_TABLE = 28.0, 1.5, 69.0
 
 
 class BudgetExceeded(RuntimeError):
     """A field to sweep or walk has q > max_q, or its e x p count table more than max_q entries.
 
     max_q bounds the field's size q, not the work done: the sweep visits
-    (q-1)/(p-1) elements, one per F_p-line. Also raised for a group past the
+    (q-1)/(Q-1) elements, one per K-line, K = F_Q a subfield, and walks the
+    Q-1 elements of K^*; at Q = sqrt(q) that is about 2 sqrt(q) elements, and
+    (q-1)/(p-1) on fields of prime degree. Also raised for a group past the
     discrete-log walk's fixed bound, charsums.DEFAULT_MAX_Q_JACOBI.
     """
 
@@ -210,9 +252,10 @@ def _exact_dtype(s: int, p: int, key: int = 0) -> type:
 def _orbit(first: np.ndarray, step: np.ndarray, n: int, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """rows[i] = first . step^i (mod p) for i < n, by doubling: rows[k:2k] = rows[:k] . step^k.
 
-    rows is out, an n x len(first) array (a view will do), when given.
+    first is a row or a block of rows; rows is out, an array of shape (n,) + first.shape
+    (a view will do), when given.
     """
-    rows = np.empty((n, first.shape[0]), dtype=step.dtype) if out is None else out
+    rows = np.empty((n,) + first.shape, dtype=step.dtype) if out is None else out
     rows[0] = first
     k, power = 1, step
     while k < n:
@@ -230,15 +273,19 @@ def _bucket_width(e: int, s: int, p: int) -> int:
     return width if e * width <= _CHUNK else p
 
 
-def _tally(counts: np.ndarray, keys: np.ndarray, key: np.ndarray | None, p: int | None) -> None:
+def _tally(
+    counts: np.ndarray, keys: np.ndarray, key: np.ndarray | None, p: int | None, classes: np.ndarray | None = None
+) -> None:
     """Add the bucket keys of one slice of W . R^T to counts; keys holds that slice in int64.
 
-    With p, each product is reduced mod p and key, the keys of the columns of R^T,
-    added, in place; with None, R^T carries its keys in its last row and each
-    product is its key.
+    With p, each product is reduced mod p, each element's d residues looked up in
+    classes where it is given, and key, the coset keys of the elements, added; with
+    None, R^T carries its keys in its last row and each product is its key.
     """
     if p is not None:
         keys %= p  # int64 % is about 5x faster than float64 %
+        if classes is not None:  # d consecutive columns per element
+            keys = classes[tuple(np.moveaxis(keys.reshape(len(keys), -1, classes.ndim), -1, 0))]
         keys += key[:, : keys.shape[1]]  # a tail block has fewer columns
     keys = keys.ravel()
     # measured (BENCH_rank_s_sweep.json, "tally"): up to 2^15 buckets bincount is as fast as
@@ -252,11 +299,16 @@ def _tally(counts: np.ndarray, keys: np.ndarray, key: np.ndarray | None, p: int 
 
 
 def _block_counts(
-    rt: np.ndarray, w: np.ndarray, key: np.ndarray | None, size: int, p: int | None
+    rt: np.ndarray,
+    w: np.ndarray,
+    key: np.ndarray | None,
+    size: int,
+    p: int | None,
+    classes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bucket counts of the blocks w[b] . rt over the rows b of w, a bounded slice of W . R^T at a time.
 
-    key and p are _tally's. Every slice reuses one product buffer and one int64
+    key, p and classes are _tally's. Every slice reuses one product buffer and one int64
     key buffer: an array allocated per slice page-faults afresh whenever the
     allocator has handed its pages back to the OS (measured on the first call of
     a process: the two-worker sweep of 4129^3 at e = 32 took a median 0.31 s with
@@ -271,7 +323,7 @@ def _block_counts(
         np.matmul(w[b : b + n], rt, out=product[:n])
         if keys is not product:
             keys[:n] = product[:n]
-        _tally(counts, keys[:n], key, p)
+        _tally(counts, keys[:n], key, p, classes)
     return counts
 
 
@@ -315,23 +367,30 @@ def bucket_sweep(
     e: int,
     length: int,
     threads: int | None = None,
+    classes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """counts[k][t] over j in [0, length): bucket (j mod e, trow . coords(base^j))."""
+    """counts[k][c] over j in [0, length): bucket (j mod e, c) of the residues trow . coords(base^j) (mod p).
+
+    trow is one row, and c its residue; or d rows, and c = classes[residues], classes an
+    array of shape (p,) * d that holds each residue vector's bucket column.
+    """
     p, s = ctx.p, ctx.s
     mult = ctx.mul_matrix(base)
-    trow = np.asarray(trow, dtype=np.int64) % p
-    rows = min(length, max(1, _ROWS // e) * e)
+    trow = np.atleast_2d(np.asarray(trow, dtype=np.int64)) % p
+    d = len(trow)
+    rows = min(length, max(1, min(_ROWS // d, length // (8 * s)) // e) * e)  # R has rows * d rows
     full, tail = divmod(length, rows)
-    width = _bucket_width(e, s, p)
-    raw = width != p  # the raw tally keys (j mod e)*width + dot and folds it mod p below
+    width = _bucket_width(e, s, p) if classes is None else int(classes.max()) + 1
+    raw = width != p and classes is None  # the raw tally keys (j mod e)*width + dot and folds it mod p below
     # R and W; on the raw tally R gains a column of keys and W a column of ones, so that each
     # entry of [W | 1] . [R | key]^T is its own key. Blocks start at multiples of rows, and
-    # e | rows unless there is one block: row i of R is in coset i mod e
+    # e | rows unless there is one block: rows i*d .. i*d + d-1 of R are in coset i mod e
     key = np.arange(rows, dtype=np.int64) % e * width
-    r = np.empty((rows, s + raw), dtype=np.int64)
-    _orbit(trow, mult, rows, p, out=r[:, :s])  # row i: trow . M^i
+    r = np.empty((rows, d, s + raw), dtype=np.int64)
+    _orbit(trow, mult, rows, p, out=r[:, :, :s])  # row i*d + c: trow_c . M^i
     if raw:
-        r[:, s] = key
+        r[:, 0, s] = key
+    r = r.reshape(rows * d, s + raw)
     jump = power(mult, rows, lambda a, b: a @ b % p, np.eye(s, dtype=np.int64))  # M^rows
     first = np.array(ctx.one().coords, dtype=np.int64)
     w = np.ones((full + (tail > 0), s + raw), dtype=np.int64)
@@ -347,34 +406,85 @@ def bucket_sweep(
     workers = max(1, min(threads or _cpus(), length // least))
     bounds = [full * i // workers for i in range(workers + 1)]
     slices = [w[lo:hi] for lo, hi in itertools.pairwise(bounds)]
-    parts = _in_threads(lambda part: _block_counts(rt, part, key, size, modulus), slices)
+    parts = _in_threads(lambda part: _block_counts(rt, part, key, size, modulus, classes), slices)
     if tail:
-        parts.append(_block_counts(rt[:, :tail], w[full:], key, size, modulus))
+        parts.append(_block_counts(rt[:, : tail * d], w[full:], key, size, modulus, classes))
     if not raw:
-        return sum(parts).reshape(e, p)
+        return sum(parts).reshape(e, width)
     # counts[:, t] = raw[:, t::p].sum(1), once per sweep, with width padded to a multiple of p
     padded = np.zeros((e, -(-width // p) * p), dtype=np.int64)
     padded[:, :width] = sum(parts).reshape(e, width)
     return padded.reshape(e, -1, p).sum(axis=1)
 
 
-def _fold(part: np.ndarray, g0: int, span: int, p: int) -> np.ndarray:
-    """The e x p counts over j < q-1 from part, the counts over j < span = (q-1)/(p-1).
+def _fold(part: np.ndarray, columns: np.ndarray, traces: np.ndarray, span: int, p: int) -> np.ndarray:
+    """The e x p counts over j < q-1 from part, the sweep's counts over j' < span = (q-1)/(Q-1).
 
-    g0 = gamma^span must be a primitive root of F_p; the formulas are in the
-    module docstring.
+    Column 0 of part counts the j' with Tr_{F_q/K}(gamma^j') = 0, and columns[u] is the
+    column of Tr_{F_q/K}(gamma^j') = delta^u, delta = gamma^span, for u < Q-1;
+    traces[u] = Tr_{K/F_p}(delta^u). The formulas are in the module docstring.
     """
     e = part.shape[0]
-    r = e // math.gcd(span, e)  # period of a -> a*span mod e; r | p-1 since e | (p-1)*span
+    r = e // math.gcd(span, e)  # period of b -> b*span mod e; r | Q-1 since e | (Q-1)*span
     shift = np.arange(r, dtype=np.int64) * (span % e) % e  # b*span mod e
     k = np.arange(e, dtype=np.int64)[:, None]
-    power_of = _orbit(np.ones(1, dtype=np.int64), np.array([[g0]], dtype=np.int64), p - 1, p)[:, 0]  # g0^a
-    counts = np.empty_like(part)
-    counts[:, 0] = part[(k - shift) % e, 0].sum(axis=1) * ((p - 1) // r)
-    by_class = part[:, power_of].reshape(e, -1, r).sum(axis=1)  # [k', b]: the g0^a' with a' = b (mod r)
-    total = by_class[(k + shift) % e, np.arange(r)].sum(axis=1)  # S[c]
-    counts[:, power_of] = np.tile(total[(k - shift) % e], (p - 1) // r)
+    # the first width - 1 powers of delta meet each nonzero column of part once, so
+    # N[a][rho] sums their columns by u = rho (mod r)
+    by_class = part[:, columns[: part.shape[1] - 1]].reshape(e, -1, r).sum(axis=1)
+    total = by_class[(k + shift) % e, np.arange(r)].sum(axis=1)  # T[c]
+    back = (k - shift) % e  # [k, b]: k - b*span mod e
+    moved = total[back]
+    # counts[k][t] = sum_b moved[k][b] S[b][t], over the nonzero S[b][t] only, grouped by t:
+    # one per t != 0 when K = F_p
+    by_residue = np.bincount(np.arange(len(traces)) % r * p + traces, minlength=r * p).reshape(r, p)
+    t, b = np.nonzero(by_residue.T)
+    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    counts = np.zeros((e, p), dtype=np.int64)
+    counts[:, t[starts]] = np.add.reduceat(moved[:, b] * by_residue[b, t], starts, axis=1)
+    counts[:, 0] += part[back, 0].sum(axis=1) * (len(traces) // r)
     return counts
+
+
+def _pivots(rows: np.ndarray, p: int) -> list[int]:
+    """Coordinates on which rows (mod p) have an invertible minor: the pivots of Gauss elimination.
+
+    Each row is reduced by the pivot rows before it; fewer pivots than rows means the
+    rows are dependent.
+    """
+    pivots, basis = [], []
+    for v in rows.tolist():  # d rows of s: Python ints beat numpy calls on vectors this short
+        for c, b in zip(pivots, basis):
+            v = [(x - v[c] * y) % p for x, y in zip(v, b)]
+        c = next((i for i, x in enumerate(v) if x % p), None)
+        if c is not None:
+            inverse = pow(v[c], -1, p)
+            pivots.append(c)
+            basis.append([x * inverse % p for x in v])
+    return pivots
+
+
+def _line_degree(p: int, s: int, e: int) -> int:
+    """d of the subfield K = F_{p^d} whose lines trace_spectrum walks: the proper divisor of s of least estimated cost.
+
+    The estimate adds K's walk of Q - 1 rows of s coordinates, the sweep of
+    L_d = (q-1)/(Q-1) elements (at d = 1 on the raw or the mod-p tally, above it d
+    residues each), the fold's e x min(r*p, Q-1) products and its e x r class tables,
+    r = e/gcd(L_d, e). s = 1 has no proper divisor and takes d = 1.
+    """
+
+    def cost(d: int) -> float:
+        lines = p**d - 1
+        span = (p**s - 1) // lines
+        r = e // math.gcd(span, e)
+        if d > 1:
+            per_element = _COST_RESIDUE * d
+        else:
+            per_element = _COST_RAW if _bucket_width(e, s, p) != p else _COST_MOD_P
+            per_element += _COST_INT64 if span < _MIN_BLAS else 0
+        fold = _COST_FOLD * e * min(r * p, lines) + _COST_TABLE * e * r
+        return _COST_WALK * lines * s + per_element * span + fold
+
+    return min((d for d in range(1, s) if s % d == 0), key=cost, default=1)
 
 
 def trace_spectrum(
@@ -383,7 +493,7 @@ def trace_spectrum(
     max_q: int = DEFAULT_MAX_Q,
     threads: int | None = None,
 ) -> TraceSpectrum:
-    """Exact coset-by-trace counts of F_q^*, from one sweep of F_q^*/F_p^* and a fold.
+    """Exact coset-by-trace counts of F_q^*, from one sweep of F_q^*/K^* and a fold, K = F_{p^d}.
 
     The field is walked as powers of gamma, so the cosets are those of the
     character with chi(gamma) = zeta_e. threads, at least 1, bounds the sweep's
@@ -401,20 +511,47 @@ def trace_spectrum(
         raise BudgetExceeded(f"the {e}x{ctx.p} count table exceeds the enumeration budget {max_q}")
     p, s = ctx.p, ctx.s
     _exact_dtype(s, p)  # raises SweepOverflow before any int64 product below could wrap
-    trow = ctx.trace_row()
-    # Tripwire, independent of Newton's identities: Tr(x^k) is entry 0 of sum_{i<s} x^{k p^i},
-    # so the whole row must be e_0 . sum_{i<s} F^i, F the field's Frobenius matrix (column k
-    # is coords(x^{kp})).
-    first = np.eye(1, s, dtype=np.int64)[0]  # coords(1)
-    if not np.array_equal(_orbit(first, ctx.frobenius(), s, p).sum(axis=0) % p, trow % p):
-        raise FieldError("trace row disagrees with the Frobenius sum")
-    span = (ctx.q - 1) // (p - 1)
-    g0 = (ctx.gamma**span).prime_field_value()  # the norm of gamma
-    cofactors = [(p - 1) // ell for ell, _ in ctx.q_minus_1_factorization if (p - 1) % ell == 0]
-    if g0 == 0 or any(pow(g0, d, p) == 1 for d in cofactors):
-        raise FieldError(f"gamma^{span} = {g0} is not a primitive root of F_{p}")
-    part = bucket_sweep(ctx, ctx.gamma, trow, e, span, threads)
-    counts = _fold(part, g0, span, p)
+    d = _line_degree(p, s, e)
+    lines = p**d - 1  # |K^*|
+    span = (ctx.q - 1) // lines
+    frob = ctx.frobenius()
+    frob_d = power(frob, d, lambda a, b: a @ b % p, None)  # y -> y^Q
+    delta = ctx.gamma**span
+    if not np.array_equal(frob_d @ np.array(delta.coords, dtype=np.int64) % p, delta.coords):
+        raise FieldError(f"gamma^{span} is not in F_{lines + 1}")
+    # K's walk, delta^u in F_q's basis, and its residues on d coordinates where delta^0 ..
+    # delta^{d-1}, a basis of K when delta generates K^*, have an invertible minor
+    mult = ctx.mul_matrix(delta)
+    basis = np.eye(s, dtype=np.int64)
+    walk = _orbit(basis[0], mult.T, lines, p)
+    pivots = _pivots(walk[:d], p)
+    residues = walk[:, pivots]
+    log = np.full((p,) * d, -1, dtype=np.int64)  # log_delta of each residue vector; -1 where none
+    if len(pivots) == d:
+        log[tuple(residues.T)] = np.arange(lines)
+    # Tripwire: delta generates K^* and the residues are injective on K exactly when the
+    # Q - 1 residue vectors of the walk are distinct and nonzero
+    if len(pivots) < d or log.flat[0] >= 0 or np.count_nonzero(log >= 0) < lines:
+        raise FieldError(f"gamma^{span} is not a primitive root of F_{lines + 1}")
+    # proj maps coords(x) to the residues of Tr_{F_q/K}(x) = sum_{i<s/d} x^{Q^i}; traces[u] is
+    # Tr_{K/F_p}(delta^u), entry 0 of sum_{i<d} (delta^u)^{p^i}
+    proj = _orbit(basis[pivots], frob_d, s // d, p).sum(axis=0) % p
+    traces = walk @ (_orbit(basis[0], frob, d, p).sum(axis=0) % p) % p
+    # Tripwire, independent of the Frobenius matrix on the left: the trace row from Newton's
+    # identities must give Tr(delta^c x^k) = Tr_{K/F_p}(delta^c Tr_{F_q/K}(x^k)) for c < d and
+    # every k. The d values determine Tr_{F_q/K}(x^k) (the trace form of K is nondegenerate),
+    # so this covers every entry of the row and of proj; at d = 1 it is row = e_0 . sum F^i
+    logs = log[tuple(proj)]
+    want = np.where(logs >= 0, traces[(np.arange(d)[:, None] + logs) % lines], 0)
+    if not np.array_equal(_orbit(ctx.trace_row() % p, mult, d, p), want):
+        raise FieldError(f"trace row disagrees with the Frobenius sums through F_{lines + 1}")
+    r = e // math.gcd(span, e)
+    classes = None if d == 1 else np.where(log >= 0, 1 + log % r, 0)  # the sweep's column of each residue
+    columns = residues[:, 0] if classes is None else classes[tuple(residues.T)]
+    part = bucket_sweep(ctx, ctx.gamma, proj, e, span, threads, classes)
+    counts = _fold(part, columns, traces, span, p)
+    if (counts < 0).any() or (counts.sum(axis=1) != (ctx.q - 1) // e).any():
+        raise ArithmeticError(f"the folded counts are not {e} rows of (q-1)/e >= 0 elements")
     return TraceSpectrum(tuple(map(tuple, counts.tolist())))
 
 

@@ -261,6 +261,14 @@ def test_negative_powers_raise():
         CycElem.root(8, 1) ** -1
 
 
+def test_negative_multiplicity_raises():
+    # a factor to a negative power is not in Z[X]; a generator of factors is checked too
+    for factors in ([(linear(1), -1)], [(linear(2), 3), (linear(1), -2)], ((linear(1), m) for m in (1, -1))):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            expand_factor_list(factors)
+    assert expand_factor_list([(linear(1), 0), (linear(2), 1)]) == linear(2)
+
+
 def _factor_lists():
     """Factor lists for the expansion: random ones with multiplicities up to 16, closed forms
     (SMALL_M3 quadratics, T2c quartics) and oracle factors (Galois orbits of the periods)."""

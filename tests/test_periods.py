@@ -9,7 +9,7 @@ import pytest
 
 from periodpoly.charsums import lifted_period_polynomial
 from periodpoly.cyclotomic import CycElem, canonical_factors, expand_factor_list
-from periodpoly.fields import FieldCtx, FieldError, build_field, is_irreducible
+from periodpoly.fields import FieldCtx, FieldElem, FieldError, build_field, is_irreducible
 from periodpoly.intmath import ord2
 from periodpoly.periods import (
     _CHUNK,
@@ -310,6 +310,7 @@ def record_block_counts(monkeypatch):
 def test_worker_count_determinism(monkeypatch):
     import periodpoly.periods as periods
 
+    monkeypatch.setattr(periods, "_line_degree", lambda p, s, e: 1)  # the F_p-line walk, d = 1
     ctx = build_field(5, 10)  # the sweep walks (q - 1)/(p - 1) = 2441406 elements on the raw tally
     base = trace_spectrum(ctx, 8, threads=1)
     calls = record_block_counts(monkeypatch)
@@ -364,6 +365,9 @@ def test_worker_count_determinism_on_the_add_at_tally():
 )
 def test_worker_counts_above_the_per_worker_minimum(monkeypatch, p, s, e, raw, max_q):
     # threads 1, 2 and 3 give that many workers, and the same counts
+    import periodpoly.periods as periods
+
+    monkeypatch.setattr(periods, "_line_degree", lambda p, s, e: 1)  # the F_p-line walk, d = 1
     ctx = build_field(p, s)
     span = (ctx.q - 1) // (ctx.p - 1)
     assert span >= 3 * (_MIN_WORKER_RAW if raw else _MIN_WORKER_MOD_P)
@@ -389,6 +393,7 @@ def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch, affi
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64 if affinity else 3)
+    monkeypatch.setattr(periods, "_line_degree", lambda p, s, e: 1)  # the F_p-line walk, d = 1
     monkeypatch.setattr(periods, "_bucket_width", lambda e, s, p: p)  # the mod-p tally splits
     calls = record_block_counts(monkeypatch)
     ctx = build_field(5, 10)  # L = 2,441,406: room for 9 workers of _MIN_WORKER_MOD_P elements
@@ -401,6 +406,7 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     # the first in slice order, after all three workers have run
     import periodpoly.periods as periods
 
+    monkeypatch.setattr(periods, "_line_degree", lambda p, s, e: 1)  # the F_p-line walk, d = 1
     monkeypatch.setattr(periods, "_bucket_width", lambda e, s, p: p)
     ctx = build_field(5, 10)
     starts = []
@@ -433,6 +439,7 @@ def test_dtype_tiers_give_identical_counts(monkeypatch, p, s, e, natural):
     # counts of the tier the bound picks; _MIN_BLAS = 0 lets the short sweeps take it
     import periodpoly.periods as periods
 
+    monkeypatch.setattr(periods, "_line_degree", lambda p, s, e: 1)  # the F_p-line walk, d = 1
     monkeypatch.setattr(periods, "_MIN_BLAS", 0)
     calls = record_block_counts(monkeypatch)
     ctx = build_field(p, s)
@@ -622,6 +629,171 @@ def test_fold_rejects_a_gamma_whose_norm_is_not_primitive():
     zero = FieldCtx(ctx.p, ctx.modulus, (0, 0), ctx.q_minus_1_factorization)  # its norm is 0
     with pytest.raises(FieldError, match="not a primitive root"):
         trace_spectrum(zero, 4)
+
+
+@pytest.mark.parametrize(
+    "p, s, most_e",
+    (
+        # every e | q - 1, among them odd e, e = q - 1 and, at 7^4, e = 480
+        (3, 4, None),
+        (3, 6, None),
+        (5, 4, None),
+        (7, 4, None),
+        (3, 8, None),
+        (3, 9, None),  # odd s: K = F_27
+        # p = 1 (mod 8); e up to 2000, as e = q - 1 at d = 2 asks for an 83,520 x 289 table
+        (17, 4, 2000),
+    ),
+)
+def test_every_line_degree_gives_the_full_walk_spectrum(monkeypatch, p, s, most_e):
+    # trace_spectrum walks F_q^*/K^*, K = F_{p^d}, for d from the rule; forced to each proper
+    # divisor d of s, it must give the counts of the walk over all q - 1 powers of gamma
+    import periodpoly.periods as periods
+
+    ctx = build_field(p, s)
+    degrees = [d for d in range(1, s) if s % d == 0]
+    cases = 0
+    for e in (e for e in range(1, min(ctx.q - 1, most_e or ctx.q) + 1) if (ctx.q - 1) % e == 0):
+        full = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads=1)
+        for d in degrees:
+            monkeypatch.setattr(periods, "_line_degree", lambda p, s, e, d=d: d)
+            assert np.array_equal(np.array(trace_spectrum(ctx, e, threads=1).counts), full), (p, s, e, d)
+            cases += 1
+    assert cases >= 2 * 8
+
+
+@pytest.mark.parametrize(
+    "p, s, m, d",
+    # the brute benchmark fields: K = F_{p^{s/2}}, but for 3^8 at e = 32, which walks 820
+    # F_9-lines: the 82 F_81-lines save less than K's walk and the fold cost there
+    # (BENCH_relative_sweep.json, "rule")
+    ((3, 14, 3, 7), (5, 10, 3, 5), (13, 6, 3, 3), (3, 12, 4, 6), (5, 8, 4, 4), (29, 4, 4, 2), (3, 8, 5, 2)),
+)
+def test_line_degree_on_the_brute_fields(p, s, m, d):
+    import periodpoly.periods as periods
+
+    assert ("brute", p, s, m) in BENCHMARK_INSTANCES
+    assert periods._line_degree(p, s, 1 << m) == d
+
+
+def test_line_degree_is_a_proper_divisor():
+    import periodpoly.periods as periods
+
+    # s prime: K = F_p is the only proper subfield
+    for p, s, e in ((3, 1, 2), (17, 5, 16), (5, 11, 4), (41, 3, 40), (4129, 3, 32), (40013, 2, 8)):
+        assert periods._line_degree(p, s, e) == 1
+    for p, s, e in ((3, 16, 32), (7, 8, 32), (5, 16, 64), (7, 4, 480), (3, 12, 1040), (5, 8, 5**8 - 1)):
+        d = periods._line_degree(p, s, e)
+        assert d < s and s % d == 0
+    # at e = q - 1 on 5^8, d = 4 would fold a 390,624 x 625 table
+    assert periods._line_degree(5, 8, 5**8 - 1) < 4
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_bucket_sweep_buckets_residue_vectors_by_classes(monkeypatch, threads):
+    # d = 2 rows: each element's pair of residues is looked up in a 3 x 3 table of bucket
+    # columns. Lengths of one element, one block and a tail, and past _MIN_BLAS, where the
+    # product is float32 and, on two threads, split over two workers
+    import periodpoly.periods as periods
+
+    monkeypatch.setattr(periods, "_MIN_WORKER_MOD_P", 1 << 12)
+    ctx = build_field(3, 6)
+    rng = np.random.default_rng(36)
+    rows = rng.integers(0, 3, size=(2, 6))
+    classes = rng.integers(0, 5, size=(3, 3))
+    classes[0, 0] = width = 5
+    width += 1
+    walk, x = [], ctx.one()
+    for _ in range(ctx.q - 1):
+        walk.append(x.coords)
+        x = x * ctx.gamma
+    residues = np.array(walk) @ rows.T % 3
+    column = classes[residues[:, 0], residues[:, 1]]
+    calls = record_block_counts(monkeypatch)
+    for length in (1, _ROWS + 1, _MIN_BLAS + 4099):
+        j = np.arange(length)
+        for e in (3, 8, 7):
+            calls.clear()
+            direct = np.bincount(j % e * width + column[j % (ctx.q - 1)], minlength=e * width)
+            got = bucket_sweep(ctx, ctx.gamma, rows, e, length, threads, classes)
+            assert got.shape == (e, width)
+            assert np.array_equal(got.ravel(), direct), (threads, length, e)
+            if length > _MIN_BLAS:
+                assert {rt.dtype for rt, _ in calls} == {np.dtype(np.float32)}
+                assert len(calls) == threads + (length % (calls[0][0].shape[1] // 2) > 0)
+
+
+def test_line_walk_rejects_a_gamma_that_does_not_generate_the_subfield():
+    # on 5^8 at e = 16 the rule walks F_625-lines: delta = gamma^626 must generate F_625^*.
+    # gamma^2 gives a delta of order 312, whose residue vectors repeat; gamma = 0 gives delta = 0
+    import periodpoly.periods as periods
+
+    ctx = build_field(5, 8)
+    assert periods._line_degree(5, 8, 16) == 4
+    square = FieldCtx(ctx.p, ctx.modulus, (ctx.gamma**2).coords, ctx.q_minus_1_factorization)
+    with pytest.raises(FieldError, match="not a primitive root of F_625"):
+        trace_spectrum(square, 16)
+    zero = FieldCtx(ctx.p, ctx.modulus, (0,) * 8, ctx.q_minus_1_factorization)
+    with pytest.raises(FieldError, match="not a primitive root of F_625"):
+        trace_spectrum(zero, 16)
+
+
+def test_line_walk_rejects_a_generator_outside_the_subfield(monkeypatch):
+    # gamma^627 in place of gamma^626 is not in F_625: F^4 moves it
+    ctx = build_field(5, 8)
+    power = FieldElem.__pow__
+    monkeypatch.setattr(FieldElem, "__pow__", lambda x, n: power(x, n + 1))
+    with pytest.raises(FieldError, match=r"gamma\^626 is not in F_625"):
+        trace_spectrum(ctx, 16)
+
+
+@pytest.mark.parametrize("name, e", (("5^8", 16), ("13^6", 8), ("3^14", 8)))
+def test_corrupted_projection_raises(monkeypatch, name, e):
+    # the d x s block that maps coords(x) to the residues of Tr_{F_q/K}(x) is the sum of one
+    # block orbit, the only one outside the sweep; each case moves one entry of its first
+    # term by one, and the transitivity check against the trace row must catch every entry
+    import periodpoly.periods as periods
+
+    ctx = tripwire_case(name)
+    d = periods._line_degree(ctx.p, ctx.s, e)
+    assert d > 1
+    orbit = periods._orbit
+    for c in range(d):
+        for k in range(ctx.s):
+            hits = []
+
+            def corrupting(first, step, n, p, out=None, c=c, k=k):
+                rows = orbit(first, step, n, p, out)
+                if first.ndim == 2 and out is None:
+                    rows[0, c, k] += 1
+                    hits.append(1)
+                return rows
+
+            monkeypatch.setattr(periods, "_orbit", corrupting)
+            with pytest.raises(FieldError, match="trace row disagrees"):
+                trace_spectrum(ctx, e)
+            assert hits == [1]
+
+
+@pytest.mark.parametrize("corrupt", ("row-sum", "negative"))
+def test_folded_count_tripwires_raise(monkeypatch, corrupt):
+    import periodpoly.periods as periods
+
+    fold = periods._fold
+
+    def corrupted(*args):
+        counts = fold(*args)
+        if corrupt == "row-sum":  # one element moved from row 0 to row 1
+            counts[0, 1] -= 1
+            counts[1, 1] += 1
+        else:  # row 0 keeps its sum with one count at -1
+            counts[0, 2] += counts[0, 1] + 1
+            counts[0, 1] = -1
+        return counts
+
+    monkeypatch.setattr(periods, "_fold", corrupted)
+    with pytest.raises(ArithmeticError, match="folded counts"):
+        trace_spectrum(build_field(5, 8), 16)
 
 
 def test_overflow_guard_raises_before_sweeping():
