@@ -327,12 +327,6 @@ class FieldElem:
     def in_prime_field(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
-    def prime_field_value(self) -> int:
-        """The value in F_p; raises if the element is not in the prime subfield."""
-        if not self.in_prime_field():
-            raise FieldError(f"{self.coords} is not in the prime field")
-        return self.coords[0]
-
     def __repr__(self) -> str:
         return f"FieldElem({list(self.coords)} over F_{self.ctx.p}^{self.ctx.s})"
 

@@ -33,33 +33,30 @@ j < q-1 exactly, with S[b][t] = #{u < Q-1 : u = b (mod r), T_K[u] = t}:
                    + [t = 0] ((Q-1)/r) sum_{b<r} N0[(k - bL) mod e],
 
 the products taken over the nonzero S[b][t] only, at most min(r*p, Q-1) per
-row. d = 1 is the F_p-line walk: K = F_p, delta = g0 = gamma^L is the norm of
-gamma, y is the trace itself, so the sweep tallies trace values (the columns
-g0^u of its table group by u mod r into N), T_K[u] = g0^u, and S has one entry
-per t != 0: counts[k][g0^u] = T[(k - uL) mod e]. _line_degree picks d from
-(p, s, e) alone, by a cost estimate fitted to measured times: K's walk of Q-1
-elements, the sweep of L elements, d residues each above d = 1, and the fold.
-At d = s/2 both walks have about sqrt(q) elements.
+row. _line_degree picks d from (p, s, e) alone, by a cost estimate fitted to
+measured times. At d = s/2 the sweep and K's walk have about sqrt(q) elements
+each; at d = 1, K = F_p and T_K[u] = delta^u, delta the norm of gamma.
 
-K is built inside F_q, with no subfield field and nothing from the lift, so
-this oracle stays independent of the Davenport-Hasse one: K's walk is the
-powers of delta in F_q's basis, F the field's Frobenius matrix,
-FieldCtx.frobenius() (column k holds coords(x^{kp})), and y -> y^Q is F^d.
-y's residues are proj . coords(gamma^j'), proj = pi . sum_{i<s/d} F^{di}, where
-pi takes d coordinates on which delta^0 .. delta^{d-1} have an invertible
-minor (_pivots), so that K projects onto them injectively; a length-Q index
-scattered from K's walk gives each residue vector its log mod r, and
-T_K = walk . (e_0 . sum_{i<d} F^i). Tripwires, all raised before the sweep
-or right after the fold:
+Each y in K is named by its window w(y) = (Tr_{K/F_p}(delta^c y))_{c<d}, one to
+one as K's trace form is nondegenerate. By transitivity the sweep reads
+w(Tr_{F_q/K} x) = (Tr(delta^c x))_{c<d} off the d rows trow . M^c, trow the
+trace row of Newton's identities and M multiplication by delta. w(delta^u) is
+T_K[u .. u+d-1], d terms of a linear recurring sequence of order d (Lidl &
+Niederreiter, ch. 8), so K is walked d-wide by the companion matrix of the
+recurrence that one d x d Hankel system mod p gives from T_K[u], u < 2d. A
+length-Q index scattered from the windows gives each window its sweep column,
+1 + log_delta mod r, and the zero window 0. K is read inside F_q, with nothing
+from FieldCtx.subfield or the lift, so this oracle stays independent of the
+Davenport-Hasse one: T_K[u] = kt . M^u . e_0, kt = e_0 . sum_{i<d} F^i, F the
+Frobenius matrix (FieldCtx.frobenius(), F . coords(y) = coords(y^p)).
+Tripwires, all raised before the sweep or right after the fold:
 
 - F^d . delta = delta: delta lies in K;
-- K's Q-1 residue vectors are distinct and nonzero: delta generates K^* and pi
-  is injective on K (a gamma whose delta does not raises FieldError);
-- Tr(delta^c x^k) = Tr_{K/F_p}(delta^c Tr_{F_q/K}(x^k)) for c < d and every k,
-  the left side from the trace row of Newton's identities, the right through
-  proj, the index and T_K. K's trace form is nondegenerate, so the d values
-  fix Tr_{F_q/K}(x^k), and the check covers every entry of the row and of
-  proj; at d = 1 it is row = e_0 . sum_{i<s} F^i;
+- trow . M^c = kt . M^c . sum_{i<s/d} F^{di} for c < d, entry for entry: both
+  are Tr(delta^c x) on coords(x), by Newton's identities and by Frobenius sums;
+- delta generates K^*: the Hankel system, whose rows are the windows of
+  delta^0 .. delta^{d-1}, is nonsingular (delta has degree d), and K's Q-1
+  windows are distinct and nonzero;
 - every folded row sums to (q-1)/e and every count is >= 0.
 
 The kernel, bucket_sweep, walks the first powers of a base once.
@@ -76,31 +73,27 @@ W . R^T, taken a bounded slice at a time: d*s multiply-adds per element. R has
 B*d <= _ROWS rows, and B <= length/(8s), so that building R costs at most an
 eighth of the product. Every block starts at a multiple of B, and e | B unless
 the sweep is one block, so element i of a block lies in coset i mod e, and
-one key vector buckets the whole product. With d rows, each element's d
-residues mod p are looked up in classes, the index above, and its bucket is
-(j mod e, class). With one row, every entry of W . R^T is a raw dot value in
-[0, v), v = s*(p-1)^2 + 1, and its bucket is (j mod e, trace):
-
-- While e*v <= _CHUNK = 2^15 buckets, the sweep tallies the raw key
-  (j mod e)*v + dot, with no reduction mod p per element, and folds its
-  e x v table mod p once at the end: counts[:, t] = raw[:, t::p].sum(1). The
-  key rides in the product: R^T gains the row of keys (i mod e)*v and W a
-  column of ones, so each product is its key.
-- Above that bound it tallies (j mod e)*p + (dot mod p), adding the key after
-  the reduction.
+one key vector buckets the whole product. An element's bucket is
+(j mod e, classes[residues]), classes the caller's map from d residues mod p
+to a column. The class tally reduces each product mod p and looks it up; with
+one row, while e*v <= _CHUNK = 2^15, v = s*(p-1)^2 + 1, the raw tally keys
+(j mod e)*v + dot on the raw dot value, with no reduction per element, and
+moves its e x v table to columns classes[dot mod p] once, by one weighted
+bincount. Its key rides in the product: R^T gains the row of keys
+(i mod e)*v and W a column of ones.
 
 The recurrences run in int64. The product runs in the first exact dtype
 (_exact_dtype): every term is a non-negative integer, so every partial sum,
 in any order, is at most the whole, s*(p-1)^2 plus the key. float32 is exact
-below 2^24, which always holds on the raw path (its sums stay below
-e*v <= 2^15) and holds on the mod-p paths while s*(p-1)^2 < 2^24; then float64
+below 2^24, which always holds on the raw tally (its sums stay below
+e*v <= 2^15) and holds on the class tally while s*(p-1)^2 < 2^24; then float64
 below 2^53 and int64 below 2^63. Sweeps too short to repay loading BLAS
 (_MIN_BLAS) take int64; at s*(p-1)^2 >= 2^63 the sweep raises SweepOverflow
 before it starts.
 
 Workers: the sweep splits W's full blocks into contiguous slices, at most
 `threads` (default: the CPUs this process may run on) and each of at least
-_MIN_WORKER_MOD_P = 2^18 elements on the mod-p tally and _MIN_WORKER_RAW =
+_MIN_WORKER_MOD_P = 2^18 elements on the class tally and _MIN_WORKER_RAW =
 2^22 on the raw one, whose cheaper elements repay a second worker only from
 about 10^7 (measured: BENCH_float32_sweep.json, "workers"; np.bincount holds
 the interpreter lock, BENCH_relative_sweep.json, "bincount_threads"). Each slice is
@@ -137,10 +130,10 @@ _MIN_WORKER_RAW = 1 << 22
 # (dtype, b): a sum of non-negative integers below 2^b is exact in dtype, in any order
 _EXACT_BELOW = ((np.float32, 24), (np.float64, 53), (np.int64, 63))
 # _line_degree's cost estimate in ns, fitted to one-core trace_spectrum times (BENCH_relative_sweep.json,
-# "rule"): per element of a d = 1 sweep on the raw and the mod-p tally, and extra where it is too short
-# for BLAS; per element and residue above d = 1; per row and coordinate of K's walk; per product of
-# the fold; per entry of its e x r class tables
-_COST_RAW, _COST_MOD_P, _COST_INT64, _COST_RESIDUE = 3.2, 7.4, 7.7, 10.3
+# "rule"; rechecked in BENCH_trace_windows.json): per element of a d = 1 sweep on the raw tally, and
+# extra where it is too short for BLAS; per element and residue on the class tally; per window entry
+# of K's walk; per product of the fold; per entry of its e x r class tables
+_COST_RAW, _COST_INT64, _COST_RESIDUE = 3.2, 7.7, 10.3
 _COST_WALK, _COST_FOLD, _COST_TABLE = 28.0, 1.5, 69.0
 
 
@@ -268,30 +261,29 @@ def _orbit(first: np.ndarray, step: np.ndarray, n: int, p: int, out: np.ndarray 
 
 
 def _bucket_width(e: int, s: int, p: int) -> int:
-    """Buckets per coset: v = s*(p-1)^2 + 1 raw dot values while e*v <= _CHUNK, else p residues."""
+    """Raw dot values per coset of a one-row sweep: v = s*(p-1)^2 + 1 while e*v <= _CHUNK, else p (the class tally)."""
     width = s * (p - 1) ** 2 + 1
     return width if e * width <= _CHUNK else p
 
 
-def _tally(
-    counts: np.ndarray, keys: np.ndarray, key: np.ndarray | None, p: int | None, classes: np.ndarray | None = None
-) -> None:
+def _tally(counts: np.ndarray, keys: np.ndarray, key: np.ndarray | None, p: int | None, classes: np.ndarray) -> None:
     """Add the bucket keys of one slice of W . R^T to counts; keys holds that slice in int64.
 
-    With p, each product is reduced mod p, each element's d residues looked up in
-    classes where it is given, and key, the coset keys of the elements, added; with
-    None, R^T carries its keys in its last row and each product is its key.
+    With p (the class tally), each product is reduced mod p, each element's d residues
+    looked up in classes, and key, the coset keys of the elements, added; with None (the
+    raw tally), R^T carries its keys in its last row and each product is its key.
     """
     if p is not None:
         keys %= p  # int64 % is about 5x faster than float64 %
-        if classes is not None:  # d consecutive columns per element
-            keys = classes[tuple(np.moveaxis(keys.reshape(len(keys), -1, classes.ndim), -1, 0))]
+        # d consecutive columns per element
+        keys = classes[tuple(np.moveaxis(keys.reshape(len(keys), -1, classes.ndim), -1, 0))]
         keys += key[:, : keys.shape[1]]  # a tail block has fewer columns
     keys = keys.ravel()
     # measured (BENCH_rank_s_sweep.json, "tally"): up to 2^15 buckets bincount is as fast as
     # add.at on one thread and about 15% faster on the 2-thread brute sweeps; above that its
     # dense per-slice histogram makes it slower (1.4x at 1.6e5 buckets on F_{10007^2}).
-    # The raw keys have at most 2^15 buckets (_bucket_width), so they always take bincount
+    # The raw keys have at most 2^15 buckets (_bucket_width), so they always take bincount; the
+    # classes of trace_spectrum's sweeps are e*(r+1) <= e*(e+1) buckets
     if counts.size <= _CHUNK:
         counts += np.bincount(keys, minlength=counts.size)
     else:
@@ -304,7 +296,7 @@ def _block_counts(
     key: np.ndarray | None,
     size: int,
     p: int | None,
-    classes: np.ndarray | None = None,
+    classes: np.ndarray,
 ) -> np.ndarray:
     """Bucket counts of the blocks w[b] . rt over the rows b of w, a bounded slice of W . R^T at a time.
 
@@ -367,12 +359,13 @@ def bucket_sweep(
     e: int,
     length: int,
     threads: int | None = None,
-    classes: np.ndarray | None = None,
+    *,
+    classes: np.ndarray,
 ) -> np.ndarray:
-    """counts[k][c] over j in [0, length): bucket (j mod e, c) of the residues trow . coords(base^j) (mod p).
+    """counts[k][c] over j in [0, length): bucket (j mod e, c), c = classes[trow . coords(base^j) (mod p)].
 
-    trow is one row, and c its residue; or d rows, and c = classes[residues], classes an
-    array of shape (p,) * d that holds each residue vector's bucket column.
+    trow is one row or d rows, and classes an array of shape (p,) * d that holds each
+    residue vector's bucket column, so counts has classes.max() + 1 columns.
     """
     p, s = ctx.p, ctx.s
     mult = ctx.mul_matrix(base)
@@ -380,8 +373,10 @@ def bucket_sweep(
     d = len(trow)
     rows = min(length, max(1, min(_ROWS // d, length // (8 * s)) // e) * e)  # R has rows * d rows
     full, tail = divmod(length, rows)
-    width = _bucket_width(e, s, p) if classes is None else int(classes.max()) + 1
-    raw = width != p and classes is None  # the raw tally keys (j mod e)*width + dot and folds it mod p below
+    columns = int(classes.max()) + 1
+    dots = _bucket_width(e, s, p)
+    raw = d == 1 and dots != p  # the raw tally keys (j mod e)*dots + dot and maps it to classes below
+    width = dots if raw else columns  # buckets per coset while sweeping
     # R and W; on the raw tally R gains a column of keys and W a column of ones, so that each
     # entry of [W | 1] . [R | key]^T is its own key. Blocks start at multiples of rows, and
     # e | rows unless there is one block: rows i*d .. i*d + d-1 of R are in coset i mod e
@@ -409,29 +404,27 @@ def bucket_sweep(
     parts = _in_threads(lambda part: _block_counts(rt, part, key, size, modulus, classes), slices)
     if tail:
         parts.append(_block_counts(rt[:, : tail * d], w[full:], key, size, modulus, classes))
+    counts = sum(parts)
     if not raw:
-        return sum(parts).reshape(e, width)
-    # counts[:, t] = raw[:, t::p].sum(1), once per sweep, with width padded to a multiple of p
-    padded = np.zeros((e, -(-width // p) * p), dtype=np.int64)
-    padded[:, :width] = sum(parts).reshape(e, width)
-    return padded.reshape(e, -1, p).sum(axis=1)
+        return counts.reshape(e, columns)
+    # dot value x of coset k moves to column classes[x mod p], once per sweep; the float64
+    # sums of the weighted bincount are exact, each at most length < 2^53
+    moved = np.arange(e)[:, None] * columns + classes[np.arange(dots) % p]
+    return np.bincount(moved.ravel(), weights=counts, minlength=e * columns).astype(np.int64).reshape(e, columns)
 
 
-def _fold(part: np.ndarray, columns: np.ndarray, traces: np.ndarray, span: int, p: int) -> np.ndarray:
+def _fold(part: np.ndarray, traces: np.ndarray, span: int, p: int) -> np.ndarray:
     """The e x p counts over j < q-1 from part, the sweep's counts over j' < span = (q-1)/(Q-1).
 
-    Column 0 of part counts the j' with Tr_{F_q/K}(gamma^j') = 0, and columns[u] is the
-    column of Tr_{F_q/K}(gamma^j') = delta^u, delta = gamma^span, for u < Q-1;
-    traces[u] = Tr_{K/F_p}(delta^u). The formulas are in the module docstring.
+    Column 0 of part is N0, the j' with Tr_{F_q/K}(gamma^j') = 0, and column 1 + rho is
+    N[a][rho], those with Tr_{F_q/K}(gamma^j') = delta^u, u = rho (mod r), delta = gamma^span;
+    traces[u] = Tr_{K/F_p}(delta^u) for u < Q-1. The formulas are in the module docstring.
     """
     e = part.shape[0]
     r = e // math.gcd(span, e)  # period of b -> b*span mod e; r | Q-1 since e | (Q-1)*span
     shift = np.arange(r, dtype=np.int64) * (span % e) % e  # b*span mod e
     k = np.arange(e, dtype=np.int64)[:, None]
-    # the first width - 1 powers of delta meet each nonzero column of part once, so
-    # N[a][rho] sums their columns by u = rho (mod r)
-    by_class = part[:, columns[: part.shape[1] - 1]].reshape(e, -1, r).sum(axis=1)
-    total = by_class[(k + shift) % e, np.arange(r)].sum(axis=1)  # T[c]
+    total = part[(k + shift) % e, 1 + np.arange(r)].sum(axis=1)  # T[c]
     back = (k - shift) % e  # [k, b]: k - b*span mod e
     moved = total[back]
     # counts[k][t] = sum_b moved[k][b] S[b][t], over the nonzero S[b][t] only, grouped by t:
@@ -445,31 +438,38 @@ def _fold(part: np.ndarray, columns: np.ndarray, traces: np.ndarray, span: int, 
     return counts
 
 
-def _pivots(rows: np.ndarray, p: int) -> list[int]:
-    """Coordinates on which rows (mod p) have an invertible minor: the pivots of Gauss elimination.
+def _companion(seq: list[int], p: int) -> np.ndarray | None:
+    """The companion matrix C of the order-d recurrence of seq, its first 2d terms in [0, p); None if there is none.
 
-    Each row is reduced by the pivot rows before it; fewer pivots than rows means the
-    rows are dependent.
+    Solves the Hankel system sum_{c<d} a_c seq[u+c] = seq[u+d], u < d, by Gauss-Jordan
+    elimination mod p, and returns C with (x_0 .. x_{d-1}) . C = (x_1 .. x_{d-1}, sum a_c x_c);
+    None when the system is singular.
     """
-    pivots, basis = [], []
-    for v in rows.tolist():  # d rows of s: Python ints beat numpy calls on vectors this short
-        for c, b in zip(pivots, basis):
-            v = [(x - v[c] * y) % p for x, y in zip(v, b)]
-        c = next((i for i, x in enumerate(v) if x % p), None)
-        if c is not None:
-            inverse = pow(v[c], -1, p)
-            pivots.append(c)
-            basis.append([x * inverse % p for x in v])
-    return pivots
+    d = len(seq) // 2
+    rows = [seq[u : u + d + 1] for u in range(d)]  # [H | rhs]: d short rows, faster in Python ints
+    for c in range(d):
+        pivot = next((i for i in range(c, d) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inverse = pow(rows[c][c], -1, p)
+        rows[c] = [x * inverse % p for x in rows[c]]
+        for i in range(d):
+            if i != c and rows[i][c]:
+                rows[i] = [(x - rows[i][c] * y) % p for x, y in zip(rows[i], rows[c])]
+    companion = np.eye(d, k=-1, dtype=np.int64)  # C[i+1][i] = 1: the window moves one term on
+    companion[:, -1] = [row[d] for row in rows]
+    return companion
 
 
 def _line_degree(p: int, s: int, e: int) -> int:
     """d of the subfield K = F_{p^d} whose lines trace_spectrum walks: the proper divisor of s of least estimated cost.
 
-    The estimate adds K's walk of Q - 1 rows of s coordinates, the sweep of
-    L_d = (q-1)/(Q-1) elements (at d = 1 on the raw or the mod-p tally, above it d
-    residues each), the fold's e x min(r*p, Q-1) products and its e x r class tables,
-    r = e/gcd(L_d, e). s = 1 has no proper divisor and takes d = 1.
+    The estimate adds K's walk of Q - 1 windows of d entries, the sweep of
+    L_d = (q-1)/(Q-1) elements (d residues each on the class tally; at d = 1 the raw
+    tally where it applies, and int64 products where L_d is too short for BLAS), the
+    fold's e x min(r*p, Q-1) products and its e x r class tables, r = e/gcd(L_d, e).
+    s = 1 has no proper divisor and takes d = 1.
     """
 
     def cost(d: int) -> float:
@@ -479,10 +479,10 @@ def _line_degree(p: int, s: int, e: int) -> int:
         if d > 1:
             per_element = _COST_RESIDUE * d
         else:
-            per_element = _COST_RAW if _bucket_width(e, s, p) != p else _COST_MOD_P
+            per_element = _COST_RAW if _bucket_width(e, s, p) != p else _COST_RESIDUE
             per_element += _COST_INT64 if span < _MIN_BLAS else 0
         fold = _COST_FOLD * e * min(r * p, lines) + _COST_TABLE * e * r
-        return _COST_WALK * lines * s + per_element * span + fold
+        return _COST_WALK * lines * d + per_element * span + fold
 
     return min((d for d in range(1, s) if s % d == 0), key=cost, default=1)
 
@@ -519,37 +519,33 @@ def trace_spectrum(
     delta = ctx.gamma**span
     if not np.array_equal(frob_d @ np.array(delta.coords, dtype=np.int64) % p, delta.coords):
         raise FieldError(f"gamma^{span} is not in F_{lines + 1}")
-    # K's walk, delta^u in F_q's basis, and its residues on d coordinates where delta^0 ..
-    # delta^{d-1}, a basis of K when delta generates K^*, have an invertible minor
     mult = ctx.mul_matrix(delta)
-    basis = np.eye(s, dtype=np.int64)
-    walk = _orbit(basis[0], mult.T, lines, p)
-    pivots = _pivots(walk[:d], p)
-    residues = walk[:, pivots]
-    log = np.full((p,) * d, -1, dtype=np.int64)  # log_delta of each residue vector; -1 where none
-    if len(pivots) == d:
-        log[tuple(residues.T)] = np.arange(lines)
-    # Tripwire: delta generates K^* and the residues are injective on K exactly when the
-    # Q - 1 residue vectors of the walk are distinct and nonzero
-    if len(pivots) < d or log.flat[0] >= 0 or np.count_nonzero(log >= 0) < lines:
-        raise FieldError(f"gamma^{span} is not a primitive root of F_{lines + 1}")
-    # proj maps coords(x) to the residues of Tr_{F_q/K}(x) = sum_{i<s/d} x^{Q^i}; traces[u] is
-    # Tr_{K/F_p}(delta^u), entry 0 of sum_{i<d} (delta^u)^{p^i}
-    proj = _orbit(basis[pivots], frob_d, s // d, p).sum(axis=0) % p
-    traces = walk @ (_orbit(basis[0], frob, d, p).sum(axis=0) % p) % p
-    # Tripwire, independent of the Frobenius matrix on the left: the trace row from Newton's
-    # identities must give Tr(delta^c x^k) = Tr_{K/F_p}(delta^c Tr_{F_q/K}(x^k)) for c < d and
-    # every k. The d values determine Tr_{F_q/K}(x^k) (the trace form of K is nondegenerate),
-    # so this covers every entry of the row and of proj; at d = 1 it is row = e_0 . sum F^i
-    logs = log[tuple(proj)]
-    want = np.where(logs >= 0, traces[(np.arange(d)[:, None] + logs) % lines], 0)
-    if not np.array_equal(_orbit(ctx.trace_row() % p, mult, d, p), want):
+    # the sweep's rows read the window of Tr_{F_q/K}(x): row c . coords(x) = Tr(delta^c x).
+    # seq[u] = kt . M^u, kt = e_0 . sum_{i<d} F^i, so seq[u] . coords(y) = Tr_{K/F_p}(delta^u y)
+    # for y in K, and seq[u][0] = T_K[u]
+    rows = _orbit(ctx.trace_row() % p, mult, d, p)
+    seq = _orbit(_orbit(np.eye(1, s, dtype=np.int64)[0], frob, d, p).sum(axis=0) % p, mult, 2 * d, p)
+    # Tripwire, independent of the Frobenius matrix on the left: the rows from Newton's identities
+    # must be Tr_{K/F_p}(delta^c Tr_{F_q/K}(x)) as the Frobenius sums give it, entry for entry
+    if not np.array_equal(rows, _orbit(seq[:d], frob_d, s // d, p).sum(axis=0) % p):
         raise FieldError(f"trace row disagrees with the Frobenius sums through F_{lines + 1}")
+    # Tripwire: delta generates K^* exactly when the Hankel system of T_K is nonsingular (delta has
+    # degree d) and the Q - 1 windows of its recurrence are distinct and nonzero
+    companion = _companion(seq[:, 0].tolist(), p)
+    if companion is None:
+        raise FieldError(f"gamma^{span} is not a primitive root of F_{lines + 1}: its degree is below {d}")
+    windows = _orbit(seq[:d, 0], companion, lines, p)  # row u: w(delta^u) = T_K[u .. u+d-1]
+    log = np.full((p,) * d, -1, dtype=np.int64)  # log_delta of each window; -1 where none
+    log[tuple(windows.T)] = np.arange(lines)
+    if log.flat[0] >= 0 or np.count_nonzero(log >= 0) < lines:
+        raise FieldError(f"gamma^{span} is not a primitive root of F_{lines + 1}")
     r = e // math.gcd(span, e)
-    classes = None if d == 1 else np.where(log >= 0, 1 + log % r, 0)  # the sweep's column of each residue
-    columns = residues[:, 0] if classes is None else classes[tuple(residues.T)]
-    part = bucket_sweep(ctx, ctx.gamma, proj, e, span, threads, classes)
-    counts = _fold(part, columns, traces, span, p)
+    # the sweep's column of each window, in place of its log: 1 + log mod r, and 0 for the zero window
+    classes = np.remainder(log, r, out=log)
+    classes += 1
+    classes.flat[0] = 0
+    part = bucket_sweep(ctx, ctx.gamma, rows, e, span, threads, classes=classes)
+    counts = _fold(part, windows[:, 0], span, p)
     if (counts < 0).any() or (counts.sum(axis=1) != (ctx.q - 1) // e).any():
         raise ArithmeticError(f"the folded counts are not {e} rows of (q-1)/e >= 0 elements")
     return TraceSpectrum(tuple(map(tuple, counts.tolist())))

@@ -163,6 +163,13 @@ def field_trace():
     return _field_trace
 
 
+def _prime_field_value(x) -> int:
+    """The value of x in F_p; raises FieldError if x is not in the prime field."""
+    if not x.in_prime_field():
+        raise FieldError(f"{x.coords} is not in the prime field")
+    return x.coords[0]
+
+
 def _frobenius_trace(ctx: FieldCtx, k: int | None = None):
     """x -> x + x^p + ... + x^{p^{k-1}} in F_p, the defining Frobenius sum, for x in the
     degree-k subfield of ctx (default k = s, the absolute trace)."""
@@ -173,7 +180,7 @@ def _frobenius_trace(ctx: FieldCtx, k: int | None = None):
         for _ in range(k - 1):
             img = img**ctx.p
             acc = acc + img
-        return acc.prime_field_value()
+        return _prime_field_value(acc)
 
     return trace
 

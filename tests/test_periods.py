@@ -498,7 +498,7 @@ def test_bucket_sweep_matches_direct_walk(name, threads, field_trace, frobenius_
         j = np.arange(length)
         for e in (3, 8, 11):
             direct = np.bincount(j % e * ctx.p + traces[j % len(traces)], minlength=e * ctx.p)
-            got = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, length, threads)
+            got = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, length, threads, classes=np.arange(ctx.p))
             assert got.shape == (e, ctx.p)
             assert np.array_equal(got.ravel(), direct), (name, threads, length, e)
     # trace_spectrum sweeps one period of the same walk, for each e that divides it
@@ -519,29 +519,31 @@ def test_bucket_sweep_exact_near_float64_bound(p, dtype, field_trace):
     assert _exact_dtype(1, p) is dtype
     assert _exact_dtype(4, 94906249) is np.int64
     ctx = build_field(p, 1)
-    # an element of order 8 keeps the residues near p but the touched buckets few,
-    # so the 2p-bucket result stays a handful of pages
+    # an element of order 8 keeps the residues near p; its 8 traces take classes 1 .. 8 and
+    # every other residue class 0, so a product rounded to a wrong residue lands in column 0,
+    # and the zero-filled class map stays a handful of touched pages
     base = ctx.gamma ** ((p - 1) // 8)
-    traces = walk_traces(ctx, base, field_trace(ctx), 8)
+    traces = np.array(walk_traces(ctx, base, field_trace(ctx), 8))
+    classes = np.zeros(p, dtype=np.int64)
+    classes[traces] = np.arange(1, 9)
     length = 3 * _MIN_BLAS + 5  # long enough that the dtype is the exactness bound's choice
-    direct = {}
-    for j in range(length):
-        direct[j % 2, traces[j % 8]] = direct.get((j % 2, traces[j % 8]), 0) + 1
-    got = bucket_sweep(ctx, base, ctx.trace_row(), 2, length, threads=1)
-    assert np.count_nonzero(got) == len(direct)
-    assert {key: int(got[key]) for key in direct} == direct
+    j = np.arange(length)
+    direct = np.bincount(j % 2 * 9 + classes[traces[j % 8]], minlength=2 * 9).reshape(2, 9)
+    got = bucket_sweep(ctx, base, ctx.trace_row(), 2, length, threads=1, classes=classes)
+    assert np.array_equal(got, direct)
 
 
 def test_block_counts_products_at_float64_bound():
     # r = w = p-2 makes the one product (p-2)^2, odd and just above 2^53 for the larger
-    # prime, where float64 rounds it and so lands in the wrong residue mod p
+    # prime, where float64 rounds it and so lands in the wrong residue mod p: column 0 of a
+    # class map that gives the true residue, alone, column 1
     for p, float_exact in ((94906249, True), (94906297, False)):
-        want = np.zeros(p, dtype=np.int64)
-        want[(p - 2) ** 2 % p] = 1
+        classes = np.zeros(p, dtype=np.int64)
+        classes[(p - 2) ** 2 % p] = 1
         for dtype in (np.float64, np.int64):
             res = np.array([[p - 2]], dtype=dtype)
-            got = _block_counts(res, res, np.zeros((1, 1), dtype=np.int64), p, p)
-            assert np.array_equal(got, want) == (dtype is np.int64 or float_exact), (p, dtype)
+            got = _block_counts(res, res, np.zeros((1, 1), dtype=np.int64), 2, p, classes)
+            assert np.array_equal(got, [0, 1]) == (dtype is np.int64 or float_exact), (p, dtype)
 
 
 @pytest.mark.parametrize(
@@ -550,19 +552,30 @@ def test_block_counts_products_at_float64_bound():
     ((3, 14, 8), (29, 4, 16)),
 )
 def test_raw_and_mod_p_tallies_agree(monkeypatch, p, s, e):
+    # one row, on the identity class map (the trace itself) and on a random map onto 5
+    # columns that is not the identity: the raw tally maps its dot values to classes once,
+    # the class tally every residue, and both give the identity counts moved to the classes
     import periodpoly.periods as periods
 
     ctx = build_field(p, s)
     v = s * (p - 1) ** 2 + 1
     assert periods._bucket_width(e, s, p) == (v if e * v <= _CHUNK else p)
-    length = 2 * _MIN_WORKER_MOD_P + 4099  # two workers on two threads on the mod-p tally, and a tail block
+    length = 2 * _MIN_WORKER_MOD_P + 4099  # two workers on two threads on the class tally, and a tail block
+    shuffled = np.random.default_rng(34).integers(0, 5, size=p)
+    shuffled[:2] = 4, 0  # class 4 is taken, and the map is not the identity
     got = {}
-    for width in (v, p):  # force the raw-dot tally, then the mod-p tally
+    for width in (v, p):  # force the raw-dot tally, then the class tally
         monkeypatch.setattr(periods, "_bucket_width", lambda *_, width=width: width)
         for threads in (1, 2):
-            got[width, threads] = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, length, threads)
-    assert got[p, 1].sum() == length
-    assert all(np.array_equal(counts, got[p, 1]) for counts in got.values())
+            for name, classes in (("identity", np.arange(p)), ("shuffled", shuffled)):
+                counts = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, length, threads, classes=classes)
+                got[name, width, threads] = counts
+    identity = got["identity", p, 1]
+    assert identity.sum() == length
+    moved = np.zeros((e, 5), dtype=np.int64)
+    np.add.at(moved, (slice(None), shuffled), identity)
+    for (name, _, _), counts in got.items():
+        assert np.array_equal(counts, identity if name == "identity" else moved), name
 
 
 @functools.lru_cache(maxsize=None)
@@ -615,7 +628,7 @@ def fold_case(name):
 def test_trace_spectrum_fold_matches_full_sweep(name, e):
     # the reference walks all q - 1 powers of gamma; trace_spectrum walks (q - 1)/(p - 1) and folds
     ctx = fold_case(name)
-    full = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads=1)
+    full = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads=1, classes=np.arange(ctx.p))
     for threads in (1, 2):
         assert np.array_equal(np.array(trace_spectrum(ctx, e, threads=threads).counts), full), (name, e)
 
@@ -654,7 +667,7 @@ def test_every_line_degree_gives_the_full_walk_spectrum(monkeypatch, p, s, most_
     degrees = [d for d in range(1, s) if s % d == 0]
     cases = 0
     for e in (e for e in range(1, min(ctx.q - 1, most_e or ctx.q) + 1) if (ctx.q - 1) % e == 0):
-        full = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads=1)
+        full = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads=1, classes=np.arange(ctx.p))
         for d in degrees:
             monkeypatch.setattr(periods, "_line_degree", lambda p, s, e, d=d: d)
             assert np.array_equal(np.array(trace_spectrum(ctx, e, threads=1).counts), full), (p, s, e, d)
@@ -715,7 +728,7 @@ def test_bucket_sweep_buckets_residue_vectors_by_classes(monkeypatch, threads):
         for e in (3, 8, 7):
             calls.clear()
             direct = np.bincount(j % e * width + column[j % (ctx.q - 1)], minlength=e * width)
-            got = bucket_sweep(ctx, ctx.gamma, rows, e, length, threads, classes)
+            got = bucket_sweep(ctx, ctx.gamma, rows, e, length, threads, classes=classes)
             assert got.shape == (e, width)
             assert np.array_equal(got.ravel(), direct), (threads, length, e)
             if length > _MIN_BLAS:
@@ -725,7 +738,8 @@ def test_bucket_sweep_buckets_residue_vectors_by_classes(monkeypatch, threads):
 
 def test_line_walk_rejects_a_gamma_that_does_not_generate_the_subfield():
     # on 5^8 at e = 16 the rule walks F_625-lines: delta = gamma^626 must generate F_625^*.
-    # gamma^2 gives a delta of order 312, whose residue vectors repeat; gamma = 0 gives delta = 0
+    # gamma^2 gives a delta of order 312 and degree 4, whose windows repeat; gamma = 0 gives
+    # delta = 0, whose Hankel system is singular
     import periodpoly.periods as periods
 
     ctx = build_field(5, 8)
@@ -736,6 +750,21 @@ def test_line_walk_rejects_a_gamma_that_does_not_generate_the_subfield():
     zero = FieldCtx(ctx.p, ctx.modulus, (0,) * 8, ctx.q_minus_1_factorization)
     with pytest.raises(FieldError, match="not a primitive root of F_625"):
         trace_spectrum(zero, 16)
+
+
+def test_line_walk_rejects_a_delta_in_a_proper_subfield_of_k():
+    # gamma^26 on 5^8 gives delta = gamma^(26*626) of order 24, a primitive root of F_25 inside
+    # K = F_625: its windows span only F_25's, so the 4 x 4 Hankel system is singular
+    import periodpoly.periods as periods
+
+    ctx = build_field(5, 8)
+    assert periods._line_degree(5, 8, 16) == 4
+    gamma = ctx.gamma**26
+    delta = gamma**626
+    assert delta**24 == ctx.one() and delta**8 != ctx.one() and delta**12 != ctx.one()
+    small = FieldCtx(ctx.p, ctx.modulus, gamma.coords, ctx.q_minus_1_factorization)
+    with pytest.raises(FieldError, match="not a primitive root of F_625: its degree is below 4"):
+        trace_spectrum(small, 16)
 
 
 def test_line_walk_rejects_a_generator_outside_the_subfield(monkeypatch):
@@ -749,30 +778,36 @@ def test_line_walk_rejects_a_generator_outside_the_subfield(monkeypatch):
 
 @pytest.mark.parametrize("name, e", (("5^8", 16), ("13^6", 8), ("3^14", 8)))
 def test_corrupted_projection_raises(monkeypatch, name, e):
-    # the d x s block that maps coords(x) to the residues of Tr_{F_q/K}(x) is the sum of one
-    # block orbit, the only one outside the sweep; each case moves one entry of its first
-    # term by one, and the transitivity check against the trace row must catch every entry
+    # the tripwire compares the sweep's d x s block of rows trow . M^c, by Newton's identities,
+    # with the Frobenius route, the sum of the block orbit of kt . M^c under F^d. Each case
+    # moves one entry of one side by one: of the left block, or of the first term of the
+    # right's orbit, the only block orbit in trace_spectrum; the check must catch every entry
     import periodpoly.periods as periods
 
     ctx = tripwire_case(name)
     d = periods._line_degree(ctx.p, ctx.s, e)
     assert d > 1
     orbit = periods._orbit
-    for c in range(d):
-        for k in range(ctx.s):
-            hits = []
+    trow = ctx.trace_row() % ctx.p
+    for side in ("left", "right"):
+        for c in range(d):
+            for k in range(ctx.s):
+                hits = []
 
-            def corrupting(first, step, n, p, out=None, c=c, k=k):
-                rows = orbit(first, step, n, p, out)
-                if first.ndim == 2 and out is None:
-                    rows[0, c, k] += 1
-                    hits.append(1)
-                return rows
+                def corrupting(first, step, n, p, out=None, side=side, c=c, k=k):
+                    rows = orbit(first, step, n, p, out)
+                    if side == "right" and first.ndim == 2 and out is None:
+                        rows[0, c, k] += 1
+                        hits.append(1)
+                    elif side == "left" and out is None and n == d and np.array_equal(first, trow):
+                        rows[c, k] += 1
+                        hits.append(1)
+                    return rows
 
-            monkeypatch.setattr(periods, "_orbit", corrupting)
-            with pytest.raises(FieldError, match="trace row disagrees"):
-                trace_spectrum(ctx, e)
-            assert hits == [1]
+                monkeypatch.setattr(periods, "_orbit", corrupting)
+                with pytest.raises(FieldError, match="trace row disagrees"):
+                    trace_spectrum(ctx, e)
+                assert hits == [1], (side, c, k)
 
 
 @pytest.mark.parametrize("corrupt", ("row-sum", "negative"))
