@@ -8,14 +8,15 @@ a character of order E, and psi = lambda^j. Each quantity has one kernel:
     Z[zeta_{lcm(E, p)}], by GaussTable.value; the subfield sums reuse it.
   * Jacobi sums are read off one discrete-log walk per field
     (discrete_log_map): the sweep's orbit kernel lays out the coordinates of
-    gamma^a row by row, so the row index is the log. zech_logs(ctx) walks the
-    field, forms 1 - x on the whole block with no division, packs each row into
-    its int64 key sum_i c_i p^i in [0, q), and reads every log at once from one
-    length-q index that the walk's keys are scattered into; it returns the Zech
-    vector a + log(1 - x_a), and every J(lambda^j) on that field is then one
-    bincount of j times it (jacobi_sum), so a field pays one walk, one scatter
-    and one gather. The identity suite reads the log of 4 off the same vector,
-    as 2 log(1 - (-1)).
+    gamma^a row by row, so the row index is the log, in int64 chunks stored in
+    the narrowest signed dtype that holds p - 1. zech_logs(ctx) packs x and
+    1 - x into int64 keys sum_i c_i p^i in [0, q) by Horner over the columns,
+    with no division, and reads every log at once from one length-q index that
+    the walk's keys are scattered into; it returns the Zech vector
+    a + log(1 - x_a), and every J(lambda^j) on that field is then one bincount
+    of j times it (jacobi_sum), so a field pays one walk, one scatter and one
+    gather. The identity suite reads the log of 4 off the same vector, as
+    2 log(1 - (-1)).
 
 A subfield is swept as its own field: subfield_sums is one trace_spectrum call
 on ctx.subfield(k), F_p[x]/(f0) with f0 the minimal polynomial of gamma^d,
@@ -48,7 +49,7 @@ import numpy as np
 
 from .cyclotomic import CycElem, IntPoly, frobenius_power_sum
 from .fields import FieldCtx, FieldError
-from .intmath import legendre, ord2
+from .intmath import legendre, ord2, power
 from .periods import (
     DEFAULT_MAX_Q,
     BudgetExceeded,
@@ -62,6 +63,7 @@ from .periods import (
 )
 
 DEFAULT_MAX_Q_JACOBI = 10**6
+_WALK_CHUNK = 1 << 12  # rows per int64 step of the discrete-log walk (BENCH_dlog_walk.json)
 _CHECK_IDS = ("2a", "2b", "2c", "3", "4", "5", "7", "8", "9", "10", "11", "15", "16")
 
 
@@ -99,38 +101,63 @@ def discrete_log_map(ctx: FieldCtx) -> np.ndarray:
 
     The row index is the discrete log; every Jacobi sum is read off the block
     this returns. Small groups only; a subfield is walked as ctx.subfield(k).
+    Its dtype is the smallest signed one that holds p - 1 (int8 to p = 127), so
+    -dlog % p stays exact; the walk is int64 only a chunk of _WALK_CHUNK rows at
+    a time, each chunk the last one times M^C (mod p), M the product by gamma.
     """
-    _exact_dtype(ctx.s, ctx.p)  # raises SweepOverflow where the orbit's int64 products would wrap
-    if ctx.q - 1 >= DEFAULT_MAX_Q_JACOBI:
-        raise BudgetExceeded(f"group of order {ctx.q - 1} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
-    one = np.array(ctx.one().coords, dtype=np.int64)
-    return _orbit(one, ctx.mul_matrix(ctx.gamma).T, ctx.q - 1, ctx.p)
+    p, s, n = ctx.p, ctx.s, ctx.q - 1
+    _exact_dtype(s, p)  # raises SweepOverflow where the orbit's int64 products would wrap
+    if n >= DEFAULT_MAX_Q_JACOBI:
+        raise BudgetExceeded(f"group of order {n} exceeds the discrete-log budget {DEFAULT_MAX_Q_JACOBI}")
+    step, chunk = ctx.mul_matrix(ctx.gamma).T, min(n, _WALK_CHUNK)
+    rows = _orbit(np.array(ctx.one().coords, dtype=np.int64), step, chunk, p)
+    block = np.empty((n, s), dtype=next(t for t in (np.int8, np.int16, np.int32, np.int64) if p - 1 <= np.iinfo(t).max))
+    block[:chunk] = rows
+    if n > chunk:
+        jump = power(step, chunk, lambda a, b: a @ b % p, None)  # M^C: times gamma^C
+        for start in range(chunk, n, chunk):
+            rows = rows[: n - start] @ jump
+            rows %= p
+            block[start : start + len(rows)] = rows
+    return block
 
 
 def zech_logs(ctx: FieldCtx) -> np.ndarray:
     """a + log(1 - x_a) for the rows a >= 1 of ctx's walk x_a = gamma^a (discrete_log_map).
 
     Row 0 is x = 1, where psi(1 - x) = psi(0) = 0. This is the part of every
-    Jacobi sum on F_q^* that does not depend on the character. The walk's packed
-    keys are distinct and lie in [1, q): index[key] is the row of that key, -1
-    where no row has it (the key 0 of x = 0 among them), and every log is one
-    gather. The walk holds q - 1 to its budget, so the length-q index is small
-    and the keys are exact in int64; a key missing from the walk raises FieldError.
+    Jacobi sum on F_q^* that does not depend on the character. One Horner pass
+    over the walk's columns makes the int64 keys sum_i c_i p^i of the x_a, and
+    Z = [c_0 <= 1] + sum_{i>=1} [c_i = 0] p^i, the digits of 1 - x that wrap:
+    key(1 - x) = p (q-1)/(p-1) + 1 - key(x) - p Z. The walk's keys are distinct
+    and lie in [1, q): index[key] is the row of that key, -1 where no row has it
+    (the key 0 of x = 0 among them), and every log is one gather. Past one chunk
+    the peak is about 32 + s bytes per element at p <= 127, with no (q-1) x s
+    int64 array.
+    The walk holds q - 1 to its budget, so the length-q index is small and the
+    keys are exact in int64; a key missing from the walk raises FieldError.
     """
     dlog = discrete_log_map(ctx)
-    one_minus_x = ctx.p - dlog[1:]  # -x with no division: p - c, and 0 where c = 0
-    one_minus_x[dlog[1:] == 0] = 0
-    constant = one_minus_x[:, 0]  # a view: 1 - x adds one to the constant coordinate
-    constant += 1
-    constant[constant == ctx.p] = 0
-    weights = ctx.p ** np.arange(ctx.s, dtype=np.int64)
+    p, n = ctx.p, len(dlog)
+    keys = np.zeros(n, dtype=np.int64)
+    at = np.zeros(n - 1, dtype=np.int64)  # Z of 1 - x_a, a >= 1; then its key; then its row
+    for i in reversed(range(dlog.shape[1])):
+        keys *= p
+        keys += dlog[:, i]
+        at *= p
+        at += (dlog[1:, i] <= 1) if i == 0 else (dlog[1:, i] == 0)
+    at *= -p
+    at -= keys[1:]
+    at += p * (ctx.q - 1) // (p - 1) + 1
     index = np.full(ctx.q, -1, dtype=np.int64)
-    index[dlog @ weights] = np.arange(len(dlog))
-    at = index[one_minus_x @ weights]
-    missing = at < 0
-    if missing.any():
-        raise FieldError(f"{one_minus_x[missing][0].tolist()} is not in the walked group")
-    return np.arange(1, len(dlog)) + at
+    index[keys] = np.arange(n)
+    np.take(index, at, out=at)
+    missing = np.flatnonzero(at < 0)
+    if len(missing):
+        x = dlog[missing[0] + 1].tolist()
+        raise FieldError(f"{[(1 - x[0]) % p] + [-c % p for c in x[1:]]} is not in the walked group")
+    at += np.arange(1, n)
+    return at
 
 
 def jacobi_sum(order: int, j: int, zech: np.ndarray) -> CycElem:

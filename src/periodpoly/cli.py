@@ -158,13 +158,14 @@ def cmd_verify(args) -> int:
     except BudgetExceeded:
         status = "skipped"
 
-    # an irreducible case has no factor list to expand: its content is the oracle's polynomial
-    polynomial = oracle_poly if fac.irreducible else fac.expand()
     if status != "skipped":
         # the oracle's irreducible factors over Q, its periods' Galois orbits, against the closed
         # form's list; an irreducible claim is the one factor oracle_poly, once
         matched = periods.factors == (fac.factors or ((oracle_poly, 1),))
         status = "verified" if matched else "failed"
+    # an irreducible case has no factor list to expand: its content is the oracle's polynomial; a
+    # verified list equals the oracle's, which oracle_poly already multiplied out
+    polynomial = oracle_poly if fac.irreducible or status == "verified" else fac.expand()
 
     # the digest covers this content and the polynomial; the record adds the run's verdict to it
     record = {"p": ctx.p, "s": ctx.s, "m": args.m, "case": fac.case.case, "factorization": fac.to_json_dict()}

@@ -133,6 +133,54 @@ def test_zech_vector_against_its_definition():
         assert 2 * (zech[half - 1] - half) % (field.q - 1) == four
 
 
+def test_walk_in_chunks(monkeypatch):
+    # with a chunk of a few rows the walk crosses many chunk boundaries, some chunks
+    # dividing q - 1 and some not, and a last chunk of one row; each row is still the
+    # FieldElem power and the Zech vector still its definition
+    for p, s, s_sub, chunks in ((3, 4, 4, (1, 7, 16, 79, 80)), (13, 2, 2, (5, 56)), (3, 8, 4, (3, 33))):
+        ctx = build_field(p, s)
+        field = ctx if s_sub == s else ctx.subfield(s_sub)
+        for chunk in chunks:
+            monkeypatch.setattr(charsums, "_WALK_CHUNK", chunk)
+            dlog = discrete_log_map(field)
+            x = field.one()
+            for row in dlog.tolist():
+                assert tuple(row) == x.coords
+                x = x * field.gamma
+            assert x == field.one()
+            logs = {tuple(row): a for a, row in enumerate(dlog.tolist())}
+            want = [a + logs[((1 - y[0]) % p,) + tuple(-c % p for c in y[1:])] for a, y in enumerate(dlog.tolist()) if a]
+            zech = zech_logs(field)
+            assert zech.dtype == np.int64 and zech.tolist() == want
+
+
+def test_walk_dtype_is_the_narrowest_that_holds_p_minus_1():
+    # int8 up to p = 127, int16 up to 32749, int32 past it (q - 1 = 32770 is within
+    # the discrete-log budget at s = 1); signed, so -dlog % p is exact in every dtype
+    for p, s, dtype in ((13, 4, np.int8), (127, 2, np.int8), (131, 2, np.int16), (32749, 1, np.int16), (32771, 1, np.int32)):
+        dlog = discrete_log_map(build_field(p, s))
+        assert dlog.dtype == dtype
+        assert int(dlog.min()) >= 0 and int(dlog.max()) == p - 1
+        assert np.array_equal(-dlog % p, -dlog.astype(np.int64) % p)
+
+
+def test_zech_vector_memory_per_element():
+    # the tracemalloc peak of one Zech vector of F_{13^4}, warm, per element of F_q: the
+    # narrow walk, two int64 key vectors, the length-q index and the scattered rows take
+    # about 36 bytes; an int64 walk with a full-size copy for 1 - x took about 97
+    import tracemalloc
+
+    field = build_field(13, 4)
+    zech_logs(field)
+    tracemalloc.start()
+    try:
+        zech_logs(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * field.q
+
+
 def test_subfield_walk_sees_the_subfield_bounds():
     # F_{13^4} inside F_{13^32}: 13^32 >= 2^63, but the subfield's own walk and its
     # packed keys are small; its Zech vector against a FieldElem walk of g0 in F_{13^32}

@@ -192,7 +192,7 @@ def test_verify_lift(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     rec = json.loads(out)
     assert rec["status"] == "verified" and rec["case"] == "T2a"
-    assert len(expansions) == 1  # the record's polynomial is the one compared with the oracle's
+    assert expansions == []  # the record's polynomial is the oracle's, multiplied out from an equal list
 
 
 def test_verify_lift_m2(tmp_path, capsys):
@@ -342,6 +342,43 @@ def test_verify_fails_an_irreducible_claim_that_splits(tmp_path, capsys, monkeyp
     code, out, _ = run(capsys, "verify", "--p", "5", "--s", "2", "--m", "2", "--cache", str(cache), "--format", "json")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["status"] == "failed"
+
+
+def test_verify_expands_a_factor_list_once(tmp_path, capsys, monkeypatch):
+    # a verified list equals the oracle's, so the digest takes the oracle's polynomial and the
+    # closed form's list is not multiplied out again; a skipped case (no oracle) and a failed
+    # one (unequal lists) still expand it. Every digest is pinned
+    import periodpoly.cli as cli
+    from periodpoly.closed_form import Factorization, closed_form_factorization
+    from periodpoly.cyclotomic import linear
+
+    def verify(*argv):
+        code, out, _ = run(capsys, "verify", *argv, "--cache", str(tmp_path / "c.jsonl"), "--format", "json")
+        rec = json.loads(out)
+        return code, rec["status"], rec["digest"][:16]
+
+    def refuse(self):
+        raise RuntimeError("the closed form's list was expanded")
+
+    with monkeypatch.context() as m:
+        m.setattr(Factorization, "expand", refuse)
+        assert verify("--p", "3", "--s", "4", "--m", "4", "--oracle", "brute") == (EXIT_OK, "verified", "a0a7825046eee25e")
+        assert verify("--p", "5", "--s", "16", "--m", "4", "--oracle", "lift") == (EXIT_OK, "verified", "3c0be325e5208aab")
+        with pytest.raises(RuntimeError, match="was expanded"):
+            verify("--p", "5", "--s", "8", "--m", "4", "--max-q", "100")
+
+    def broken(ctx, m):
+        fac = closed_form_factorization(ctx, m)
+        factors = ((linear(fac.factors[0][0].coeffs[0] + 1), fac.factors[0][1]),) + fac.factors[1:]
+        return type(fac)(fac.case, fac.q, factors, fac.partitions)
+
+    expansions = []
+    expand = Factorization.expand
+    monkeypatch.setattr(Factorization, "expand", lambda self: expansions.append(self.q) or expand(self))
+    assert verify("--p", "5", "--s", "8", "--m", "4", "--max-q", "100") == (EXIT_BUDGET, "skipped", "d499b167ffe087ca")
+    monkeypatch.setattr(cli, "closed_form_factorization", broken)
+    assert verify("--p", "3", "--s", "4", "--m", "4", "--oracle", "brute") == (EXIT_MISMATCH, "failed", "5dd95e6d2dec94b6")
+    assert expansions == [5**8, 3**4]
 
 
 @pytest.mark.parametrize("s, oracle", (("4", "brute"), ("1", "brute"), ("16", "lift")))
