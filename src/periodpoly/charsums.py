@@ -170,7 +170,7 @@ def jacobi_sum(order: int, j: int, zech: np.ndarray) -> CycElem:
         raise ValueError("character must be nontrivial")
     if (len(zech) + 1) % order:
         raise ValueError(f"order {order} does not divide the group order {len(zech) + 1}")
-    return CycElem(order, np.bincount(j % order * zech % order, minlength=order))
+    return CycElem(order, np.bincount(j % order * zech % order, minlength=order).tolist())
 
 
 def lift_gauss_sum(value: CycElem, r: int) -> CycElem:

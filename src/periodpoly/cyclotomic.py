@@ -8,6 +8,15 @@ polynomial Phi_n, reached by two folds and no division (CycElem.canonical).
 Equality, integrality and serialization always go through the canonical form;
 no floating point is involved in any decision.
 
+The public constructors, CycElem(n, vec) and IntPoly(coeffs), validate outside
+input: every value an integer (operator.index, so a float raises TypeError), a
+vector no longer than a supported conductor, trailing zeros of a polynomial
+stripped. Ring operations build their results directly (CycElem._from_vec,
+IntPoly._from_coeffs), since what they compute is already exact: n Python ints
+at a supported conductor, and a product of nonzero polynomials over Z, whose
+leading coefficient is the nonzero product of theirs. Sums of polynomials still
+strip the zeros that cancelling leading terms leave.
+
 Every product in Z[zeta_n] goes through one kernel, `_kron_mul`, the cyclic
 product of two length-n vectors. `CycElem.__mul__` calls it at the conductor;
 `expand_mod` calls it once per node of a balanced product tree, on coefficient
@@ -125,8 +134,9 @@ class CycElem:
     __slots__ = ("n", "vec", "_canon")
 
     def __init__(self, n: int, vec: Iterable[int]):
+        """Validate outside input: a supported conductor n and at most n integers, zero-padded to n."""
         _supported_conductor(n)
-        v = tuple(int(c) for c in vec)
+        v = tuple(map(operator.index, vec))
         if len(v) > n:
             raise ValueError("vector longer than conductor")
         self.n = n
@@ -134,6 +144,13 @@ class CycElem:
         self._canon: tuple[int, ...] | None = None
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def _from_vec(cls, n: int, vec: tuple[int, ...]) -> "CycElem":
+        """The element with vector vec, taken as it is: a ring result, n Python ints at a supported n."""
+        out = object.__new__(cls)
+        out.n, out.vec, out._canon = n, vec, None
+        return out
+
     @classmethod
     def zero(cls, n: int) -> "CycElem":
         return cls(n, ())
@@ -193,12 +210,10 @@ class CycElem:
             return self
         if big_n % self.n:
             raise ValueError(f"{self.n} does not divide {big_n}")
-        step = big_n // self.n
+        _supported_conductor(big_n)
         v = [0] * big_n
-        for j, c in enumerate(self.vec):
-            if c:
-                v[j * step] += c
-        return CycElem(big_n, v)
+        v[:: big_n // self.n] = self.vec
+        return CycElem._from_vec(big_n, tuple(v))
 
     def _common(self, other: "CycElem") -> tuple["CycElem", "CycElem"]:
         if self.n == other.n:
@@ -214,9 +229,9 @@ class CycElem:
                 return NotImplemented
             v = list(self.vec)
             v[0] += k
-            return CycElem(self.n, v)
+            return CycElem._from_vec(self.n, tuple(v))
         a, b = self._common(other)
-        return CycElem(a.n, tuple(x + y for x, y in zip(a.vec, b.vec)))
+        return CycElem._from_vec(a.n, tuple(map(operator.add, a.vec, b.vec)))
 
     __radd__ = __add__
 
@@ -224,16 +239,16 @@ class CycElem:
         return self + (-other)
 
     def __neg__(self) -> "CycElem":
-        return CycElem(self.n, tuple(-x for x in self.vec))
+        return CycElem._from_vec(self.n, tuple(map(operator.neg, self.vec)))
 
     def __mul__(self, other: "CycElem | int") -> "CycElem":
         if not isinstance(other, CycElem):
             k = _scalar(other)
             if k is None:
                 return NotImplemented
-            return CycElem(self.n, tuple(k * x for x in self.vec))
+            return CycElem._from_vec(self.n, tuple(map(k.__mul__, self.vec)))
         a, b = self._common(other)
-        return CycElem(a.n, _kron_mul(a.vec, b.vec, a.n))
+        return CycElem._from_vec(a.n, tuple(_kron_mul(a.vec, b.vec, a.n)))
 
     __rmul__ = __mul__
 
@@ -288,10 +303,18 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = [int(x) for x in coeffs]
+        """Validate outside input: integers, trailing zeros stripped."""
+        c = list(map(operator.index, coeffs))
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
+
+    @classmethod
+    def _from_coeffs(cls, coeffs: tuple[int, ...]) -> "IntPoly":
+        """The polynomial with coefficients coeffs, taken as they are: a ring result, Python ints, no trailing zero."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @property
     def degree(self) -> int:
@@ -313,20 +336,29 @@ class IntPoly:
         return self + (-other)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly._from_coeffs(tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
-        """Schoolbook product, the shorter operand's nonzero terms outside: one scaled add each."""
-        if isinstance(other, int):
-            return IntPoly(tuple(other * c for c in self.coeffs))
+        """Schoolbook product, the shorter operand's nonzero terms outside: one scaled add each.
+
+        Over Z the leading coefficient of a product of nonzero polynomials is the nonzero
+        product of theirs, so only a zero operand or scalar can give a trailing zero.
+        """
+        if not isinstance(other, IntPoly):
+            k = _scalar(other)
+            if k is None:
+                return NotImplemented
+            return IntPoly._from_coeffs(tuple(map(k.__mul__, self.coeffs)) if k else ())
         short, long = self.coeffs, other.coeffs
         if len(short) > len(long):
             short, long = long, short
+        if not short:
+            return IntPoly._from_coeffs(())
         out = [0] * (len(short) + len(long) - 1)
         for i, a in enumerate(short):
             if a:
                 out[i : i + len(long)] = [x + a * y for x, y in zip(out[i:], long)]
-        return IntPoly(out)
+        return IntPoly._from_coeffs(tuple(out))
 
     __rmul__ = __mul__
 

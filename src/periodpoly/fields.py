@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,17 +54,21 @@ def _power_columns(modulus: tuple[int, ...], p: int, count: int) -> np.ndarray:
     s*(p-1)^2 < 2^63 (the bound periods._exact_dtype sweeps under), and object above.
     The first s columns are the identity; then x^n = sum_j v_j x^{n-s+j}, v = coords(x^s),
     over the nonzero v_j. Column n reads columns up to n - s + t, t the highest such j, so
-    a step fills s - t columns: s for a binomial, 61 for x^64 + x^3 + 2, 1 if dense.
+    a step fills s - t columns: s for a binomial, 61 for x^64 + x^3 + 2, 1 if dense. Each
+    step is one product, with v at its nonzero terms, of the columns those terms read:
+    reads[k, i] is the offset from n of the column that term k of column n + i reads.
     """
     s = len(modulus) - 1
     dtype = np.int64 if s * (p - 1) ** 2 < 1 << 63 else object
-    low = [(j, -c % p) for j, c in enumerate(modulus[:s]) if c % p]
-    width = s - max((j for j, _ in low), default=0)
+    terms = np.array([j for j, c in enumerate(modulus[:s]) if c % p], dtype=np.intp)
+    v = np.array([-modulus[j] % p for j in terms], dtype=dtype)
+    width = s - (int(terms[-1]) if terms.size else 0)
     cols = np.zeros((s, count), dtype=dtype)
     cols.reshape(-1)[:: count + 1] = 1  # the identity block: entry (i, i) is flat entry (count+1)*i
+    reads = np.add.outer(terms, np.arange(width) - s)
     for n in range(s, count, width):
         stop = min(n + width, count)
-        cols[:, n:stop] = sum(v * cols[:, n - s + j : stop - s + j] for j, v in low) % p
+        cols[:, n:stop] = v @ cols[:, reads[:, : stop - n] + n] % p
     return cols
 
 
@@ -260,7 +265,7 @@ class FieldElem:
 
     def __init__(self, ctx: "FieldCtx", coords: Iterable[int]):
         self.ctx = ctx
-        self.coords = tuple(int(c) % ctx.p for c in coords)
+        self.coords = tuple(operator.index(c) % ctx.p for c in coords)
         if len(self.coords) != ctx.s:
             raise FieldError("coordinate vector has wrong length")
 
@@ -515,9 +520,9 @@ def _factor_q_minus_1(p: int, s: int) -> tuple[tuple[int, int], ...]:
 def build_field(p: int, s: int, modulus: Sequence[int] | None = None) -> FieldCtx:
     """Construct F_{p^s} deterministically.
 
-    An explicit modulus (little-endian, monic, degree s) may be supplied to
-    exercise the isomorphism-invariance of downstream outputs; it is checked
-    for irreducibility.
+    An explicit modulus (little-endian, monic, degree s, integer coefficients) may be
+    supplied to exercise the isomorphism-invariance of downstream outputs; it is checked
+    for irreducibility, and a coefficient that is not an integer raises TypeError.
     """
     if s < 1:
         raise FieldError("s must be >= 1")
@@ -528,7 +533,7 @@ def build_field(p: int, s: int, modulus: Sequence[int] | None = None) -> FieldCt
     else:
         if len(modulus) != s + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree s")
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(operator.index(c) % p for c in modulus)
         if not is_irreducible(modulus, p):
             raise FieldError("modulus is not irreducible")
     fac = _factor_q_minus_1(p, s)

@@ -20,7 +20,7 @@ from periodpoly.cyclotomic import (
     linear,
     root_of_unity_mod,
 )
-from periodpoly.fields import build_field
+from periodpoly.fields import FieldElem, build_field
 from periodpoly.intmath import is_prime
 from periodpoly.periods import reduced_periods, trace_spectrum
 
@@ -498,6 +498,90 @@ def test_integral_scalars_and_non_integral_operands():
     with pytest.raises(TypeError):
         2.5 * a
     assert (a == 2.0) is False
+
+
+def rebuilt(x: CycElem) -> CycElem:
+    """x through the public constructor, with every check."""
+    return CycElem(x.n, list(x.vec))
+
+
+def assert_exact(x: CycElem, n: int) -> None:
+    """x holds n Python ints at conductor n, and equals itself rebuilt, in vec and canonical form."""
+    assert x.n == n and len(x.vec) == n and all(type(c) is int for c in x.vec)
+    y = rebuilt(x)
+    assert x.vec == y.vec and x.canonical() == y.canonical()
+
+
+def test_ring_results_equal_the_public_construction(schoolbook_mul):
+    # every result a ring operation builds itself equals the same vector through the public
+    # constructor, on signed entries of up to 8 and of up to 90 bits (past 2^63, so the
+    # product takes the big-int kernel), at conductors 8 and 13 and across them at 104
+    rng = random.Random(36)
+    for bits in (3, 90):
+        for _ in range(8):
+            a, b = (CycElem(n, [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]) for n in (8, 13))
+            c = CycElem(104, [rng.randrange(-(1 << bits), 1 << bits) for _ in range(104)])
+            k = rng.randrange(-(1 << bits), 1 << bits)
+            for x, n in ((a, 8), (b, 13), (c, 104)):
+                for result in (x + k, k + x, x - k, x + np.int64(-5), -x, x * k, k * x, x * np.int64(3), x * 0):
+                    assert_exact(result, n)
+                assert_exact(x + x, n)
+                assert_exact(x * x, n)
+                assert (x * x).vec == schoolbook_mul(x, x).vec
+            for big in (a.embed(104), b.embed(104), a.embed(8)):
+                assert_exact(big, big.n)
+            assert a.embed(104).vec == tuple(a.vec[j // 13] if j % 13 == 0 else 0 for j in range(104))
+            for result in (a + b, a - b, a * b, b * c, a + c, c - a):
+                assert_exact(result, 104)
+            assert (a * b).vec == schoolbook_mul(a.embed(104), b.embed(104)).vec
+            assert a + b == b + a and a * b == b * a
+
+
+def test_public_constructor_checks():
+    with pytest.raises(ValueError, match="longer than conductor"):
+        CycElem(4, (1, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="unsupported conductor 15"):
+        CycElem(15, (1,))
+    with pytest.raises(ValueError, match="unsupported conductor 15"):
+        CycElem.root(3).embed(15)
+    assert CycElem(4, (np.int64(3), True)).vec == (3, 1, 0, 0)
+
+
+def test_intpoly_results_have_no_trailing_zero():
+    rng = random.Random(37)
+    zero = IntPoly(())
+    for _ in range(40):
+        f = IntPoly([rng.randrange(-9, 10) for _ in range(rng.randrange(5))] + [rng.randrange(1, 10)])
+        g = IntPoly([rng.randrange(-(1 << 70), 1 << 70) for _ in range(rng.randrange(4))] + [1])
+        # leading terms that cancel, down to the zero polynomial
+        cancel = IntPoly(list(g.coeffs[:-1]) + [rng.randrange(-5, 6)])
+        results = [f * g, g * f, f * zero, zero * f, zero * zero, -f, f * 0, 0 * g, f * np.int64(-2)]
+        results += [g - cancel, cancel - g, f - f, f + (-f), g + g]
+        for r in results:
+            assert not r.coeffs or r.coeffs[-1] != 0
+            assert all(type(c) is int for c in r.coeffs)
+            assert r == IntPoly(r.coeffs)
+        assert (f * g).degree == f.degree + g.degree
+        assert (f * zero).coeffs == (zero * f).coeffs == (f - f).coeffs == (f * 0).coeffs == ()
+
+
+def test_exact_types_take_integers_only():
+    with pytest.raises(TypeError):
+        CycElem(4, [1.5, 2.9])
+    with pytest.raises(TypeError):
+        IntPoly((1.5, 2.7))
+    with pytest.raises(TypeError):
+        build_field(5, 2, modulus=[2.5, 0, 1])
+    with pytest.raises(TypeError):
+        FieldElem(build_field(5, 2), [1.5, 0])
+    assert IntPoly((1, 2)) * np.int64(3) == IntPoly((3, 6)) == 3 * IntPoly((1, 2))
+    assert IntPoly((1, 2)) * True == IntPoly((1, 2))
+    with pytest.raises(TypeError):
+        IntPoly((1, 2)) * 2.0
+    with pytest.raises(TypeError):
+        2.0 * IntPoly((1, 2))
+    assert CycElem(4, [np.int64(1), 2]) == CycElem(4, [1, 2])
+    assert build_field(5, 2, modulus=[np.int64(2), 0, 1]).modulus == (2, 0, 1)
 
 
 def test_conductor_tables_are_memoised():

@@ -507,6 +507,25 @@ def test_frobenius_by_table_matches_products(p, s, monkeypatch):
         check_frobenius_columns(table, modulus, p)
 
 
+# (p, s, seed): int64 columns, and Python ints at p = 2147483693, where s*(p-1)^2 >= 2^63
+POWER_COLUMN_FIELDS = ((3, 16, 1), (5, 40, 2), (13, 32, 3), (3, 64, 4), (2147483693, 4, 5))
+
+
+@pytest.mark.parametrize("p, s, seed", POWER_COLUMN_FIELDS)
+def test_power_columns_match_schoolbook_division(p, s, seed):
+    # column n is x^n mod f entry for entry, for a sparse and a dense f, a binomial and a
+    # modulus with no term below x^s among them; each column divides x times the last by f
+    sparse_one, dense_one = sparse_and_dense_moduli(p, s, seed)
+    for modulus in (sparse_one, dense_one, monic(s, {0: p - 2}), monic(s, {})):
+        count = 3 * s + 2
+        cols = fields._power_columns(modulus, p, count)
+        assert cols.dtype == (object if p == 2147483693 else np.int64)
+        x, want = [0, 1] + [0] * (s - 2), [1] + [0] * (s - 1)
+        for n in range(count):
+            assert cols[:, n].tolist() == want, (modulus, n)
+            want = schoolbook_mulmod(want, x, modulus, p)
+
+
 def test_scan_hands_its_frobenius_to_the_field(monkeypatch):
     # at (3, 64) the rule holds, so Ben-Or's rounds past x^27 are products by the candidate's
     # F: five candidates reach them, and the last F built is the accepted modulus's. The
