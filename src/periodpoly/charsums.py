@@ -257,11 +257,11 @@ def lifted_period_polynomial(
     m: int,
     max_q: int = DEFAULT_MAX_Q,
     threads: int | None = None,
-) -> tuple[IntPoly, PeriodVector, int]:
-    """Period polynomial of degree 2^m via base-subfield Gauss sums and lifting.
+) -> tuple[IntPoly, PeriodVector]:
+    """(polynomial, periods) of degree 2^m for ctx, from base-subfield Gauss sums and lifting.
 
-    Enumerates only the base subfield F_{p^{s'}}; returns (polynomial, periods,
-    s'). Exact for any q, as long as the base subfield is within budget.
+    Sweeps only the base subfield F_{p^{s'}}, s' = smallest_lift_base(p, s, m).
+    Exact for any q, as long as the base subfield is within budget.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -272,7 +272,7 @@ def lifted_period_polynomial(
     s_base = smallest_lift_base(p, s, m)
     sums = subfield_sums(ctx, s_base, e, max_q=max_q, threads=threads)
     periods = periods_from_gauss(ctx.q, e, lift_gauss_sum(sums.gauss(1), s // s_base))
-    return period_polynomial(periods), periods, s_base
+    return period_polynomial(periods), periods
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +286,17 @@ class IdentityCheck:
 
     lemma: str
     params: dict
-    lhs: CycElem | int | str
-    rhs: CycElem | int | str
+    lhs: CycElem
+    rhs: CycElem
 
     @functools.cached_property
     def passed(self) -> bool:
         return self.lhs == self.rhs  # cached: across conductors it embeds both sides, and callers read it often
 
     def to_json_dict(self) -> dict:
-        def ser(v):
-            return v.to_json_dict() if isinstance(v, CycElem) else str(v)
-
         out = {"lemma": self.lemma}
         out.update(self.params)
-        out.update({"lhs": ser(self.lhs), "rhs": ser(self.rhs), "pass": self.passed})
+        out.update({"lhs": self.lhs.to_json_dict(), "rhs": self.rhs.to_json_dict(), "pass": self.passed})
         return out
 
 

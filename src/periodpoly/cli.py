@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
             periods = reduced_periods(trace_spectrum(ctx, e, max_q=args.max_q, threads=args.threads))
             oracle_poly = period_polynomial(periods)
         else:
-            oracle_poly, periods, _ = lifted_period_polynomial(ctx, args.m, max_q=args.max_q, threads=args.threads)
+            oracle_poly, periods = lifted_period_polynomial(ctx, args.m, max_q=args.max_q, threads=args.threads)
     except BudgetExceeded:
         status = "skipped"
 

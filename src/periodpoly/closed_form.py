@@ -177,9 +177,7 @@ def _factorization(ctx: FieldCtx, tag: CaseTag, records: dict[int, PartitionReco
     return _checked(out, 1 << tag.m)
 
 
-def factorization_3mod8(
-    ctx: FieldCtx, m: int, records: dict[int, PartitionRecord] | None = None
-) -> Factorization:
+def factorization_3mod8(ctx: FieldCtx, m: int) -> Factorization:
     """Factor list for degree 2^m, p = 3 (mod 8), every m >= 2.
 
     m = 2 has no closed form. Every other case is one ladder over the A-type
@@ -195,8 +193,7 @@ def factorization_3mod8(
         raise UnsupportedCase(f"p mod 8 = {tag.p_class}, outside the 3-mod-8 factor lists")
     if m == 2:
         raise UnsupportedCase("no closed form for degree 4 with p = 3 (mod 8)")
-    if records is None:
-        records = partition_records(ctx, list(range(3, m + 1)))
+    records = partition_records(ctx, list(range(3, m + 1)))
     q2 = q_power(ctx.p, ctx.s, 1, 2)
     A = {r: rec.first for r, rec in records.items()}
     B = {r: rec.second for r, rec in records.items()}
@@ -220,9 +217,7 @@ def factorization_3mod8(
     return _factorization(ctx, tag, records, factors)
 
 
-def factorization_5mod8(
-    ctx: FieldCtx, m: int, records: dict[int, PartitionRecord] | None = None
-) -> Factorization:
+def factorization_5mod8(ctx: FieldCtx, m: int) -> Factorization:
     """Factor list for degree 2^m, p = 5 (mod 8), every m >= 2.
 
     Odd s (m = 2 only) is irreducible: no factor list. Otherwise the list is
@@ -239,8 +234,7 @@ def factorization_5mod8(
     if tag.s2 == 0:
         return Factorization(tag, ctx.q, ())
     r_top = m if tag.s2 >= m - 1 else m - 1  # C_m, D_m exist only when 2^{m-1} | s
-    if records is None:
-        records = partition_records(ctx, list(range(2, r_top + 1)))
+    records = partition_records(ctx, list(range(2, r_top + 1)))
     q2 = q_power(ctx.p, ctx.s, 1, 2)
     C = {r: rec.first for r, rec in records.items()}
     D = {r: rec.second for r, rec in records.items()}

@@ -5,8 +5,10 @@ the only rings the rest of the package ever touches. A CycElem is stored as a
 group-ring vector modulo x^n - 1 (multiplication is a cyclic convolution),
 with a lazily computed canonical form: the remainder modulo the cyclotomic
 polynomial Phi_n, reached by two folds and no division (CycElem.canonical).
-Equality, integrality and serialization always go through the canonical form;
-no floating point is involved in any decision.
+Equality and serialization go through the canonical form; no floating point is
+involved in any decision. Sums, differences and comparisons take two CycElems
+(a rational integer c enters as CycElem.integer(n, c)); an integer only
+multiplies.
 
 The public constructors, CycElem(n, vec) and IntPoly(coeffs), validate outside
 input: every value an integer (operator.index, so a float raises TypeError), a
@@ -58,10 +60,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .intmath import is_prime, power
-
-
-class NotAnInteger(ValueError):
-    """Raised when a cyclotomic integer is asked for its rational value but has none."""
 
 
 @functools.cache
@@ -193,16 +191,6 @@ class CycElem:
             self._canon = tuple(vec)
         return self._canon
 
-    def is_integer(self) -> bool:
-        return len(self.canonical()) <= 1
-
-    def as_integer(self) -> int:
-        """The rational-integer value; raises NotAnInteger otherwise."""
-        c = self.canonical()
-        if len(c) > 1:
-            raise NotAnInteger(f"canonical degree {len(c) - 1} in Z[zeta_{self.n}]")
-        return c[0] if c else 0
-
     # -- conductor embedding -----------------------------------------------
     def embed(self, big_n: int) -> "CycElem":
         """Image under zeta_n -> zeta_N^{N/n} for n | N."""
@@ -222,20 +210,13 @@ class CycElem:
         return self.embed(lcm), other.embed(lcm)
 
     # -- ring operations ----------------------------------------------------
-    def __add__(self, other: "CycElem | int") -> "CycElem":
+    def __add__(self, other: "CycElem") -> "CycElem":
         if not isinstance(other, CycElem):
-            k = _scalar(other)
-            if k is None:
-                return NotImplemented
-            v = list(self.vec)
-            v[0] += k
-            return CycElem._from_vec(self.n, tuple(v))
+            return NotImplemented
         a, b = self._common(other)
         return CycElem._from_vec(a.n, tuple(map(operator.add, a.vec, b.vec)))
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "CycElem | int") -> "CycElem":
+    def __sub__(self, other: "CycElem") -> "CycElem":
         return self + (-other)
 
     def __neg__(self) -> "CycElem":
@@ -260,10 +241,7 @@ class CycElem:
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycElem):
-            k = _scalar(other)
-            if k is None:
-                return NotImplemented
-            return self.is_integer() and self.as_integer() == k
+            return NotImplemented
         a, b = self._common(other)
         return a.canonical() == b.canonical()
 

@@ -57,16 +57,15 @@ class PartitionRecord:
         }
 
 
-def cornacchia(p: int, d: int) -> tuple[int, int]:
-    """Positive (a, b) with a^2 + d*b^2 = p, for the two families: d = 2 with
-    p = 3 (mod 8), d = 1 with p = 5 (mod 8).
+def cornacchia(p: int) -> tuple[int, int]:
+    """Positive (a, b) with a^2 + d*b^2 = p, for the two families: d = 2 for
+    p = 3 (mod 8), d = 1 for p = 5 (mod 8); any other p raises ValueError.
 
     There the square root of -d mod p has a closed form (Cohen, A Course in
     Computational Algebraic Number Theory, 1.5): (-2)^{(p+1)/4} since
     p = 3 (mod 4), and 2^{(p-1)/4} since 2 is a non-residue mod p.
     """
-    if (p % 8, d) not in ((3, 2), (5, 1)):
-        raise ValueError(f"need d = 2 with p = 3 (mod 8) or d = 1 with p = 5 (mod 8), got p = {p}, d = {d}")
+    d = _family(p)[1]
     t = pow(p - 2, (p + 1) // 4, p) if d == 2 else pow(2, (p - 1) // 4, p)
     if 2 * t < p:
         t = p - t  # standard Cornacchia wants the root in (p/2, p)
@@ -86,19 +85,20 @@ def cornacchia(p: int, d: int) -> tuple[int, int]:
     return a, b
 
 
-def power_representation(p: int, d: int, k: int) -> tuple[int, int]:
-    """(a_k, b_k) with a_k^2 + d*b_k^2 = p^k and p not dividing a_k.
+def power_representation(p: int, k: int) -> tuple[int, int]:
+    """(a_k, b_k) with a_k^2 + d*b_k^2 = p^k and p not dividing a_k, d = 2 or 1 as in cornacchia.
 
     Computed as (a + b*sqrt(-d))^k in exact integers; signs are not yet
     normalized (a_k is returned with whatever sign the power produces).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    d = _family(p)[1]
 
     def mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
         return u[0] * v[0] - d * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
-    ak, bk = power(cornacchia(p, d), k, mul, (1, 0))
+    ak, bk = power(cornacchia(p), k, mul, (1, 0))
     if ak * ak + d * bk * bk != p**k or ak % p == 0:
         raise ArithmeticError(f"({ak}, {bk}) is not a representation of {p}^{k} with p not dividing a")
     return ak, bk
@@ -141,9 +141,9 @@ def _signing_root(ctx: FieldCtx) -> int:
 
 
 def _record(ctx: FieldCtx, r: int, k: int, w: int) -> PartitionRecord:
-    _, d, _, first_mod4 = _family(ctx.p)
+    first_mod4 = _family(ctx.p)[3]
     p = ctx.p
-    first, second = power_representation(p, d, k)
+    first, second = power_representation(p, k)
     if first % 4 != first_mod4:
         first = -first
     second = abs(second)

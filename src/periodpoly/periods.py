@@ -59,12 +59,12 @@ Tripwires, all raised before the sweep or right after the fold:
   windows are distinct and nonzero;
 - every folded row sums to (q-1)/e and every count is >= 0.
 
-The kernel, bucket_sweep, walks the first powers of a base once.
-Multiplication by the base is a fixed linear map M (mod p) over the
-polynomial basis, so trow . coords(base^j) is a linear recurring sequence.
+The kernel, bucket_sweep, walks the first powers of gamma once.
+Multiplication by gamma is a fixed linear map M (mod p) over the
+polynomial basis, so trow . coords(gamma^j) is a linear recurring sequence.
 Write j = b*B + i with 0 <= i < B; then
 
-    trow . coords(base^j) = (trow . M^i) . (M^{bB} . coords(1)).
+    trow . coords(gamma^j) = (trow . M^i) . (M^{bB} . coords(1)).
 
 The kernel builds R, the block of rows trow . M^i for each of its d rows trow,
 the jump M^B, and W, the block of start states M^{bB} . coords(1), each once
@@ -117,7 +117,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycElem, IntPoly, canonical_factors, expand_factor_list, expand_mod, root_of_unity_mod
-from .fields import FieldCtx, FieldElem, FieldError
+from .fields import FieldCtx, FieldError
 from .intmath import factorize, is_prime, power
 
 DEFAULT_MAX_Q = 10**8
@@ -130,11 +130,10 @@ _MIN_WORKER_RAW = 1 << 22
 # (dtype, b): a sum of non-negative integers below 2^b is exact in dtype, in any order
 _EXACT_BELOW = ((np.float32, 24), (np.float64, 53), (np.int64, 63))
 # _line_degree's cost estimate in ns, fitted to one-core trace_spectrum times (BENCH_relative_sweep.json,
-# "rule"; rechecked in BENCH_trace_windows.json): per element of a d = 1 sweep on the raw tally, and
-# extra where it is too short for BLAS; per element and residue on the class tally; per window entry
-# of K's walk; per product of the fold; per entry of its e x r class tables
-_COST_RAW, _COST_INT64, _COST_RESIDUE = 3.2, 7.7, 10.3
-_COST_WALK, _COST_FOLD, _COST_TABLE = 28.0, 1.5, 69.0
+# "rule"; rechecked in BENCH_trace_windows.json and BENCH_line_degree.json): per element and residue of
+# the sweep, for every d and either tally; per window entry of K's walk; per product of the fold; per
+# entry of its e x r class tables
+_COST_RESIDUE, _COST_WALK, _COST_FOLD, _COST_TABLE = 10.3, 28.0, 1.5, 69.0
 
 
 class BudgetExceeded(RuntimeError):
@@ -354,7 +353,6 @@ def _in_threads(task: Callable, items: list) -> list:
 
 def bucket_sweep(
     ctx: FieldCtx,
-    base: FieldElem,
     trow: np.ndarray,
     e: int,
     length: int,
@@ -362,13 +360,15 @@ def bucket_sweep(
     *,
     classes: np.ndarray,
 ) -> np.ndarray:
-    """counts[k][c] over j in [0, length): bucket (j mod e, c), c = classes[trow . coords(base^j) (mod p)].
+    """counts[k][c] over j in [0, length): bucket (j mod e, c), c = classes[trow . coords(gamma^j) (mod p)].
 
-    trow is one row or d rows, and classes an array of shape (p,) * d that holds each
-    residue vector's bucket column, so counts has classes.max() + 1 columns.
+    The sweep walks the powers of gamma = ctx.gamma; to walk another element's
+    powers, build a FieldCtx whose gamma it is. trow is one row or d rows, and
+    classes an array of shape (p,) * d that holds each residue vector's bucket
+    column, so counts has classes.max() + 1 columns.
     """
     p, s = ctx.p, ctx.s
-    mult = ctx.mul_matrix(base)
+    mult = ctx.mul_matrix(ctx.gamma)
     trow = np.atleast_2d(np.asarray(trow, dtype=np.int64)) % p
     d = len(trow)
     rows = min(length, max(1, min(_ROWS // d, length // (8 * s)) // e) * e)  # R has rows * d rows
@@ -466,9 +466,9 @@ def _line_degree(p: int, s: int, e: int) -> int:
     """d of the subfield K = F_{p^d} whose lines trace_spectrum walks: the proper divisor of s of least estimated cost.
 
     The estimate adds K's walk of Q - 1 windows of d entries, the sweep of
-    L_d = (q-1)/(Q-1) elements (d residues each on the class tally; at d = 1 the raw
-    tally where it applies, and int64 products where L_d is too short for BLAS), the
-    fold's e x min(r*p, Q-1) products and its e x r class tables, r = e/gcd(L_d, e).
+    L_d = (q-1)/(Q-1) elements at d residues each, priced alike for every d (it does
+    not model bucket_sweep's choice of tally or of product dtype), the fold's
+    e x min(r*p, Q-1) products and its e x r class tables, r = e/gcd(L_d, e).
     s = 1 has no proper divisor and takes d = 1.
     """
 
@@ -476,13 +476,8 @@ def _line_degree(p: int, s: int, e: int) -> int:
         lines = p**d - 1
         span = (p**s - 1) // lines
         r = e // math.gcd(span, e)
-        if d > 1:
-            per_element = _COST_RESIDUE * d
-        else:
-            per_element = _COST_RAW if _bucket_width(e, s, p) != p else _COST_RESIDUE
-            per_element += _COST_INT64 if span < _MIN_BLAS else 0
         fold = _COST_FOLD * e * min(r * p, lines) + _COST_TABLE * e * r
-        return _COST_WALK * lines * d + per_element * span + fold
+        return _COST_WALK * lines * d + _COST_RESIDUE * d * span + fold
 
     return min((d for d in range(1, s) if s % d == 0), key=cost, default=1)
 
@@ -544,7 +539,7 @@ def trace_spectrum(
     classes = np.remainder(log, r, out=log)
     classes += 1
     classes.flat[0] = 0
-    part = bucket_sweep(ctx, ctx.gamma, rows, e, span, threads, classes=classes)
+    part = bucket_sweep(ctx, rows, e, span, threads, classes=classes)
     counts = _fold(part, windows[:, 0], span, p)
     if (counts < 0).any() or (counts.sum(axis=1) != (ctx.q - 1) // e).any():
         raise ArithmeticError(f"the folded counts are not {e} rows of (q-1)/e >= 0 elements")

@@ -10,8 +10,10 @@ import random
 import time
 from dataclasses import replace
 
+import pytest
 from conftest import _prime_field_value
 
+from periodpoly import closed_form
 from periodpoly.charsums import identity_report, lifted_period_polynomial, smallest_lift_base
 from periodpoly.closed_form import classify, closed_form_factorization
 from periodpoly.cyclotomic import CycElem, IntPoly
@@ -119,10 +121,9 @@ def test_criterion_06_t2a_lift_instance():
     fac = closed_form_factorization(ctx, 4)
     assert fac.case.case == "T2a"
     assert smallest_lift_base(5, 16, 4) == 4  # Gauss sums over F_{5^4} only
-    poly, periods, s_base = lifted_period_polynomial(ctx, 4, max_q=10**4)
-    assert s_base == 4  # enumeration touched 5^4 = 625 elements, not 5^16
+    poly, periods = lifted_period_polynomial(ctx, 4, max_q=10**4)  # the budget admits no field past 10^4 elements
     assert fac.expand() == poly
-    assert all(v.is_integer() for v in periods.eta_star)
+    assert all(len(v.canonical()) <= 1 for v in periods.eta_star)  # rational integers
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"criterion 6: PASS (T2a p=5 s=16 m=4 via double lift, {elapsed:.3f}s)")
@@ -181,7 +182,7 @@ def test_criterion_10a_period_sum_and_frobenius_stability():
             total = CycElem.zero(p)
             for v in pv.eta_star:
                 total = total + v
-            assert total == 0
+            assert total == CycElem.zero(p)
             for k in range(e):
                 assert pv.eta_star[k * p % e] == pv.eta_star[k]
             cases += 1
@@ -296,7 +297,9 @@ def test_criterion_10e_splitting_count_and_sign_flips():
                     for r in records:
                         flipped = dict(records)
                         flipped[r] = replace(records[r], second=-records[r].second)
-                        assert build(ctx, m, records=flipped).factors == fac.factors
+                        with pytest.MonkeyPatch.context() as patch:
+                            patch.setattr(closed_form, "partition_records", lambda ctx, rs, f=flipped: {k: f[k] for k in rs})
+                            assert build(ctx, m).factors == fac.factors
                         count_flip += 1
     assert count_delta >= 50, count_delta
     assert count_flip >= 50, count_flip
@@ -307,7 +310,7 @@ def test_criterion_10f_power_representation_properties():
     cases = 0
     for p, d in ((3, 2), (11, 2), (19, 2), (43, 2), (59, 2), (5, 1), (13, 1), (29, 1), (37, 1), (53, 1)):
         for k in range(1, 7):
-            a, b = power_representation(p, d, k)
+            a, b = power_representation(p, k)
             assert a * a + d * b * b == p**k
             assert a % p != 0 and a % 2 == 1
             cases += 1

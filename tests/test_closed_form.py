@@ -146,7 +146,7 @@ def test_expansion_shape():
     assert expand_factor_list([]).coeffs == (1,)
 
 
-def test_sign_flip_invariance():
+def test_sign_flip_invariance(monkeypatch):
     # flipping the gamma-dependent sign of any B/D record leaves the output unchanged
     count = 0
     for p, s, m in ((3, 8, 4), (3, 8, 5), (5, 8, 4), (5, 4, 4), (3, 4, 4), (13, 4, 4), (11, 4, 4)):
@@ -156,11 +156,13 @@ def test_sign_flip_invariance():
         tag = classify(p, s, m)
         hi = m if (p % 8 == 3 or tag.s2 >= m - 1) else m - 1
         records = partition_records(ctx, list(range(lo, hi + 1)))
-        base = build(ctx, m, records=records)
+        base = build(ctx, m)
         for r in records:
             flipped = dict(records)
             flipped[r] = replace(records[r], second=-records[r].second)
-            assert build(ctx, m, records=flipped).factors == base.factors
+            monkeypatch.setattr(closed_form, "partition_records", lambda ctx, rs, f=flipped: {k: f[k] for k in rs})
+            assert build(ctx, m).factors == base.factors
+            monkeypatch.undo()
             count += 1
     assert count >= 15
 
@@ -237,7 +239,7 @@ def test_oracle_factors_are_the_factor_list(p, s, m, oracle, tag):
     fac = closed_form_factorization(ctx, m)
     assert fac.case.case == tag
     if oracle == "lift":
-        poly, periods, _ = lifted_period_polynomial(ctx, m)
+        poly, periods = lifted_period_polynomial(ctx, m)
     else:
         periods = reduced_periods(trace_spectrum(ctx, 1 << m))
         poly = period_polynomial(periods)

@@ -15,18 +15,13 @@ from periodpoly.partitions import (
 
 
 def test_cornacchia_examples():
-    assert cornacchia(3, 2) == (1, 1)
-    assert cornacchia(5, 1) == (1, 2)
-    assert cornacchia(11, 2) == (3, 1)
+    assert cornacchia(3) == (1, 1)
+    assert cornacchia(5) == (1, 2)
+    assert cornacchia(11) == (3, 1)
     with pytest.raises(ValueError):
-        cornacchia(7, 1)  # 7 = 3 mod 4
+        cornacchia(7)  # 7 = 7 mod 8
     with pytest.raises(ValueError):
-        cornacchia(5, 2)  # 5 = 5 mod 8
-    with pytest.raises(ValueError):
-        cornacchia(3, 3)
-    for d in (1, 2):  # p = 1 (mod 8) has both representations, but neither family uses them
-        with pytest.raises(ValueError):
-            cornacchia(17, d)
+        cornacchia(17)  # p = 1 (mod 8) has both representations, but neither family uses them
 
 
 def test_cornacchia_many_primes():
@@ -37,27 +32,27 @@ def test_cornacchia_many_primes():
         if not is_prime(p):
             continue
         if p % 8 == 3:
-            a, b = cornacchia(p, 2)
+            a, b = cornacchia(p)
             assert a > 0 and b > 0 and a * a + 2 * b * b == p
             count += 1
         if p % 8 == 5:
-            a, b = cornacchia(p, 1)
+            a, b = cornacchia(p)
             assert a % 2 == 1 and a * a + b * b == p
             count += 1
     assert count >= 50
 
 
 def test_power_representation_examples():
-    a, b = power_representation(3, 2, 4)
+    a, b = power_representation(3, 4)
     assert (abs(a), abs(b)) == (7, 4) and a * a + 2 * b * b == 81
-    a, b = power_representation(3, 2, 2)
+    a, b = power_representation(3, 2)
     assert (abs(a), abs(b)) == (1, 2)
-    a, b = power_representation(5, 1, 2)
+    a, b = power_representation(5, 2)
     assert (abs(a), abs(b)) == (3, 4)
     # first coordinate is odd and coprime to p in all cases
     for p, d in ((3, 2), (11, 2), (19, 2), (5, 1), (13, 1), (29, 1)):
         for k in range(1, 7):
-            a, b = power_representation(p, d, k)
+            a, b = power_representation(p, k)
             assert a % 2 == 1
             assert a % p != 0
             assert a * a + d * b * b == p**k
@@ -152,7 +147,7 @@ def test_uniqueness_by_exhaustive_enumeration(enumerate_representations):
             # exactly one unordered primitive pair with odd first coordinate
             assert len(primitive) == 1, (p, d, k, reps)
             a, b = primitive[0]
-            got = power_representation(p, d, k)
+            got = power_representation(p, k)
             assert (abs(got[0]), abs(got[1])) == (a, b)
             checked += 1
     assert checked >= 30

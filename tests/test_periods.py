@@ -3,6 +3,7 @@ import math
 import os
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_quadratic_period_value():
     # eta*_0 for e = 2 is the quadratic Gauss sum: -5 over F_25
     ctx = build_field(5, 2)
     pv = reduced_periods(trace_spectrum(ctx, 2))
-    assert pv.eta_star[0].as_integer() == -5
+    assert pv.eta_star[0].canonical() == (-5,)
 
 
 def test_period_sums_and_frobenius_stability():
@@ -81,7 +82,7 @@ def test_period_sums_and_frobenius_stability():
             total = CycElem.zero(p)
             for v in pv.eta_star:
                 total = total + v
-            assert total == 0
+            assert total == CycElem.zero(p)
             for k in range(e):
                 assert pv.eta_star[k * p % e] == pv.eta_star[k]
             instances += 1
@@ -117,8 +118,8 @@ def brute_or_lift_periods(oracle, p, s, x):
 )
 def test_expansion_matches_sequential_reference(oracle, p, s, x, sequential_poly_from_roots):
     pv = brute_or_lift_periods(oracle, p, s, x)
-    want = [c.as_integer() for c in sequential_poly_from_roots(list(pv.eta_star))]
-    assert list(period_polynomial(pv).coeffs) == want
+    want = sequential_poly_from_roots(list(pv.eta_star))
+    assert [CycElem.integer(1, c) for c in period_polynomial(pv).coeffs] == want
 
 
 def test_expansion_ignores_constant_offsets():
@@ -345,13 +346,53 @@ def test_worker_count_determinism(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_worker_count_determinism_on_the_add_at_tally():
-    # e*p = 132,128 > 2^15 buckets take np.add.at; L = 17,052,771 elements give two and three
-    # workers, whose private count vectors must sum to the one-worker counts
+def test_worker_count_determinism_on_the_add_at_tally(monkeypatch):
+    # 769^3 at e = 256: the F_p-line sweep counts L = 592,131 elements into e*(r+1) = 65,792 > 2^15
+    # class buckets (r = 256), which take np.add.at; threads 2 and 3 give two workers of at least
+    # _MIN_WORKER_MOD_P and the tail block, whose private count vectors must sum to the one-worker counts
+    import periodpoly.periods as periods
+
+    added = []  # (buckets, thread) of every np.add.at call
+
+    class AddSpy:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def at(self, counts, keys, value):
+            added.append((counts.size, threading.get_ident()))
+            np.add.at(counts, keys, value)
+
+    class NumpySpy:
+        add = AddSpy()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(periods, "np", NumpySpy())
+    calls = record_block_counts(monkeypatch)
+    ctx = build_field(769, 3)
+    got = {}
+    for threads in (1, 2, 3):
+        added.clear()
+        calls.clear()
+        got[threads] = trace_spectrum(ctx, 256, max_q=10**9, threads=threads).counts
+        assert len(calls) == min(threads, 2) + 1  # the workers' slices and the tail block
+        assert len(added) >= len(calls) and {size for size, _ in added} == {256 * 257}
+        assert len({thread for _, thread in added}) == min(threads, 2)  # the tail runs in the caller's thread
+    assert got[1] == got[2] == got[3]
+
+
+def test_worker_count_determinism_on_the_float64_bincount_tally(monkeypatch):
+    # 4129^3 at e = 32: s*(p-1)^2 >= 2^24 puts the products in float64, and the 32 x 33 class
+    # buckets take bincount; L = 17,052,771 elements give two and three workers, whose private
+    # count vectors must sum to the one-worker counts
     ctx = build_field(4129, 3)
     base = trace_spectrum(ctx, 32, max_q=10**11, threads=1)
+    calls = record_block_counts(monkeypatch)
     for threads in (2, 3):
+        calls.clear()
         assert trace_spectrum(ctx, 32, max_q=10**11, threads=threads).counts == base.counts
+        assert len(calls) == threads + 1 and all(rt.dtype == np.float64 for rt, _ in calls)
 
 
 @pytest.mark.parametrize(
@@ -498,7 +539,7 @@ def test_bucket_sweep_matches_direct_walk(name, threads, field_trace, frobenius_
         j = np.arange(length)
         for e in (3, 8, 11):
             direct = np.bincount(j % e * ctx.p + traces[j % len(traces)], minlength=e * ctx.p)
-            got = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, length, threads, classes=np.arange(ctx.p))
+            got = bucket_sweep(ctx, ctx.trace_row(), e, length, threads, classes=np.arange(ctx.p))
             assert got.shape == (e, ctx.p)
             assert np.array_equal(got.ravel(), direct), (name, threads, length, e)
     # trace_spectrum sweeps one period of the same walk, for each e that divides it
@@ -524,12 +565,13 @@ def test_bucket_sweep_exact_near_float64_bound(p, dtype, field_trace):
     # and the zero-filled class map stays a handful of touched pages
     base = ctx.gamma ** ((p - 1) // 8)
     traces = np.array(walk_traces(ctx, base, field_trace(ctx), 8))
+    ctx = FieldCtx(ctx.p, ctx.modulus, base.coords, ctx.q_minus_1_factorization)  # the sweep walks base^j
     classes = np.zeros(p, dtype=np.int64)
     classes[traces] = np.arange(1, 9)
     length = 3 * _MIN_BLAS + 5  # long enough that the dtype is the exactness bound's choice
     j = np.arange(length)
     direct = np.bincount(j % 2 * 9 + classes[traces[j % 8]], minlength=2 * 9).reshape(2, 9)
-    got = bucket_sweep(ctx, base, ctx.trace_row(), 2, length, threads=1, classes=classes)
+    got = bucket_sweep(ctx, ctx.trace_row(), 2, length, threads=1, classes=classes)
     assert np.array_equal(got, direct)
 
 
@@ -568,7 +610,7 @@ def test_raw_and_mod_p_tallies_agree(monkeypatch, p, s, e):
         monkeypatch.setattr(periods, "_bucket_width", lambda *_, width=width: width)
         for threads in (1, 2):
             for name, classes in (("identity", np.arange(p)), ("shuffled", shuffled)):
-                counts = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, length, threads, classes=classes)
+                counts = bucket_sweep(ctx, ctx.trace_row(), e, length, threads, classes=classes)
                 got[name, width, threads] = counts
     identity = got["identity", p, 1]
     assert identity.sum() == length
@@ -628,7 +670,7 @@ def fold_case(name):
 def test_trace_spectrum_fold_matches_full_sweep(name, e):
     # the reference walks all q - 1 powers of gamma; trace_spectrum walks (q - 1)/(p - 1) and folds
     ctx = fold_case(name)
-    full = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads=1, classes=np.arange(ctx.p))
+    full = bucket_sweep(ctx, ctx.trace_row(), e, ctx.q - 1, threads=1, classes=np.arange(ctx.p))
     for threads in (1, 2):
         assert np.array_equal(np.array(trace_spectrum(ctx, e, threads=threads).counts), full), (name, e)
 
@@ -667,7 +709,7 @@ def test_every_line_degree_gives_the_full_walk_spectrum(monkeypatch, p, s, most_
     degrees = [d for d in range(1, s) if s % d == 0]
     cases = 0
     for e in (e for e in range(1, min(ctx.q - 1, most_e or ctx.q) + 1) if (ctx.q - 1) % e == 0):
-        full = bucket_sweep(ctx, ctx.gamma, ctx.trace_row(), e, ctx.q - 1, threads=1, classes=np.arange(ctx.p))
+        full = bucket_sweep(ctx, ctx.trace_row(), e, ctx.q - 1, threads=1, classes=np.arange(ctx.p))
         for d in degrees:
             monkeypatch.setattr(periods, "_line_degree", lambda p, s, e, d=d: d)
             assert np.array_equal(np.array(trace_spectrum(ctx, e, threads=1).counts), full), (p, s, e, d)
@@ -728,7 +770,7 @@ def test_bucket_sweep_buckets_residue_vectors_by_classes(monkeypatch, threads):
         for e in (3, 8, 7):
             calls.clear()
             direct = np.bincount(j % e * width + column[j % (ctx.q - 1)], minlength=e * width)
-            got = bucket_sweep(ctx, ctx.gamma, rows, e, length, threads, classes=classes)
+            got = bucket_sweep(ctx, rows, e, length, threads, classes=classes)
             assert got.shape == (e, width)
             assert np.array_equal(got.ravel(), direct), (threads, length, e)
             if length > _MIN_BLAS:
